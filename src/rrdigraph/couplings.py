@@ -45,7 +45,6 @@ VALIDATE_OUTPUTS = False
 
 MINOR_I = ((1, 0), (0, 1))
 MINOR_J = ((0, 1), (1, 0))
-MINOR_K = ((1, 0), (1, 0))
 
 
 @dataclass(frozen=True)

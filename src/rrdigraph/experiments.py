@@ -23,7 +23,6 @@ from fractions import Fraction
 from typing import Optional, Tuple
 
 import numpy as np
-from scipy import stats as scipy_stats
 
 from .bounds import BoundValue, TailBoundSpec, eval_bound
 from .samplers import (
@@ -113,10 +112,32 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "ExperimentConfig":
+        """Build a config from its JSON form; malformed input raises ValueError
+        naming the offending field."""
+        if not isinstance(payload, dict):
+            raise ValueError(f"config must be a JSON object, got {type(payload).__name__}")
+        fields = dataclasses.fields(cls)
+        unknown = sorted(set(payload) - {f.name for f in fields})
+        if unknown:
+            raise ValueError(f"unknown config field(s): {', '.join(unknown)}")
+        missing = [
+            f.name for f in fields
+            if f.default is dataclasses.MISSING and f.name not in payload
+        ]
+        if missing:
+            raise ValueError(f"missing required config field(s): {', '.join(missing)}")
         data = dict(payload)
-        sampler = SamplerSpec(**data.pop("sampler"))
-        grid = tuple(float(g) for g in data.pop("grid"))
-        return cls(sampler=sampler, grid=grid, **data)
+        sampler = data.pop("sampler")
+        if not isinstance(sampler, dict):
+            raise ValueError(f"config field 'sampler' must be an object, got {type(sampler).__name__}")
+        try:
+            spec = SamplerSpec(**sampler)
+        except TypeError as exc:
+            raise ValueError(f"config field 'sampler': {exc}") from exc
+        grid = data.pop("grid")
+        if not isinstance(grid, list):
+            raise ValueError(f"config field 'grid' must be a list, got {type(grid).__name__}")
+        return cls(sampler=spec, grid=tuple(float(g) for g in grid), **data)
 
     def to_dict(self) -> dict:
         out = dataclasses.asdict(self)
@@ -147,16 +168,17 @@ class TailExperimentResult:
 
 def binomial_ci(k: int, n: int, confidence: float = 0.95) -> Tuple[float, float]:
     """Exact (Clopper-Pearson) binomial confidence interval for k/n."""
+    # scipy.stats is imported here and in uniformity_test, not at module
+    # level: it costs about a second, and most callers of the package never
+    # need it.
+    from scipy import stats as scipy_stats
+
     if not 0 <= k <= n:
         raise ValueError("need 0 <= k <= n")
     alpha = 1.0 - confidence
     lo = 0.0 if k == 0 else float(scipy_stats.beta.ppf(alpha / 2.0, k, n - k + 1))
     hi = 1.0 if k == n else float(scipy_stats.beta.ppf(1.0 - alpha / 2.0, k + 1, n - k))
     return lo, hi
-
-
-def _ceil_frac(x: Fraction) -> int:
-    return math.ceil(x)
 
 
 def _all_pair_codegree_dev(batch: np.ndarray, n: int, d: int) -> np.ndarray:
@@ -191,11 +213,11 @@ def _shard_counts(cfg: ExperimentConfig, shard_index: int, count: int) -> np.nda
             ).sum(axis=1)
             scaled = n * co - d * d
             for g, eps in enumerate(cfg.grid):
-                counts[g] = int((scaled >= _ceil_frac(Fraction(eps) * d_hat**2)).sum())
+                counts[g] = int((scaled >= math.ceil(Fraction(eps) * d_hat**2)).sum())
         elif stat == "codegree_uniform":
             dev = _all_pair_codegree_dev(batch, n, d)
             for g, eps in enumerate(cfg.grid):
-                counts[g] = int((dev >= _ceil_frac(Fraction(eps) * d_hat**2)).sum())
+                counts[g] = int((dev >= math.ceil(Fraction(eps) * d_hat**2)).sum())
         else:  # edge_count, optionally joint with the codegree event
             a, b = cfg.a, cfg.b
             e = batch[:, :a, :b].astype(np.int64).sum(axis=(1, 2))
@@ -207,7 +229,7 @@ def _shard_counts(cfg: ExperimentConfig, shard_index: int, count: int) -> np.nda
             else:
                 good = np.ones(count, dtype=bool)
             for g, tau in enumerate(cfg.grid):
-                thr = _ceil_frac(Fraction(tau) * mu_hat_scaled)
+                thr = math.ceil(Fraction(tau) * mu_hat_scaled)
                 counts[g] = int(((scaled >= thr) & good).sum())
         return counts
 
@@ -218,7 +240,7 @@ def _shard_counts(cfg: ExperimentConfig, shard_index: int, count: int) -> np.nda
         scaled = n * e - d * a * b  # n * (e - mu)
         mu_scaled = d * a * b
         for g, tau in enumerate(cfg.grid):
-            thr = _ceil_frac(Fraction(tau) * mu_scaled)
+            thr = math.ceil(Fraction(tau) * mu_scaled)
             counts[g] = int(((scaled >= thr) | (-scaled >= thr)).sum())
         return counts
 
@@ -440,6 +462,8 @@ def uniformity_test(
 
     emp = counts / N
     tv = 0.5 * float(np.abs(emp - 1.0 / size).sum())
+    from scipy import stats as scipy_stats
+
     chi = scipy_stats.chisquare(counts)
     return UniformityResult(
         tv_distance=tv,

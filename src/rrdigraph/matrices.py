@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -385,9 +385,3 @@ def _parse_block(block: str) -> BiregularBitMatrix:
         if s != dp:
             raise InvalidMatrixError(f"column {j} sums to {s}, expected dp = {dp}")
     return BiregularBitMatrix(rows, n, _trusted=True)
-
-
-def iter_vertex_subsets(count: int) -> Iterator[frozenset]:
-    """All subsets of range(count) in mask order (oracle-sized inputs only)."""
-    for mask in range(1 << count):
-        yield frozenset(j for j in range(count) if mask >> j & 1)

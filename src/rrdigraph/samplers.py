@@ -156,10 +156,6 @@ def circulant(n: int, d: int, m: Optional[int] = None) -> BiregularBitMatrix:
     return BiregularBitMatrix(rows, n)
 
 
-def _circulant_dense(n: int, d: int, m: int) -> np.ndarray:
-    return circulant(n, d, m).dense().copy()
-
-
 # -- rejection (configuration model) -----------------------------------------------
 
 
@@ -209,39 +205,137 @@ def sample_rejection(spec: SamplerSpec, rng: Optional[np.random.Generator] = Non
 
 # -- switch chain --------------------------------------------------------------------
 
+_SITE_BLOCK = 1 << 14  # site draws per block, whatever the chain count
+
+
+def _site_blocks(rng: np.random.Generator, m: int, n: int, steps: int, count: int) -> Iterator[np.ndarray]:
+    """The chains' proposals as (block, count) integer site codes.
+
+    A code s in [0, m*m*n*n) names the 2x2 minor
+    s = ((i1*m + i2)*n + j1)*n + j2, so one exact uniform draw replaces four
+    bounded ones.  Blocks hold about _SITE_BLOCK codes, a function of count
+    alone.
+    """
+    per_block = max(1, _SITE_BLOCK // max(count, 1))
+    high = m * m * n * n
+    # 32-bit codes, when they fit, halve the cost of _split_sites.
+    dtype = np.uint32 if high < 1 << 32 else np.int64
+    for start in range(0, steps, per_block):
+        yield rng.integers(0, high, size=(min(per_block, steps - start), count), dtype=dtype)
+
+
+def _split_sites(sites: np.ndarray, m: int, n: int):
+    """(i1, i2, j1, j2) arrays of the codes in `sites`."""
+    rows = sites // (n * n)
+    cols = sites - rows * (n * n)
+    i1 = rows // m
+    j1 = cols // n
+    return i1, rows - i1 * m, j1, cols - j1 * n
+
+
+def _switch_rows(rows: list, m: int, n: int, codes: np.ndarray) -> None:
+    """Apply the proposals `codes` in turn, in place, to one chain of packed row ints."""
+    bit = [1 << j for j in range(n)]
+    for i1, i2, j1, j2 in zip(*(a.tolist() for a in _split_sites(codes, m, n))):
+        mask = bit[j1] | bit[j2]
+        x = rows[i1] & mask
+        y = rows[i2] & mask
+        # Switchable iff the minor is an I or a J: the two rows differ on both
+        # columns and each row holds exactly one of them.  A repeated index
+        # never qualifies.
+        if x ^ y == mask and x and y:
+            rows[i1] ^= mask
+            rows[i2] ^= mask
+
+
+_WORD_BITS = np.uint64(1) << np.arange(64, dtype=np.uint64)
+
+
+def _switch_words(words: np.ndarray, m: int, n: int, sites: np.ndarray) -> None:
+    """Apply the proposals sites[t, k] in place to chain k of `words`.
+
+    `words` is a C-contiguous (count, m, L) uint64 array holding bit j of
+    row i in word j // 64 at position j % 64.  Each step makes the test of
+    _switch_rows for every chain at once and writes back only the chains
+    that switch.
+    """
+    count, _, width = words.shape
+    flat = words.reshape(-1)
+    i1, i2, j1, j2 = _split_sites(sites, m, n)
+    chain_rows = np.arange(count, dtype=np.int64) * m
+    if width == 1:
+        r1 = chain_rows + i1
+        r2 = chain_rows + i2
+        masks = _WORD_BITS[j1] | _WORD_BITS[j2]
+        for t in range(sites.shape[0]):
+            p1, p2, mask = r1[t], r2[t], masks[t]
+            a = flat.take(p1)
+            b = flat.take(p2)
+            x = a & mask
+            y = b & mask
+            hit = np.flatnonzero((x ^ y == mask) & (np.minimum(x, y) != 0))
+            flips = mask[hit]
+            flat.put(p1[hit], a[hit] ^ flips)
+            flat.put(p2[hit], b[hit] ^ flips)
+        return
+    # Wide rows: one word per entry of the minor, flipped one entry at a time
+    # so that two entries sharing a word both flip.
+    base1 = (chain_rows + i1) * width
+    base2 = (chain_rows + i2) * width
+    w1, w2 = j1 // 64, j2 // 64
+    bits1, bits2 = _WORD_BITS[j1 % 64], _WORD_BITS[j2 % 64]
+    for t in range(sites.shape[0]):
+        entries = (base1[t] + w1[t], base1[t] + w2[t], base2[t] + w1[t], base2[t] + w2[t])
+        b1, b2 = bits1[t], bits2[t]
+        x11, x12, x21, x22 = (
+            flat.take(p) & b != 0 for p, b in zip(entries, (b1, b2, b1, b2))
+        )
+        hit = np.flatnonzero((x11 != x12) & (x11 == x22) & (x12 == x21))
+        for p, b in zip(entries, (b1, b2, b1, b2)):
+            flat[p[hit]] ^= b[hit]
+
+
+def _rows_to_words(rows, n: int) -> np.ndarray:
+    """(m, L) uint64 little-endian words of packed row ints."""
+    width = (n + 63) // 64
+    raw = b"".join(int(r).to_bytes(8 * width, "little") for r in rows)
+    return np.frombuffer(raw, dtype="<u8").reshape(len(rows), width).astype(np.uint64)
+
+
+def _words_to_dense(words: np.ndarray, n: int) -> np.ndarray:
+    """(..., m, L) uint64 words as (..., m, n) uint8 entries."""
+    raw = words.astype("<u8", copy=False).view(np.uint8)
+    return np.unpackbits(raw, axis=-1, count=n, bitorder="little")
+
 
 def switch_mcmc_dense(spec: SamplerSpec, count: int, rng: Optional[np.random.Generator] = None) -> np.ndarray:
     """`count` independent switch chains, each run for spec.resolved_steps steps.
 
     Chains start at the circulant matrix and apply uniformly random simple
     switchings (no-op when the sampled 2x2 minor is not switchable), so
-    every state is a class member.
+    every state is a class member.  Returns (count, m, n) uint8.
+
+    Each step of chain k reads one site code from column k of the blocks
+    drawn by _site_blocks.  Many chains step together as packed uint64 row
+    words; a lone chain steps in a Python loop over row ints, which is
+    faster for one chain and gives the same state for the same sites.
     """
     if spec.kind != "switch_mcmc":
         raise ValueError("spec.kind must be 'switch_mcmc'")
     m, n = spec.m, spec.n
     rng = spec.rng() if rng is None else rng
-    states = np.broadcast_to(_circulant_dense(n, spec.d, m), (count, m, n)).copy()
-    k = np.arange(count)
-    for _ in range(spec.resolved_steps):
-        ii = rng.integers(0, m, size=(count, 2))
-        jj = rng.integers(0, n, size=(count, 2))
-        i1, i2 = ii[:, 0], ii[:, 1]
-        j1, j2 = jj[:, 0], jj[:, 1]
-        x11 = states[k, i1, j1]
-        x12 = states[k, i1, j2]
-        x21 = states[k, i2, j1]
-        x22 = states[k, i2, j2]
-        # I or J minor: equal diagonals, equal anti-diagonals, and the two
-        # values differ.  Degenerate sites (repeated index) never qualify.
-        sw = (x11 == x22) & (x12 == x21) & (x11 != x12)
-        if sw.any():
-            w = np.flatnonzero(sw)
-            states[k[w], i1[w], j1[w]] ^= 1
-            states[k[w], i1[w], j2[w]] ^= 1
-            states[k[w], i2[w], j1[w]] ^= 1
-            states[k[w], i2[w], j2[w]] ^= 1
-    return states
+    start = circulant(n, spec.d, m).rows
+    blocks = _site_blocks(rng, m, n, spec.resolved_steps, count)
+    if count == 1:
+        rows = list(start)
+        for sites in blocks:
+            _switch_rows(rows, m, n, sites[:, 0])
+        return _words_to_dense(_rows_to_words(rows, n), n)[None]
+    start_words = _rows_to_words(start, n)
+    words = np.broadcast_to(start_words, (count, *start_words.shape)).copy()
+    for sites in blocks:
+        _switch_words(words, m, n, sites)
+    return _words_to_dense(words, n)
 
 
 def sample_switch_mcmc(spec: SamplerSpec, rng: Optional[np.random.Generator] = None) -> BiregularBitMatrix:

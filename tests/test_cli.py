@@ -240,6 +240,28 @@ class TestTailCli:
         meta2.pop("wall_time_s")
         assert meta1 == meta2
 
+    @pytest.mark.parametrize(
+        "edit, field",
+        [
+            (lambda cfg: cfg.update(bogus=3), "bogus"),
+            (lambda cfg: cfg.pop("sampler"), "sampler"),
+            (lambda cfg: cfg.pop("grid"), "grid"),
+            (lambda cfg: cfg.update(sampler=[1, 2]), "sampler"),
+            (lambda cfg: cfg["sampler"].update(bogus=1), "sampler"),
+        ],
+        ids=["unknown-key", "missing-sampler", "missing-grid", "sampler-not-object",
+             "unknown-sampler-key"],
+    )
+    def test_malformed_config_exit_1(self, tmp_path, capsys, edit, field):
+        path = self._config(tmp_path)
+        cfg = json.loads(path.read_text())
+        edit(cfg)
+        path.write_text(json.dumps(cfg))
+        code, _, err = run(capsys, "tail", "--config", str(path), "--out", str(tmp_path / "t.csv"))
+        assert code == 1
+        assert err.startswith("error: ") and field in err
+        assert not (tmp_path / "t.csv").exists()
+
 
 class TestSigma2Cli:
     def test_from_file(self, tmp_path, capsys):

@@ -1,8 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+
+import rrdigraph
 
 from rrdigraph.experiments import (
     CSV_HEADER,
@@ -242,3 +248,16 @@ class TestTailHarness:
         fields = lines[1].split(",")
         assert len(fields) == 7
         assert fields[5] in ("true", "false")
+
+
+def test_package_import_leaves_scipy_stats_unloaded():
+    # scipy.stats costs about a second to import; only binomial_ci and
+    # uniformity_test need it, so a plain `import rrdigraph` must not load it.
+    src = Path(rrdigraph.__file__).resolve().parents[1]
+    probe = "import sys, rrdigraph; print('scipy.stats' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True, text=True, check=True, timeout=120,
+    )
+    assert done.stdout.strip() == "False"

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +19,14 @@ from rrdigraph.samplers import (
     sample_rejection,
     sample_switch_mcmc,
     stream_generator,
+    switch_mcmc_dense,
+)
+from rrdigraph.samplers import (
+    _rows_to_words,
+    _site_blocks,
+    _switch_rows,
+    _switch_words,
+    _words_to_dense,
 )
 
 from conftest import brute_force_class_4_2
@@ -116,6 +125,86 @@ class TestSwitchChain:
         spec = SamplerSpec(kind="switch_mcmc", n=8, d=2, steps=500, seed=4)
         mats = sample_many(spec, 6)
         assert any(mat != circulant(8, 2) for mat in mats)
+
+
+class TestSwitchKernel:
+    """The packed-word batch and the lone-chain loop against each other."""
+
+    @staticmethod
+    def _sites(spec, count):
+        blocks = _site_blocks(spec.rng(), spec.m, spec.n, spec.resolved_steps, count)
+        return np.concatenate(list(blocks))
+
+    @pytest.mark.parametrize(
+        "m, n, d",
+        # 260^4 > 2^32, so (260, 260) runs on 64-bit site codes.
+        [(5, 5, 2), (64, 64, 20), (65, 65, 30), (130, 130, 40), (260, 260, 100), (6, 9, 3)],
+        ids=lambda v: str(v),
+    )
+    def test_batch_and_lone_chain_agree_on_the_same_sites(self, m, n, d):
+        # 3500 steps at 5 chains spans two site blocks.
+        spec = SamplerSpec(kind="switch_mcmc", n=n, d=d, m=m, dp=m * d // n, steps=3500, seed=11)
+        start = circulant(n, d, m)
+        batch = switch_mcmc_dense(spec, 5)
+        sites = self._sites(spec, 5)
+        for k in range(5):
+            rows = list(start.rows)
+            _switch_rows(rows, m, n, sites[:, k])
+            assert BiregularBitMatrix(rows, n) == BiregularBitMatrix.from_dense(batch[k])
+        assert (batch != start.dense()).any()
+        # and the other way round: the lone chain's draws through the batch path
+        lone = switch_mcmc_dense(spec, 1)
+        words = _rows_to_words(start.rows, n)[None].copy()
+        _switch_words(words, m, n, self._sites(spec, 1))
+        assert np.array_equal(_words_to_dense(words, n), lone)
+
+    @pytest.mark.parametrize("count", [1, 3])
+    @pytest.mark.parametrize("n", [7, 70])
+    def test_zero_steps_is_circulant(self, count, n):
+        spec = SamplerSpec(kind="switch_mcmc", n=n, d=3, steps=0, seed=0)
+        out = switch_mcmc_dense(spec, count)
+        assert out.shape == (count, n, n) and out.dtype == np.uint8
+        assert (out == circulant(n, 3).dense()).all()
+
+    @pytest.mark.parametrize("count", [1, 4])
+    @pytest.mark.parametrize("d", [0, 6])
+    def test_degenerate_degree_stays_fixed(self, count, d):
+        spec = SamplerSpec(kind="switch_mcmc", n=6, d=d, steps=300, seed=1)
+        assert (switch_mcmc_dense(spec, count) == (d == 6)).all()
+
+    @pytest.mark.parametrize("count", [1, 9])
+    @pytest.mark.parametrize(
+        "m, n, d", [(9, 9, 4), (6, 9, 3), (70, 70, 35)], ids=lambda v: str(v)
+    )
+    def test_margins_and_bytes(self, count, m, n, d):
+        dp = m * d // n
+        spec = SamplerSpec(kind="switch_mcmc", n=n, d=d, m=m, dp=dp, steps=400, seed=5)
+        out = switch_mcmc_dense(spec, count)
+        assert out.shape == (count, m, n) and out.dtype == np.uint8
+        assert (out.sum(axis=2) == d).all() and (out.sum(axis=1) == dp).all()
+        assert out.tobytes() == switch_mcmc_dense(spec, count).tobytes()
+
+    def test_batch_memory_stays_near_the_output_size(self):
+        spec = SamplerSpec(kind="switch_mcmc", n=60, d=30, steps=200, seed=1)
+        tracemalloc.start()
+        try:
+            out = switch_mcmc_dense(spec, 4096)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= out.nbytes + 4 * 2**20
+        # The stepping alone, words allocated beforehand: a site block and
+        # its temporaries take about 1.7 MB, a block of 4x the codes 4 MB.
+        words = _rows_to_words(circulant(60, 30).rows, 60)
+        words = np.broadcast_to(words, (4096, *words.shape)).copy()
+        tracemalloc.start()
+        try:
+            for sites in _site_blocks(spec.rng(), 60, 60, 200, 4096):
+                _switch_words(words, 60, 60, sites)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * 2**20
 
 
 class TestPermutationModel:
