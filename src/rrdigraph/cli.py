@@ -51,6 +51,9 @@ from .spectral import alpha_exact, sigma2
 from .verify import SUITES, run_suite
 
 SCHEMA_VERSION = 1
+# Version 2 of the sigma2 payload has no `tol` or `max_iters` in its config
+# (sigma2 is an exact SVD); the other payloads keep version 1.
+SIGMA2_SCHEMA_VERSION = 2
 
 
 class _UsageError(Exception):
@@ -342,10 +345,10 @@ def _cmd_sigma2(args) -> int:
         spec = _spec_from_args(args)
         matrix = sample_many(spec, 1)[0]
         source = dataclasses.asdict(spec)
-    report = sigma2(matrix, tol=args.tol, max_iters=args.max_iters)
+    report = sigma2(matrix)
     payload = {
-        "schema_version": SCHEMA_VERSION,
-        "config": dict(source, tol=args.tol, max_iters=args.max_iters, alpha=args.alpha),
+        "schema_version": SIGMA2_SCHEMA_VERSION,
+        "config": dict(source, alpha=args.alpha),
         "sigma1": report.sigma1,
         "sigma2": report.sigma2,
         "iterations": report.iterations,
@@ -482,8 +485,6 @@ def build_parser() -> _Parser:
     sig.add_argument("--sample", default=None,
                      help="sampler spec string, e.g. kind=switch_mcmc,n=12,d=3")
     _add_sampler_flags(sig, kind_required=False)
-    sig.add_argument("--tol", type=float, default=1e-10)
-    sig.add_argument("--max-iters", dest="max_iters", type=int, default=10**4)
     sig.add_argument("--alpha", action="store_true", help="also compute exact jumbledness")
     sig.set_defaults(func=_cmd_sigma2)
 

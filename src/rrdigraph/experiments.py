@@ -20,7 +20,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Tuple
+from typing import Optional, Tuple, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -131,18 +131,44 @@ class ExperimentConfig:
         if not isinstance(sampler, dict):
             raise ValueError(f"config field 'sampler' must be an object, got {type(sampler).__name__}")
         try:
+            _check_scalar_types(SamplerSpec, sampler, "sampler.")
             spec = SamplerSpec(**sampler)
         except TypeError as exc:
             raise ValueError(f"config field 'sampler': {exc}") from exc
         grid = data.pop("grid")
-        if not isinstance(grid, list):
-            raise ValueError(f"config field 'grid' must be a list, got {type(grid).__name__}")
+        if not isinstance(grid, list) or not all(_is_number(g) for g in grid):
+            raise ValueError("config field 'grid' must be a list of numbers")
+        _check_scalar_types(cls, data)
         return cls(sampler=spec, grid=tuple(float(g) for g in grid), **data)
 
     def to_dict(self) -> dict:
         out = dataclasses.asdict(self)
         out["grid"] = list(self.grid)
         return out
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+# JSON types accepted for each scalar annotation; an int is a valid float.
+_SCALAR_CHECKS = {int: lambda v: isinstance(v, int) and not isinstance(v, bool),
+                  float: _is_number, str: lambda v: isinstance(v, str)}
+
+
+def _check_scalar_types(cls, data: dict, prefix: str = "") -> None:
+    """Raise ValueError naming the first key of `data` whose value does not
+    match the int, float or str (optionally None) annotation of `cls`."""
+    hints = get_type_hints(cls)
+    for key, value in data.items():
+        hint = hints.get(key)
+        options = get_args(hint) if get_origin(hint) is Union else (hint,)
+        checks = [_SCALAR_CHECKS[t] for t in options if t in _SCALAR_CHECKS]
+        if not checks or (value is None and type(None) in options):
+            continue
+        if not any(check(value) for check in checks):
+            wanted = " or ".join("null" if t is type(None) else t.__name__ for t in options)
+            raise ValueError(f"config field '{prefix}{key}' must be {wanted}, got {type(value).__name__}")
 
 
 @dataclass(frozen=True)

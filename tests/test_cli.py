@@ -248,9 +248,13 @@ class TestTailCli:
             (lambda cfg: cfg.pop("grid"), "grid"),
             (lambda cfg: cfg.update(sampler=[1, 2]), "sampler"),
             (lambda cfg: cfg["sampler"].update(bogus=1), "sampler"),
+            (lambda cfg: cfg.update(N="many"), "field 'N' must be int"),
+            (lambda cfg: cfg["sampler"].update(n="40"), "field 'sampler.n' must be int"),
+            (lambda cfg: cfg.update(grid=[0.5, None]), "grid"),
         ],
         ids=["unknown-key", "missing-sampler", "missing-grid", "sampler-not-object",
-             "unknown-sampler-key"],
+             "unknown-sampler-key", "wrong-type-N", "wrong-type-sampler-n",
+             "non-number-grid"],
     )
     def test_malformed_config_exit_1(self, tmp_path, capsys, edit, field):
         path = self._config(tmp_path)
@@ -288,6 +292,19 @@ class TestSigma2Cli:
 
     def test_needs_source(self, capsys):
         code, _, err = run(capsys, "sigma2")
+        assert code == 1
+
+    def test_exact_payload_has_no_iteration_settings(self, capsys):
+        code, stdout, _ = run(capsys, "sigma2", "--sample", "kind=switch_mcmc,n=8,d=3,steps=50")
+        assert code == 0
+        payload = json.loads(stdout)
+        assert payload["schema_version"] == 2
+        assert "tol" not in payload["config"] and "max_iters" not in payload["config"]
+        assert (payload["iterations"], payload["residual"], payload["converged"]) == (0, 0.0, True)
+
+    @pytest.mark.parametrize("flag", ["--tol", "--max-iters"])
+    def test_iteration_flags_removed(self, capsys, flag):
+        code, _, _ = run(capsys, "sigma2", "--sample", "kind=switch_mcmc,n=8,d=3", flag, "5")
         assert code == 1
 
 

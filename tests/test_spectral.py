@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from rrdigraph.samplers import (
     circulant,
     sample_many,
 )
-from rrdigraph.spectral import alpha_exact, sigma2
+from rrdigraph.spectral import ALPHA_EXACT_CAP, alpha_exact, sigma2
 
 from conftest import matrix_from_strings
 
@@ -29,6 +30,28 @@ def brute_alpha(matrix):
     return best
 
 
+def alpha_all_pairs(matrix):
+    """alpha from the full (2^n - 1)^2 table e(A, B) = x_A M x_B^T.
+
+    The float steps per (A, B) are those of the definition's max over B
+    then over A, so the result is comparable with ==.
+    """
+    n, d = matrix.n, matrix.d
+    masks = np.arange(1, 1 << n)
+    ind = (masks[:, None] >> np.arange(n)) & 1
+    e = ind @ matrix.dense().astype(np.int64) @ ind.T
+    size = ind.sum(axis=1)
+    dev = np.abs(n * e - d * np.outer(size, size))
+    root = np.sqrt(size.astype(np.float64))
+    per_a = (dev * (1.0 / root)[None, :]).max(axis=1)
+    return float((per_a / (n * root)).max())
+
+
+def circulant_sigma2(n, d):
+    """Circulant singular values are |sum_{t<d} w^(kt)| = |sin(pi k d/n) / sin(pi k/n)|."""
+    return max(abs(math.sin(math.pi * k * d / n) / math.sin(math.pi * k / n)) for k in range(1, n))
+
+
 class TestSigma2:
     def test_all_ones_is_rank_one(self):
         full = matrix_from_strings(["1111"] * 4)
@@ -42,8 +65,9 @@ class TestSigma2:
         assert report.sigma2 == pytest.approx(1.0, abs=1e-10)
 
     def test_circulant_degeneracy_handled(self):
-        # The alternating start is an exact singular vector of circulants;
-        # a single-start power iteration would report the wrong value.
+        # The alternating +-1 vector is an exact singular vector of
+        # circulants: a power iteration started there alone reports the
+        # wrong value.
         mat = circulant(4, 2)
         oracle = np.linalg.svd(mat.dense().astype(float), compute_uv=False)[1]
         assert sigma2(mat).sigma2 == pytest.approx(oracle, abs=1e-8)
@@ -70,6 +94,20 @@ class TestSigma2:
         with pytest.raises(ValueError):
             sigma2(pool_bipartite[0])
 
+    @pytest.mark.parametrize("n, d", [(4, 2), (5, 2), (7, 3), (12, 5), (30, 7), (64, 31), (101, 50)])
+    def test_circulant_closed_form(self, n, d):
+        report = sigma2(circulant(n, d))
+        assert report.sigma1 == pytest.approx(d, abs=1e-9)
+        assert report.sigma2 == pytest.approx(circulant_sigma2(n, d), abs=1e-9)
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 9])
+    @pytest.mark.parametrize("full", [False, True])
+    def test_empty_and_complete(self, n, full):
+        d = n if full else 0
+        report = sigma2(circulant(n, d))
+        assert report.sigma1 == pytest.approx(d, abs=1e-12)
+        assert report.sigma2 == pytest.approx(0.0, abs=1e-12)
+
 
 class TestAlphaExact:
     def test_all_ones_zero(self):
@@ -87,6 +125,25 @@ class TestAlphaExact:
         # singular value certifies jumbledness.
         for mat in class_4_2:
             assert alpha_exact(mat) <= sigma2(mat).sigma2 + 1e-8
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_equals_all_pairs_oracle(self, n):
+        for d in range(n + 1):
+            spec = SamplerSpec(kind="switch_mcmc", n=n, d=d, steps=20 * n * n, seed=900 + n)
+            for mat in [circulant(n, d), *sample_many(spec, 3)]:
+                assert alpha_exact(mat) == alpha_all_pairs(mat)
+
+    def test_at_cap_memory(self):
+        spec = SamplerSpec(kind="switch_mcmc", n=ALPHA_EXACT_CAP, d=5, steps=2000, seed=3)
+        mat = sample_many(spec, 1)[0]
+        tracemalloc.start()
+        try:
+            alpha = alpha_exact(mat)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
+        assert 0.0 < alpha <= sigma2(mat).sigma2 + 1e-8
 
     def test_cap_guard(self):
         spec = SamplerSpec(kind="switch_mcmc", n=16, d=4, steps=100, seed=0)
