@@ -332,6 +332,9 @@ def _parse_sampler_string(text: str) -> SamplerSpec:
 
 
 def _cmd_sigma2(args) -> int:
+    given = "--in" if getattr(args, "in") else "--sample" if args.sample else None
+    if given and args.seed is not None:
+        raise _UsageError(f"--seed applies to the sampler flags, not to {given}")
     if getattr(args, "in"):
         matrix = _read_matrix(getattr(args, "in"))
         source = {"in": getattr(args, "in")}
@@ -342,7 +345,7 @@ def _cmd_sigma2(args) -> int:
     else:
         if args.kind is None or args.n == 0:
             raise _UsageError("sigma2 needs --in, --sample, or sampler flags (--kind/--n/--d)")
-        spec = _spec_from_args(args)
+        spec = dataclasses.replace(_spec_from_args(args), seed=args.seed or 0)
         matrix = sample_many(spec, 1)[0]
         source = dataclasses.asdict(spec)
     report = sigma2(matrix)
@@ -357,6 +360,8 @@ def _cmd_sigma2(args) -> int:
     }
     if args.alpha:
         payload["alpha_exact"] = alpha_exact(matrix)
+    if args.out:
+        Path(args.out).write_text(json.dumps(payload, indent=2, default=str))
     _emit(payload, args)
     return 0
 
@@ -480,7 +485,11 @@ def build_parser() -> _Parser:
     tail.set_defaults(func=_cmd_tail)
 
     sig = subs.add_parser("sigma2", help="second singular value diagnostics")
-    _add_common(sig)
+    # One JSON payload from one thread, so no --threads and no csv; --seed
+    # seeds only the sampler flags (a --sample spec carries its own seed).
+    sig.add_argument("--seed", type=int, default=None)
+    sig.add_argument("--out", type=str, default=None)
+    sig.add_argument("--format", choices=("json",), default="json")
     sig.add_argument("--in", dest="in", default=None)
     sig.add_argument("--sample", default=None,
                      help="sampler spec string, e.g. kind=switch_mcmc,n=12,d=3")

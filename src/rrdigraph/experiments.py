@@ -27,6 +27,7 @@ import numpy as np
 from .bounds import BoundValue, TailBoundSpec, eval_bound
 from .samplers import (
     SamplerSpec,
+    _rejection,
     enumerate_all,
     er_dense,
     permutation_batch,
@@ -217,21 +218,22 @@ def _all_pair_codegree_dev(batch: np.ndarray, n: int, d: int) -> np.ndarray:
     return dev[:, iu[0], iu[1]].max(axis=1).astype(np.int64)
 
 
-def _shard_counts(cfg: ExperimentConfig, shard_index: int, count: int) -> np.ndarray:
-    """Per-grid-point exceedance counts for one shard."""
+def _shard_counts(cfg: ExperimentConfig, shard_index: int, count: int) -> Tuple[np.ndarray, int]:
+    """Per-grid-point exceedance counts for one shard, and the rejection
+    sampler's attempts for it (0 for the other samplers)."""
     spec = dataclasses.replace(
         cfg.sampler, seed=cfg.seed, stream=cfg.sampler.stream + shard_index
     )
     stat = cfg.statistic
     n, d = spec.n, spec.d
     counts = np.zeros(len(cfg.grid), dtype=np.int64)
+    attempts = 0
 
     if stat in ("codegree", "codegree_uniform", "edge_count"):
-        batch = (
-            rejection_dense(spec, count)
-            if spec.kind == "rejection"
-            else switch_mcmc_dense(spec, count)
-        )
+        if spec.kind == "rejection":
+            batch, attempts = _rejection(spec, count)
+        else:
+            batch = switch_mcmc_dense(spec, count)
         d_hat = min(d, n - d)
         if stat == "codegree":
             co = (
@@ -257,7 +259,7 @@ def _shard_counts(cfg: ExperimentConfig, shard_index: int, count: int) -> np.nda
             for g, tau in enumerate(cfg.grid):
                 thr = math.ceil(Fraction(tau) * mu_hat_scaled)
                 counts[g] = int(((scaled >= thr) & good).sum())
-        return counts
+        return counts, attempts
 
     if stat == "perm_edge_count":
         a, b = cfg.a, cfg.b
@@ -268,7 +270,7 @@ def _shard_counts(cfg: ExperimentConfig, shard_index: int, count: int) -> np.nda
         for g, tau in enumerate(cfg.grid):
             thr = math.ceil(Fraction(tau) * mu_scaled)
             counts[g] = int(((scaled >= thr) | (-scaled >= thr)).sum())
-        return counts
+        return counts, attempts
 
     # Erdos-Renyi baselines; p is a float so events compare in floats here.
     batch = er_dense(spec, count)
@@ -284,7 +286,7 @@ def _shard_counts(cfg: ExperimentConfig, shard_index: int, count: int) -> np.nda
         center = p * a * b
         for g, eps in enumerate(cfg.grid):
             counts[g] = int((np.abs(e - center) >= eps * center).sum())
-    return counts
+    return counts, attempts
 
 
 def _bound_for(cfg: ExperimentConfig, grid_value: float) -> Tuple[BoundValue, bool]:
@@ -360,7 +362,7 @@ def run_tail_experiment(
     else:
         with ThreadPoolExecutor(max_workers=max_workers) as pool:
             parts = list(pool.map(lambda s: _shard_counts(cfg, *s), shards))
-    totals = np.sum(parts, axis=0)
+    totals = np.sum([counts for counts, _ in parts], axis=0)
 
     rows = []
     for g, value in enumerate(cfg.grid):
@@ -391,6 +393,11 @@ def run_tail_experiment(
         "shard_size": SHARD_SIZE,
         "wall_time_s": time.time() - started,
     }
+    if cfg.sampler.kind == "rejection":
+        # Summed over shards, so the counters depend on the config alone.
+        attempts = sum(a for _, a in parts)
+        metadata["rejection_attempts"] = attempts
+        metadata["acceptance_rate"] = cfg.N / attempts
     return TailExperimentResult(tuple(rows), metadata)
 
 

@@ -4,10 +4,13 @@ Five generation modes:
 
 * ``rejection``: stub matching (a fiber of d out-points per row, dp
   in-points per column, matched by a uniform permutation and collapsed),
-  accepted iff the collapse is simple.  Conditioned on simplicity the
-  output is exactly uniform on the biregular class.  Acceptance decays
-  like exp(-Theta(d^2)), so a budget guard signals when to fall back to
-  the switch chain.
+  accepted iff the collapse is simple.  The matching is drawn row by row
+  by Fisher-Yates steps, and an attempt stops at the first row that
+  repeats a column, so a rejection costs only the rows up to it (about
+  13 of 60 at n=60, d=4).  Conditioned on simplicity the output is
+  exactly uniform on the biregular class.  Acceptance decays like
+  exp(-Theta(d^2)), so a budget guard signals when to fall back to the
+  switch chain.
 * ``switch_mcmc``: start from a deterministic circulant matrix and apply
   uniformly random simple switchings; stays inside the class at every
   step, approximately uniform after enough steps.
@@ -28,7 +31,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Tuple
 
 import numpy as np
 
@@ -59,7 +62,6 @@ SAMPLER_KINDS = ("rejection", "switch_mcmc", "permutation_model", "erdos_renyi",
 
 DEFAULT_MAX_ATTEMPTS = 10**6
 DEFAULT_ENUMERATION_CAP = 10**8
-_REJECTION_BLOCK = 256
 
 
 class ResourceGuardError(RuntimeError):
@@ -159,42 +161,90 @@ def circulant(n: int, d: int, m: Optional[int] = None) -> BiregularBitMatrix:
 # -- rejection (configuration model) -----------------------------------------------
 
 
-def rejection_dense(spec: SamplerSpec, count: int, rng: Optional[np.random.Generator] = None) -> np.ndarray:
-    """`count` exactly-uniform class members as a (count, m, n) uint8 array."""
+# In-stub labels held by the first block of attempts and by the largest;
+# each block holds twice the attempts of the one before, up to the largest.
+_REJECTION_FIRST_ENTRIES = 1 << 12
+_REJECTION_POOL_ENTRIES = 1 << 21
+
+
+def _rejection(
+    spec: SamplerSpec, count: int, rng: Optional[np.random.Generator] = None
+) -> Tuple[np.ndarray, int]:
+    """(samples, attempts): rejection_dense's output and the number of
+    attempts up to and including the last one whose sample is kept.
+
+    Each attempt lays the m*d in-stub column labels in a pool and fills the
+    out-stubs t = i*d + k row by row with a forward Fisher-Yates step, swap
+    t with a uniform j in [t, m*d).  An attempt is dropped once a row
+    repeats a column, and one that completes every row is a uniform stub
+    matching conditioned on a simple collapse.  Attempts run in blocks whose
+    sizes depend on the spec alone, and the samples are the first accepted
+    attempts in attempt order.
+    """
     if spec.kind != "rejection":
         raise ValueError("spec.kind must be 'rejection'")
     m, n, d, dp = spec.m, spec.n, spec.d, spec.dp
     rng = spec.rng() if rng is None else rng
-    out = np.empty((count, m, n), dtype=np.uint8)
+    out = np.zeros((count, m, n), dtype=np.uint8)
     if d == 0 or d == n:
         # Degenerate class with a single element; nothing to sample.
         out[:] = 0 if d == 0 else 1
-        return out
+        return out, count
     md = m * d
-    point_rows = np.repeat(np.arange(m, dtype=np.int64), d)
+    largest = max(1, min(spec.max_attempts, _REJECTION_POOL_ENTRIES // md))
+    block = max(1, min(largest, _REJECTION_FIRST_ENTRIES // md))
+    labels = np.repeat(np.arange(n, dtype=np.uint8 if n <= 256 else np.int32), dp)
+    pool = np.empty((largest, md), dtype=labels.dtype)
+    flat = pool.reshape(-1)
+    # Entry code i*n + label of each stub position, for the output scatter.
+    row_codes = np.repeat(np.arange(m, dtype=np.int64) * n, d)
     accepted = 0
+    attempts = 0
     failures_since_last = 0
     while accepted < count:
-        block = min(_REJECTION_BLOCK, max(1, count - accepted))
-        # A uniform matching of out-points to in-points per attempt.
-        perms = rng.permuted(np.tile(np.arange(md, dtype=np.int64), (block, 1)), axis=1)
-        codes = point_rows[None, :] * n + perms // dp
-        sorted_codes = np.sort(codes, axis=1)
-        simple = ~(sorted_codes[:, 1:] == sorted_codes[:, :-1]).any(axis=1)
-        hits = np.flatnonzero(simple)
-        if hits.size == 0:
+        pool[:block] = labels
+        # Offset of each live attempt's stubs in `flat`, in attempt order.
+        base = np.arange(0, block * md, md, dtype=np.int64)
+        for i in range(m):
+            cols = []
+            for t in range(i * d, (i + 1) * d):
+                at = flat[t:]  # at[base] is position t of each live attempt
+                pos_j = rng.integers(t, md, size=base.size)
+                pos_j += base
+                at_j = flat[pos_j]
+                flat[pos_j] = at[base]
+                at[base] = at_j
+                cols.append(at_j)
+            simple = np.ones(base.size, dtype=bool)
+            for a in range(d):
+                for b in range(a):
+                    simple &= cols[a] != cols[b]
+            base = base[simple]
+            if base.size == 0:
+                break
+        if base.size == 0:
+            attempts += block
             failures_since_last += block
             if failures_since_last >= spec.max_attempts:
                 raise RejectionBudgetExhausted(failures_since_last)
-            continue
-        failures_since_last = int(block - 1 - hits[-1])
-        take = hits[: count - accepted]
-        flat = np.zeros((take.size, m * n), dtype=np.uint8)
-        offsets = np.repeat(np.arange(take.size) * (m * n), md)
-        flat.ravel()[offsets + codes[take].ravel()] = 1
-        out[accepted : accepted + take.size] = flat.reshape(take.size, m, n)
-        accepted += take.size
-    return out
+        else:
+            live = base // md
+            failures_since_last = int(block - 1 - live[-1])
+            take = live[: count - accepted]
+            codes = pool[take].astype(np.int64)
+            codes += row_codes
+            codes += np.arange(accepted * m * n, (accepted + take.size) * m * n, m * n)[:, None]
+            out.reshape(-1)[codes] = 1
+            del codes  # not held through the next block's first, widest row
+            accepted += take.size
+            attempts += int(take[-1]) + 1 if accepted == count else block
+        block = min(2 * block, largest)
+    return out, attempts
+
+
+def rejection_dense(spec: SamplerSpec, count: int, rng: Optional[np.random.Generator] = None) -> np.ndarray:
+    """`count` exactly-uniform class members as a (count, m, n) uint8 array."""
+    return _rejection(spec, count, rng)[0]
 
 
 def sample_rejection(spec: SamplerSpec, rng: Optional[np.random.Generator] = None) -> BiregularBitMatrix:

@@ -308,6 +308,54 @@ class TestSigma2Cli:
         assert code == 1
 
 
+class TestSigma2CommonFlags:
+    @pytest.fixture
+    def full_file(self, tmp_path):
+        from conftest import matrix_from_strings
+
+        path = tmp_path / "full.txt"
+        path.write_text(format_matrix(matrix_from_strings(["111", "111", "111"])))
+        return str(path)
+
+    def test_out_writes_the_payload(self, full_file, tmp_path, capsys):
+        out = tmp_path / "sigma.json"
+        code, stdout, _ = run(capsys, "sigma2", "--in", full_file, "--out", str(out))
+        assert code == 0
+        assert json.loads(out.read_text()) == json.loads(stdout)
+        assert json.loads(stdout)["sigma1"] == pytest.approx(3.0, abs=1e-9)
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [(("--format", "csv"), "--format"), (("--threads", "8"), "--threads")],
+    )
+    def test_unsupported_flags_are_usage_errors(self, full_file, tmp_path, capsys, flags, message):
+        out = tmp_path / "sigma.json"
+        code, stdout, err = run(capsys, "sigma2", "--in", full_file, "--out", str(out), *flags)
+        assert code == 1
+        assert err.startswith("usage error: ") and message in err
+        assert stdout == "" and not out.exists()
+
+    @pytest.mark.parametrize("source", ["in", "sample"])
+    def test_seed_only_with_sampler_flags(self, full_file, capsys, source):
+        given = ("--in", full_file) if source == "in" else ("--sample", "kind=switch_mcmc,n=8,d=3,seed=2")
+        code, _, err = run(capsys, "sigma2", *given, "--seed", "5")
+        assert code == 1
+        assert err.startswith("usage error: ") and "--seed" in err
+
+    def test_seed_seeds_the_sampler_flags(self, capsys):
+        flags = ("sigma2", "--kind", "switch_mcmc", "--n", "10", "--d", "3", "--steps", "300")
+        seeded = []
+        for seed in ("9", "10"):
+            code, stdout, _ = run(capsys, *flags, "--seed", seed)
+            assert code == 0
+            payload = json.loads(stdout)
+            assert payload["config"]["seed"] == int(seed)
+            seeded.append(payload["sigma2"])
+        code, stdout, _ = run(capsys, *flags)
+        assert code == 0 and json.loads(stdout)["config"]["seed"] == 0
+        assert seeded[0] != seeded[1]
+
+
 class TestEnumerateCli:
     def test_count_only(self, capsys):
         code, stdout, _ = run(capsys, "enumerate", "--n", "4", "--d", "2",

@@ -231,6 +231,26 @@ class TestTailHarness:
         meta2.pop("wall_time_s")
         assert meta1 == meta2
 
+    def test_rejection_counters_in_metadata(self):
+        cfg = ExperimentConfig(
+            sampler=SamplerSpec(kind="rejection", n=60, d=4),
+            statistic="codegree",
+            grid=(0.5,),
+            N=4096 + 512,  # two shards, so two workers run them apart
+            seed=41,
+        )
+        first = run_tail_experiment(cfg)
+        threaded = run_tail_experiment(cfg, max_workers=2)
+        meta1 = dict(first.metadata)
+        meta2 = dict(threaded.metadata)
+        meta1.pop("wall_time_s")
+        meta2.pop("wall_time_s")
+        assert meta1 == meta2
+        assert meta1["shards"] == 2
+        assert meta1["acceptance_rate"] == cfg.N / meta1["rejection_attempts"]
+        # The limit is exp(-(d-1)(dp-1)/2) = exp(-4.5), about 0.011.
+        assert 0.008 <= meta1["acceptance_rate"] <= 0.015
+
     def test_csv_shape(self):
         cfg = ExperimentConfig(
             sampler=SamplerSpec(kind="permutation_model", n=20, d=2, seed=31),

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from rrdigraph.samplers import (
     enumerate_all,
     er_dense,
     permutation_batch,
+    rejection_dense,
     sample_er,
     sample_many,
     sample_permutation_model,
@@ -22,6 +24,7 @@ from rrdigraph.samplers import (
     switch_mcmc_dense,
 )
 from rrdigraph.samplers import (
+    _rejection,
     _rows_to_words,
     _site_blocks,
     _switch_rows,
@@ -99,6 +102,84 @@ class TestRejection:
         accept = np.bincount(codes, minlength=16).max() <= 1
         multiplicities = np.bincount(codes, minlength=16).reshape(4, 4)
         assert accept == bool((multiplicities <= 1).all())
+
+
+class TestRejectionKernel:
+    """The row-by-row early-exit kernel, checked against answers that do not
+    come from it: the enumerated class and closed-form acceptance rates."""
+
+    @staticmethod
+    def _acceptance(m, n, d, dp):
+        # Each class member is the collapse of d!^m * dp!^n of the (m d)!
+        # stub matchings.
+        size = sum(1 for _ in enumerate_all(m, n, d, dp))
+        return Fraction(size * math.factorial(d) ** m * math.factorial(dp) ** n, math.factorial(m * d))
+
+    def test_uniform_on_the_enumerated_biregular_class(self):
+        from scipy import stats
+
+        index = {mat.rows: k for k, mat in enumerate(enumerate_all(3, 6, 2, 1))}
+        assert len(index) == 90
+        spec = SamplerSpec(kind="rejection", n=6, d=2, m=3, dp=1, seed=17)
+        out = rejection_dense(spec, 18_000)
+        keys = out.astype(np.int64) @ (1 << np.arange(6, dtype=np.int64))
+        counts = np.zeros(90, dtype=np.int64)
+        for rows in map(tuple, keys.tolist()):
+            counts[index[rows]] += 1
+        assert counts.sum() == 18_000
+        tv = 0.5 * np.abs(counts / 18_000 - 1 / 90).sum()
+        assert tv <= 0.05
+        assert stats.chisquare(counts).pvalue > 1e-3
+
+    @pytest.mark.parametrize(
+        "m, n, d, dp", [(4, 4, 2, 2), (4, 4, 3, 3), (3, 6, 2, 1)], ids=lambda v: str(v)
+    )
+    def test_attempt_count_matches_the_exact_acceptance(self, m, n, d, dp):
+        p = self._acceptance(m, n, d, dp)
+        spec = SamplerSpec(kind="rejection", n=n, d=d, m=m, dp=dp, seed=23)
+        count = 20_000
+        out, attempts = _rejection(spec, count)
+        assert out.shape == (count, m, n)
+        if p == 1:
+            assert attempts == count
+        else:
+            # attempts - count is negative binomial: mean count (1-p)/p.
+            mean = count * (1 - p) / p
+            sd = math.sqrt(count * (1 - p)) / p
+            assert abs(attempts - count - mean) < 5 * sd
+
+    @pytest.mark.parametrize("m, n, d, dp", [(7, 7, 1, 1), (300, 300, 2, 2)], ids=lambda v: str(v))
+    def test_outputs_validate(self, m, n, d, dp):
+        # d = 1 cannot repeat a column in a row; n = 300 labels stubs in int32.
+        spec = SamplerSpec(kind="rejection", n=n, d=d, m=m, dp=dp, seed=4)
+        out = rejection_dense(spec, 12)
+        assert out.shape == (12, m, n) and out.dtype == np.uint8
+        for sample in out:
+            BiregularBitMatrix.from_dense(sample).validate()
+
+    def test_budget_guard_reports_the_failed_attempts(self):
+        spec = SamplerSpec(kind="rejection", n=50, d=20, max_attempts=1500, seed=1)
+        with pytest.raises(RejectionBudgetExhausted) as caught:
+            rejection_dense(spec, 1)
+        # The guard trips at the end of the block that reaches the budget,
+        # and no block holds more than max_attempts attempts.
+        assert 1500 <= caught.value.attempts < 3000
+
+    def test_bytes_repeat_and_fewer_samples_are_a_prefix(self):
+        spec = SamplerSpec(kind="rejection", n=12, d=3, seed=8, stream=2)
+        many = rejection_dense(spec, 300)
+        assert many.tobytes() == rejection_dense(spec, 300).tobytes()
+        assert np.array_equal(rejection_dense(spec, 7), many[:7])
+
+    def test_memory_stays_near_the_output_size(self):
+        spec = SamplerSpec(kind="rejection", n=60, d=4, seed=1)
+        tracemalloc.start()
+        try:
+            out = rejection_dense(spec, 4096)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= out.nbytes + 4 * 2**20
 
 
 class TestSwitchChain:
