@@ -41,9 +41,11 @@ from .matrices import (
     parse_matrices,
 )
 from .samplers import (
+    CLASS_KINDS,
     SAMPLER_KINDS,
     ResourceGuardError,
     SamplerSpec,
+    draw,
     enumerate_all,
     sample_many,
 )
@@ -52,8 +54,10 @@ from .verify import SUITES, run_suite
 
 SCHEMA_VERSION = 1
 # Version 2 of the sigma2 payload has no `tol` or `max_iters` in its config
-# (sigma2 is an exact SVD); the other payloads keep version 1.
+# (sigma2 is an exact SVD), and version 2 of the stats payload no `format`
+# (stats emits JSON only); the other payloads keep version 1.
 SIGMA2_SCHEMA_VERSION = 2
+STATS_SCHEMA_VERSION = 2
 
 
 class _UsageError(Exception):
@@ -67,14 +71,14 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _emit(payload: dict, args, stream=None) -> None:
+def _emit(payload: dict, stream=None) -> None:
     text = json.dumps(payload, indent=2, default=str)
     stream = stream or sys.stdout
     print(text, file=stream)
 
 
 def _resolved_config(args, keys) -> dict:
-    return {key: getattr(args, key) for key in keys if hasattr(args, key)}
+    return {key: getattr(args, key) for key in keys}
 
 
 def _read_matrix(path: str) -> BiregularBitMatrix:
@@ -105,55 +109,26 @@ def _spec_from_args(args) -> SamplerSpec:
 
 def _cmd_sample(args) -> int:
     spec = _spec_from_args(args)
-    samples = sample_many(spec, args.count)
     config = dict(dataclasses.asdict(spec), count=args.count)
-    if spec.kind in ("rejection", "switch_mcmc"):
-        text = format_matrices(samples)
-        if args.out:
-            Path(args.out).write_text(text)
-            _emit(
-                {
-                    "schema_version": SCHEMA_VERSION,
-                    "config": config,
-                    "written": args.out,
-                    "count": len(samples),
-                },
-                args,
-            )
-        else:
-            # matrices stream to stdout; the config echo goes to stderr so
-            # the output stays parseable
-            sys.stdout.write(text)
-            _emit(
-                {"schema_version": SCHEMA_VERSION, "config": config, "count": len(samples)},
-                args,
-                stream=sys.stderr,
-            )
+    head = {"schema_version": SCHEMA_VERSION, "config": config}
+    if spec.kind in CLASS_KINDS:
+        text = format_matrices(sample_many(spec, args.count))
+        payload = dict(head, count=args.count)
     else:
         # Multigraph / Bernoulli outputs are not class members, so the
         # bit-exact matrix text format does not apply; emit JSON instead.
-        if spec.kind == "permutation_model":
-            payload = [[list(p) for p in s.perms] for s in samples]
-        else:
-            payload = [s.tolist() for s in samples]
-        out = {
-            "schema_version": SCHEMA_VERSION,
-            "config": config,
-            "samples": payload,
-        }
-        if args.out:
-            Path(args.out).write_text(json.dumps(out))
-            _emit(
-                {
-                    "schema_version": SCHEMA_VERSION,
-                    "config": config,
-                    "written": args.out,
-                    "count": len(samples),
-                },
-                args,
-            )
-        else:
-            _emit(out, args)
+        payload = dict(head, samples=draw(spec, args.count)[0].tolist())
+        text = json.dumps(payload)
+    if args.out:
+        Path(args.out).write_text(text)
+        _emit(dict(head, written=args.out, count=args.count))
+    elif spec.kind in CLASS_KINDS:
+        # matrices stream to stdout; the config echo goes to stderr so
+        # the output stays parseable
+        sys.stdout.write(text)
+        _emit(payload, stream=sys.stderr)
+    else:
+        _emit(payload)
     return 0
 
 
@@ -169,8 +144,8 @@ def _cmd_stats(args) -> int:
         for j2 in range(j1 + 1, matrix.n):
             co_in.append(codegree(transposed, j1, j2, "out").co)
     report = {
-        "schema_version": SCHEMA_VERSION,
-        "config": {"in": getattr(args, "in"), "format": args.format},
+        "schema_version": STATS_SCHEMA_VERSION,
+        "config": {"in": getattr(args, "in")},
         "m": matrix.m,
         "n": matrix.n,
         "d": matrix.d,
@@ -181,7 +156,7 @@ def _cmd_stats(args) -> int:
         "codegree_out": _minmax(co_out),
         "codegree_in": _minmax(co_in),
     }
-    _emit(report, args)
+    _emit(report)
     if args.out:
         Path(args.out).write_text(format_matrix(matrix))
     return 0
@@ -209,8 +184,7 @@ def _cmd_couple(args) -> int:
             "schema_version": SCHEMA_VERSION,
             "config": _resolved_config(args, ("op", "i1", "i2", "j1", "j2", "out")),
             "applied": applied,
-        },
-        args,
+        }
     )
     return 0 if applied else 4
 
@@ -247,7 +221,7 @@ def _cmd_verify(args) -> int:
     else:
         if args.out:
             Path(args.out).write_text(json.dumps(payload, indent=2, default=str))
-        _emit(payload, args)
+        _emit(payload)
     return 0 if payload["ok"] else 2
 
 
@@ -283,8 +257,7 @@ def _cmd_bound(args) -> int:
                 k: {"value": v[0], "source": v[1]} for k, v in result.constants.items()
             },
             "note": result.note,
-        },
-        args,
+        }
     )
     return 0
 
@@ -305,8 +278,7 @@ def _cmd_tail(args) -> int:
             "csv": str(out_path),
             "metadata": str(sidecar),
             "all_pass": result.all_pass,
-        },
-        args,
+        }
     )
     return 0 if result.all_pass else 2
 
@@ -362,7 +334,7 @@ def _cmd_sigma2(args) -> int:
         payload["alpha_exact"] = alpha_exact(matrix)
     if args.out:
         Path(args.out).write_text(json.dumps(payload, indent=2, default=str))
-    _emit(payload, args)
+    _emit(payload)
     return 0
 
 
@@ -378,8 +350,7 @@ def _cmd_enumerate(args) -> int:
                 "schema_version": SCHEMA_VERSION,
                 "config": _resolved_config(args, ("m", "n", "d", "dp", "max_states")),
                 "count": count,
-            },
-            args,
+            }
         )
         return 0
     text = format_matrices(mats)
@@ -392,8 +363,7 @@ def _cmd_enumerate(args) -> int:
                 "config": _resolved_config(args, ("m", "n", "d", "dp", "max_states")),
                 "written": args.out,
                 "count": count,
-            },
-            args,
+            }
         )
     else:
         sys.stdout.write(text)
@@ -401,13 +371,6 @@ def _cmd_enumerate(args) -> int:
 
 
 # -- parser wiring ------------------------------------------------------------------
-
-
-def _add_common(sub):
-    sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--threads", type=int, default=None)
-    sub.add_argument("--out", type=str, default=None)
-    sub.add_argument("--format", choices=("json", "csv"), default="json")
 
 
 def _add_sampler_flags(sub, kind_required=True):
@@ -428,18 +391,19 @@ def build_parser() -> _Parser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     sample = subs.add_parser("sample", help="draw matrices from one of the samplers")
-    _add_common(sample)
+    sample.add_argument("--seed", type=int, default=0)
+    sample.add_argument("--out", type=str, default=None)
     _add_sampler_flags(sample)
     sample.add_argument("--count", type=int, default=1)
     sample.set_defaults(func=_cmd_sample)
 
     stats = subs.add_parser("stats", help="read a matrix file and report statistics")
-    _add_common(stats)
+    stats.add_argument("--out", type=str, default=None)
     stats.add_argument("--in", dest="in", required=True)
     stats.set_defaults(func=_cmd_stats)
 
     couple = subs.add_parser("couple", help="apply a switching or reflection")
-    _add_common(couple)
+    couple.add_argument("--out", type=str, default=None)
     couple.add_argument("--op", choices=("switch", "reflect"), required=True)
     couple.add_argument("--i1", type=int, default=0)
     couple.add_argument("--i2", type=int, default=1)
@@ -449,7 +413,9 @@ def build_parser() -> _Parser:
     couple.set_defaults(func=_cmd_couple)
 
     verify = subs.add_parser("verify", help="run sampled invariant suites")
-    _add_common(verify)
+    verify.add_argument("--seed", type=int, default=0)
+    verify.add_argument("--out", type=str, default=None)
+    verify.add_argument("--format", choices=("json", "csv"), default="json")
     verify.add_argument("--suite", choices=SUITES, required=True)
     verify.add_argument("--n", type=int, required=True)
     verify.add_argument("--d", type=int, required=True)
@@ -461,7 +427,6 @@ def build_parser() -> _Parser:
     verify.set_defaults(func=_cmd_verify)
 
     bound = subs.add_parser("bound", help="evaluate one closed-form tail bound")
-    _add_common(bound)
     bound.add_argument("--theorem", choices=THEOREMS, required=True)
     bound.add_argument("--n", type=int, default=0)
     bound.add_argument("--d", type=int, default=0)
@@ -480,8 +445,9 @@ def build_parser() -> _Parser:
     bound.set_defaults(func=_cmd_bound)
 
     tail = subs.add_parser("tail", help="run a Monte Carlo tail experiment")
-    _add_common(tail)
     tail.add_argument("--config", required=True)
+    tail.add_argument("--out", type=str, required=True)
+    tail.add_argument("--threads", type=int, default=None)
     tail.set_defaults(func=_cmd_tail)
 
     sig = subs.add_parser("sigma2", help="second singular value diagnostics")
@@ -498,7 +464,7 @@ def build_parser() -> _Parser:
     sig.set_defaults(func=_cmd_sigma2)
 
     enum = subs.add_parser("enumerate", help="exhaustively list a tiny class")
-    _add_common(enum)
+    enum.add_argument("--out", type=str, default=None)
     enum.add_argument("--n", type=int, required=True)
     enum.add_argument("--d", type=int, required=True)
     enum.add_argument("--m", type=int, default=None)

@@ -20,20 +20,12 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Tuple, Union, get_args, get_origin, get_type_hints
+from typing import Callable, List, Optional, Tuple, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
 from .bounds import BoundValue, TailBoundSpec, eval_bound
-from .samplers import (
-    SamplerSpec,
-    _rejection,
-    enumerate_all,
-    er_dense,
-    permutation_batch,
-    rejection_dense,
-    switch_mcmc_dense,
-)
+from .samplers import CLASS_KINDS, SamplerSpec, draw, enumerate_all
 
 __all__ = [
     "ExperimentConfig",
@@ -47,15 +39,6 @@ __all__ = [
     "result_to_csv",
     "CSV_HEADER",
 ]
-
-STATISTICS = (
-    "codegree",
-    "codegree_uniform",
-    "edge_count",
-    "perm_edge_count",
-    "er_codegree",
-    "er_edge",
-)
 
 SHARD_SIZE = 4096
 CSV_HEADER = "grid_value,empirical,ci_lo,ci_hi,bound,valid,verdict"
@@ -86,30 +69,43 @@ class ExperimentConfig:
     c2: Optional[float] = None
 
     def __post_init__(self):
-        if self.statistic not in STATISTICS:
+        stat = _STATISTICS.get(self.statistic)
+        if stat is None:
             raise ValueError(f"unknown statistic {self.statistic!r}")
         if self.N < 1:
             raise ValueError("N must be >= 1")
         if any(g < 0 for g in self.grid):
             raise ValueError("grid values must be >= 0")
-        if self.good_event_eta is not None and self.statistic != "edge_count":
-            raise ValueError("good_event_eta applies only to statistic='edge_count'")
-        needs_sets = self.statistic in ("edge_count", "perm_edge_count", "er_edge")
-        if needs_sets and (self.a is None or self.b is None):
-            raise ValueError(f"statistic {self.statistic!r} requires set sizes a and b")
-        expected_kind = {
-            "codegree": ("rejection", "switch_mcmc"),
-            "codegree_uniform": ("rejection", "switch_mcmc"),
-            "edge_count": ("rejection", "switch_mcmc"),
-            "perm_edge_count": ("permutation_model",),
-            "er_codegree": ("erdos_renyi",),
-            "er_edge": ("erdos_renyi",),
-        }[self.statistic]
-        if self.sampler.kind not in expected_kind:
+        if self.sampler.kind not in stat.kinds:
             raise ValueError(
-                f"statistic {self.statistic!r} needs sampler kind in {expected_kind}, "
+                f"statistic {self.statistic!r} needs sampler kind in {stat.kinds}, "
                 f"got {self.sampler.kind!r}"
             )
+        n = self.sampler.n
+        # The events and theorems are the square-case ones (n*mu_hat uses
+        # (n-a)(n-b), the codegree mean is d^2/n).
+        if self.sampler.m not in (None, n):
+            raise ValueError(
+                f"config field 'sampler.m' must equal sampler.n = {n} for statistic "
+                f"{self.statistic!r}, got {self.sampler.m}"
+            )
+        for name in _OPTIONAL_FIELDS:
+            if name not in stat.reads and getattr(self, name) is not None:
+                raise ValueError(f"config field {name!r} is not read by statistic {self.statistic!r}")
+        if "i1" in stat.reads:
+            for name in ("i1", "i2"):
+                value = getattr(self, name)
+                if not 0 <= value < n:
+                    raise ValueError(f"config field {name!r} must be a row in [0, {n}), got {value}")
+            if self.i1 == self.i2:
+                raise ValueError(f"config fields 'i1' and 'i2' must differ, both are {self.i1}")
+        if "a" in stat.reads:
+            if self.a is None or self.b is None:
+                raise ValueError(f"statistic {self.statistic!r} requires set sizes a and b")
+            for name in ("a", "b"):
+                value = getattr(self, name)
+                if not 1 <= value <= n:
+                    raise ValueError(f"config field {name!r} must be in [1, {n}], got {value}")
 
     @classmethod
     def from_dict(cls, payload: dict) -> "ExperimentConfig":
@@ -218,124 +214,123 @@ def _all_pair_codegree_dev(batch: np.ndarray, n: int, d: int) -> np.ndarray:
     return dev[:, iu[0], iu[1]].max(axis=1).astype(np.int64)
 
 
+def _row_codegree(cfg: ExperimentConfig, batch: np.ndarray) -> np.ndarray:
+    """Codegree of rows i1 and i2 per sample."""
+    return (batch[:, cfg.i1, :].astype(np.int64) * batch[:, cfg.i2, :]).sum(axis=1)
+
+
+def _box_edges(cfg: ExperimentConfig, batch: np.ndarray) -> np.ndarray:
+    """e(A, B) per sample, for the first a rows and the first b columns."""
+    return batch[:, : cfg.a, : cfg.b].astype(np.int64).sum(axis=(1, 2))
+
+
+def _ceil_scaled(grid, scale: int) -> List[int]:
+    """ceil(g * scale) per grid value, exactly: the least integer statistic
+    that reaches the deviation g on the integer scale `scale`."""
+    return [math.ceil(Fraction(g) * scale) for g in grid]
+
+
+def _codegree_events(cfg: ExperimentConfig, batch: np.ndarray) -> List[np.ndarray]:
+    n, d = cfg.sampler.n, cfg.sampler.d
+    scaled = n * _row_codegree(cfg, batch) - d * d
+    return [scaled >= t for t in _ceil_scaled(cfg.grid, min(d, n - d) ** 2)]
+
+
+def _codegree_uniform_events(cfg: ExperimentConfig, batch: np.ndarray) -> List[np.ndarray]:
+    n, d = cfg.sampler.n, cfg.sampler.d
+    dev = _all_pair_codegree_dev(batch, n, d)
+    return [dev >= t for t in _ceil_scaled(cfg.grid, min(d, n - d) ** 2)]
+
+
+def _edge_events(cfg: ExperimentConfig, batch: np.ndarray) -> List[np.ndarray]:
+    """Upper deviations of e(A, B), joint with the uniform-codegree event
+    when good_event_eta is set."""
+    n, d, a, b = cfg.sampler.n, cfg.sampler.d, cfg.a, cfg.b
+    scaled = n * _box_edges(cfg, batch) - d * a * b  # n * (e - mu)
+    thresholds = _ceil_scaled(cfg.grid, d * min(a * b, (n - a) * (n - b)))  # n * mu_hat
+    if cfg.good_event_eta is None:
+        return [scaled >= t for t in thresholds]
+    dev = _all_pair_codegree_dev(batch, n, d)
+    good = dev <= math.floor(Fraction(cfg.good_event_eta) * d * (n - d))
+    return [(scaled >= t) & good for t in thresholds]
+
+
+def _perm_edge_events(cfg: ExperimentConfig, perms: np.ndarray) -> List[np.ndarray]:
+    n, d, a, b = cfg.sampler.n, cfg.sampler.d, cfg.a, cfg.b
+    e = (perms[:, :, :a] < b).sum(axis=(1, 2)).astype(np.int64)
+    dev = np.abs(n * e - d * a * b)  # n * |e - mu|
+    return [dev >= t for t in _ceil_scaled(cfg.grid, d * a * b)]
+
+
+# Erdos-Renyi baselines; p is a float so events compare in floats here.
+def _er_codegree_events(cfg: ExperimentConfig, batch: np.ndarray) -> List[np.ndarray]:
+    center = cfg.sampler.p * cfg.sampler.p * cfg.sampler.n
+    dev = np.abs(_row_codegree(cfg, batch) - center)
+    return [dev >= eps * center for eps in cfg.grid]
+
+
+def _er_edge_events(cfg: ExperimentConfig, batch: np.ndarray) -> List[np.ndarray]:
+    center = cfg.sampler.p * cfg.a * cfg.b
+    dev = np.abs(_box_edges(cfg, batch) - center)
+    return [dev >= eps * center for eps in cfg.grid]
+
+
+# Config fields that only some statistics read; setting one the statistic
+# does not read is an error.
+_OPTIONAL_FIELDS = ("a", "b", "c", "c1", "c2", "good_event_eta")
+
+
+@dataclass(frozen=True)
+class _Statistic:
+    """One tail statistic: where it is defined, what it reads, its event
+    and the theorem that bounds the event's probability."""
+
+    kinds: Tuple[str, ...]  # sampler kinds it is defined under
+    reads: Tuple[str, ...]  # config fields it reads besides sampler, grid, N and seed
+    events: Callable[[ExperimentConfig, np.ndarray], List[np.ndarray]]  # one mask per grid value
+    theorem: str
+    # The joint statement needs the codegree event; without eta the curve
+    # is shown but carries no claim.
+    claim_needs_eta: bool = False
+
+    def bound(self, cfg: ExperimentConfig, grid_value: float) -> Tuple[BoundValue, bool]:
+        """The theorem's bound at one grid value, fed the config fields the
+        statistic reads, and whether it makes a claim there."""
+        fields = {
+            "eta" if name == "good_event_eta" else name: getattr(cfg, name)
+            for name in self.reads if name in _OPTIONAL_FIELDS
+        }
+        s = cfg.sampler
+        value = eval_bound(
+            TailBoundSpec(theorem=self.theorem, n=s.n, d=s.d, p=s.p, deviation=grid_value, **fields)
+        )
+        return value, value.valid and (cfg.good_event_eta is not None or not self.claim_needs_eta)
+
+
+_STATISTICS = {
+    "codegree": _Statistic(CLASS_KINDS, ("i1", "i2"), _codegree_events, "codegree_upper"),
+    "codegree_uniform": _Statistic(
+        CLASS_KINDS, ("c", "c1", "c2"), _codegree_uniform_events, "codegree_uniform"
+    ),
+    "edge_count": _Statistic(
+        CLASS_KINDS, ("a", "b", "good_event_eta", "c1", "c2"), _edge_events, "edge_upper",
+        claim_needs_eta=True,
+    ),
+    "perm_edge_count": _Statistic(("permutation_model",), ("a", "b"), _perm_edge_events, "perm_edge"),
+    "er_codegree": _Statistic(("erdos_renyi",), ("i1", "i2", "c"), _er_codegree_events, "er_codegree"),
+    "er_edge": _Statistic(("erdos_renyi",), ("a", "b", "c"), _er_edge_events, "er_edge"),
+}
+
+
 def _shard_counts(cfg: ExperimentConfig, shard_index: int, count: int) -> Tuple[np.ndarray, int]:
-    """Per-grid-point exceedance counts for one shard, and the rejection
-    sampler's attempts for it (0 for the other samplers)."""
+    """Per-grid-point event counts for one shard, and the sampler's attempts
+    for it."""
     spec = dataclasses.replace(
         cfg.sampler, seed=cfg.seed, stream=cfg.sampler.stream + shard_index
     )
-    stat = cfg.statistic
-    n, d = spec.n, spec.d
-    counts = np.zeros(len(cfg.grid), dtype=np.int64)
-    attempts = 0
-
-    if stat in ("codegree", "codegree_uniform", "edge_count"):
-        if spec.kind == "rejection":
-            batch, attempts = _rejection(spec, count)
-        else:
-            batch = switch_mcmc_dense(spec, count)
-        d_hat = min(d, n - d)
-        if stat == "codegree":
-            co = (
-                batch[:, cfg.i1, :].astype(np.int64) * batch[:, cfg.i2, :]
-            ).sum(axis=1)
-            scaled = n * co - d * d
-            for g, eps in enumerate(cfg.grid):
-                counts[g] = int((scaled >= math.ceil(Fraction(eps) * d_hat**2)).sum())
-        elif stat == "codegree_uniform":
-            dev = _all_pair_codegree_dev(batch, n, d)
-            for g, eps in enumerate(cfg.grid):
-                counts[g] = int((dev >= math.ceil(Fraction(eps) * d_hat**2)).sum())
-        else:  # edge_count, optionally joint with the codegree event
-            a, b = cfg.a, cfg.b
-            e = batch[:, :a, :b].astype(np.int64).sum(axis=(1, 2))
-            scaled = n * e - d * a * b  # n * (e - mu)
-            mu_hat_scaled = d * min(a * b, (n - a) * (n - b))  # n * mu_hat
-            if cfg.good_event_eta is not None:
-                dev = _all_pair_codegree_dev(batch, n, d)
-                good = dev <= math.floor(Fraction(cfg.good_event_eta) * d * (n - d))
-            else:
-                good = np.ones(count, dtype=bool)
-            for g, tau in enumerate(cfg.grid):
-                thr = math.ceil(Fraction(tau) * mu_hat_scaled)
-                counts[g] = int(((scaled >= thr) & good).sum())
-        return counts, attempts
-
-    if stat == "perm_edge_count":
-        a, b = cfg.a, cfg.b
-        perms = permutation_batch(spec, count)
-        e = (perms[:, :, :a] < b).sum(axis=(1, 2)).astype(np.int64)
-        scaled = n * e - d * a * b  # n * (e - mu)
-        mu_scaled = d * a * b
-        for g, tau in enumerate(cfg.grid):
-            thr = math.ceil(Fraction(tau) * mu_scaled)
-            counts[g] = int(((scaled >= thr) | (-scaled >= thr)).sum())
-        return counts, attempts
-
-    # Erdos-Renyi baselines; p is a float so events compare in floats here.
-    batch = er_dense(spec, count)
-    p = spec.p
-    if stat == "er_codegree":
-        co = (batch[:, cfg.i1, :].astype(np.int64) * batch[:, cfg.i2, :]).sum(axis=1)
-        center = p * p * n
-        for g, eps in enumerate(cfg.grid):
-            counts[g] = int((np.abs(co - center) >= eps * center).sum())
-    else:  # er_edge
-        a, b = cfg.a, cfg.b
-        e = batch[:, :a, :b].astype(np.int64).sum(axis=(1, 2))
-        center = p * a * b
-        for g, eps in enumerate(cfg.grid):
-            counts[g] = int((np.abs(e - center) >= eps * center).sum())
-    return counts, attempts
-
-
-def _bound_for(cfg: ExperimentConfig, grid_value: float) -> Tuple[BoundValue, bool]:
-    spec = cfg.sampler
-    if cfg.statistic == "codegree":
-        bv = eval_bound(
-            TailBoundSpec(theorem="codegree_upper", n=spec.n, d=spec.d, deviation=grid_value)
-        )
-        return bv, bv.valid
-    if cfg.statistic == "codegree_uniform":
-        bv = eval_bound(
-            TailBoundSpec(
-                theorem="codegree_uniform", n=spec.n, d=spec.d, deviation=grid_value,
-                c=cfg.c, c1=cfg.c1, c2=cfg.c2,
-            )
-        )
-        return bv, bv.valid
-    if cfg.statistic == "edge_count":
-        bv = eval_bound(
-            TailBoundSpec(
-                theorem="edge_upper", n=spec.n, d=spec.d, deviation=grid_value,
-                a=cfg.a, b=cfg.b, eta=cfg.good_event_eta, c1=cfg.c1, c2=cfg.c2,
-            )
-        )
-        # The joint statement needs the codegree event; without eta the
-        # curve is shown but carries no claim.
-        return bv, bv.valid and cfg.good_event_eta is not None
-    if cfg.statistic == "perm_edge_count":
-        bv = eval_bound(
-            TailBoundSpec(
-                theorem="perm_edge", n=spec.n, d=spec.d, deviation=grid_value,
-                a=cfg.a, b=cfg.b,
-            )
-        )
-        return bv, bv.valid
-    if cfg.statistic == "er_codegree":
-        bv = eval_bound(
-            TailBoundSpec(
-                theorem="er_codegree", n=spec.n, deviation=grid_value, p=spec.p, c=cfg.c
-            )
-        )
-        return bv, bv.valid
-    bv = eval_bound(
-        TailBoundSpec(
-            theorem="er_edge", n=spec.n, deviation=grid_value, p=spec.p,
-            a=cfg.a, b=cfg.b, c=cfg.c,
-        )
-    )
-    return bv, bv.valid
+    batch, attempts = draw(spec, count)
+    masks = _STATISTICS[cfg.statistic].events(cfg, batch)
+    return np.array([int(mask.sum()) for mask in masks], dtype=np.int64), attempts
 
 
 def run_tail_experiment(
@@ -364,12 +359,13 @@ def run_tail_experiment(
             parts = list(pool.map(lambda s: _shard_counts(cfg, *s), shards))
     totals = np.sum([counts for counts, _ in parts], axis=0)
 
+    stat = _STATISTICS[cfg.statistic]
     rows = []
     for g, value in enumerate(cfg.grid):
         k = int(totals[g])
         empirical = k / cfg.N
         ci_lo, ci_hi = binomial_ci(k, cfg.N)
-        bound, valid = _bound_for(cfg, value)
+        bound, valid = stat.bound(cfg, value)
         if not valid:
             verdict = "invalid"
         else:
@@ -468,6 +464,8 @@ def uniformity_test(
     uniform distribution; sampling is sharded exactly like the tail
     harness, so the result is reproducible per (sampler, N).
     """
+    if sampler.kind not in CLASS_KINDS:
+        raise ValueError("uniformity_test needs a class-valued sampler")
     mm = n if m is None else m
     index = {}
     for i, mat in enumerate(enumerate_all(mm, n, d, dp)):
@@ -479,13 +477,7 @@ def uniformity_test(
     shard = 0
     while produced < N:
         take = min(SHARD_SIZE, N - produced)
-        spec = dataclasses.replace(sampler, stream=sampler.stream + shard)
-        if spec.kind == "rejection":
-            batch = rejection_dense(spec, take)
-        elif spec.kind == "switch_mcmc":
-            batch = switch_mcmc_dense(spec, take)
-        else:
-            raise ValueError("uniformity_test needs a class-valued sampler")
+        batch, _ = draw(dataclasses.replace(sampler, stream=sampler.stream + shard), take)
         weights = 1 << np.arange(n, dtype=np.int64)
         keys = batch.astype(np.int64) @ weights
         for row_key in map(tuple, keys):

@@ -50,6 +50,8 @@ __all__ = [
     "sample_permutation_model",
     "sample_er",
     "sample_many",
+    "draw",
+    "CLASS_KINDS",
     "rejection_dense",
     "switch_mcmc_dense",
     "permutation_batch",
@@ -59,6 +61,8 @@ __all__ = [
 ]
 
 SAMPLER_KINDS = ("rejection", "switch_mcmc", "permutation_model", "erdos_renyi", "enumerate")
+# Kinds whose draws are members of the biregular class.
+CLASS_KINDS = ("rejection", "switch_mcmc")
 
 DEFAULT_MAX_ATTEMPTS = 10**6
 DEFAULT_ENUMERATION_CAP = 10**8
@@ -541,29 +545,42 @@ def enumerate_all(
 
 # -- unified front door -----------------------------------------------------------------
 
+# The kernel behind each kind, as (samples, attempts).  Each entry looks its
+# kernel up by module-level name when called, so a wrapper installed on that
+# name sees every draw.  Only rejection makes more attempts than samples.
+_KERNELS = {
+    "rejection": lambda spec, count: _rejection(spec, count),
+    "switch_mcmc": lambda spec, count: (switch_mcmc_dense(spec, count), count),
+    "permutation_model": lambda spec, count: (permutation_batch(spec, count), count),
+    "erdos_renyi": lambda spec, count: (er_dense(spec, count), count),
+}
+
+
+def draw(spec: SamplerSpec, count: int) -> Tuple[np.ndarray, int]:
+    """`count` samples of the spec's kind as one array, and the attempts made.
+
+    The array is (count, m, n) uint8 for the class kinds and the Bernoulli
+    digraph, and (count, d, n) permutations for the permutation model.
+    """
+    if count < 0:
+        raise ValueError("count must be >= 0")
+    if spec.kind == "enumerate":
+        raise ValueError("use enumerate_all() for exhaustive generation")
+    return _KERNELS[spec.kind](spec, count)
+
 
 def sample_many(spec: SamplerSpec, count: int):
     """Draw `count` samples of the spec's kind (objects, not raw arrays).
 
     This is the canonical sequence: identical (spec, count) reproduces it
-    bit for bit.  Dense-array kernels back the heavy Monte Carlo paths.
+    bit for bit.
     """
-    if count < 0:
-        raise ValueError("count must be >= 0")
-    if spec.kind == "rejection":
-        dense = rejection_dense(spec, count)
-        return [BiregularBitMatrix.from_dense(dense[i]) for i in range(count)]
-    if spec.kind == "switch_mcmc":
-        dense = switch_mcmc_dense(spec, count)
-        return [BiregularBitMatrix.from_dense(dense[i]) for i in range(count)]
+    batch, _ = draw(spec, count)
+    if spec.kind in CLASS_KINDS:
+        return [BiregularBitMatrix.from_dense(sample) for sample in batch]
     if spec.kind == "permutation_model":
-        perms = permutation_batch(spec, count)
         return [
             PermutationTuple(tuple(tuple(int(x) for x in perm) for perm in sample))
-            for sample in perms
+            for sample in batch
         ]
-    if spec.kind == "erdos_renyi":
-        return list(er_dense(spec, count))
-    if spec.kind == "enumerate":
-        raise ValueError("use enumerate_all() for exhaustive generation")
-    raise ValueError(f"unknown sampler kind {spec.kind!r}")
+    return list(batch)

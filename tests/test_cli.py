@@ -251,10 +251,11 @@ class TestTailCli:
             (lambda cfg: cfg.update(N="many"), "field 'N' must be int"),
             (lambda cfg: cfg["sampler"].update(n="40"), "field 'sampler.n' must be int"),
             (lambda cfg: cfg.update(grid=[0.5, None]), "grid"),
+            (lambda cfg: cfg.update(b=50), "field 'b' must be in [1, 40]"),
         ],
         ids=["unknown-key", "missing-sampler", "missing-grid", "sampler-not-object",
              "unknown-sampler-key", "wrong-type-N", "wrong-type-sampler-n",
-             "non-number-grid"],
+             "non-number-grid", "set-size-above-n"],
     )
     def test_malformed_config_exit_1(self, tmp_path, capsys, edit, field):
         path = self._config(tmp_path)
@@ -375,6 +376,69 @@ class TestEnumerateCli:
         code, _, err = run(capsys, "enumerate", "--n", "12", "--d", "5",
                            "--count-only")
         assert code == 3
+
+
+class TestFlagMatrix:
+    """Each subcommand takes only the flags it reads; any other is a usage
+    error raised before any work or output."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sample", "--kind", "rejection", "--n", "4", "--d", "2", "--out", "{out}", "--threads", "2"],
+            ["sample", "--kind", "rejection", "--n", "4", "--d", "2", "--out", "{out}", "--format", "csv"],
+            ["stats", "--in", "{in}", "--out", "{out}", "--format", "csv"],
+            ["stats", "--in", "{in}", "--out", "{out}", "--seed", "1"],
+            ["stats", "--in", "{in}", "--out", "{out}", "--threads", "2"],
+            ["couple", "--op", "reflect", "--j1", "0", "--j2", "2", "--in", "{in}", "--out", "{out}", "--seed", "1"],
+            ["couple", "--op", "reflect", "--j1", "0", "--j2", "2", "--in", "{in}", "--out", "{out}", "--threads", "2"],
+            ["couple", "--op", "reflect", "--j1", "0", "--j2", "2", "--in", "{in}", "--out", "{out}", "--format", "csv"],
+            ["verify", "--suite", "permutation", "--n", "8", "--d", "2", "--samples", "5", "--out", "{out}", "--threads", "2"],
+            ["bound", "--theorem", "codegree_upper", "--eps", "1", "--n", "10", "--d", "3", "--out", "{out}"],
+            ["bound", "--theorem", "codegree_upper", "--eps", "1", "--n", "10", "--d", "3", "--seed", "1"],
+            ["bound", "--theorem", "codegree_upper", "--eps", "1", "--n", "10", "--d", "3", "--threads", "2"],
+            ["bound", "--theorem", "codegree_upper", "--eps", "1", "--n", "10", "--d", "3", "--format", "csv"],
+            ["tail", "--config", "{cfg}", "--out", "{out}", "--seed", "3"],
+            ["tail", "--config", "{cfg}", "--out", "{out}", "--format", "csv"],
+            ["tail", "--config", "{cfg}"],
+            ["enumerate", "--n", "3", "--d", "1", "--out", "{out}", "--threads", "2"],
+            ["enumerate", "--n", "3", "--d", "1", "--out", "{out}", "--seed", "1"],
+            ["enumerate", "--n", "3", "--d", "1", "--out", "{out}", "--format", "csv"],
+        ],
+        ids=["sample-threads", "sample-format", "stats-format", "stats-seed", "stats-threads",
+             "couple-seed", "couple-threads", "couple-format", "verify-threads", "bound-out",
+             "bound-seed", "bound-threads", "bound-format", "tail-seed", "tail-format",
+             "tail-without-out", "enumerate-threads", "enumerate-seed", "enumerate-format"],
+    )
+    def test_unread_flag_is_usage_error(self, tmp_path, capsys, argv):
+        from conftest import matrix_from_strings
+
+        inputs = tmp_path / "inputs"
+        inputs.mkdir()
+        (inputs / "m.txt").write_text(format_matrix(matrix_from_strings(["1100", "1100", "0011", "0011"])))
+        (inputs / "cfg.json").write_text(json.dumps({
+            "sampler": {"kind": "permutation_model", "n": 40, "d": 3},
+            "statistic": "perm_edge_count", "grid": [0.5], "N": 100, "a": 12, "b": 12,
+        }))
+        outputs = tmp_path / "outputs"
+        outputs.mkdir()
+        paths = {"{in}": str(inputs / "m.txt"), "{cfg}": str(inputs / "cfg.json"), "{out}": str(outputs / "x")}
+        code, stdout, err = run(capsys, *(paths.get(arg, arg) for arg in argv))
+        assert code == 1
+        assert err.startswith("usage error: ")
+        assert stdout == ""
+        assert list(outputs.iterdir()) == []
+
+    def test_stats_payload_has_no_format(self, tmp_path, capsys):
+        from conftest import matrix_from_strings
+
+        path = tmp_path / "m.txt"
+        path.write_text(format_matrix(matrix_from_strings(["1100", "1100", "0011", "0011"])))
+        code, stdout, _ = run(capsys, "stats", "--in", str(path))
+        assert code == 0
+        payload = json.loads(stdout)
+        assert payload["schema_version"] == 2
+        assert payload["config"] == {"in": str(path)}
 
 
 class TestUsageErrors:

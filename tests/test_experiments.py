@@ -1,3 +1,5 @@
+import dataclasses
+import itertools
 import json
 import math
 import os
@@ -19,7 +21,7 @@ from rrdigraph.experiments import (
     run_tail_experiment,
     uniformity_test,
 )
-from rrdigraph.samplers import SamplerSpec
+from rrdigraph.samplers import SamplerSpec, draw
 
 
 class TestCatalanWalk:
@@ -128,6 +130,100 @@ class TestConfig:
                 b=2,
                 good_event_eta=0.1,
             )
+
+
+    @pytest.mark.parametrize(
+        "sampler, fields, match",
+        [
+            (dict(kind="rejection", n=20, d=3), dict(statistic="codegree", i2=25), "'i2' must be a row"),
+            (dict(kind="rejection", n=20, d=3), dict(statistic="codegree", i1=-1), "'i1' must be a row"),
+            (dict(kind="rejection", n=20, d=3), dict(statistic="codegree", i1=3, i2=3), "'i1' and 'i2' must differ"),
+            (dict(kind="erdos_renyi", n=20, p=0.3), dict(statistic="er_codegree", i1=20), "'i1' must be a row"),
+            (dict(kind="permutation_model", n=40, d=3), dict(statistic="perm_edge_count", a=12, b=50), "'b' must be in"),
+            (dict(kind="switch_mcmc", n=10, d=3), dict(statistic="edge_count", a=0, b=4), "'a' must be in"),
+            (dict(kind="erdos_renyi", n=10, p=0.3), dict(statistic="er_edge", a=11, b=4), "'a' must be in"),
+            (dict(kind="rejection", n=20, d=3), dict(statistic="codegree", a=3), "'a' is not read"),
+            (dict(kind="switch_mcmc", n=10, d=3), dict(statistic="codegree_uniform", good_event_eta=0.1), "good_event_eta"),
+            (dict(kind="erdos_renyi", n=10, p=0.3), dict(statistic="er_codegree", c1=2.0), "'c1' is not read"),
+            (dict(kind="permutation_model", n=10, d=3), dict(statistic="perm_edge_count", a=2, b=2, c=0.5), "'c' is not read"),
+            (dict(kind="rejection", m=3, n=6, d=2, dp=1), dict(statistic="edge_count", a=2, b=5), "sampler.m"),
+            (dict(kind="switch_mcmc", m=6, n=9, d=3, dp=2), dict(statistic="codegree"), "sampler.m"),
+        ],
+        ids=["i2-out-of-range", "i1-negative", "i1-equals-i2", "er-i1-out-of-range", "b-above-n",
+             "a-zero", "er-a-above-n", "unread-a", "unread-eta", "unread-c1", "unread-c",
+             "biregular-edge", "biregular-codegree"],
+    )
+    def test_fields_checked_per_statistic(self, sampler, fields, match):
+        with pytest.raises(ValueError, match=match):
+            ExperimentConfig(sampler=SamplerSpec(**sampler), grid=(0.5,), N=10, **fields)
+
+
+def _co_dev(x, i, k, n, d):
+    """co(i, k) - d^2/n, from the rows of one sample."""
+    return sum(u * v for u, v in zip(x[i], x[k])) - Fraction(d * d, n)
+
+
+def _recount(cfg, batch):
+    """Per-grid-point event counts recomputed from the statistics'
+    definitions, one sample at a time."""
+    n, d, p, a, b = cfg.sampler.n, cfg.sampler.d, cfg.sampler.p, cfg.a, cfg.b
+    counts = [0] * len(cfg.grid)
+    for x in batch.tolist():
+        if cfg.statistic in ("codegree", "codegree_uniform"):
+            if cfg.statistic == "codegree":
+                dev = _co_dev(x, cfg.i1, cfg.i2, n, d)
+            else:
+                dev = max(abs(_co_dev(x, i, k, n, d)) for i, k in itertools.combinations(range(n), 2))
+            hits = [dev >= Fraction(eps) * Fraction(min(d, n - d) ** 2, n) for eps in cfg.grid]
+        elif cfg.statistic == "edge_count":
+            e = sum(x[i][j] for i in range(a) for j in range(b))
+            mu, mu_hat = Fraction(d * a * b, n), Fraction(d * min(a * b, (n - a) * (n - b)), n)
+            good = cfg.good_event_eta is None or all(
+                abs(_co_dev(x, i, k, n, d)) <= Fraction(cfg.good_event_eta) * Fraction(d * (n - d), n)
+                for i, k in itertools.combinations(range(n), 2)
+            )
+            hits = [good and e - mu >= Fraction(tau) * mu_hat for tau in cfg.grid]
+        elif cfg.statistic == "perm_edge_count":
+            e = sum(1 for perm in x for i in range(a) if perm[i] < b)
+            mu = Fraction(d * a * b, n)
+            hits = [abs(e - mu) >= Fraction(tau) * mu for tau in cfg.grid]
+        elif cfg.statistic == "er_codegree":
+            co = sum(u * v for u, v in zip(x[cfg.i1], x[cfg.i2]))
+            hits = [abs(co - p * p * n) >= eps * (p * p * n) for eps in cfg.grid]
+        else:  # er_edge
+            e = sum(x[i][j] for i in range(a) for j in range(b))
+            hits = [abs(e - p * a * b) >= eps * (p * a * b) for eps in cfg.grid]
+        counts = [c + h for c, h in zip(counts, hits)]
+    return counts
+
+
+class TestRecount:
+    @pytest.mark.parametrize(
+        "sampler, fields",
+        [
+            (dict(kind="switch_mcmc", n=10, d=7, steps=200), dict(statistic="codegree", i1=0, i2=3, grid=(0.0, 1.125, 2.0))),
+            (dict(kind="switch_mcmc", n=8, d=5, steps=200), dict(statistic="codegree_uniform", grid=(0.5, 1.5))),
+            (dict(kind="switch_mcmc", n=10, d=4, steps=200), dict(statistic="edge_count", a=6, b=7, grid=(0.0, 0.25, 0.5))),
+            (dict(kind="rejection", n=10, d=5), dict(statistic="edge_count", a=5, b=5, good_event_eta=0.625, grid=(0.0, 0.25))),
+            (dict(kind="permutation_model", n=12, d=2), dict(statistic="perm_edge_count", a=4, b=6, grid=(0.25, 0.5, 1.0))),
+            (dict(kind="erdos_renyi", n=12, p=0.4), dict(statistic="er_codegree", i1=1, i2=4, grid=(0.25, 0.5, 1.0))),
+            (dict(kind="erdos_renyi", n=12, p=0.4), dict(statistic="er_edge", a=3, b=5, grid=(0.25, 0.5, 1.0))),
+        ],
+        ids=["codegree", "codegree_uniform", "edge_count", "edge_count-joint", "perm_edge_count",
+             "er_codegree", "er_edge"],
+    )
+    def test_counts_match_definitions(self, sampler, fields):
+        cfg = ExperimentConfig(sampler=SamplerSpec(**sampler), N=600, seed=7, **fields)
+        res = run_tail_experiment(cfg)
+        assert res.metadata["shards"] == 1
+        got = [round(row.empirical * cfg.N) for row in res.rows]
+        batch, _ = draw(dataclasses.replace(cfg.sampler, seed=cfg.seed), cfg.N)
+        expected = _recount(cfg, batch)
+        assert got == expected
+        # Some grid point has both outcomes, so a shifted threshold shows.
+        # The sizes keep d_hat != d, mu_hat != d*a*b/n and eta*d*(n-d) at
+        # an attainable deviation, so those formulas are tested too.
+        assert any(0 < k < cfg.N for k in expected)
 
 
 class TestTailHarness:
