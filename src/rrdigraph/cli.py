@@ -170,12 +170,17 @@ def _minmax(values) -> dict:
 
 def _cmd_couple(args) -> int:
     matrix = _read_matrix(getattr(args, "in"))
+    for name, size in (("i1", matrix.m), ("i2", matrix.m), ("j1", matrix.n), ("j2", matrix.n)):
+        value = getattr(args, name)
+        if not 0 <= value < size:
+            raise _UsageError(f"--{name} must be in [0, {size}), got {value}")
     if args.op == "switch":
         site = SwitchSite(args.i1, args.i2, args.j1, args.j2)
         result = simple_switch(matrix, site)
     else:
-        order = RowOrder(args.i1, args.i2) if args.i1 != args.i2 else RowOrder(0, 1)
-        result = reflect(matrix, args.j1, args.j2, order)
+        if args.i1 == args.i2:
+            raise _UsageError(f"--i1 and --i2 must differ for reflect, both are {args.i1}")
+        result = reflect(matrix, args.j1, args.j2, RowOrder(args.i1, args.i2))
     applied = result is not matrix
     if args.out:
         Path(args.out).write_text(format_matrix(result))

@@ -25,7 +25,7 @@ from typing import Callable, List, Optional, Tuple, Union, get_args, get_origin,
 import numpy as np
 
 from .bounds import BoundValue, TailBoundSpec, eval_bound
-from .samplers import CLASS_KINDS, SamplerSpec, draw, enumerate_all
+from .samplers import CLASS_KINDS, SamplerSpec, _rows_to_words, _words_to_rows, draw_packed, enumerate_all
 
 __all__ = [
     "ExperimentConfig",
@@ -204,24 +204,45 @@ def binomial_ci(k: int, n: int, confidence: float = 0.95) -> Tuple[float, float]
     return lo, hi
 
 
-def _all_pair_codegree_dev(batch: np.ndarray, n: int, d: int) -> np.ndarray:
-    """max over row pairs of |n*co - d^2| per sample (exact in float32)."""
-    f32 = batch.astype(np.float32)
-    gram = np.matmul(f32, f32.transpose(0, 2, 1))
-    dev = np.abs(n * gram - d * d)
-    m = batch.shape[1]
-    iu = np.triu_indices(m, k=1)
-    return dev[:, iu[0], iu[1]].max(axis=1).astype(np.int64)
+# Samples per block of _all_pair_codegree_dev: about 1 MB of row words, so a
+# block and its temporaries stay in cache and add a fixed amount of memory
+# whatever the shard size.
+_PAIR_BLOCK_BYTES = 1 << 20
 
 
-def _row_codegree(cfg: ExperimentConfig, batch: np.ndarray) -> np.ndarray:
-    """Codegree of rows i1 and i2 per sample."""
-    return (batch[:, cfg.i1, :].astype(np.int64) * batch[:, cfg.i2, :]).sum(axis=1)
+def _all_pair_codegree_dev(words: np.ndarray, n: int, d: int) -> np.ndarray:
+    """max over row pairs of |n*co - d^2| per sample, from (count, m, L) words.
+
+    |n*co - d^2| is convex in co, so the max sits at a sample's least or
+    greatest codegree.  Samples go in blocks laid out as (m, L, block), so
+    every operation runs along the samples; one step per row i counts its
+    codegrees with all later rows.
+    """
+    count, m, width = words.shape
+    lo = np.full(count, n, dtype=np.int64)
+    hi = np.zeros(count, dtype=np.int64)
+    block = max(1, _PAIR_BLOCK_BYTES // (8 * m * width))
+    for start in range(0, count, block):
+        part = words[start : start + block].transpose(1, 2, 0).copy()
+        part_lo, part_hi = lo[start : start + block], hi[start : start + block]
+        for i in range(m - 1):
+            ones = np.bitwise_count(part[i + 1 :] & part[i])
+            co = ones.sum(axis=1, dtype=np.int32) if width > 1 else ones[:, 0]
+            np.minimum(part_lo, co.min(axis=0), out=part_lo)
+            np.maximum(part_hi, co.max(axis=0), out=part_hi)
+    return np.maximum(np.abs(n * lo - d * d), np.abs(n * hi - d * d))
 
 
-def _box_edges(cfg: ExperimentConfig, batch: np.ndarray) -> np.ndarray:
-    """e(A, B) per sample, for the first a rows and the first b columns."""
-    return batch[:, : cfg.a, : cfg.b].astype(np.int64).sum(axis=(1, 2))
+def _row_codegree(cfg: ExperimentConfig, words: np.ndarray) -> np.ndarray:
+    """Codegree of rows i1 and i2 per sample: the popcount of their AND."""
+    return np.bitwise_count(words[:, cfg.i1] & words[:, cfg.i2]).sum(axis=-1, dtype=np.int64)
+
+
+def _box_edges(cfg: ExperimentConfig, words: np.ndarray) -> np.ndarray:
+    """e(A, B) per sample, for the first a rows and the first b columns: the
+    popcount of those rows masked by those columns."""
+    columns = _rows_to_words([(1 << cfg.b) - 1], cfg.sampler.n)[0]
+    return np.bitwise_count(words[:, : cfg.a] & columns).sum(axis=(1, 2), dtype=np.int64)
 
 
 def _ceil_scaled(grid, scale: int) -> List[int]:
@@ -230,27 +251,27 @@ def _ceil_scaled(grid, scale: int) -> List[int]:
     return [math.ceil(Fraction(g) * scale) for g in grid]
 
 
-def _codegree_events(cfg: ExperimentConfig, batch: np.ndarray) -> List[np.ndarray]:
+def _codegree_events(cfg: ExperimentConfig, words: np.ndarray) -> List[np.ndarray]:
     n, d = cfg.sampler.n, cfg.sampler.d
-    scaled = n * _row_codegree(cfg, batch) - d * d
+    scaled = n * _row_codegree(cfg, words) - d * d
     return [scaled >= t for t in _ceil_scaled(cfg.grid, min(d, n - d) ** 2)]
 
 
-def _codegree_uniform_events(cfg: ExperimentConfig, batch: np.ndarray) -> List[np.ndarray]:
+def _codegree_uniform_events(cfg: ExperimentConfig, words: np.ndarray) -> List[np.ndarray]:
     n, d = cfg.sampler.n, cfg.sampler.d
-    dev = _all_pair_codegree_dev(batch, n, d)
+    dev = _all_pair_codegree_dev(words, n, d)
     return [dev >= t for t in _ceil_scaled(cfg.grid, min(d, n - d) ** 2)]
 
 
-def _edge_events(cfg: ExperimentConfig, batch: np.ndarray) -> List[np.ndarray]:
+def _edge_events(cfg: ExperimentConfig, words: np.ndarray) -> List[np.ndarray]:
     """Upper deviations of e(A, B), joint with the uniform-codegree event
     when good_event_eta is set."""
     n, d, a, b = cfg.sampler.n, cfg.sampler.d, cfg.a, cfg.b
-    scaled = n * _box_edges(cfg, batch) - d * a * b  # n * (e - mu)
+    scaled = n * _box_edges(cfg, words) - d * a * b  # n * (e - mu)
     thresholds = _ceil_scaled(cfg.grid, d * min(a * b, (n - a) * (n - b)))  # n * mu_hat
     if cfg.good_event_eta is None:
         return [scaled >= t for t in thresholds]
-    dev = _all_pair_codegree_dev(batch, n, d)
+    dev = _all_pair_codegree_dev(words, n, d)
     good = dev <= math.floor(Fraction(cfg.good_event_eta) * d * (n - d))
     return [(scaled >= t) & good for t in thresholds]
 
@@ -263,15 +284,15 @@ def _perm_edge_events(cfg: ExperimentConfig, perms: np.ndarray) -> List[np.ndarr
 
 
 # Erdos-Renyi baselines; p is a float so events compare in floats here.
-def _er_codegree_events(cfg: ExperimentConfig, batch: np.ndarray) -> List[np.ndarray]:
+def _er_codegree_events(cfg: ExperimentConfig, words: np.ndarray) -> List[np.ndarray]:
     center = cfg.sampler.p * cfg.sampler.p * cfg.sampler.n
-    dev = np.abs(_row_codegree(cfg, batch) - center)
+    dev = np.abs(_row_codegree(cfg, words) - center)
     return [dev >= eps * center for eps in cfg.grid]
 
 
-def _er_edge_events(cfg: ExperimentConfig, batch: np.ndarray) -> List[np.ndarray]:
+def _er_edge_events(cfg: ExperimentConfig, words: np.ndarray) -> List[np.ndarray]:
     center = cfg.sampler.p * cfg.a * cfg.b
-    dev = np.abs(_box_edges(cfg, batch) - center)
+    dev = np.abs(_box_edges(cfg, words) - center)
     return [dev >= eps * center for eps in cfg.grid]
 
 
@@ -328,7 +349,7 @@ def _shard_counts(cfg: ExperimentConfig, shard_index: int, count: int) -> Tuple[
     spec = dataclasses.replace(
         cfg.sampler, seed=cfg.seed, stream=cfg.sampler.stream + shard_index
     )
-    batch, attempts = draw(spec, count)
+    batch, attempts = draw_packed(spec, count)
     masks = _STATISTICS[cfg.statistic].events(cfg, batch)
     return np.array([int(mask.sum()) for mask in masks], dtype=np.int64), attempts
 
@@ -477,10 +498,8 @@ def uniformity_test(
     shard = 0
     while produced < N:
         take = min(SHARD_SIZE, N - produced)
-        batch, _ = draw(dataclasses.replace(sampler, stream=sampler.stream + shard), take)
-        weights = 1 << np.arange(n, dtype=np.int64)
-        keys = batch.astype(np.int64) @ weights
-        for row_key in map(tuple, keys):
+        words, _ = draw_packed(dataclasses.replace(sampler, stream=sampler.stream + shard), take)
+        for row_key in _words_to_rows(words):
             counts[index[row_key]] += 1
         produced += take
         shard += 1

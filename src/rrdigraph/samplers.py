@@ -24,6 +24,11 @@ Randomness comes from counter-based Philox streams keyed by
 (seed, stream), so distinct stream indices give independent reproducible
 streams with no coordination.  Identical (spec, count) always reproduces
 the same output sequence bit for bit.
+
+Class and Bernoulli draws travel as packed (count, m, L) uint64 row words,
+L = ceil(n/64), with bit j of row i in word j // 64 at position j % 64.
+Dense (count, m, n) uint8 arrays appear only in the ``*_dense`` views and
+``draw``.
 """
 
 from __future__ import annotations
@@ -35,7 +40,7 @@ from typing import Iterator, Optional, Tuple
 
 import numpy as np
 
-from .matrices import BiregularBitMatrix
+from .matrices import BiregularBitMatrix, InvalidMatrixError
 
 __all__ = [
     "SamplerSpec",
@@ -51,10 +56,14 @@ __all__ = [
     "sample_er",
     "sample_many",
     "draw",
+    "draw_packed",
     "CLASS_KINDS",
+    "rejection_words",
     "rejection_dense",
+    "switch_mcmc_words",
     "switch_mcmc_dense",
     "permutation_batch",
+    "er_words",
     "er_dense",
     "enumerate_all",
     "enumeration_size_bound",
@@ -111,6 +120,9 @@ class SamplerSpec:
                 raise ValueError("erdos_renyi requires p in [0, 1]")
             if self.n <= 0:
                 raise ValueError("erdos_renyi requires n >= 1")
+            for name in ("m", "dp", "steps"):
+                if getattr(self, name) is not None:
+                    raise ValueError(f"sampler field {name!r} is not read by kind 'erdos_renyi'")
             return
         m = self.n if self.m is None else self.m
         dp = self.d if self.dp is None else self.dp
@@ -162,6 +174,44 @@ def circulant(n: int, d: int, m: Optional[int] = None) -> BiregularBitMatrix:
     return BiregularBitMatrix(rows, n)
 
 
+# -- packed row words ----------------------------------------------------------------
+
+_WORD_BITS = np.uint64(1) << np.arange(64, dtype=np.uint64)
+
+
+def _rows_to_words(rows, n: int) -> np.ndarray:
+    """(m, L) uint64 little-endian words of packed row ints."""
+    width = (n + 63) // 64
+    raw = b"".join(int(r).to_bytes(8 * width, "little") for r in rows)
+    return np.frombuffer(raw, dtype="<u8").reshape(len(rows), width).astype(np.uint64)
+
+
+def _words_to_rows(words: np.ndarray) -> list:
+    """(count, m, L) words as count tuples of m packed row ints."""
+    count, m, width = words.shape
+    raw = words.astype("<u8", copy=False).tobytes()
+    step = 8 * width
+    ints = [int.from_bytes(raw[k : k + step], "little") for k in range(0, len(raw), step)]
+    return [tuple(ints[s * m : (s + 1) * m]) for s in range(count)]
+
+
+def _words_to_dense(words: np.ndarray, n: int) -> np.ndarray:
+    """(..., m, L) uint64 words as (..., m, n) uint8 entries."""
+    raw = words.astype("<u8", copy=False).view(np.uint8)
+    return np.unpackbits(raw, axis=-1, count=n, bitorder="little")
+
+
+def _members(spec: SamplerSpec, words: np.ndarray) -> list:
+    """Class draws as matrices, after one margin check of the whole batch:
+    every row holds d set bits and every column dp.  The row counts include
+    the pad bits past column n, so with m*d = n*dp no pad bit can be set."""
+    n = spec.n
+    bits = np.unpackbits(words.astype("<u8", copy=False).view(np.uint8), axis=-1, bitorder="little")
+    if (bits.sum(axis=2) != spec.d).any() or (bits[..., :n].sum(axis=1) != spec.dp).any():
+        raise InvalidMatrixError(f"a {spec.kind} draw has margins other than d={spec.d}, dp={spec.dp}")
+    return [BiregularBitMatrix(rows, n, _trusted=True) for rows in _words_to_rows(words)]
+
+
 # -- rejection (configuration model) -----------------------------------------------
 
 
@@ -171,11 +221,12 @@ _REJECTION_FIRST_ENTRIES = 1 << 12
 _REJECTION_POOL_ENTRIES = 1 << 21
 
 
-def _rejection(
+def rejection_words(
     spec: SamplerSpec, count: int, rng: Optional[np.random.Generator] = None
 ) -> Tuple[np.ndarray, int]:
-    """(samples, attempts): rejection_dense's output and the number of
-    attempts up to and including the last one whose sample is kept.
+    """(words, attempts): `count` exactly-uniform class members as (count, m, L)
+    row words, and the number of attempts up to and including the last one
+    whose sample is kept.
 
     Each attempt lays the m*d in-stub column labels in a pool and fills the
     out-stubs t = i*d + k row by row with a forward Fisher-Yates step, swap
@@ -189,10 +240,11 @@ def _rejection(
         raise ValueError("spec.kind must be 'rejection'")
     m, n, d, dp = spec.m, spec.n, spec.d, spec.dp
     rng = spec.rng() if rng is None else rng
-    out = np.zeros((count, m, n), dtype=np.uint8)
+    width = (n + 63) // 64
+    out = np.zeros((count, m, width), dtype=np.uint64)
     if d == 0 or d == n:
         # Degenerate class with a single element; nothing to sample.
-        out[:] = 0 if d == 0 else 1
+        out[:] = _rows_to_words([(1 << n) - 1 if d else 0] * m, n)
         return out, count
     md = m * d
     largest = max(1, min(spec.max_attempts, _REJECTION_POOL_ENTRIES // md))
@@ -200,8 +252,6 @@ def _rejection(
     labels = np.repeat(np.arange(n, dtype=np.uint8 if n <= 256 else np.int32), dp)
     pool = np.empty((largest, md), dtype=labels.dtype)
     flat = pool.reshape(-1)
-    # Entry code i*n + label of each stub position, for the output scatter.
-    row_codes = np.repeat(np.arange(m, dtype=np.int64) * n, d)
     accepted = 0
     attempts = 0
     failures_since_last = 0
@@ -235,15 +285,24 @@ def _rejection(
             live = base // md
             failures_since_last = int(block - 1 - live[-1])
             take = live[: count - accepted]
-            codes = pool[take].astype(np.int64)
-            codes += row_codes
-            codes += np.arange(accepted * m * n, (accepted + take.size) * m * n, m * n)[:, None]
-            out.reshape(-1)[codes] = 1
-            del codes  # not held through the next block's first, widest row
+            cols = pool[take].reshape(take.size, m, d)
+            # A row's d columns are distinct, so the sum of their bits is their OR.
+            bits = _WORD_BITS[cols % 64]
+            for w in range(width):
+                out[accepted : accepted + take.size, :, w] = np.where(cols // 64 == w, bits, 0).sum(axis=-1)
+            del cols, bits  # not held through the next block's first, widest row
             accepted += take.size
             attempts += int(take[-1]) + 1 if accepted == count else block
         block = min(2 * block, largest)
     return out, attempts
+
+
+def _rejection(
+    spec: SamplerSpec, count: int, rng: Optional[np.random.Generator] = None
+) -> Tuple[np.ndarray, int]:
+    """rejection_words with its samples as a (count, m, n) uint8 array."""
+    words, attempts = rejection_words(spec, count, rng)
+    return _words_to_dense(words, spec.n), attempts
 
 
 def rejection_dense(spec: SamplerSpec, count: int, rng: Optional[np.random.Generator] = None) -> np.ndarray:
@@ -253,8 +312,7 @@ def rejection_dense(spec: SamplerSpec, count: int, rng: Optional[np.random.Gener
 
 def sample_rejection(spec: SamplerSpec, rng: Optional[np.random.Generator] = None) -> BiregularBitMatrix:
     """One exactly-uniform draw from the biregular class."""
-    dense = rejection_dense(spec, 1, rng)
-    return BiregularBitMatrix.from_dense(dense[0])
+    return _members(spec, rejection_words(spec, 1, rng)[0])[0]
 
 
 # -- switch chain --------------------------------------------------------------------
@@ -302,9 +360,6 @@ def _switch_rows(rows: list, m: int, n: int, codes: np.ndarray) -> None:
             rows[i2] ^= mask
 
 
-_WORD_BITS = np.uint64(1) << np.arange(64, dtype=np.uint64)
-
-
 def _switch_words(words: np.ndarray, m: int, n: int, sites: np.ndarray) -> None:
     """Apply the proposals sites[t, k] in place to chain k of `words`.
 
@@ -349,25 +404,12 @@ def _switch_words(words: np.ndarray, m: int, n: int, sites: np.ndarray) -> None:
             flat[p[hit]] ^= b[hit]
 
 
-def _rows_to_words(rows, n: int) -> np.ndarray:
-    """(m, L) uint64 little-endian words of packed row ints."""
-    width = (n + 63) // 64
-    raw = b"".join(int(r).to_bytes(8 * width, "little") for r in rows)
-    return np.frombuffer(raw, dtype="<u8").reshape(len(rows), width).astype(np.uint64)
-
-
-def _words_to_dense(words: np.ndarray, n: int) -> np.ndarray:
-    """(..., m, L) uint64 words as (..., m, n) uint8 entries."""
-    raw = words.astype("<u8", copy=False).view(np.uint8)
-    return np.unpackbits(raw, axis=-1, count=n, bitorder="little")
-
-
-def switch_mcmc_dense(spec: SamplerSpec, count: int, rng: Optional[np.random.Generator] = None) -> np.ndarray:
+def switch_mcmc_words(spec: SamplerSpec, count: int, rng: Optional[np.random.Generator] = None) -> np.ndarray:
     """`count` independent switch chains, each run for spec.resolved_steps steps.
 
     Chains start at the circulant matrix and apply uniformly random simple
     switchings (no-op when the sampled 2x2 minor is not switchable), so
-    every state is a class member.  Returns (count, m, n) uint8.
+    every state is a class member.  Returns (count, m, L) uint64 row words.
 
     Each step of chain k reads one site code from column k of the blocks
     drawn by _site_blocks.  Many chains step together as packed uint64 row
@@ -384,18 +426,22 @@ def switch_mcmc_dense(spec: SamplerSpec, count: int, rng: Optional[np.random.Gen
         rows = list(start)
         for sites in blocks:
             _switch_rows(rows, m, n, sites[:, 0])
-        return _words_to_dense(_rows_to_words(rows, n), n)[None]
+        return _rows_to_words(rows, n)[None]
     start_words = _rows_to_words(start, n)
     words = np.broadcast_to(start_words, (count, *start_words.shape)).copy()
     for sites in blocks:
         _switch_words(words, m, n, sites)
-    return _words_to_dense(words, n)
+    return words
+
+
+def switch_mcmc_dense(spec: SamplerSpec, count: int, rng: Optional[np.random.Generator] = None) -> np.ndarray:
+    """switch_mcmc_words as a (count, m, n) uint8 array."""
+    return _words_to_dense(switch_mcmc_words(spec, count, rng), spec.n)
 
 
 def sample_switch_mcmc(spec: SamplerSpec, rng: Optional[np.random.Generator] = None) -> BiregularBitMatrix:
     """One approximately-uniform draw via the switch chain."""
-    dense = switch_mcmc_dense(spec, 1, rng)
-    return BiregularBitMatrix.from_dense(dense[0])
+    return _members(spec, switch_mcmc_words(spec, 1, rng))[0]
 
 
 # -- permutation model ---------------------------------------------------------------
@@ -449,13 +495,28 @@ def sample_permutation_model(spec: SamplerSpec, rng: Optional[np.random.Generato
 # -- Erdos-Renyi digraph --------------------------------------------------------------
 
 
-def er_dense(spec: SamplerSpec, count: int, rng: Optional[np.random.Generator] = None) -> np.ndarray:
-    """(count, n, n) iid Bernoulli(p) 0/1 entries."""
+_ER_BLOCK_ENTRIES = 1 << 18  # uniforms drawn per step of er_words
+
+
+def er_words(spec: SamplerSpec, count: int, rng: Optional[np.random.Generator] = None) -> np.ndarray:
+    """(count, n, L) row words of iid Bernoulli(p) entries."""
     if spec.kind != "erdos_renyi":
         raise ValueError("spec.kind must be 'erdos_renyi'")
     rng = spec.rng() if rng is None else rng
     n = spec.n
-    return (rng.random((count, n, n)) < spec.p).astype(np.uint8)
+    raw = np.zeros((count, n, 8 * ((n + 63) // 64)), dtype=np.uint8)
+    # A few samples at a time: the same stream as one draw of (count, n, n)
+    # uniforms, without holding them all.
+    step = max(1, _ER_BLOCK_ENTRIES // (n * n))
+    for start in range(0, count, step):
+        part = rng.random((min(step, count - start), n, n)) < spec.p
+        raw[start : start + step, :, : (n + 7) // 8] = np.packbits(part, axis=-1, bitorder="little")
+    return raw.view("<u8").astype(np.uint64, copy=False)
+
+
+def er_dense(spec: SamplerSpec, count: int, rng: Optional[np.random.Generator] = None) -> np.ndarray:
+    """(count, n, n) iid Bernoulli(p) 0/1 entries."""
+    return _words_to_dense(er_words(spec, count, rng), spec.n)
 
 
 def sample_er(spec: SamplerSpec, rng: Optional[np.random.Generator] = None) -> np.ndarray:
@@ -545,22 +606,24 @@ def enumerate_all(
 
 # -- unified front door -----------------------------------------------------------------
 
-# The kernel behind each kind, as (samples, attempts).  Each entry looks its
-# kernel up by module-level name when called, so a wrapper installed on that
-# name sees every draw.  Only rejection makes more attempts than samples.
+# The packed kernel behind each kind, as (samples, attempts).  Each entry
+# looks its kernel up by module-level name when called, so a wrapper
+# installed on that name sees every draw.  Only rejection makes more
+# attempts than samples.
 _KERNELS = {
-    "rejection": lambda spec, count: _rejection(spec, count),
-    "switch_mcmc": lambda spec, count: (switch_mcmc_dense(spec, count), count),
+    "rejection": lambda spec, count: rejection_words(spec, count),
+    "switch_mcmc": lambda spec, count: (switch_mcmc_words(spec, count), count),
     "permutation_model": lambda spec, count: (permutation_batch(spec, count), count),
-    "erdos_renyi": lambda spec, count: (er_dense(spec, count), count),
+    "erdos_renyi": lambda spec, count: (er_words(spec, count), count),
 }
 
 
-def draw(spec: SamplerSpec, count: int) -> Tuple[np.ndarray, int]:
+def draw_packed(spec: SamplerSpec, count: int) -> Tuple[np.ndarray, int]:
     """`count` samples of the spec's kind as one array, and the attempts made.
 
-    The array is (count, m, n) uint8 for the class kinds and the Bernoulli
-    digraph, and (count, d, n) permutations for the permutation model.
+    The array is (count, m, L) uint64 row words for the class kinds and the
+    Bernoulli digraph, and (count, d, n) permutations for the permutation
+    model.
     """
     if count < 0:
         raise ValueError("count must be >= 0")
@@ -569,15 +632,21 @@ def draw(spec: SamplerSpec, count: int) -> Tuple[np.ndarray, int]:
     return _KERNELS[spec.kind](spec, count)
 
 
+def draw(spec: SamplerSpec, count: int) -> Tuple[np.ndarray, int]:
+    """draw_packed with row words as (count, m, n) uint8 entries."""
+    batch, attempts = draw_packed(spec, count)
+    return (batch if spec.kind == "permutation_model" else _words_to_dense(batch, spec.n)), attempts
+
+
 def sample_many(spec: SamplerSpec, count: int):
     """Draw `count` samples of the spec's kind (objects, not raw arrays).
 
     This is the canonical sequence: identical (spec, count) reproduces it
     bit for bit.
     """
-    batch, _ = draw(spec, count)
     if spec.kind in CLASS_KINDS:
-        return [BiregularBitMatrix.from_dense(sample) for sample in batch]
+        return _members(spec, draw_packed(spec, count)[0])
+    batch, _ = draw(spec, count)
     if spec.kind == "permutation_model":
         return [
             PermutationTuple(tuple(tuple(int(x) for x in perm) for perm in sample))

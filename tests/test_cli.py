@@ -140,6 +140,57 @@ class TestCouple:
         assert parse_matrix(back.read_text()) == mat
 
 
+class TestCoupleIndices:
+    """Indices outside the input matrix, and a reflection along a row and
+    itself, are usage errors raised before any output."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--op", "reflect", "--i1", "2", "--i2", "2", "--j1", "0", "--j2", "2"],
+            ["--op", "switch", "--i1", "9", "--j1", "0", "--j2", "2"],
+            ["--op", "reflect", "--i1", "9", "--j1", "0", "--j2", "2"],
+            ["--op", "reflect", "--j1", "0", "--j2", "9"],
+            ["--op", "switch", "--i1", "0", "--i2", "2", "--j1", "0", "--j2", "9"],
+            ["--op", "switch", "--i1", "0", "--i2", "-1", "--j1", "0", "--j2", "2"],
+            ["--op", "reflect", "--j1", "-1", "--j2", "2"],
+        ],
+        ids=["reflect-equal-rows", "switch-i1-above-m", "reflect-i1-above-m", "reflect-j2-above-n",
+             "switch-j2-above-n", "switch-i2-negative", "reflect-j1-negative"],
+    )
+    def test_bad_index_is_usage_error(self, tmp_path, capsys, argv):
+        from conftest import matrix_from_strings
+
+        path = tmp_path / "block.txt"
+        path.write_text(format_matrix(matrix_from_strings(["1100", "1100", "0011", "0011"])))
+        out = tmp_path / "out.txt"
+        code, stdout, err = run(capsys, "couple", *argv, "--in", str(path), "--out", str(out))
+        assert code == 1
+        assert err.startswith("usage error: ")
+        assert stdout == ""
+        assert not out.exists()
+
+
+class TestErdosRenyiFields:
+    @pytest.mark.parametrize("flag", ["--m", "--dp", "--steps"])
+    def test_sample_rejects_unread_field(self, capsys, flag):
+        code, stdout, err = run(capsys, "sample", "--kind", "erdos_renyi", "--n", "3", "--p", "0.5", flag, "2")
+        assert code == 1
+        assert f"'{flag[2:]}' is not read" in err
+        assert stdout == ""
+
+    def test_tail_config_rejects_unread_field(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({
+            "sampler": {"kind": "erdos_renyi", "n": 10, "p": 0.3, "m": 10},
+            "statistic": "er_codegree", "grid": [0.5], "N": 100,
+        }))
+        code, _, err = run(capsys, "tail", "--config", str(path), "--out", str(tmp_path / "t.csv"))
+        assert code == 1
+        assert "'m' is not read" in err
+        assert not (tmp_path / "t.csv").exists()
+
+
 class TestVerifyCli:
     def test_reflection_suite_passes(self, capsys):
         code, stdout, _ = run(

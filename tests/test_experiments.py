@@ -5,13 +5,16 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import rrdigraph
 
+from rrdigraph import experiments
 from rrdigraph.experiments import (
     CSV_HEADER,
     ExperimentConfig,
@@ -21,7 +24,7 @@ from rrdigraph.experiments import (
     run_tail_experiment,
     uniformity_test,
 )
-from rrdigraph.samplers import SamplerSpec, draw
+from rrdigraph.samplers import SamplerSpec, _words_to_dense, draw, draw_packed
 
 
 class TestCatalanWalk:
@@ -364,6 +367,72 @@ class TestTailHarness:
         fields = lines[1].split(",")
         assert len(fields) == 7
         assert fields[5] in ("true", "false")
+
+
+class TestWordStatistics:
+    """The popcount statistics on packed row words against a dense numpy
+    oracle, on one word (n <= 64), on a partial last word and on three."""
+
+    @pytest.mark.parametrize(
+        "n, d, a, b",
+        # b = n at n = 65 sets one bit of the second word; a = n is every row.
+        [(5, 2, 5, 3), (64, 20, 64, 63), (65, 30, 65, 65), (130, 40, 130, 97), (130, 40, 17, 70)],
+        ids=lambda v: str(v),
+    )
+    def test_equal_to_the_dense_oracle(self, monkeypatch, n, d, a, b):
+        spec = SamplerSpec(kind="switch_mcmc", n=n, d=d, steps=40 * n, seed=n)
+        words, _ = draw_packed(spec, 37)
+        dense = _words_to_dense(words, n).astype(np.int64)
+        assert np.array_equal(dense, draw(spec, 37)[0])
+        gram = dense @ dense.transpose(0, 2, 1)
+        cfg = ExperimentConfig(sampler=spec, statistic="codegree", grid=(0.5,), N=37, i1=1, i2=n - 1)
+        assert np.array_equal(experiments._row_codegree(cfg, words), gram[:, 1, n - 1])
+        cfg = ExperimentConfig(sampler=spec, statistic="edge_count", grid=(0.5,), N=37, a=a, b=b)
+        assert np.array_equal(experiments._box_edges(cfg, words), dense[:, :a, :b].sum(axis=(1, 2)))
+        upper = np.triu_indices(n, k=1)
+        oracle = np.abs(n * gram[:, upper[0], upper[1]] - d * d).max(axis=1)
+        assert np.array_equal(experiments._all_pair_codegree_dev(words, n, d), oracle)
+        # Blocks of 8 samples, the last one partial, give the same answer.
+        monkeypatch.setattr(experiments, "_PAIR_BLOCK_BYTES", 8 * words[0].nbytes)
+        assert np.array_equal(experiments._all_pair_codegree_dev(words, n, d), oracle)
+
+    def test_codegree_spread_reaches_both_ends(self):
+        # Bernoulli rows have codegrees on both sides of d^2/n, so a kernel
+        # that kept only the least or only the greatest codegree fails.
+        n, d = 70, 35
+        words, _ = draw_packed(SamplerSpec(kind="erdos_renyi", n=n, p=0.5, seed=3), 25)
+        dense = _words_to_dense(words, n).astype(np.int64)
+        gram = dense @ dense.transpose(0, 2, 1)
+        upper = np.triu_indices(n, k=1)
+        scaled = n * gram[:, upper[0], upper[1]] - d * d
+        assert (scaled.min(axis=1) < 0).all() and (scaled.max(axis=1) > 0).all()
+        assert np.array_equal(experiments._all_pair_codegree_dev(words, n, d), np.abs(scaled).max(axis=1))
+
+
+@pytest.mark.parametrize(
+    "sampler, fields, count",
+    [
+        (dict(kind="switch_mcmc", n=200, d=100, steps=20), dict(statistic="codegree_uniform"), 1024),
+        (dict(kind="erdos_renyi", n=100, p=0.3), dict(statistic="er_edge", a=30, b=70), 4096),
+    ],
+    ids=["codegree_uniform", "er_edge"],
+)
+def test_shard_memory_stays_near_the_packed_batch(sampler, fields, count):
+    # A shard holds its row words, count x n rows of ceil(n/64) words
+    # (6.25 MB for both cases), and a fixed few MB besides.  A (count, m, m)
+    # Gram of the dense draws takes over 160 MB in the first case, and the
+    # count x n x n uniforms of one Bernoulli draw over 300 MB in the second.
+    # SHARD_SIZE, not the thread count, sets how many samples a shard holds.
+    cfg = ExperimentConfig(sampler=SamplerSpec(**sampler), grid=(0.5,), N=count, **fields)
+    n = cfg.sampler.n
+    batch_bytes = count * n * ((n + 63) // 64) * 8
+    tracemalloc.start()
+    try:
+        experiments._shard_counts(cfg, 0, count)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * batch_bytes + 4 * 2**20
 
 
 def test_package_import_leaves_scipy_stats_unloaded():

@@ -5,12 +5,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from rrdigraph.matrices import BiregularBitMatrix
+from rrdigraph.matrices import BiregularBitMatrix, InvalidMatrixError
 from rrdigraph.samplers import (
     RejectionBudgetExhausted,
     SamplerSpec,
     SearchSpaceTooLarge,
     circulant,
+    draw,
+    draw_packed,
     enumerate_all,
     er_dense,
     permutation_batch,
@@ -24,6 +26,7 @@ from rrdigraph.samplers import (
     switch_mcmc_dense,
 )
 from rrdigraph.samplers import (
+    _members,
     _rejection,
     _rows_to_words,
     _site_blocks,
@@ -49,6 +52,11 @@ class TestSpec:
             SamplerSpec(kind="erdos_renyi", n=5)
         with pytest.raises(ValueError):
             SamplerSpec(kind="erdos_renyi", n=5, p=1.5)
+
+    @pytest.mark.parametrize("field", ["m", "dp", "steps"])
+    def test_er_rejects_fields_it_does_not_read(self, field):
+        with pytest.raises(ValueError, match=f"'{field}' is not read by kind 'erdos_renyi'"):
+            SamplerSpec(kind="erdos_renyi", n=3, p=0.5, **{field: 2})
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
@@ -311,6 +319,44 @@ class TestPermutationModel:
         phat = hits / 40_000
         se = math.sqrt(0.25 * 0.75 / 40_000)
         assert abs(phat - 0.25) < 4 * se
+
+
+class TestPackedMembers:
+    """sample_many builds class members from row words after one margin
+    check of the whole batch, in place of a full validation per draw."""
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            SamplerSpec(kind="rejection", n=12, d=3, seed=1),
+            SamplerSpec(kind="rejection", n=70, d=2, seed=2),
+            SamplerSpec(kind="switch_mcmc", n=130, d=40, steps=300, seed=3),
+            SamplerSpec(kind="switch_mcmc", n=9, d=3, m=6, dp=2, steps=300, seed=2),
+        ],
+        ids=["rejection", "rejection-two-words", "switch-three-words", "switch-biregular"],
+    )
+    def test_equal_to_validated_matrices(self, spec):
+        mats = sample_many(spec, 5)
+        dense, _ = draw(spec, 5)
+        assert mats == [BiregularBitMatrix.from_dense(x) for x in dense]
+        assert all((mat.m, mat.d, mat.dp) == (spec.m, spec.d, spec.dp) for mat in mats)
+
+    @pytest.mark.parametrize(
+        "flips",
+        [[(0, 1, 63)], [(0, 0, 5), (1, 0, 5)], [(0, 0, 0), (0, 0, 5)]],
+        ids=["pad-bit", "row-sums", "column-sums"],
+    )
+    def test_margin_check_rejects_a_non_member(self, flips):
+        spec = SamplerSpec(kind="switch_mcmc", n=70, d=5, steps=0)
+        words, _ = draw_packed(spec, 3)
+        # Rows 0 and 1 hold columns 0-4 and 1-5.  Moving column 5 from row 1
+        # to row 0 keeps every column sum, and moving row 0's column 0 to
+        # column 5 keeps every row sum.
+        for row, word, bit in flips:
+            words[2, row, word] ^= np.uint64(1) << np.uint64(bit)
+        with pytest.raises(InvalidMatrixError):
+            _members(spec, words)
+        _members(spec, words[:2])
 
 
 class TestErdosRenyi:
