@@ -50,12 +50,13 @@ from .samplers import (
     sample_many,
 )
 from .spectral import alpha_exact, sigma2
-from .verify import SUITES, run_suite
+from .verify import SCHEMA_VERSION as VERIFY_SCHEMA_VERSION, SUITES, run_suite
 
 SCHEMA_VERSION = 1
 # Version 2 of the sigma2 payload has no `tol` or `max_iters` in its config
-# (sigma2 is an exact SVD), and version 2 of the stats payload no `format`
-# (stats emits JSON only); the other payloads keep version 1.
+# (sigma2 is an exact SVD), version 2 of the stats payload no `format`
+# (stats emits JSON only), and version 2 of the verify payload no
+# `exact_cap` (v_f is always exact); the other payloads keep version 1.
 SIGMA2_SCHEMA_VERSION = 2
 STATS_SCHEMA_VERSION = 2
 
@@ -201,13 +202,12 @@ def _cmd_verify(args) -> int:
         d=args.d,
         samples=args.samples,
         seed=args.seed,
-        exact_cap=args.exact_cap,
         m=args.m,
         dp=args.dp,
         steps=args.steps,
     )
     payload = {
-        "schema_version": SCHEMA_VERSION,
+        "schema_version": VERIFY_SCHEMA_VERSION,
         "suites": [r.to_dict() for r in results],
         "ok": all(r.ok for r in results),
     }
@@ -427,7 +427,6 @@ def build_parser() -> _Parser:
     verify.add_argument("--m", type=int, default=None)
     verify.add_argument("--dp", type=int, default=None)
     verify.add_argument("--samples", type=int, default=200)
-    verify.add_argument("--exact-cap", dest="exact_cap", type=int, default=None)
     verify.add_argument("--steps", type=int, default=None)
     verify.set_defaults(func=_cmd_verify)
 

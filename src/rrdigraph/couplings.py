@@ -39,6 +39,11 @@ __all__ = [
     "count_minor_classes",
 ]
 
+# Cells per block of the vectorised walk scans here and in the exact v_f
+# kernels; every temporary of a block holds this many entries, so the peak
+# does not grow with the class.
+_BLOCK_CELLS = 1 << 18
+
 # Post-hoc membership validation of involution outputs; the first-return
 # argument guarantees validity, so the hot path leaves this off.
 VALIDATE_OUTPUTS = False
@@ -213,9 +218,13 @@ def _bad_mask(
         return ex1, ex2, np.zeros((0, 0), dtype=bool)
     seq = list(order.sequence(matrix.m))
     dense = matrix.dense()[seq, :].astype(np.int8)
-    steps = dense[:, ex1][:, :, None] - dense[:, ex2][:, None, :]
-    walks = np.cumsum(steps, axis=0)
-    bad = ~(walks[2:] == 1).any(axis=0)
+    cols2 = dense[:, None, ex2]
+    bad = np.empty((len(ex1), len(ex2)), dtype=bool)
+    block = max(1, _BLOCK_CELLS // (matrix.m * len(ex2)))
+    for start in range(0, len(ex1), block):
+        steps = dense[:, ex1[start : start + block], None] - cols2
+        walks = np.cumsum(steps, axis=0, dtype=np.int32)
+        bad[start : start + block] = ~(walks[2:] == 1).any(axis=0)
     return ex1, ex2, bad
 
 
@@ -251,9 +260,15 @@ def count_minor_classes(
     if i1 == i2:
         raise ValueError("count_minor_classes requires two distinct rows")
     order = RowOrder(i1, i2) if order is None else order
+    return _minor_class_counts(matrix, i1, i2, bad_pair_count(matrix, i1, i2, order))
+
+
+def _minor_class_counts(
+    matrix: BiregularBitMatrix, i1: int, i2: int, b: int
+) -> MinorClassCounts:
+    """count_minor_classes given the bad-pair count b."""
     rec = codegree(matrix, i1, i2, "out")
     zero_zero = matrix.n - 2 * matrix.d + rec.co
-    b = bad_pair_count(matrix, i1, i2, order)
     return MinorClassCounts(
         nK=rec.co * zero_zero,
         nI_reflecting=rec.ex * rec.ex - b,

@@ -7,8 +7,7 @@ self-bounding control on
 
     v_f(M) = (1/2) E[ |f(M) - f(M~)| |F(M, M~)| | M ].
 
-This module computes f and v_f exactly (integer-scaled / rational) or by
-Monte Carlo for
+This module computes f and v_f exactly (integer-scaled / rational) for
 
 * the reflection coupling     (statistic: codegree of a fixed row pair),
 * the simple-switching coupling (statistic: edge count e(A, B)),
@@ -17,8 +16,7 @@ Monte Carlo for
 and evaluates the tail bound that a self-bounding pair (K1, K2) yields.
 
 Every algebraic identity here is checked in exact arithmetic with a
-declared integer scale; floats appear only in Monte Carlo estimates and
-in the final bound values.
+declared integer scale; floats appear only in the final bound values.
 """
 
 from __future__ import annotations
@@ -26,19 +24,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
-from typing import Optional, Tuple, Union
+from typing import Iterator, Optional, Tuple, Union
 
 import numpy as np
 
 from .matrices import BiregularBitMatrix, VertexSetPair, codegree, edge_count
-from .couplings import (
-    RowOrder,
-    _bad_mask,
-    _bits,
-    count_minor_classes,
-    reflect,
-)
+from .couplings import _BLOCK_CELLS, RowOrder, _bad_mask, _bits, _minor_class_counts
 from .samplers import PermutationTuple, ResourceGuardError
 
 __all__ = [
@@ -58,9 +49,13 @@ __all__ = [
     "good_event_co",
 ]
 
-# Exact v_f cost is O(d_hat^2 n^2) walks for reflection and O(K_ab m) for
-# switching; beyond these caps Monte Carlo mode is mandatory.
-REFLECTION_EXACT_CAP = 20
+# Exact v_f cost guards, in units fixed by the class and (A, B) alone, never
+# by the draw: m*d*(n-d)*d_hat walk steps for reflection (K sites times the
+# walks each one re-reads, an upper bound) and K_ab = a(m-a)b(n-b) site cells
+# for switching.  Each cap is about one second of kernel time per call on one
+# core (measured 1.0-1.7 ns per walk step and 11-12 ns per site cell at
+# n = 120 and 240, d = n/2, a = b = n/2).
+REFLECTION_EXACT_CAP = 10**9
 SWITCHING_EXACT_CAP = 10**8
 
 
@@ -69,34 +64,28 @@ class InvariantViolation(AssertionError):
 
 
 class ExactCapExceeded(ResourceGuardError):
-    """Exact-mode v_f cost guard tripped; rerun in Monte Carlo mode."""
+    """Exact v_f cost guard tripped: the class or (A, B) is too large."""
 
 
 @dataclass
 class CouplingDiagnostics:
     """Exact integer-scaled f and v_f for one coupling instance.
 
-    f equals f_scaled / scale.  v_f is an exact Fraction in exact mode; in
-    Monte Carlo mode v_f_estimate and v_f_stderr carry an unbiased
-    estimate.  bound_ok records the self-bounding inequality check
-    (exact comparison in exact mode; estimate - 3*stderr tolerance in MC
-    mode, so only a violation beyond the CI fails).
+    f equals f_scaled / scale and v_f is an exact Fraction.  bound_ok
+    records the exact self-bounding inequality check.
     """
 
     coupling: str  # "reflection" | "switching" | "permutation"
     f_scaled: int
     scale: int
     v_f: Optional[Fraction] = None
-    v_f_estimate: Optional[float] = None
-    v_f_stderr: Optional[float] = None
-    mc_samples: Optional[int] = None
     b: Optional[int] = None
     f1_scaled: Optional[int] = None
     f2_scaled: Optional[int] = None
     K1: Optional[Fraction] = None
     K2: Optional[Fraction] = None
     bound_ok: Optional[bool] = None
-    max_step: Optional[int] = None  # worst |f - f~| seen over evaluated sites
+    max_step: Optional[int] = None  # worst |f - f~| over the active sites
 
     @property
     def f(self) -> Fraction:
@@ -123,11 +112,12 @@ def _as_fraction(x: Union[int, float, Fraction]) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-def _reflection_f_scaled(
-    matrix: BiregularBitMatrix, i1: int, i2: int, order: RowOrder
-) -> Tuple[int, int, int]:
-    """(f_scaled, co, b) with f_scaled = n*co - d^2 + b, cross-checked."""
-    counts = count_minor_classes(matrix, i1, i2, order)
+def _reflection_f(
+    matrix: BiregularBitMatrix, i1: int, i2: int, b: int
+) -> CouplingDiagnostics:
+    """f at scale n from the bad-pair count b: #K - #reflecting I minors,
+    cross-checked against n*co - d^2 + b."""
+    counts = _minor_class_counts(matrix, i1, i2, b)
     rec = codegree(matrix, i1, i2, "out")
     f_scaled = counts.nK - counts.nI_reflecting
     shifted = matrix.n * rec.co - matrix.d**2 + counts.nI_bad
@@ -135,7 +125,14 @@ def _reflection_f_scaled(
         raise InvariantViolation(
             f"reflection identity broke: {f_scaled} != n*co - d^2 + b = {shifted}"
         )
-    return f_scaled, rec.co, counts.nI_bad
+    return CouplingDiagnostics(
+        coupling="reflection",
+        f_scaled=f_scaled,
+        scale=matrix.n,
+        b=b,
+        K1=Fraction(2 * matrix.d_hat**2, matrix.n),
+        K2=Fraction(1),
+    )
 
 
 def reflection_f(
@@ -152,30 +149,41 @@ def reflection_f(
     if i1 == i2:
         raise ValueError("reflection_f requires two distinct rows")
     order = RowOrder(i1, i2) if order is None else order
-    f_scaled, _, b = _reflection_f_scaled(matrix, i1, i2, order)
-    return CouplingDiagnostics(
-        coupling="reflection",
-        f_scaled=f_scaled,
-        scale=matrix.n,
-        b=b,
-        K1=Fraction(2 * matrix.d_hat**2, matrix.n),
-        K2=Fraction(1),
+    _, _, bad = _bad_mask(matrix, i1, i2, order)
+    return _reflection_f(matrix, i1, i2, int(bad.sum()))
+
+
+def _k_site_steps(walk_rows, j1s, j2s, ex1, ex2) -> np.ndarray:
+    """|f - f~| (scale n) at the K sites (j1s[k], j2s[k]), j1 in Co, j2 in Zz.
+
+    walk_rows is the dense matrix with its rows in walk order.  A K site
+    always reflects: columns j1 and j2 swap on walk positions 2..i*.  In
+    the image j1 joins Ex(i1,i2) and j2 joins Ex(i2,i1), co drops by one
+    and the old Ex pairs keep their walks, so f - f~ = n - b_new, where
+    b_new counts the bad pairs (j1', y), y in ex2, and (x, j2'), x in ex1,
+    of the image: one cumsum for all of them.
+    """
+    m, n = walk_rows.shape
+    c1 = walk_rows[:, j1s]
+    c2 = walk_rows[:, j2s]
+    walk = np.cumsum(c1 - c2, axis=0, dtype=np.int32)
+    # First return to +1 from position 3 on; it exists because the walk
+    # starts 1, 2 and ends at 0.
+    i_star = 2 + (walk[2:] == 1).argmax(axis=0)
+    swapped = np.arange(m)[:, None] <= i_star
+    swapped[0] = False
+    new1 = np.where(swapped, c2, c1)
+    new2 = np.where(swapped, c1, c2)
+    steps = np.concatenate(
+        (
+            new1[:, :, None] - walk_rows[:, None, ex2],
+            walk_rows[:, None, ex1] - new2[:, :, None],
+        ),
+        axis=2,
     )
-
-
-def _reflection_active_sites(matrix, i1, i2, order):
-    """Column pairs with |F| = n: K minors plus reflecting I minors."""
-    r1, r2 = matrix.rows[i1], matrix.rows[i2]
-    mask = (1 << matrix.n) - 1
-    co_cols = _bits(r1 & r2)
-    zz_cols = _bits(~(r1 | r2) & mask)
-    sites = list(product(co_cols, zz_cols))  # K minors are always reflecting
-    ex1, ex2, bad = _bad_mask(matrix, i1, i2, order)
-    for s, c1 in enumerate(ex1):
-        for t, c2 in enumerate(ex2):
-            if not bad[s, t]:
-                sites.append((c1, c2))
-    return sites
+    walks = np.cumsum(steps, axis=0, dtype=np.int32)
+    bad = ~(walks[2:] == 1).any(axis=0)
+    return np.abs(n - bad.sum(axis=1))
 
 
 def reflection_vf(
@@ -183,69 +191,55 @@ def reflection_vf(
     i1: int,
     i2: int,
     order: Optional[RowOrder] = None,
-    mode: str = "exact",
-    samples: int = 2000,
-    rng: Optional[np.random.Generator] = None,
     exact_cap: int = REFLECTION_EXACT_CAP,
 ) -> CouplingDiagnostics:
-    """v_f of the reflection pair plus the bound v_f <= f + 2*d_hat^2/n.
+    """Exact v_f of the reflection pair plus the bound v_f <= f + 2*d_hat^2/n.
 
-    Exact mode sums |f - f~| over the active column pairs (those with
-    |F| = n), giving v_f = sum / (2 n^2) as an exact rational; guarded by
-    n <= exact_cap.  MC mode averages over uniformly sampled (J1, J2).
+    v_f = sum / (2 n^2), the sum of |f - f~| (scale n) over the active
+    column pairs, those with |F| = n: every K minor and every reflecting I
+    minor.  With R and C the row and column sums of the bad-pair mask, a
+    reflecting I site (c1, c2) moves f by R[c1] + C[c2] - n; a K site by
+    n - b_new (see _k_site_steps).  Guarded by m*d*(n-d)*d_hat <= exact_cap.
     """
     if i1 == i2:
         raise ValueError("reflection_vf requires two distinct rows")
+    cost = matrix.m * matrix.d * (matrix.n - matrix.d) * matrix.d_hat
+    if cost > exact_cap:
+        raise ExactCapExceeded(
+            f"exact reflection v_f needs m*d*(n-d)*d_hat = {cost} walk steps, "
+            f"above the cap of {exact_cap}"
+        )
     order = RowOrder(i1, i2) if order is None else order
     n = matrix.n
-    diag = reflection_f(matrix, i1, i2, order)
+    ex1, ex2, bad = _bad_mask(matrix, i1, i2, order)
+    diag = _reflection_f(matrix, i1, i2, int(bad.sum()))
     bound = diag.f + Fraction(2 * matrix.d_hat**2, n)
 
-    def delta(j1: int, j2: int) -> int:
-        image = reflect(matrix, j1, j2, order)
-        if image is matrix:
-            return 0
-        f_image, _, _ = _reflection_f_scaled(image, i1, i2, order)
-        return abs(diag.f_scaled - f_image)
+    i_steps = np.abs(bad.sum(axis=1)[:, None] + bad.sum(axis=0)[None, :] - n)[~bad]
+    total = int(i_steps.sum())
+    worst = int(i_steps.max(initial=0))
 
-    if mode == "exact":
-        if n > exact_cap:
-            raise ExactCapExceeded(f"exact mode capped at n <= {exact_cap}; use mode='mc'")
-        total = 0
-        worst = 0
-        for j1, j2 in _reflection_active_sites(matrix, i1, i2, order):
-            step = delta(j1, j2)
-            total += step
-            worst = max(worst, step)
-        diag.v_f = Fraction(total, 2 * n * n)
-        diag.max_step = worst
-        diag.bound_ok = diag.v_f <= bound
-        if not diag.bound_ok:
-            raise InvariantViolation(
-                f"reflection self-bound failed: v_f = {diag.v_f} > {bound}"
-            )
-        return diag
+    r1, r2 = matrix.rows[i1], matrix.rows[i2]
+    co_cols = _bits(r1 & r2)
+    zz_cols = _bits(~(r1 | r2) & ((1 << n) - 1))
+    if co_cols and zz_cols:
+        walk_rows = matrix.dense()[list(order.sequence(matrix.m)), :].astype(np.int8)
+        j1s = np.repeat(co_cols, len(zz_cols))
+        j2s = np.tile(zz_cols, len(co_cols))
+        block = max(1, _BLOCK_CELLS // (matrix.m * max(1, 2 * len(ex1))))
+        for start in range(0, j1s.size, block):
+            part = slice(start, start + block)
+            k_steps = _k_site_steps(walk_rows, j1s[part], j2s[part], ex1, ex2)
+            total += int(k_steps.sum())
+            worst = max(worst, int(k_steps.max()))
 
-    if mode != "mc":
-        raise ValueError("mode must be 'exact' or 'mc'")
-    rng = np.random.default_rng(0) if rng is None else rng
-    draws = rng.integers(0, n, size=(samples, 2))
-    values = np.empty(samples, dtype=float)
-    worst = 0
-    for k in range(samples):
-        j1, j2 = int(draws[k, 0]), int(draws[k, 1])
-        if j1 == j2:
-            values[k] = 0.0
-            continue
-        step = delta(j1, j2)
-        worst = max(worst, step)
-        # (1/2)|f - f~||F| = |delta f_scaled| / 2 in natural units.
-        values[k] = step / 2.0
-    diag.v_f_estimate = float(values.mean())
-    diag.v_f_stderr = float(values.std(ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0
-    diag.mc_samples = samples
+    diag.v_f = Fraction(total, 2 * n * n)
     diag.max_step = worst
-    diag.bound_ok = not (diag.v_f_estimate - 3.0 * diag.v_f_stderr > float(bound))
+    diag.bound_ok = diag.v_f <= bound
+    if not diag.bound_ok:
+        raise InvariantViolation(
+            f"reflection self-bound failed: v_f = {diag.v_f} > {bound}"
+        )
     return diag
 
 
@@ -339,144 +333,90 @@ def switching_f(matrix: BiregularBitMatrix, pair: VertexSetPair) -> CouplingDiag
     )
 
 
-def _switchable_sites(dense, rows_a, rows_c, cols_b, cols_c):
-    for i1 in rows_a:
-        for i2 in rows_c:
-            b_in_1 = [j for j in cols_b if dense[i1, j] == 1 and dense[i2, j] == 0]
-            b_in_2 = [j for j in cols_b if dense[i2, j] == 1 and dense[i1, j] == 0]
-            c_in_1 = [j for j in cols_c if dense[i1, j] == 1 and dense[i2, j] == 0]
-            c_in_2 = [j for j in cols_c if dense[i2, j] == 1 and dense[i1, j] == 0]
-            for j1 in b_in_1:
-                for j2 in c_in_2:
-                    yield i1, i2, j1, j2, "I"
-            for j1 in b_in_2:
-                for j2 in c_in_1:
-                    yield i1, i2, j1, j2, "J"
+def _switching_steps(dense, rows_a, rows_c, cols_b, cols_c, nb, ex) -> Iterator[np.ndarray]:
+    """|f - f~| at every switchable site, block by block of row pairs.
 
-
-def _switch_delta_f(matrix, dense, nb, ex, rows_a, rows_c, cols_b_set, site):
-    """f(M) - f(M~) for one switchable site, summed over affected pairs only.
-
-    Only pairs (u1, u2) in A x A^c with u1 = I1 or u2 = I2 contribute; the
-    codegree and nb updates are O(1) per pair given the precomputed stats.
+    Fix (i1, i2) in A x A^c and the kind s (+1 for I sites, whose entries at
+    (i1, j1) and (i2, j2) drop, -1 for J sites).  The sites have j1 in B and
+    j2 in B^c, and f - f~ = const - g[j1] + g[j2] with
+    const = s*(sum_{u in A^c} ex[i1,u] + sum_{u in A} ex[u,i2]) and
+    g = s*[(nb1 - s)(S_C - r2) - (T_C - nb2 r2)]
+        - s*[(T_A - nb1 r1) - (nb2 + s)(S_A - r1)],
+    where S_X = sum_{u in X} row_u, T_X = sum_{u in X} nb_u row_u, and r1,
+    r2, nb1, nb2 belong to rows i1, i2.  Yields one array of steps per block.
     """
-    i1, i2, j1, j2, kind = site
-    sign = 1 if kind == "I" else -1  # entries at (i1,j1),(i2,j2) drop by `sign`
-    b1 = 1 if j1 in cols_b_set else 0
-    b2 = 1 if j2 in cols_b_set else 0
-    nb_i1_new = nb[i1] + sign * (b2 - b1)
-    nb_i2_new = nb[i2] + sign * (b1 - b2)
-
-    col1 = dense[:, j1]
-    col2 = dense[:, j2]
-    delta = 0
-    for u2 in rows_c:
-        old = ex[i1, u2] * (nb[i1] - nb[u2])
-        if u2 == i2:
-            new = ex[i1, u2] * (nb_i1_new - nb_i2_new)
-        else:
-            ex_new = ex[i1, u2] + sign * (col1[u2] - col2[u2])
-            new = ex_new * (nb_i1_new - nb[u2])
-        delta += old - new
-    for u1 in rows_a:
-        if u1 == i1:
-            continue  # the (i1, i2) pair was handled above
-        old = ex[u1, i2] * (nb[u1] - nb[i2])
-        ex_new = ex[u1, i2] + sign * (col2[u1] - col1[u1])
-        new = ex_new * (nb[u1] - nb_i2_new)
-        delta += old - new
-    return int(delta)
+    rows_a = np.asarray(rows_a)
+    rows_c = np.asarray(rows_c)
+    weighted = nb[:, None] * dense
+    s_a, t_a = dense[rows_a].sum(axis=0), weighted[rows_a].sum(axis=0)
+    s_c, t_c = dense[rows_c].sum(axis=0), weighted[rows_c].sum(axis=0)
+    ex_c = ex[:, rows_c].sum(axis=1)  # sum_{u in A^c} ex[i, u]
+    ex_a = ex[rows_a].sum(axis=0)  # sum_{u in A} ex[u, i]
+    first = np.repeat(rows_a, rows_c.size)
+    second = np.tile(rows_c, rows_a.size)
+    block = max(1, _BLOCK_CELLS // (len(cols_b) * len(cols_c)))
+    for start in range(0, first.size, block):
+        p1, p2 = first[start : start + block], second[start : start + block]
+        r1, r2 = dense[p1], dense[p2]
+        nb1, nb2 = nb[p1][:, None], nb[p2][:, None]
+        only1, only2 = r1 > r2, r2 > r1
+        for s, in_b, in_c in ((1, only1, only2), (-1, only2, only1)):
+            g = s * ((nb1 - s) * (s_c - r2) - (t_c - nb2 * r2)) - s * (
+                (t_a - nb1 * r1) - (nb2 + s) * (s_a - r1)
+            )
+            const = s * (ex_c[p1] + ex_a[p2])
+            delta = (const[:, None] - g[:, cols_b])[:, :, None] + g[:, None, cols_c]
+            sites = in_b[:, cols_b, None] & in_c[:, None, cols_c]
+            yield np.abs(delta[sites])
 
 
 def switching_vf(
     matrix: BiregularBitMatrix,
     pair: VertexSetPair,
-    mode: str = "exact",
-    samples: int = 2000,
-    rng: Optional[np.random.Generator] = None,
     exact_cap: int = SWITCHING_EXACT_CAP,
 ) -> CouplingDiagnostics:
-    """v_f of the switching pair plus v_f <= m*d_hat*(f + 2*m*d_hat*mu).
+    """Exact v_f of the switching pair plus v_f <= m*d_hat*(f + 2*m*d_hat*mu).
 
-    Exact mode: v_f = (1/2) * sum over switchable sites of |f - f~| (the
-    K_ab normalisations cancel), each difference computed incrementally
-    over the affected row pairs; guarded by K_ab * m <= exact_cap.  Also
-    asserts the per-site step bound |f - f~| <= 2 m d_hat.
+    v_f = (1/2) * sum over switchable sites of |f - f~| (the K_ab
+    normalisations cancel), with every site's difference in closed form
+    (see _switching_steps); guarded by K_ab = a(m-a)b(n-b) <= exact_cap for
+    the reduced (A, B).  Also asserts the per-site step bound
+    |f - f~| <= 2 m d_hat.
     """
     pair.validate(matrix)
     pair = _reduce_pair(matrix, pair)
     m, n = matrix.m, matrix.n
     if not (0 < pair.a < m and 0 < pair.b < n):
         raise ValueError("switching_vf requires proper nonempty A and B")
-    diag = switching_f(matrix, pair)
     a, b = pair.a, pair.b
+    k_ab = a * (m - a) * b * (n - b)
+    if k_ab > exact_cap:
+        raise ExactCapExceeded(
+            f"exact switching v_f needs K_ab = a(m-a)b(n-b) = {k_ab} site cells, "
+            f"above the cap of {exact_cap}"
+        )
+    diag = switching_f(matrix, pair)
     mu = pair.mu(matrix)
     d_hat = matrix.d_hat
     bound = Fraction(m * d_hat) * (diag.f + 2 * m * d_hat * mu)
     step_cap = 2 * m * d_hat
-    k_ab = a * (m - a) * b * (n - b)
 
-    dense, rows_a, rows_c, cols_b, cols_c, nb, ex = _switch_stats(matrix, pair)
-    cols_b_set = set(cols_b)
-
-    if mode == "exact":
-        if k_ab * m > exact_cap:
-            raise ExactCapExceeded(
-                f"exact mode capped at K_ab*m <= {exact_cap} operations; use mode='mc'"
-            )
-        total = 0
-        worst = 0
-        for site in _switchable_sites(dense, rows_a, rows_c, cols_b, cols_c):
-            step = abs(
-                _switch_delta_f(matrix, dense, nb, ex, rows_a, rows_c, cols_b_set, site)
-            )
-            if step > step_cap:
-                raise InvariantViolation(
-                    f"switching step bound failed: |f - f~| = {step} > {step_cap}"
-                )
-            total += step
-            worst = max(worst, step)
-        diag.v_f = Fraction(total, 2)
-        diag.max_step = worst
-        diag.bound_ok = diag.v_f <= bound
-        if not diag.bound_ok:
-            raise InvariantViolation(
-                f"switching self-bound failed: v_f = {diag.v_f} > {bound}"
-            )
-        return diag
-
-    if mode != "mc":
-        raise ValueError("mode must be 'exact' or 'mc'")
-    rng = np.random.default_rng(0) if rng is None else rng
-    arr_a = np.array(rows_a)
-    arr_c = np.array(rows_c)
-    arr_b = np.array(cols_b)
-    arr_bc = np.array(cols_c)
-    i1s = arr_a[rng.integers(0, len(arr_a), samples)]
-    i2s = arr_c[rng.integers(0, len(arr_c), samples)]
-    j1s = arr_b[rng.integers(0, len(arr_b), samples)]
-    j2s = arr_bc[rng.integers(0, len(arr_bc), samples)]
-    values = np.zeros(samples, dtype=float)
+    total = 0
     worst = 0
-    for k in range(samples):
-        i1, i2, j1, j2 = int(i1s[k]), int(i2s[k]), int(j1s[k]), int(j2s[k])
-        x11, x12 = dense[i1, j1], dense[i1, j2]
-        x21, x22 = dense[i2, j1], dense[i2, j2]
-        if x11 == x22 and x12 == x21 and x11 != x12:
-            kind = "I" if x11 == 1 else "J"
-            step = abs(
-                _switch_delta_f(
-                    matrix, dense, nb, ex, rows_a, rows_c, cols_b_set,
-                    (i1, i2, j1, j2, kind),
-                )
-            )
-            worst = max(worst, step)
-            values[k] = 0.5 * k_ab * step
-    diag.v_f_estimate = float(values.mean())
-    diag.v_f_stderr = float(values.std(ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0
-    diag.mc_samples = samples
+    for steps in _switching_steps(*_switch_stats(matrix, pair)):
+        total += int(steps.sum())
+        worst = max(worst, int(steps.max(initial=0)))
+    if worst > step_cap:
+        raise InvariantViolation(
+            f"switching step bound failed: |f - f~| = {worst} > {step_cap}"
+        )
+    diag.v_f = Fraction(total, 2)
     diag.max_step = worst
-    diag.bound_ok = not (diag.v_f_estimate - 3.0 * diag.v_f_stderr > float(bound))
+    diag.bound_ok = diag.v_f <= bound
+    if not diag.bound_ok:
+        raise InvariantViolation(
+            f"switching self-bound failed: v_f = {diag.v_f} > {bound}"
+        )
     return diag
 
 

@@ -60,8 +60,8 @@ class ExperimentConfig:
     N: int
     seed: int = 0
     good_event_eta: Optional[float] = None
-    i1: int = 0
-    i2: int = 1
+    i1: Optional[int] = None  # 0 for the statistics that read it
+    i2: Optional[int] = None  # 1 for the statistics that read it
     a: Optional[int] = None
     b: Optional[int] = None
     c: Optional[float] = None
@@ -93,7 +93,9 @@ class ExperimentConfig:
             if name not in stat.reads and getattr(self, name) is not None:
                 raise ValueError(f"config field {name!r} is not read by statistic {self.statistic!r}")
         if "i1" in stat.reads:
-            for name in ("i1", "i2"):
+            for name, default in (("i1", 0), ("i2", 1)):
+                if getattr(self, name) is None:
+                    object.__setattr__(self, name, default)
                 value = getattr(self, name)
                 if not 0 <= value < n:
                     raise ValueError(f"config field {name!r} must be a row in [0, {n}), got {value}")
@@ -297,8 +299,9 @@ def _er_edge_events(cfg: ExperimentConfig, words: np.ndarray) -> List[np.ndarray
 
 
 # Config fields that only some statistics read; setting one the statistic
-# does not read is an error.
-_OPTIONAL_FIELDS = ("a", "b", "c", "c1", "c2", "good_event_eta")
+# does not read is an error.  All but the row pair feed the bound.
+_BOUND_FIELDS = ("a", "b", "c", "c1", "c2", "good_event_eta")
+_OPTIONAL_FIELDS = ("i1", "i2") + _BOUND_FIELDS
 
 
 @dataclass(frozen=True)
@@ -319,7 +322,7 @@ class _Statistic:
         statistic reads, and whether it makes a claim there."""
         fields = {
             "eta" if name == "good_event_eta" else name: getattr(cfg, name)
-            for name in self.reads if name in _OPTIONAL_FIELDS
+            for name in self.reads if name in _BOUND_FIELDS
         }
         s = cfg.sampler
         value = eval_bound(

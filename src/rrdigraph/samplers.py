@@ -477,13 +477,16 @@ class PermutationTuple:
 
 
 def permutation_batch(spec: SamplerSpec, count: int, rng: Optional[np.random.Generator] = None) -> np.ndarray:
-    """(count, d, n) array of iid uniform permutations."""
+    """(count, d, n) array of iid uniform permutations, in the narrowest of
+    uint8, uint16 and int32 that holds the labels; `Generator.permuted`
+    gives the same permutations whatever the dtype."""
     if spec.kind != "permutation_model":
         raise ValueError("spec.kind must be 'permutation_model'")
     rng = spec.rng() if rng is None else rng
     n, d = spec.n, spec.d
-    base = np.tile(np.arange(n, dtype=np.int64), (count * d, 1))
-    perms = rng.permuted(base, axis=1)
+    dtype = np.uint8 if n <= 1 << 8 else np.uint16 if n <= 1 << 16 else np.int32
+    perms = np.tile(np.arange(n, dtype=dtype), (count * d, 1))
+    rng.permuted(perms, axis=1, out=perms)
     return perms.reshape(count, d, n)
 
 

@@ -10,7 +10,8 @@ import sys
 
 import pytest
 
-from rrdigraph.couplings import RowOrder
+from rrdigraph.couplings import RowOrder, reflect
+from rrdigraph.exchangeable import _reduce_pair, _switch_stats, reflection_f
 from rrdigraph.matrices import BiregularBitMatrix
 from rrdigraph.samplers import SamplerSpec, enumerate_all, sample_many
 
@@ -127,3 +128,80 @@ def matrix_from_strings(rows):
     return BiregularBitMatrix.from_supports(
         [[j for j, ch in enumerate(r) if ch == "1"] for r in rows], len(rows[0])
     )
+
+
+def reflection_vf_oracle(matrix, i1, i2, order=None):
+    """(sum, max) of |f - f~| (scale n) over every ordered column pair whose
+    reflection changes the matrix, f~ recomputed on each image."""
+    order = order or RowOrder(i1, i2)
+    f0 = reflection_f(matrix, i1, i2, order).f_scaled
+    steps = []
+    for j1 in range(matrix.n):
+        for j2 in range(matrix.n):
+            if j1 == j2:
+                continue
+            image = reflect(matrix, j1, j2, order)
+            if image is not matrix:
+                steps.append(abs(f0 - reflection_f(image, i1, i2, order).f_scaled))
+    return sum(steps), max(steps, default=0)
+
+
+def switchable_sites(dense, rows_a, rows_c, cols_b, cols_c):
+    for i1 in rows_a:
+        for i2 in rows_c:
+            b_in_1 = [j for j in cols_b if dense[i1, j] == 1 and dense[i2, j] == 0]
+            b_in_2 = [j for j in cols_b if dense[i2, j] == 1 and dense[i1, j] == 0]
+            c_in_1 = [j for j in cols_c if dense[i1, j] == 1 and dense[i2, j] == 0]
+            c_in_2 = [j for j in cols_c if dense[i2, j] == 1 and dense[i1, j] == 0]
+            for j1 in b_in_1:
+                for j2 in c_in_2:
+                    yield i1, i2, j1, j2, "I"
+            for j1 in b_in_2:
+                for j2 in c_in_1:
+                    yield i1, i2, j1, j2, "J"
+
+
+def switch_delta_f(matrix, dense, nb, ex, rows_a, rows_c, cols_b_set, site):
+    """f(M) - f(M~) for one switchable site, summed over affected pairs only.
+
+    Only pairs (u1, u2) in A x A^c with u1 = I1 or u2 = I2 contribute; the
+    codegree and nb updates are O(1) per pair given the precomputed stats.
+    """
+    i1, i2, j1, j2, kind = site
+    sign = 1 if kind == "I" else -1  # entries at (i1,j1),(i2,j2) drop by `sign`
+    b1 = 1 if j1 in cols_b_set else 0
+    b2 = 1 if j2 in cols_b_set else 0
+    nb_i1_new = nb[i1] + sign * (b2 - b1)
+    nb_i2_new = nb[i2] + sign * (b1 - b2)
+
+    col1 = dense[:, j1]
+    col2 = dense[:, j2]
+    delta = 0
+    for u2 in rows_c:
+        old = ex[i1, u2] * (nb[i1] - nb[u2])
+        if u2 == i2:
+            new = ex[i1, u2] * (nb_i1_new - nb_i2_new)
+        else:
+            ex_new = ex[i1, u2] + sign * (col1[u2] - col2[u2])
+            new = ex_new * (nb_i1_new - nb[u2])
+        delta += old - new
+    for u1 in rows_a:
+        if u1 == i1:
+            continue  # the (i1, i2) pair was handled above
+        old = ex[u1, i2] * (nb[u1] - nb[i2])
+        ex_new = ex[u1, i2] + sign * (col2[u1] - col1[u1])
+        new = ex_new * (nb[u1] - nb_i2_new)
+        delta += old - new
+    return int(delta)
+
+
+def switching_vf_oracle(matrix, pair):
+    """(sum, max) of |f - f~| over the switchable sites of the reduced pair,
+    one site at a time."""
+    pair = _reduce_pair(matrix, pair)
+    dense, rows_a, rows_c, cols_b, cols_c, nb, ex = _switch_stats(matrix, pair)
+    steps = [
+        abs(switch_delta_f(matrix, dense, nb, ex, rows_a, rows_c, set(cols_b), site))
+        for site in switchable_sites(dense, rows_a, rows_c, cols_b, cols_c)
+    ]
+    return sum(steps), max(steps, default=0)

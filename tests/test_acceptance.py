@@ -144,11 +144,11 @@ def test_criterion_03_reflection_self_bounding(class_4_2):
     checked = 0
     for mat in class_4_2:
         for i1, i2 in itertools.permutations(range(4), 2):
-            diag = reflection_vf(mat, i1, i2, mode="exact")
+            diag = reflection_vf(mat, i1, i2)
             ok &= diag.v_f <= diag.f + Fraction(2 * mat.d_hat**2, mat.n)
             checked += 1
     for mat in _mats(16, 4, 100, seed=316, steps=1200):
-        diag = reflection_vf(mat, 0, 1, mode="exact")
+        diag = reflection_vf(mat, 0, 1)
         ok &= diag.v_f <= diag.f + Fraction(2 * mat.d_hat**2, mat.n)
         checked += 1
     elapsed = time.time() - started
@@ -204,7 +204,7 @@ def test_criterion_04_switching_identities(class_4_2):
     step_cap_ok = True
     for mat in class_4_2:
         for pair in pairs:
-            vf = switching_vf(mat, pair, mode="exact")
+            vf = switching_vf(mat, pair)
             reduced = _reduce_pair(mat, pair)
             bound = Fraction(4 * mat.d_hat) * (vf.f + 2 * 4 * mat.d_hat * reduced.mu(mat))
             ok &= vf.v_f <= bound
@@ -382,7 +382,7 @@ def test_criterion_10_bipartite_extension():
             diag = reflection_f(mat, 0, 1)
             ok &= diag.f_scaled == n_k - n_i_refl and diag.b == n_i - n_i_refl
         # criterion 3: v_f self-bound, exact mode
-        diag = reflection_vf(mat, 0, 1, mode="exact")
+        diag = reflection_vf(mat, 0, 1)
         ok &= diag.v_f <= diag.f + Fraction(2 * mat.d_hat**2, mat.n)
         # criterion 4: switching identities with the bipartite mu_hat
         a = int(rng.integers(1, 6))
@@ -397,7 +397,7 @@ def test_criterion_10_bipartite_extension():
         ok &= sdiag.scale == 81
         ok &= sdiag.f_scaled == 3 * 6 * 6 * (9 * e - 3 * reduced.a * reduced.b) + sdiag.f2_scaled
         ok &= _f2_bound_holds(mat, reduced, sdiag)
-        svf = switching_vf(mat, pair, mode="exact")
+        svf = switching_vf(mat, pair)
         bound = Fraction(6 * mat.d_hat) * (svf.f + 2 * 6 * mat.d_hat * reduced.mu(mat))
         ok &= svf.v_f <= bound
         # walk boundary with column sums dp over m rows

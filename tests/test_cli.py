@@ -223,6 +223,33 @@ class TestVerifyCli:
         assert code == 0
         assert stdout.startswith("suite,invariant,status,checked,worst_margin")
 
+    def test_zero_check_record_is_vacuous(self, capsys):
+        # At d = 0 no minor is switchable, so membership of switched
+        # outputs is never checked.
+        code, stdout, _ = run(
+            capsys, "verify", "--suite", "switching", "--n", "6", "--d", "0",
+            "--samples", "10",
+        )
+        assert code == 0
+        payload = json.loads(stdout)
+        assert payload["ok"] is True
+        status = {rec["invariant"]: (rec["status"], rec["checked"]) for rec in payload["suites"][0]["records"]}
+        assert status.pop("switching outputs stay in the class") == ("vacuous", 0)
+        assert all(value == ("pass", 10) for value in status.values())
+
+    def test_payload_version_and_config(self, capsys):
+        code, stdout, _ = run(
+            capsys, "verify", "--suite", "all", "--n", "8", "--d", "3", "--samples", "3",
+        )
+        assert code == 0
+        payload = json.loads(stdout)
+        assert payload["schema_version"] == 2
+        for suite in payload["suites"]:
+            assert suite["schema_version"] == 2
+            assert suite["config"] == {
+                "n": 8, "d": 3, "m": 8, "dp": 3, "samples": 3, "seed": 0, "steps": None,
+            }
+
 
 class TestBoundCli:
     def test_edge_twosided_at_zero_prints_two(self, capsys):
@@ -445,6 +472,7 @@ class TestFlagMatrix:
             ["couple", "--op", "reflect", "--j1", "0", "--j2", "2", "--in", "{in}", "--out", "{out}", "--threads", "2"],
             ["couple", "--op", "reflect", "--j1", "0", "--j2", "2", "--in", "{in}", "--out", "{out}", "--format", "csv"],
             ["verify", "--suite", "permutation", "--n", "8", "--d", "2", "--samples", "5", "--out", "{out}", "--threads", "2"],
+            ["verify", "--suite", "reflection", "--n", "8", "--d", "2", "--samples", "5", "--out", "{out}", "--exact-cap", "100"],
             ["bound", "--theorem", "codegree_upper", "--eps", "1", "--n", "10", "--d", "3", "--out", "{out}"],
             ["bound", "--theorem", "codegree_upper", "--eps", "1", "--n", "10", "--d", "3", "--seed", "1"],
             ["bound", "--theorem", "codegree_upper", "--eps", "1", "--n", "10", "--d", "3", "--threads", "2"],
@@ -457,7 +485,7 @@ class TestFlagMatrix:
             ["enumerate", "--n", "3", "--d", "1", "--out", "{out}", "--format", "csv"],
         ],
         ids=["sample-threads", "sample-format", "stats-format", "stats-seed", "stats-threads",
-             "couple-seed", "couple-threads", "couple-format", "verify-threads", "bound-out",
+             "couple-seed", "couple-threads", "couple-format", "verify-threads", "verify-exact-cap", "bound-out",
              "bound-seed", "bound-threads", "bound-format", "tail-seed", "tail-format",
              "tail-without-out", "enumerate-threads", "enumerate-seed", "enumerate-format"],
     )

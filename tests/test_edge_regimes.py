@@ -47,13 +47,13 @@ class TestDenseDegree:
                 rec = codegree(mat, i1, i2)
                 diag = reflection_f(mat, i1, i2)
                 assert diag.f_scaled == 8 * rec.co - 36 + diag.b
-                vf = reflection_vf(mat, i1, i2, mode="exact")
+                vf = reflection_vf(mat, i1, i2)
                 assert vf.v_f <= vf.f + Fraction(2 * 4, 8)
 
     def test_switching_bound(self, dense_pool):
         pair = VertexSetPair.of([0, 1, 2], [2, 3, 4, 5])
         for mat in dense_pool:
-            assert switching_vf(mat, pair, mode="exact").bound_ok
+            assert switching_vf(mat, pair).bound_ok
 
 
 class TestTallBiregular:
@@ -75,7 +75,7 @@ class TestTallBiregular:
                 rec = codegree(mat, i1, i2)
                 diag = reflection_f(mat, i1, i2)
                 assert diag.f_scaled == 6 * rec.co - 4 + diag.b
-                assert reflection_vf(mat, i1, i2, mode="exact").bound_ok
+                assert reflection_vf(mat, i1, i2).bound_ok
 
     def test_walk_boundary_uses_column_sums(self, tall_pool):
         for mat in tall_pool:
@@ -92,7 +92,7 @@ class TestTallBiregular:
             assert diag.scale == 36
             core = 2 * 4 * 9 * (6 * e - 2 * reduced.a * reduced.b)
             assert diag.f_scaled == core + diag.f2_scaled
-            assert switching_vf(mat, pair, mode="exact").bound_ok
+            assert switching_vf(mat, pair).bound_ok
 
     def test_verify_suites(self):
         for suite in ("reflection", "switching"):

@@ -1,7 +1,9 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
+from rrdigraph.couplings import _BLOCK_CELLS
 from rrdigraph.exchangeable import (
     ExactCapExceeded,
     chatterjee_tail,
@@ -21,15 +23,20 @@ from rrdigraph.samplers import (
     stream_generator,
 )
 
-from conftest import matrix_from_strings, naive_minor_scan
+from conftest import (
+    matrix_from_strings,
+    naive_minor_scan,
+    reflection_vf_oracle,
+    switching_vf_oracle,
+)
 
 PARALLEL = matrix_from_strings(["1100", "1100", "0011", "0011"])
 CROSSED = matrix_from_strings(["1100", "0011", "1010", "0101"])
 FULL = matrix_from_strings(["111", "111", "111"])
 
 
-def _mats(n, d, count, seed, steps=500):
-    spec = SamplerSpec(kind="switch_mcmc", n=n, d=d, steps=steps, seed=seed)
+def _mats(n, d, count, seed, steps=500, m=None, dp=None):
+    spec = SamplerSpec(kind="switch_mcmc", n=n, d=d, m=m, dp=dp, steps=steps, seed=seed)
     return sample_many(spec, count)
 
 
@@ -70,43 +77,21 @@ class TestReflectionF:
 class TestReflectionVf:
     def test_no_reflecting_I_case(self):
         # co = d: only K minors are active; the bound still holds exactly.
-        diag = reflection_vf(PARALLEL, 0, 1, mode="exact")
+        diag = reflection_vf(PARALLEL, 0, 1)
         assert diag.bound_ok
         assert diag.v_f is not None
 
     def test_exhaustive_class(self, class_4_2):
         for mat in class_4_2[::4]:
             for i1, i2 in ((0, 1), (2, 0), (3, 1)):
-                diag = reflection_vf(mat, i1, i2, mode="exact")
+                diag = reflection_vf(mat, i1, i2)
                 bound = diag.f + Fraction(2 * mat.d_hat**2, mat.n)
                 assert diag.v_f <= bound
 
     def test_exact_cap_guard(self):
         mat = _mats(24, 4, 1, seed=3, steps=300)[0]
         with pytest.raises(ExactCapExceeded):
-            reflection_vf(mat, 0, 1, mode="exact", exact_cap=20)
-
-    def test_mc_agrees_with_exact(self):
-        mat = _mats(16, 4, 1, seed=16, steps=1200)[0]
-        exact = reflection_vf(mat, 0, 1, mode="exact")
-        mc = reflection_vf(
-            mat, 0, 1, mode="mc", samples=20_000, rng=stream_generator(1, 0)
-        )
-        assert mc.bound_ok
-        assert abs(mc.v_f_estimate - float(exact.v_f)) <= 3 * mc.v_f_stderr + 1e-9
-
-    def test_mc_mode_beyond_exact_cap(self):
-        # n = 60, d = 12 is far past the exact cap; MC mode must carry it.
-        mat = _mats(60, 12, 1, seed=60, steps=2500)[0]
-        mc = reflection_vf(
-            mat, 0, 1, mode="mc", samples=4000, rng=stream_generator(2, 0)
-        )
-        assert mc.bound_ok and mc.mc_samples == 4000
-        assert mc.v_f_estimate >= 0.0
-
-    def test_unknown_mode(self):
-        with pytest.raises(ValueError):
-            reflection_vf(PARALLEL, 0, 1, mode="montecarlo")
+            reflection_vf(mat, 0, 1, exact_cap=20)
 
 
 class TestSwitchingF:
@@ -159,7 +144,7 @@ class TestSwitchingF:
 
 class TestSwitchingVf:
     def test_no_switchable_sites(self):
-        diag = switching_vf(FULL, VertexSetPair.of([0], [1]), mode="exact")
+        diag = switching_vf(FULL, VertexSetPair.of([0], [1]))
         assert diag.v_f == 0 and diag.bound_ok
 
     def test_step_bound_and_self_bound_sampled(self):
@@ -171,7 +156,7 @@ class TestSwitchingVf:
                 (int(x) for x in rng.choice(10, a, replace=False)),
                 (int(x) for x in rng.choice(10, b, replace=False)),
             )
-            diag = switching_vf(mat, pair, mode="exact")
+            diag = switching_vf(mat, pair)
             assert diag.bound_ok
             assert diag.max_step <= 2 * mat.m * mat.d_hat
 
@@ -179,20 +164,17 @@ class TestSwitchingVf:
         # Oracle: f(M) - f(M~) for every switchable site, where f(M~) is
         # recomputed from scratch on the switched matrix.
         from rrdigraph.couplings import SwitchSite, simple_switch
-        from rrdigraph.exchangeable import (
-            _reduce_pair,
-            _switch_delta_f,
-            _switch_stats,
-            _switchable_sites,
-        )
+        from rrdigraph.exchangeable import _reduce_pair, _switch_stats
+
+        from conftest import switch_delta_f, switchable_sites
 
         for mat in _mats(8, 3, 10, seed=88):
             pair = _reduce_pair(mat, VertexSetPair.of([0, 1, 2], [1, 2, 3, 4]))
             dense, rows_a, rows_c, cols_b, cols_c, nb, ex = _switch_stats(mat, pair)
             f0 = switching_f(mat, pair).f_scaled
-            for site in _switchable_sites(dense, rows_a, rows_c, cols_b, cols_c):
+            for site in switchable_sites(dense, rows_a, rows_c, cols_b, cols_c):
                 i1, i2, j1, j2, _ = site
-                inc = _switch_delta_f(
+                inc = switch_delta_f(
                     mat, dense, nb, ex, rows_a, rows_c, set(cols_b), site
                 )
                 switched = simple_switch(mat, SwitchSite(i1, i2, j1, j2))
@@ -200,25 +182,85 @@ class TestSwitchingVf:
                 f1 = switching_f(switched, pair).f_scaled
                 assert f0 - f1 == inc * mat.n
 
-    def test_mc_agrees_with_exact(self):
-        mat = _mats(12, 4, 1, seed=12)[0]
-        pair = VertexSetPair.of(range(5), range(2, 8))
-        exact = switching_vf(mat, pair, mode="exact")
-        mc = switching_vf(
-            mat, pair, mode="mc", samples=30_000, rng=stream_generator(4, 4)
-        )
-        assert mc.bound_ok
-        assert abs(mc.v_f_estimate - float(exact.v_f)) <= 3 * mc.v_f_stderr + 1e-9
-
     def test_cap_guard(self):
         mat = _mats(12, 4, 1, seed=13)[0]
         pair = VertexSetPair.of(range(6), range(6))
         with pytest.raises(ExactCapExceeded):
-            switching_vf(mat, pair, mode="exact", exact_cap=10)
+            switching_vf(mat, pair, exact_cap=10)
 
     def test_requires_proper_sets(self):
         with pytest.raises(ValueError):
-            switching_vf(PARALLEL, VertexSetPair.of([0, 1], []), mode="exact")
+            switching_vf(PARALLEL, VertexSetPair.of([0, 1], []))
+
+
+# (m, n, d, dp): square and biregular, both sides of half density and both
+# ends of it.
+_SMALL_CLASSES = [
+    (8, 8, 3, 3), (12, 12, 4, 4), (16, 16, 4, 4), (20, 20, 13, 13),
+    (6, 9, 3, 2), (9, 6, 2, 3), (3, 6, 2, 1), (4, 4, 2, 2),
+    (5, 5, 1, 1), (5, 5, 4, 4), (7, 7, 0, 0), (7, 7, 7, 7),
+]
+
+
+def _assert_vf_equals_oracles(mat, i1, i2, pair):
+    diag = reflection_vf(mat, i1, i2)
+    total, worst = reflection_vf_oracle(mat, i1, i2)
+    assert (diag.v_f, diag.max_step) == (Fraction(total, 2 * mat.n**2), worst)
+    diag = switching_vf(mat, pair)
+    total, worst = switching_vf_oracle(mat, pair)
+    assert (diag.v_f, diag.max_step) == (Fraction(total, 2), worst)
+
+
+class TestExactVfKernels:
+    """The closed-form v_f kernels equal the site-by-site oracles."""
+
+    @pytest.mark.parametrize("m,n,d,dp", _SMALL_CLASSES)
+    def test_small_classes(self, m, n, d, dp):
+        rng = stream_generator(m * n, d)
+        for mat in _mats(n, d, 4, seed=m + n + d, steps=3000, m=m, dp=dp):
+            i1, i2 = (int(x) for x in rng.choice(m, 2, replace=False))
+            pair = VertexSetPair.of(
+                (int(x) for x in rng.choice(m, int(rng.integers(1, m)), replace=False)),
+                (int(x) for x in rng.choice(n, int(rng.integers(1, n)), replace=False)),
+            )
+            _assert_vf_equals_oracles(mat, i1, i2, pair)
+
+    @pytest.mark.parametrize(
+        "m,n,d,dp,a,b",
+        [(30, 30, 10, 10, 15, 15), (60, 60, 30, 30, 6, 6), (40, 60, 15, 10, 8, 9)],
+    )
+    def test_working_sizes(self, m, n, d, dp, a, b):
+        mat = _mats(n, d, 1, seed=n, steps=3000, m=m, dp=dp)[0]
+        pair = VertexSetPair.of(range(a), range(3, 3 + b))
+        _assert_vf_equals_oracles(mat, 0, 1, pair)
+        _assert_vf_equals_oracles(mat, 7, 3, pair.complement(mat))
+
+    def _peak(self, call):
+        call()  # fills the matrix's cached dense view
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_switching_memory_is_bounded_by_the_block(self):
+        # The whole (pairs, b, n - b) grid at once peaks at about 16 MB here.
+        mat = _mats(60, 30, 1, seed=61, steps=4000)[0]
+        pair = VertexSetPair.of(range(30), range(30))
+        assert self._peak(lambda: switching_vf(mat, pair)) <= 4 * 8 * _BLOCK_CELLS
+
+    def test_reflection_memory_is_bounded_by_the_block(self):
+        # All K sites' walks at once peak at about 53 MB here.
+        mat = _mats(120, 60, 1, seed=121, steps=20_000)[0]
+        assert self._peak(lambda: reflection_vf(mat, 0, 1)) <= 4 * 8 * _BLOCK_CELLS
+
+    def test_bad_pair_scan_memory_is_bounded_by_the_block(self):
+        # Rows 0 and 200 of the circulant are disjoint, so all 200 x 200
+        # Ex pairs are walked; at once that took 16 MB of steps and 128 MB
+        # of walks.
+        mat = _mats(400, 200, 1, seed=401, steps=0)[0]
+        assert self._peak(lambda: reflection_f(mat, 0, 200)) <= 4 * 8 * _BLOCK_CELLS
 
 
 class TestPermutationCoupling:

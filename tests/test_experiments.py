@@ -149,16 +149,28 @@ class TestConfig:
             (dict(kind="switch_mcmc", n=10, d=3), dict(statistic="codegree_uniform", good_event_eta=0.1), "good_event_eta"),
             (dict(kind="erdos_renyi", n=10, p=0.3), dict(statistic="er_codegree", c1=2.0), "'c1' is not read"),
             (dict(kind="permutation_model", n=10, d=3), dict(statistic="perm_edge_count", a=2, b=2, c=0.5), "'c' is not read"),
+            (dict(kind="switch_mcmc", n=10, d=3), dict(statistic="codegree_uniform", i1=5, i2=6), "'i1' is not read"),
             (dict(kind="rejection", m=3, n=6, d=2, dp=1), dict(statistic="edge_count", a=2, b=5), "sampler.m"),
             (dict(kind="switch_mcmc", m=6, n=9, d=3, dp=2), dict(statistic="codegree"), "sampler.m"),
         ],
         ids=["i2-out-of-range", "i1-negative", "i1-equals-i2", "er-i1-out-of-range", "b-above-n",
              "a-zero", "er-a-above-n", "unread-a", "unread-eta", "unread-c1", "unread-c",
-             "biregular-edge", "biregular-codegree"],
+             "unread-i1", "biregular-edge", "biregular-codegree"],
     )
     def test_fields_checked_per_statistic(self, sampler, fields, match):
         with pytest.raises(ValueError, match=match):
             ExperimentConfig(sampler=SamplerSpec(**sampler), grid=(0.5,), N=10, **fields)
+
+    def test_row_pair_defaults_only_where_read(self):
+        def make(statistic, sampler):
+            return ExperimentConfig(sampler=SamplerSpec(**sampler), statistic=statistic, grid=(0.5,), N=10)
+
+        for cfg in (make("codegree", dict(kind="rejection", n=20, d=3)),
+                    make("er_codegree", dict(kind="erdos_renyi", n=20, p=0.3))):
+            assert (cfg.i1, cfg.i2) == (0, 1)
+            assert ExperimentConfig.from_dict(cfg.to_dict()) == cfg
+        cfg = make("codegree_uniform", dict(kind="switch_mcmc", n=10, d=3))
+        assert (cfg.i1, cfg.i2) == (None, None)
 
 
 def _co_dev(x, i, k, n, d):
@@ -433,6 +445,33 @@ def test_shard_memory_stays_near_the_packed_batch(sampler, fields, count):
     finally:
         tracemalloc.stop()
     assert peak <= 2 * batch_bytes + 4 * 2**20
+
+
+def test_permutation_shard_holds_narrow_labels():
+    # 4096 x 5 permutations of 200 labels take 4 MB as uint8, permuted in
+    # place; as int64 labels copied once the shard peaked at 63 MB.
+    count, d, n = 4096, 5, 200
+    cfg = ExperimentConfig(
+        sampler=SamplerSpec(kind="permutation_model", n=n, d=d), statistic="perm_edge_count",
+        grid=(0.5,), N=count, a=60, b=60,
+    )
+    tracemalloc.start()
+    try:
+        experiments._shard_counts(cfg, 0, count)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * count * d * n + 4 * 2**20
+
+
+def test_perm_edge_count_with_b_equal_to_256_labels():
+    # uint8 labels stop at 255, so b = n = 256 puts every label in B: each
+    # sample has e = d*a = mu exactly, an event at tau = 0 and none above.
+    cfg = ExperimentConfig(
+        sampler=SamplerSpec(kind="permutation_model", n=256, d=2), statistic="perm_edge_count",
+        grid=(0.0, 0.5), N=50, a=3, b=256,
+    )
+    assert [row.empirical for row in run_tail_experiment(cfg).rows] == [1.0, 0.0]
 
 
 def test_package_import_leaves_scipy_stats_unloaded():

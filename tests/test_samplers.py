@@ -320,6 +320,15 @@ class TestPermutationModel:
         se = math.sqrt(0.25 * 0.75 / 40_000)
         assert abs(phat - 0.25) < 4 * se
 
+    @pytest.mark.parametrize("n, dtype", [(5, np.uint8), (256, np.uint8), (257, np.uint16), (300, np.uint16)])
+    def test_narrow_labels_keep_the_stream(self, n, dtype):
+        # The same permutations as shuffling int64 labels on the same stream.
+        spec = SamplerSpec(kind="permutation_model", n=n, d=3, seed=21)
+        perms = permutation_batch(spec, 7)
+        wide = spec.rng().permuted(np.tile(np.arange(n, dtype=np.int64), (7 * 3, 1)), axis=1)
+        assert perms.dtype == dtype
+        assert np.array_equal(perms.reshape(7 * 3, n), wide)
+
 
 class TestPackedMembers:
     """sample_many builds class members from row words after one margin
