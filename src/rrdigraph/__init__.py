@@ -5,7 +5,8 @@ digraph (an n x n 0/1 matrix with all line sums d, self-loops allowed)
 and its biregular m x n generalisation:
 
 * ``matrices``      core types, codegrees, edge counts, discrepancy
-* ``samplers``      rejection / switch-chain / permutation-model / ER /
+* ``samplers``      rejection / switch-chain / permutation-model / ER
+                    draws behind ``draw`` and ``sample_many``, and
                     exhaustive enumeration
 * ``couplings``     the simple-switching and reflection involutions
 * ``exchangeable``  exact f and v_f diagnostics for the three couplings,
@@ -43,11 +44,8 @@ from .samplers import (
     SearchSpaceTooLarge,
     circulant,
     enumerate_all,
-    sample_er,
+    draw,
     sample_many,
-    sample_permutation_model,
-    sample_rejection,
-    sample_switch_mcmc,
     stream_generator,
 )
 from .couplings import (

@@ -48,6 +48,9 @@ THEOREMS = (
 DEFAULT_SMALL_C = 1.0 / 64.0
 DEFAULT_POLY_C = 1.0
 
+# Most (A, B) pairs check_pseudorandom_implication enumerates on its own.
+PSEUDORANDOM_ENUMERATION_CAP = 1 << 22
+
 
 @dataclass(frozen=True)
 class TailBoundSpec:
@@ -78,6 +81,11 @@ class TailBoundSpec:
             raise ValueError(f"unknown theorem {self.theorem!r}")
         if self.deviation < 0:
             raise ValueError("deviation parameter must be >= 0")
+        # Every theorem divides by n, and the bipartite ones by m.
+        for name in ("n", "m"):
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                raise ValueError(f"bound field {name!r} must be >= 1, got {value}")
 
 
 @dataclass(frozen=True)
@@ -208,7 +216,6 @@ def check_pseudorandom_implication(
     matrix: BiregularBitMatrix,
     eps: float,
     pairs: Optional[Iterable[Tuple[Sequence[int], Sequence[int]]]] = None,
-    max_enumeration: int = 1 << 22,
 ) -> PseudorandomReport:
     """Check the codegree-to-discrepancy implication on one matrix.
 
@@ -247,7 +254,7 @@ def check_pseudorandom_implication(
             candidates = []
         else:
             subsets = _qualifying_subsets(n, threshold)
-            if len(subsets) ** 2 > max_enumeration:
+            if len(subsets) ** 2 > PSEUDORANDOM_ENUMERATION_CAP:
                 raise ValueError(
                     f"{len(subsets)**2} qualifying pairs exceed the enumeration cap; "
                     "pass an explicit family"

@@ -6,7 +6,7 @@ enumerate.  Exit codes are fixed so CI scripts can gate on them:
   0  success (all verdicts pass)
   1  usage error
   2  a verification suite or tail run found a violated identity/bound
-  3  resource guard (enumeration cap, exact-mode cap, rejection budget)
+  3  resource guard (enumeration cap, exact v_f cost cap, rejection budget)
   4  couple: the requested operation was a no-op (not switchable /
      not reflecting)
 
@@ -39,6 +39,7 @@ from .matrices import (
     format_matrix,
     format_matrices,
     parse_matrices,
+    words_to_dense,
 )
 from .samplers import (
     CLASS_KINDS,
@@ -56,7 +57,8 @@ SCHEMA_VERSION = 1
 # Version 2 of the sigma2 payload has no `tol` or `max_iters` in its config
 # (sigma2 is an exact SVD), version 2 of the stats payload no `format`
 # (stats emits JSON only), and version 2 of the verify payload no
-# `exact_cap` (v_f is always exact); the other payloads keep version 1.
+# v_f cap in its config (v_f is always exact); the other payloads keep
+# version 1.
 SIGMA2_SCHEMA_VERSION = 2
 STATS_SCHEMA_VERSION = 2
 
@@ -118,7 +120,10 @@ def _cmd_sample(args) -> int:
     else:
         # Multigraph / Bernoulli outputs are not class members, so the
         # bit-exact matrix text format does not apply; emit JSON instead.
-        payload = dict(head, samples=draw(spec, args.count)[0].tolist())
+        batch, _ = draw(spec, args.count)
+        if spec.kind == "erdos_renyi":
+            batch = words_to_dense(batch, spec.n)
+        payload = dict(head, samples=batch.tolist())
         text = json.dumps(payload)
     if args.out:
         Path(args.out).write_text(text)
@@ -315,14 +320,16 @@ def _cmd_sigma2(args) -> int:
     if getattr(args, "in"):
         matrix = _read_matrix(getattr(args, "in"))
         source = {"in": getattr(args, "in")}
-    elif args.sample:
-        spec = _parse_sampler_string(args.sample)
-        matrix = sample_many(spec, 1)[0]
-        source = dataclasses.asdict(spec)
     else:
-        if args.kind is None or args.n == 0:
+        if args.sample:
+            spec = _parse_sampler_string(args.sample)
+        elif args.kind is None or args.n == 0:
             raise _UsageError("sigma2 needs --in, --sample, or sampler flags (--kind/--n/--d)")
-        spec = dataclasses.replace(_spec_from_args(args), seed=args.seed or 0)
+        else:
+            spec = dataclasses.replace(_spec_from_args(args), seed=args.seed or 0)
+        if spec.kind not in CLASS_KINDS:
+            raise _UsageError(f"sigma2 needs a class-valued sampler kind {CLASS_KINDS}, "
+                              f"got {spec.kind!r}")
         matrix = sample_many(spec, 1)[0]
         source = dataclasses.asdict(spec)
     report = sigma2(matrix)

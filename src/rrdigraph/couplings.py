@@ -44,10 +44,6 @@ __all__ = [
 # does not grow with the class.
 _BLOCK_CELLS = 1 << 18
 
-# Post-hoc membership validation of involution outputs; the first-return
-# argument guarantees validity, so the hot path leaves this off.
-VALIDATE_OUTPUTS = False
-
 MINOR_I = ((1, 0), (0, 1))
 MINOR_J = ((0, 1), (1, 0))
 
@@ -94,10 +90,7 @@ def simple_switch(matrix: BiregularBitMatrix, site: SwitchSite) -> BiregularBitM
     rows = list(matrix.rows)
     rows[site.i1] ^= flip
     rows[site.i2] ^= flip
-    out = BiregularBitMatrix(rows, matrix.n, _trusted=True)
-    if VALIDATE_OUTPUTS:
-        out.validate()
-    return out
+    return BiregularBitMatrix(rows, matrix.n, _trusted=True)
 
 
 @dataclass(frozen=True)
@@ -187,10 +180,7 @@ def reflect(
         b2 = (row >> j2) & 1
         if b1 != b2:
             rows[i] = row ^ swap_mask
-    out = BiregularBitMatrix(rows, matrix.n, _trusted=True)
-    if VALIDATE_OUTPUTS:
-        out.validate()
-    return out
+    return BiregularBitMatrix(rows, matrix.n, _trusted=True)
 
 
 def _bits(value: int) -> list:

@@ -71,8 +71,8 @@ class ExactCapExceeded(ResourceGuardError):
 class CouplingDiagnostics:
     """Exact integer-scaled f and v_f for one coupling instance.
 
-    f equals f_scaled / scale and v_f is an exact Fraction.  bound_ok
-    records the exact self-bounding inequality check.
+    f equals f_scaled / scale; v_f and its self-bound are exact Fractions,
+    set by the functions that compute v_f.
     """
 
     coupling: str  # "reflection" | "switching" | "permutation"
@@ -84,12 +84,19 @@ class CouplingDiagnostics:
     f2_scaled: Optional[int] = None
     K1: Optional[Fraction] = None
     K2: Optional[Fraction] = None
-    bound_ok: Optional[bool] = None
+    bound: Optional[Fraction] = None  # the coupling's self-bound on v_f
     max_step: Optional[int] = None  # worst |f - f~| over the active sites
 
     @property
     def f(self) -> Fraction:
         return Fraction(self.f_scaled, self.scale)
+
+    @property
+    def bound_ok(self) -> Optional[bool]:
+        """v_f <= bound, exactly; None until both are set."""
+        if self.v_f is None or self.bound is None:
+            return None
+        return self.v_f <= self.bound
 
 
 @dataclass(frozen=True)
@@ -191,7 +198,6 @@ def reflection_vf(
     i1: int,
     i2: int,
     order: Optional[RowOrder] = None,
-    exact_cap: int = REFLECTION_EXACT_CAP,
 ) -> CouplingDiagnostics:
     """Exact v_f of the reflection pair plus the bound v_f <= f + 2*d_hat^2/n.
 
@@ -199,21 +205,22 @@ def reflection_vf(
     column pairs, those with |F| = n: every K minor and every reflecting I
     minor.  With R and C the row and column sums of the bad-pair mask, a
     reflecting I site (c1, c2) moves f by R[c1] + C[c2] - n; a K site by
-    n - b_new (see _k_site_steps).  Guarded by m*d*(n-d)*d_hat <= exact_cap.
+    n - b_new (see _k_site_steps).  Guarded by
+    m*d*(n-d)*d_hat <= REFLECTION_EXACT_CAP.
     """
     if i1 == i2:
         raise ValueError("reflection_vf requires two distinct rows")
     cost = matrix.m * matrix.d * (matrix.n - matrix.d) * matrix.d_hat
-    if cost > exact_cap:
+    if cost > REFLECTION_EXACT_CAP:
         raise ExactCapExceeded(
             f"exact reflection v_f needs m*d*(n-d)*d_hat = {cost} walk steps, "
-            f"above the cap of {exact_cap}"
+            f"above the cap of {REFLECTION_EXACT_CAP}"
         )
     order = RowOrder(i1, i2) if order is None else order
     n = matrix.n
     ex1, ex2, bad = _bad_mask(matrix, i1, i2, order)
     diag = _reflection_f(matrix, i1, i2, int(bad.sum()))
-    bound = diag.f + Fraction(2 * matrix.d_hat**2, n)
+    diag.bound = diag.f + Fraction(2 * matrix.d_hat**2, n)
 
     i_steps = np.abs(bad.sum(axis=1)[:, None] + bad.sum(axis=0)[None, :] - n)[~bad]
     total = int(i_steps.sum())
@@ -235,10 +242,9 @@ def reflection_vf(
 
     diag.v_f = Fraction(total, 2 * n * n)
     diag.max_step = worst
-    diag.bound_ok = diag.v_f <= bound
     if not diag.bound_ok:
         raise InvariantViolation(
-            f"reflection self-bound failed: v_f = {diag.v_f} > {bound}"
+            f"reflection self-bound failed: v_f = {diag.v_f} > {diag.bound}"
         )
     return diag
 
@@ -370,18 +376,14 @@ def _switching_steps(dense, rows_a, rows_c, cols_b, cols_c, nb, ex) -> Iterator[
             yield np.abs(delta[sites])
 
 
-def switching_vf(
-    matrix: BiregularBitMatrix,
-    pair: VertexSetPair,
-    exact_cap: int = SWITCHING_EXACT_CAP,
-) -> CouplingDiagnostics:
+def switching_vf(matrix: BiregularBitMatrix, pair: VertexSetPair) -> CouplingDiagnostics:
     """Exact v_f of the switching pair plus v_f <= m*d_hat*(f + 2*m*d_hat*mu).
 
     v_f = (1/2) * sum over switchable sites of |f - f~| (the K_ab
     normalisations cancel), with every site's difference in closed form
-    (see _switching_steps); guarded by K_ab = a(m-a)b(n-b) <= exact_cap for
-    the reduced (A, B).  Also asserts the per-site step bound
-    |f - f~| <= 2 m d_hat.
+    (see _switching_steps); guarded by K_ab = a(m-a)b(n-b) <=
+    SWITCHING_EXACT_CAP for the reduced (A, B).  Also asserts the per-site
+    step bound |f - f~| <= 2 m d_hat.
     """
     pair.validate(matrix)
     pair = _reduce_pair(matrix, pair)
@@ -390,15 +392,14 @@ def switching_vf(
         raise ValueError("switching_vf requires proper nonempty A and B")
     a, b = pair.a, pair.b
     k_ab = a * (m - a) * b * (n - b)
-    if k_ab > exact_cap:
+    if k_ab > SWITCHING_EXACT_CAP:
         raise ExactCapExceeded(
             f"exact switching v_f needs K_ab = a(m-a)b(n-b) = {k_ab} site cells, "
-            f"above the cap of {exact_cap}"
+            f"above the cap of {SWITCHING_EXACT_CAP}"
         )
     diag = switching_f(matrix, pair)
-    mu = pair.mu(matrix)
     d_hat = matrix.d_hat
-    bound = Fraction(m * d_hat) * (diag.f + 2 * m * d_hat * mu)
+    diag.bound = Fraction(m * d_hat) * (diag.f + 2 * m * d_hat * pair.mu(matrix))
     step_cap = 2 * m * d_hat
 
     total = 0
@@ -412,10 +413,9 @@ def switching_vf(
         )
     diag.v_f = Fraction(total, 2)
     diag.max_step = worst
-    diag.bound_ok = diag.v_f <= bound
     if not diag.bound_ok:
         raise InvariantViolation(
-            f"switching self-bound failed: v_f = {diag.v_f} > {bound}"
+            f"switching self-bound failed: v_f = {diag.v_f} > {diag.bound}"
         )
     return diag
 
@@ -466,22 +466,20 @@ def permutation_diagnostics(
         raise InvariantViolation(
             f"permutation identity broke: enumerated {s_total} != n*e - d*a*b = {identity_rhs}"
         )
-    v_f = Fraction(s_total, 2 * n) + Fraction(t_total, n)
-    bound = Fraction(s_total, 2 * n) + Fraction(d * a * b, n)
-    bound_ok = t_total <= d * a * b
-    if not bound_ok:
-        raise InvariantViolation(
-            f"permutation self-bound failed: T = {t_total} > d*a*b = {d * a * b}"
-        )
-    return CouplingDiagnostics(
+    diag = CouplingDiagnostics(
         coupling="permutation",
         f_scaled=s_total,
         scale=n,
-        v_f=v_f,
+        v_f=Fraction(s_total, 2 * n) + Fraction(t_total, n),
         K1=Fraction(d * a * b, n),
         K2=Fraction(1, 2),
-        bound_ok=bound_ok,
+        bound=Fraction(s_total, 2 * n) + Fraction(d * a * b, n),
     )
+    if not diag.bound_ok:
+        raise InvariantViolation(
+            f"permutation self-bound failed: T = {t_total} > d*a*b = {d * a * b}"
+        )
+    return diag
 
 
 def permutation_f(pi: PermutationTuple, pair: VertexSetPair) -> Fraction:

@@ -25,7 +25,8 @@ from typing import Callable, List, Optional, Tuple, Union, get_args, get_origin,
 import numpy as np
 
 from .bounds import BoundValue, TailBoundSpec, eval_bound
-from .samplers import CLASS_KINDS, SamplerSpec, _rows_to_words, _words_to_rows, draw_packed, enumerate_all
+from .matrices import rows_to_words, words_to_rows
+from .samplers import CLASS_KINDS, SamplerSpec, draw, enumerate_all
 
 __all__ = [
     "ExperimentConfig",
@@ -243,7 +244,7 @@ def _row_codegree(cfg: ExperimentConfig, words: np.ndarray) -> np.ndarray:
 def _box_edges(cfg: ExperimentConfig, words: np.ndarray) -> np.ndarray:
     """e(A, B) per sample, for the first a rows and the first b columns: the
     popcount of those rows masked by those columns."""
-    columns = _rows_to_words([(1 << cfg.b) - 1], cfg.sampler.n)[0]
+    columns = rows_to_words([(1 << cfg.b) - 1], cfg.sampler.n)[0]
     return np.bitwise_count(words[:, : cfg.a] & columns).sum(axis=(1, 2), dtype=np.int64)
 
 
@@ -352,7 +353,7 @@ def _shard_counts(cfg: ExperimentConfig, shard_index: int, count: int) -> Tuple[
     spec = dataclasses.replace(
         cfg.sampler, seed=cfg.seed, stream=cfg.sampler.stream + shard_index
     )
-    batch, attempts = draw_packed(spec, count)
+    batch, attempts = draw(spec, count)
     masks = _STATISTICS[cfg.statistic].events(cfg, batch)
     return np.array([int(mask.sum()) for mask in masks], dtype=np.int64), attempts
 
@@ -501,8 +502,8 @@ def uniformity_test(
     shard = 0
     while produced < N:
         take = min(SHARD_SIZE, N - produced)
-        words, _ = draw_packed(dataclasses.replace(sampler, stream=sampler.stream + shard), take)
-        for row_key in _words_to_rows(words):
+        words, _ = draw(dataclasses.replace(sampler, stream=sampler.stream + shard), take)
+        for row_key in words_to_rows(words):
             counts[index[row_key]] += 1
         produced += take
         shard += 1

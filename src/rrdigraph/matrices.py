@@ -36,6 +36,10 @@ __all__ = [
     "parse_matrices",
     "format_matrix",
     "format_matrices",
+    "rows_to_words",
+    "words_to_rows",
+    "words_to_dense",
+    "dense_to_words",
 ]
 
 
@@ -43,14 +47,44 @@ class InvalidMatrixError(ValueError):
     """Raised when entries violate the fixed row/column sum constraints."""
 
 
-def _pack_bits(bits: np.ndarray) -> int:
-    return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
+# -- packed row words ----------------------------------------------------------
+#
+# A batch of matrices travels as (..., m, L) uint64 row words, L = ceil(n/64),
+# with bit j of row i in word j // 64 at position j % 64: the packed row int
+# of a BiregularBitMatrix, cut into little-endian 64-bit words.  These four
+# converters are the only code that turns that layout into row ints or dense
+# entries and back.
 
 
-def _unpack_bits(value: int, n: int) -> np.ndarray:
-    nbytes = (n + 7) // 8
-    raw = np.frombuffer(value.to_bytes(nbytes, "little"), dtype=np.uint8)
-    return np.unpackbits(raw, bitorder="little")[:n]
+def rows_to_words(rows: Sequence[int], n: int) -> np.ndarray:
+    """(m, L) uint64 words of m packed row ints."""
+    width = (n + 63) // 64
+    raw = b"".join(int(r).to_bytes(8 * width, "little") for r in rows)
+    return np.frombuffer(raw, dtype="<u8").reshape(len(rows), width).astype(np.uint64)
+
+
+def words_to_rows(words: np.ndarray) -> list:
+    """(count, m, L) words as count tuples of m packed row ints."""
+    count, m, width = words.shape
+    raw = words.astype("<u8", copy=False).tobytes()
+    step = 8 * width
+    ints = [int.from_bytes(raw[k : k + step], "little") for k in range(0, len(raw), step)]
+    return [tuple(ints[s * m : (s + 1) * m]) for s in range(count)]
+
+
+def words_to_dense(words: np.ndarray, n: int) -> np.ndarray:
+    """(..., m, L) words as (..., m, n) uint8 entries: the first n bits of
+    each row."""
+    raw = words.astype("<u8", copy=False).view(np.uint8)
+    return np.unpackbits(raw, axis=-1, count=n, bitorder="little")
+
+
+def dense_to_words(dense: np.ndarray) -> np.ndarray:
+    """(..., m, n) 0/1 entries as (..., m, L) uint64 words."""
+    n = dense.shape[-1]
+    raw = np.zeros((*dense.shape[:-1], 8 * ((n + 63) // 64)), dtype=np.uint8)
+    raw[..., : (n + 7) // 8] = np.packbits(dense, axis=-1, bitorder="little")
+    return raw.view("<u8").astype(np.uint64, copy=False)
 
 
 class BiregularBitMatrix:
@@ -97,9 +131,8 @@ class BiregularBitMatrix:
             raise InvalidMatrixError("dense input must be 2-dimensional")
         if not np.isin(arr, (0, 1)).all():
             raise InvalidMatrixError("dense input must be 0/1 valued")
-        arr = arr.astype(np.uint8)
-        rows = [_pack_bits(arr[i]) for i in range(arr.shape[0])]
-        return cls(rows, arr.shape[1])
+        words = dense_to_words(arr.astype(np.uint8))
+        return cls(words_to_rows(words[None])[0], arr.shape[1])
 
     @classmethod
     def from_supports(cls, supports: Iterable[Iterable[int]], n: int) -> "BiregularBitMatrix":
@@ -162,9 +195,7 @@ class BiregularBitMatrix:
     def dense(self) -> np.ndarray:
         """Dense uint8 view (cached; treat as read-only)."""
         if self._dense is None:
-            out = np.empty((self.m, self.n), dtype=np.uint8)
-            for i, r in enumerate(self.rows):
-                out[i] = _unpack_bits(r, self.n)
+            out = words_to_dense(rows_to_words(self.rows, self.n), self.n)
             out.setflags(write=False)
             self._dense = out
         return self._dense

@@ -1,6 +1,6 @@
 """Samplers for regular digraph distributions.
 
-Five generation modes:
+Four sampler kinds, and an exhaustive generator of tiny classes:
 
 * ``rejection``: stub matching (a fiber of d out-points per row, dp
   in-points per column, matched by a uniform permutation and collapsed),
@@ -17,18 +17,22 @@ Five generation modes:
 * ``permutation_model``: sum of d iid uniform permutation matrices (a
   d-regular directed multigraph).
 * ``erdos_renyi``: iid Bernoulli(p) entries, the comparison baseline.
-* ``enumerate``: exhaustive generation of tiny classes, the exact oracle
-  for distribution tests.
+* ``enumerate_all``: exhaustive generation of tiny classes, the exact
+  oracle for distribution tests.
+
+There are two ways to draw: ``draw(spec, count)`` returns one array and
+the attempts made, and ``sample_many(spec, count)`` returns objects.  Both
+read the spec's stream through the same kernel, so a single draw is
+``sample_many(spec, 1)[0]``.
 
 Randomness comes from counter-based Philox streams keyed by
 (seed, stream), so distinct stream indices give independent reproducible
 streams with no coordination.  Identical (spec, count) always reproduces
 the same output sequence bit for bit.
 
-Class and Bernoulli draws travel as packed (count, m, L) uint64 row words,
-L = ceil(n/64), with bit j of row i in word j // 64 at position j % 64.
-Dense (count, m, n) uint8 arrays appear only in the ``*_dense`` views and
-``draw``.
+Class and Bernoulli draws travel as packed (count, m, L) uint64 row words
+(the layout of ``matrices.rows_to_words``).  Dense (count, m, n) uint8
+arrays appear only in the ``*_dense`` views.
 """
 
 from __future__ import annotations
@@ -40,7 +44,14 @@ from typing import Iterator, Optional, Tuple
 
 import numpy as np
 
-from .matrices import BiregularBitMatrix, InvalidMatrixError
+from .matrices import (
+    BiregularBitMatrix,
+    InvalidMatrixError,
+    dense_to_words,
+    rows_to_words,
+    words_to_dense,
+    words_to_rows,
+)
 
 __all__ = [
     "SamplerSpec",
@@ -50,13 +61,9 @@ __all__ = [
     "SearchSpaceTooLarge",
     "stream_generator",
     "circulant",
-    "sample_rejection",
-    "sample_switch_mcmc",
-    "sample_permutation_model",
-    "sample_er",
     "sample_many",
     "draw",
-    "draw_packed",
+    "SAMPLER_KINDS",
     "CLASS_KINDS",
     "rejection_words",
     "rejection_dense",
@@ -64,12 +71,10 @@ __all__ = [
     "switch_mcmc_dense",
     "permutation_batch",
     "er_words",
-    "er_dense",
     "enumerate_all",
     "enumeration_size_bound",
 ]
 
-SAMPLER_KINDS = ("rejection", "switch_mcmc", "permutation_model", "erdos_renyi", "enumerate")
 # Kinds whose draws are members of the biregular class.
 CLASS_KINDS = ("rejection", "switch_mcmc")
 
@@ -113,7 +118,7 @@ class SamplerSpec:
     stream: int = 0
 
     def __post_init__(self):
-        if self.kind not in SAMPLER_KINDS:
+        if self.kind not in _KERNELS:
             raise ValueError(f"unknown sampler kind {self.kind!r}")
         if self.kind == "erdos_renyi":
             if self.p is None or not 0.0 <= self.p <= 1.0:
@@ -176,29 +181,8 @@ def circulant(n: int, d: int, m: Optional[int] = None) -> BiregularBitMatrix:
 
 # -- packed row words ----------------------------------------------------------------
 
+# _WORD_BITS[j % 64] is the bit of column j within its word.
 _WORD_BITS = np.uint64(1) << np.arange(64, dtype=np.uint64)
-
-
-def _rows_to_words(rows, n: int) -> np.ndarray:
-    """(m, L) uint64 little-endian words of packed row ints."""
-    width = (n + 63) // 64
-    raw = b"".join(int(r).to_bytes(8 * width, "little") for r in rows)
-    return np.frombuffer(raw, dtype="<u8").reshape(len(rows), width).astype(np.uint64)
-
-
-def _words_to_rows(words: np.ndarray) -> list:
-    """(count, m, L) words as count tuples of m packed row ints."""
-    count, m, width = words.shape
-    raw = words.astype("<u8", copy=False).tobytes()
-    step = 8 * width
-    ints = [int.from_bytes(raw[k : k + step], "little") for k in range(0, len(raw), step)]
-    return [tuple(ints[s * m : (s + 1) * m]) for s in range(count)]
-
-
-def _words_to_dense(words: np.ndarray, n: int) -> np.ndarray:
-    """(..., m, L) uint64 words as (..., m, n) uint8 entries."""
-    raw = words.astype("<u8", copy=False).view(np.uint8)
-    return np.unpackbits(raw, axis=-1, count=n, bitorder="little")
 
 
 def _members(spec: SamplerSpec, words: np.ndarray) -> list:
@@ -206,10 +190,10 @@ def _members(spec: SamplerSpec, words: np.ndarray) -> list:
     every row holds d set bits and every column dp.  The row counts include
     the pad bits past column n, so with m*d = n*dp no pad bit can be set."""
     n = spec.n
-    bits = np.unpackbits(words.astype("<u8", copy=False).view(np.uint8), axis=-1, bitorder="little")
+    bits = words_to_dense(words, 64 * words.shape[-1])  # pad bits included
     if (bits.sum(axis=2) != spec.d).any() or (bits[..., :n].sum(axis=1) != spec.dp).any():
         raise InvalidMatrixError(f"a {spec.kind} draw has margins other than d={spec.d}, dp={spec.dp}")
-    return [BiregularBitMatrix(rows, n, _trusted=True) for rows in _words_to_rows(words)]
+    return [BiregularBitMatrix(rows, n, _trusted=True) for rows in words_to_rows(words)]
 
 
 # -- rejection (configuration model) -----------------------------------------------
@@ -221,9 +205,7 @@ _REJECTION_FIRST_ENTRIES = 1 << 12
 _REJECTION_POOL_ENTRIES = 1 << 21
 
 
-def rejection_words(
-    spec: SamplerSpec, count: int, rng: Optional[np.random.Generator] = None
-) -> Tuple[np.ndarray, int]:
+def rejection_words(spec: SamplerSpec, count: int) -> Tuple[np.ndarray, int]:
     """(words, attempts): `count` exactly-uniform class members as (count, m, L)
     row words, and the number of attempts up to and including the last one
     whose sample is kept.
@@ -239,12 +221,12 @@ def rejection_words(
     if spec.kind != "rejection":
         raise ValueError("spec.kind must be 'rejection'")
     m, n, d, dp = spec.m, spec.n, spec.d, spec.dp
-    rng = spec.rng() if rng is None else rng
+    rng = spec.rng()
     width = (n + 63) // 64
     out = np.zeros((count, m, width), dtype=np.uint64)
     if d == 0 or d == n:
         # Degenerate class with a single element; nothing to sample.
-        out[:] = _rows_to_words([(1 << n) - 1 if d else 0] * m, n)
+        out[:] = rows_to_words([(1 << n) - 1 if d else 0] * m, n)
         return out, count
     md = m * d
     largest = max(1, min(spec.max_attempts, _REJECTION_POOL_ENTRIES // md))
@@ -297,22 +279,9 @@ def rejection_words(
     return out, attempts
 
 
-def _rejection(
-    spec: SamplerSpec, count: int, rng: Optional[np.random.Generator] = None
-) -> Tuple[np.ndarray, int]:
-    """rejection_words with its samples as a (count, m, n) uint8 array."""
-    words, attempts = rejection_words(spec, count, rng)
-    return _words_to_dense(words, spec.n), attempts
-
-
-def rejection_dense(spec: SamplerSpec, count: int, rng: Optional[np.random.Generator] = None) -> np.ndarray:
-    """`count` exactly-uniform class members as a (count, m, n) uint8 array."""
-    return _rejection(spec, count, rng)[0]
-
-
-def sample_rejection(spec: SamplerSpec, rng: Optional[np.random.Generator] = None) -> BiregularBitMatrix:
-    """One exactly-uniform draw from the biregular class."""
-    return _members(spec, rejection_words(spec, 1, rng)[0])[0]
+def rejection_dense(spec: SamplerSpec, count: int) -> np.ndarray:
+    """rejection_words' samples as a (count, m, n) uint8 array."""
+    return words_to_dense(rejection_words(spec, count)[0], spec.n)
 
 
 # -- switch chain --------------------------------------------------------------------
@@ -404,7 +373,7 @@ def _switch_words(words: np.ndarray, m: int, n: int, sites: np.ndarray) -> None:
             flat[p[hit]] ^= b[hit]
 
 
-def switch_mcmc_words(spec: SamplerSpec, count: int, rng: Optional[np.random.Generator] = None) -> np.ndarray:
+def switch_mcmc_words(spec: SamplerSpec, count: int) -> np.ndarray:
     """`count` independent switch chains, each run for spec.resolved_steps steps.
 
     Chains start at the circulant matrix and apply uniformly random simple
@@ -419,29 +388,23 @@ def switch_mcmc_words(spec: SamplerSpec, count: int, rng: Optional[np.random.Gen
     if spec.kind != "switch_mcmc":
         raise ValueError("spec.kind must be 'switch_mcmc'")
     m, n = spec.m, spec.n
-    rng = spec.rng() if rng is None else rng
     start = circulant(n, spec.d, m).rows
-    blocks = _site_blocks(rng, m, n, spec.resolved_steps, count)
+    blocks = _site_blocks(spec.rng(), m, n, spec.resolved_steps, count)
     if count == 1:
         rows = list(start)
         for sites in blocks:
             _switch_rows(rows, m, n, sites[:, 0])
-        return _rows_to_words(rows, n)[None]
-    start_words = _rows_to_words(start, n)
+        return rows_to_words(rows, n)[None]
+    start_words = rows_to_words(start, n)
     words = np.broadcast_to(start_words, (count, *start_words.shape)).copy()
     for sites in blocks:
         _switch_words(words, m, n, sites)
     return words
 
 
-def switch_mcmc_dense(spec: SamplerSpec, count: int, rng: Optional[np.random.Generator] = None) -> np.ndarray:
+def switch_mcmc_dense(spec: SamplerSpec, count: int) -> np.ndarray:
     """switch_mcmc_words as a (count, m, n) uint8 array."""
-    return _words_to_dense(switch_mcmc_words(spec, count, rng), spec.n)
-
-
-def sample_switch_mcmc(spec: SamplerSpec, rng: Optional[np.random.Generator] = None) -> BiregularBitMatrix:
-    """One approximately-uniform draw via the switch chain."""
-    return _members(spec, switch_mcmc_words(spec, 1, rng))[0]
+    return words_to_dense(switch_mcmc_words(spec, count), spec.n)
 
 
 # -- permutation model ---------------------------------------------------------------
@@ -449,17 +412,16 @@ def sample_switch_mcmc(spec: SamplerSpec, rng: Optional[np.random.Generator] = N
 
 @dataclass(frozen=True)
 class PermutationTuple:
-    """d permutations of [n]; their matrix sum is a d-regular multigraph."""
+    """d permutations of [n]; their matrix sum is a d-regular multigraph.
+    n is stored, since a tuple of d = 0 permutations has none to read it
+    from."""
 
     perms: tuple  # tuple of d tuples, each a permutation of range(n)
+    n: int
 
     @property
     def d(self) -> int:
         return len(self.perms)
-
-    @property
-    def n(self) -> int:
-        return len(self.perms[0])
 
     def multiplicity(self) -> np.ndarray:
         """Entrywise sum of the d permutation matrices (values in [0, d])."""
@@ -476,23 +438,17 @@ class PermutationTuple:
                 raise ValueError("not a permutation of range(n)")
 
 
-def permutation_batch(spec: SamplerSpec, count: int, rng: Optional[np.random.Generator] = None) -> np.ndarray:
+def permutation_batch(spec: SamplerSpec, count: int) -> np.ndarray:
     """(count, d, n) array of iid uniform permutations, in the narrowest of
     uint8, uint16 and int32 that holds the labels; `Generator.permuted`
     gives the same permutations whatever the dtype."""
     if spec.kind != "permutation_model":
         raise ValueError("spec.kind must be 'permutation_model'")
-    rng = spec.rng() if rng is None else rng
     n, d = spec.n, spec.d
     dtype = np.uint8 if n <= 1 << 8 else np.uint16 if n <= 1 << 16 else np.int32
     perms = np.tile(np.arange(n, dtype=dtype), (count * d, 1))
-    rng.permuted(perms, axis=1, out=perms)
+    spec.rng().permuted(perms, axis=1, out=perms)
     return perms.reshape(count, d, n)
-
-
-def sample_permutation_model(spec: SamplerSpec, rng: Optional[np.random.Generator] = None) -> PermutationTuple:
-    perms = permutation_batch(spec, 1, rng)[0]
-    return PermutationTuple(tuple(tuple(int(x) for x in perm) for perm in perms))
 
 
 # -- Erdos-Renyi digraph --------------------------------------------------------------
@@ -501,30 +457,19 @@ def sample_permutation_model(spec: SamplerSpec, rng: Optional[np.random.Generato
 _ER_BLOCK_ENTRIES = 1 << 18  # uniforms drawn per step of er_words
 
 
-def er_words(spec: SamplerSpec, count: int, rng: Optional[np.random.Generator] = None) -> np.ndarray:
+def er_words(spec: SamplerSpec, count: int) -> np.ndarray:
     """(count, n, L) row words of iid Bernoulli(p) entries."""
     if spec.kind != "erdos_renyi":
         raise ValueError("spec.kind must be 'erdos_renyi'")
-    rng = spec.rng() if rng is None else rng
+    rng = spec.rng()
     n = spec.n
-    raw = np.zeros((count, n, 8 * ((n + 63) // 64)), dtype=np.uint8)
+    out = np.empty((count, n, (n + 63) // 64), dtype=np.uint64)
     # A few samples at a time: the same stream as one draw of (count, n, n)
     # uniforms, without holding them all.
     step = max(1, _ER_BLOCK_ENTRIES // (n * n))
     for start in range(0, count, step):
-        part = rng.random((min(step, count - start), n, n)) < spec.p
-        raw[start : start + step, :, : (n + 7) // 8] = np.packbits(part, axis=-1, bitorder="little")
-    return raw.view("<u8").astype(np.uint64, copy=False)
-
-
-def er_dense(spec: SamplerSpec, count: int, rng: Optional[np.random.Generator] = None) -> np.ndarray:
-    """(count, n, n) iid Bernoulli(p) 0/1 entries."""
-    return _words_to_dense(er_words(spec, count, rng), spec.n)
-
-
-def sample_er(spec: SamplerSpec, rng: Optional[np.random.Generator] = None) -> np.ndarray:
-    """One n x n Bernoulli(p) 0/1 matrix (no regularity constraint)."""
-    return er_dense(spec, 1, rng)[0]
+        out[start : start + step] = dense_to_words(rng.random((min(step, count - start), n, n)) < spec.p)
+    return out
 
 
 # -- exhaustive enumeration ------------------------------------------------------------
@@ -548,6 +493,9 @@ def enumerate_all(
     with each row's candidate masks in ascending integer order.  Guarded
     by a search-space cap (raises SearchSpaceTooLarge).
     """
+    for name, value in (("n", n), ("m", m)):
+        if value < 1:
+            raise ValueError(f"enumeration field {name!r} must be >= 1, got {value}")
     dp = d * m // n if dp is None else dp
     if m * d != n * dp:
         raise ValueError(f"edge-count mismatch: m*d = {m * d} != n*dp = {n * dp}")
@@ -607,7 +555,7 @@ def enumerate_all(
     return rec()
 
 
-# -- unified front door -----------------------------------------------------------------
+# -- the two front doors ----------------------------------------------------------------
 
 # The packed kernel behind each kind, as (samples, attempts).  Each entry
 # looks its kernel up by module-level name when called, so a wrapper
@@ -619,9 +567,10 @@ _KERNELS = {
     "permutation_model": lambda spec, count: (permutation_batch(spec, count), count),
     "erdos_renyi": lambda spec, count: (er_words(spec, count), count),
 }
+SAMPLER_KINDS = tuple(_KERNELS)
 
 
-def draw_packed(spec: SamplerSpec, count: int) -> Tuple[np.ndarray, int]:
+def draw(spec: SamplerSpec, count: int) -> Tuple[np.ndarray, int]:
     """`count` samples of the spec's kind as one array, and the attempts made.
 
     The array is (count, m, L) uint64 row words for the class kinds and the
@@ -630,29 +579,20 @@ def draw_packed(spec: SamplerSpec, count: int) -> Tuple[np.ndarray, int]:
     """
     if count < 0:
         raise ValueError("count must be >= 0")
-    if spec.kind == "enumerate":
-        raise ValueError("use enumerate_all() for exhaustive generation")
     return _KERNELS[spec.kind](spec, count)
 
 
-def draw(spec: SamplerSpec, count: int) -> Tuple[np.ndarray, int]:
-    """draw_packed with row words as (count, m, n) uint8 entries."""
-    batch, attempts = draw_packed(spec, count)
-    return (batch if spec.kind == "permutation_model" else _words_to_dense(batch, spec.n)), attempts
+def sample_many(spec: SamplerSpec, count: int) -> list:
+    """`count` samples of the spec's kind as objects: class members as
+    BiregularBitMatrix, permutation draws as PermutationTuple and Bernoulli
+    draws as (n, n) uint8 arrays.
 
-
-def sample_many(spec: SamplerSpec, count: int):
-    """Draw `count` samples of the spec's kind (objects, not raw arrays).
-
-    This is the canonical sequence: identical (spec, count) reproduces it
-    bit for bit.
+    The objects are those of draw(spec, count), so identical (spec, count)
+    reproduces them bit for bit.
     """
-    if spec.kind in CLASS_KINDS:
-        return _members(spec, draw_packed(spec, count)[0])
     batch, _ = draw(spec, count)
+    if spec.kind in CLASS_KINDS:
+        return _members(spec, batch)
     if spec.kind == "permutation_model":
-        return [
-            PermutationTuple(tuple(tuple(int(x) for x in perm) for perm in sample))
-            for sample in batch
-        ]
-    return list(batch)
+        return [PermutationTuple(tuple(map(tuple, sample)), spec.n) for sample in batch.tolist()]
+    return list(words_to_dense(batch, spec.n))

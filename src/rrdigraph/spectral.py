@@ -46,18 +46,20 @@ def sigma2(matrix: BiregularBitMatrix) -> SpectralReport:
     return SpectralReport(float(values[0]), float(values[1]), 0, 0.0, True)
 
 
-def alpha_exact(matrix: BiregularBitMatrix, cap: int = ALPHA_EXACT_CAP) -> float:
+def alpha_exact(matrix: BiregularBitMatrix) -> float:
     """max over nonempty A, B of |e(A,B) - p|A||B|| / sqrt(|A||B|).
 
-    Exhaustive over the 2^n row sets, so guarded by n <= cap.  For each A
-    and b = |B| the numerator max |n e - d a b| / n is an exact integer
-    taken from the sorted column sums over A.
+    Exhaustive over the 2^n row sets, so guarded by n <= ALPHA_EXACT_CAP.
+    For each A and b = |B| the numerator max |n e - d a b| / n is an exact
+    integer taken from the sorted column sums over A.
     """
     if matrix.m != matrix.n:
         raise ValueError("alpha_exact is defined here for the square digraph case")
     n, d = matrix.n, matrix.d
-    if n > cap:
-        raise SearchSpaceTooLarge(f"alpha_exact enumerates 2^{n} row sets; cap is n <= {cap}")
+    if n > ALPHA_EXACT_CAP:
+        raise SearchSpaceTooLarge(
+            f"alpha_exact enumerates 2^{n} row sets; cap is n <= {ALPHA_EXACT_CAP}"
+        )
     size = 1 << n
     dense = matrix.dense().astype(np.int64)
     # colsums[mask] = column sums of the row set `mask`; popcount[mask] = |mask|.

@@ -225,17 +225,22 @@ class TestVerifyCli:
 
     def test_zero_check_record_is_vacuous(self, capsys):
         # At d = 0 no minor is switchable, so membership of switched
-        # outputs is never checked.
-        code, stdout, _ = run(
-            capsys, "verify", "--suite", "switching", "--n", "6", "--d", "0",
-            "--samples", "10",
-        )
-        assert code == 0
-        payload = json.loads(stdout)
-        assert payload["ok"] is True
-        status = {rec["invariant"]: (rec["status"], rec["checked"]) for rec in payload["suites"][0]["records"]}
-        assert status.pop("switching outputs stay in the class") == ("vacuous", 0)
-        assert all(value == ("pass", 10) for value in status.values())
+        # outputs is never checked, and a tuple of no permutations has no
+        # factor to transpose.
+        for suite, vacuous in (
+            ("switching", "switching outputs stay in the class"),
+            ("permutation", "transposing one factor twice is the identity"),
+        ):
+            code, stdout, _ = run(
+                capsys, "verify", "--suite", suite, "--n", "6", "--d", "0",
+                "--samples", "10",
+            )
+            assert code == 0
+            payload = json.loads(stdout)
+            assert payload["ok"] is True
+            status = {rec["invariant"]: (rec["status"], rec["checked"]) for rec in payload["suites"][0]["records"]}
+            assert status.pop(vacuous) == ("vacuous", 0)
+            assert all(value == ("pass", 10) for value in status.values())
 
     def test_payload_version_and_config(self, capsys):
         code, stdout, _ = run(
@@ -518,6 +523,36 @@ class TestFlagMatrix:
         payload = json.loads(stdout)
         assert payload["schema_version"] == 2
         assert payload["config"] == {"in": str(path)}
+
+
+class TestMalformedInputs:
+    """Inputs outside a command's domain exit 1 with a message, before any
+    output, never with a traceback."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sigma2", "--kind", "permutation_model", "--n", "5", "--d", "2"],
+            ["sigma2", "--kind", "erdos_renyi", "--n", "5", "--p", "0.5"],
+            ["sigma2", "--sample", "kind=erdos_renyi,n=5,p=0.5"],
+            ["bound", "--theorem", "codegree_upper", "--n", "0", "--d", "0", "--eps", "1"],
+            ["bound", "--theorem", "perm_edge", "--n", "0", "--d", "1", "--a", "1", "--b", "1", "--tau", "1"],
+            ["bound", "--theorem", "er_codegree", "--n", "0", "--p", "0.5", "--eps", "1"],
+            ["bound", "--theorem", "bipartite_edge", "--n", "4", "--m", "0", "--d", "2", "--a", "1",
+             "--b", "1", "--tau", "1"],
+            ["enumerate", "--n", "0", "--d", "0"],
+            ["enumerate", "--n", "3", "--m", "0", "--d", "0", "--count-only"],
+            ["sample", "--kind", "enumerate", "--n", "3", "--d", "1"],
+        ],
+        ids=["sigma2-permutation-model", "sigma2-erdos-renyi", "sigma2-sample-erdos-renyi",
+             "bound-codegree-n0", "bound-perm-edge-n0", "bound-er-codegree-n0", "bound-m0",
+             "enumerate-n0", "enumerate-m0", "sample-kind-enumerate"],
+    )
+    def test_exit_1_without_traceback(self, capsys, argv):
+        code, stdout, err = run(capsys, *argv)
+        assert code == 1
+        assert stdout == ""
+        assert err.startswith(("usage error: ", "error: ")) and "Traceback" not in err
 
 
 class TestUsageErrors:

@@ -253,22 +253,6 @@ class TestMinorClassCounts:
                 assert counts.nI_reflecting + counts.nI_bad == rec.ex**2
 
 
-def test_debug_validation_flag():
-    # The hot path skips post-hoc membership checks; flipping the module
-    # flag turns them on for both involutions.
-    import rrdigraph.couplings as cp
-
-    assert cp.VALIDATE_OUTPUTS is False
-    cp.VALIDATE_OUTPUTS = True
-    try:
-        out = reflect(PARALLEL, 0, 2)
-        assert out != PARALLEL
-        site = SwitchSite(0, 2, 0, 2)
-        assert simple_switch(simple_switch(PARALLEL, site), site) == PARALLEL
-    finally:
-        cp.VALIDATE_OUTPUTS = False
-
-
 @settings(max_examples=40, deadline=None)
 @given(
     seed=st.integers(0, 10_000),

@@ -89,9 +89,11 @@ class TestReflectionVf:
                 assert diag.v_f <= bound
 
     def test_exact_cap_guard(self):
-        mat = _mats(24, 4, 1, seed=3, steps=300)[0]
-        with pytest.raises(ExactCapExceeded):
-            reflection_vf(mat, 0, 1, exact_cap=20)
+        # m*d*(n-d)*d_hat = 320 * 160^3, about 1.31e9 walk steps, is above
+        # REFLECTION_EXACT_CAP = 1e9; the guard trips before any kernel work.
+        mat = _mats(320, 160, 1, seed=3, steps=0)[0]
+        with pytest.raises(ExactCapExceeded, match="above the cap of 1000000000"):
+            reflection_vf(mat, 0, 1)
 
 
 class TestSwitchingF:
@@ -183,10 +185,12 @@ class TestSwitchingVf:
                 assert f0 - f1 == inc * mat.n
 
     def test_cap_guard(self):
-        mat = _mats(12, 4, 1, seed=13)[0]
-        pair = VertexSetPair.of(range(6), range(6))
-        with pytest.raises(ExactCapExceeded):
-            switching_vf(mat, pair, exact_cap=10)
+        # K_ab = 101^4, about 1.04e8 site cells, is above SWITCHING_EXACT_CAP
+        # = 1e8; the guard trips before any kernel work.
+        mat = _mats(202, 101, 1, seed=13, steps=0)[0]
+        pair = VertexSetPair.of(range(101), range(101))
+        with pytest.raises(ExactCapExceeded, match="above the cap of 100000000"):
+            switching_vf(mat, pair)
 
     def test_requires_proper_sets(self):
         with pytest.raises(ValueError):
@@ -265,7 +269,7 @@ class TestExactVfKernels:
 
 class TestPermutationCoupling:
     def test_tiny_example(self):
-        pt = PermutationTuple(((0, 1),))
+        pt = PermutationTuple(((0, 1),), 2)
         assert permutation_f(pt, VertexSetPair.of([0], [0])) == Fraction(1, 2)
 
     def test_full_B_gives_zero(self):
@@ -296,7 +300,7 @@ class TestPermutationCoupling:
             assert diag.v_f <= diag.f / 2 + Fraction(3 * a * b, 40)
 
     def test_rejects_improper_A(self):
-        pt = PermutationTuple(((0, 1, 2),))
+        pt = PermutationTuple(((0, 1, 2),), 3)
         with pytest.raises(ValueError):
             permutation_f(pt, VertexSetPair.of(range(3), [0]))
         with pytest.raises(ValueError):

@@ -24,7 +24,8 @@ from rrdigraph.experiments import (
     run_tail_experiment,
     uniformity_test,
 )
-from rrdigraph.samplers import SamplerSpec, _words_to_dense, draw, draw_packed
+from rrdigraph.matrices import words_to_dense
+from rrdigraph.samplers import SamplerSpec, draw, switch_mcmc_dense
 
 
 class TestCatalanWalk:
@@ -233,6 +234,8 @@ class TestRecount:
         assert res.metadata["shards"] == 1
         got = [round(row.empirical * cfg.N) for row in res.rows]
         batch, _ = draw(dataclasses.replace(cfg.sampler, seed=cfg.seed), cfg.N)
+        if cfg.sampler.kind != "permutation_model":
+            batch = words_to_dense(batch, cfg.sampler.n)
         expected = _recount(cfg, batch)
         assert got == expected
         # Some grid point has both outcomes, so a shifted threshold shows.
@@ -393,9 +396,9 @@ class TestWordStatistics:
     )
     def test_equal_to_the_dense_oracle(self, monkeypatch, n, d, a, b):
         spec = SamplerSpec(kind="switch_mcmc", n=n, d=d, steps=40 * n, seed=n)
-        words, _ = draw_packed(spec, 37)
-        dense = _words_to_dense(words, n).astype(np.int64)
-        assert np.array_equal(dense, draw(spec, 37)[0])
+        words, _ = draw(spec, 37)
+        dense = words_to_dense(words, n).astype(np.int64)
+        assert np.array_equal(dense, switch_mcmc_dense(spec, 37))
         gram = dense @ dense.transpose(0, 2, 1)
         cfg = ExperimentConfig(sampler=spec, statistic="codegree", grid=(0.5,), N=37, i1=1, i2=n - 1)
         assert np.array_equal(experiments._row_codegree(cfg, words), gram[:, 1, n - 1])
@@ -412,8 +415,8 @@ class TestWordStatistics:
         # Bernoulli rows have codegrees on both sides of d^2/n, so a kernel
         # that kept only the least or only the greatest codegree fails.
         n, d = 70, 35
-        words, _ = draw_packed(SamplerSpec(kind="erdos_renyi", n=n, p=0.5, seed=3), 25)
-        dense = _words_to_dense(words, n).astype(np.int64)
+        words, _ = draw(SamplerSpec(kind="erdos_renyi", n=n, p=0.5, seed=3), 25)
+        dense = words_to_dense(words, n).astype(np.int64)
         gram = dense @ dense.transpose(0, 2, 1)
         upper = np.triu_indices(n, k=1)
         scaled = n * gram[:, upper[0], upper[1]] - d * d

@@ -188,8 +188,14 @@ class TestConstruction:
         assert again == class_4_2[5] and hash(again) == hash(class_4_2[5])
 
     def test_dense_round_trip(self, pool_8_3):
+        from rrdigraph.samplers import circulant
+
         for mat in pool_8_3[:10]:
             assert BiregularBitMatrix.from_dense(mat.dense()) == mat
+        # Any 0/1 dtype packs, and rows of three words round-trip too.
+        wide = circulant(130, 7)
+        for dtype in (np.uint8, np.int64, bool, float):
+            assert BiregularBitMatrix.from_dense(wide.dense().astype(dtype)) == wide
 
     def test_derived_quantities(self):
         mat = PARALLEL_ROWS

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import tracemalloc
 from fractions import Fraction
@@ -5,34 +6,26 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from rrdigraph.matrices import BiregularBitMatrix, InvalidMatrixError
+from rrdigraph.matrices import BiregularBitMatrix, InvalidMatrixError, rows_to_words, words_to_dense
 from rrdigraph.samplers import (
+    SAMPLER_KINDS,
     RejectionBudgetExhausted,
     SamplerSpec,
     SearchSpaceTooLarge,
     circulant,
     draw,
-    draw_packed,
     enumerate_all,
-    er_dense,
     permutation_batch,
     rejection_dense,
-    sample_er,
     sample_many,
-    sample_permutation_model,
-    sample_rejection,
-    sample_switch_mcmc,
     stream_generator,
     switch_mcmc_dense,
 )
 from rrdigraph.samplers import (
     _members,
-    _rejection,
-    _rows_to_words,
     _site_blocks,
     _switch_rows,
     _switch_words,
-    _words_to_dense,
 )
 
 from conftest import brute_force_class_4_2
@@ -59,8 +52,11 @@ class TestSpec:
             SamplerSpec(kind="erdos_renyi", n=3, p=0.5, **{field: 2})
 
     def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            SamplerSpec(kind="bogus", n=3, d=1)
+        # Exhaustive generation is enumerate_all, not a sampler kind.
+        for kind in ("bogus", "enumerate"):
+            with pytest.raises(ValueError, match="unknown sampler kind"):
+                SamplerSpec(kind=kind, n=3, d=1)
+            assert kind not in SAMPLER_KINDS
 
     def test_default_steps(self):
         spec = SamplerSpec(kind="switch_mcmc", n=10, d=3)
@@ -76,12 +72,12 @@ class TestRejection:
 
     def test_degenerate_full_degree_accepted_immediately(self):
         spec = SamplerSpec(kind="rejection", n=4, d=4, max_attempts=1, seed=0)
-        mat = sample_rejection(spec)
+        mat = sample_many(spec, 1)[0]
         assert mat.rows == (15, 15, 15, 15)
 
     def test_degenerate_empty_degree(self):
         spec = SamplerSpec(kind="rejection", n=4, d=0, max_attempts=1, seed=0)
-        assert sample_rejection(spec).rows == (0, 0, 0, 0)
+        assert sample_many(spec, 1)[0].rows == (0, 0, 0, 0)
 
     def test_outputs_validate(self):
         spec = SamplerSpec(kind="rejection", n=12, d=3, seed=8)
@@ -96,7 +92,7 @@ class TestRejection:
     def test_budget_guard(self):
         spec = SamplerSpec(kind="rejection", n=50, d=20, max_attempts=1500, seed=1)
         with pytest.raises(RejectionBudgetExhausted):
-            sample_rejection(spec)
+            sample_many(spec, 1)
 
     def test_acceptance_depends_only_on_collapse(self):
         # Simplicity of the collapse is exactly "no duplicated (row, col)
@@ -146,8 +142,8 @@ class TestRejectionKernel:
         p = self._acceptance(m, n, d, dp)
         spec = SamplerSpec(kind="rejection", n=n, d=d, m=m, dp=dp, seed=23)
         count = 20_000
-        out, attempts = _rejection(spec, count)
-        assert out.shape == (count, m, n)
+        out, attempts = draw(spec, count)
+        assert out.shape == (count, m, 1)
         if p == 1:
             assert attempts == count
         else:
@@ -193,7 +189,7 @@ class TestRejectionKernel:
 class TestSwitchChain:
     def test_zero_steps_is_circulant(self):
         spec = SamplerSpec(kind="switch_mcmc", n=7, d=3, steps=0, seed=0)
-        assert sample_switch_mcmc(spec) == circulant(7, 3)
+        assert sample_many(spec, 1)[0] == circulant(7, 3)
 
     def test_circulant_rows(self):
         mat = circulant(5, 2)
@@ -243,9 +239,9 @@ class TestSwitchKernel:
         assert (batch != start.dense()).any()
         # and the other way round: the lone chain's draws through the batch path
         lone = switch_mcmc_dense(spec, 1)
-        words = _rows_to_words(start.rows, n)[None].copy()
+        words = rows_to_words(start.rows, n)[None].copy()
         _switch_words(words, m, n, self._sites(spec, 1))
-        assert np.array_equal(_words_to_dense(words, n), lone)
+        assert np.array_equal(words_to_dense(words, n), lone)
 
     @pytest.mark.parametrize("count", [1, 3])
     @pytest.mark.parametrize("n", [7, 70])
@@ -284,7 +280,7 @@ class TestSwitchKernel:
         assert peak <= out.nbytes + 4 * 2**20
         # The stepping alone, words allocated beforehand: a site block and
         # its temporaries take about 1.7 MB, a block of 4x the codes 4 MB.
-        words = _rows_to_words(circulant(60, 30).rows, 60)
+        words = rows_to_words(circulant(60, 30).rows, 60)
         words = np.broadcast_to(words, (4096, *words.shape)).copy()
         tracemalloc.start()
         try:
@@ -299,7 +295,7 @@ class TestSwitchKernel:
 class TestPermutationModel:
     def test_single_factor_is_permutation_matrix(self):
         spec = SamplerSpec(kind="permutation_model", n=6, d=1, seed=9)
-        pt = sample_permutation_model(spec)
+        pt = sample_many(spec, 1)[0]
         mult = pt.multiplicity()
         assert set(np.unique(mult)) <= {0, 1}
         assert (mult.sum(axis=0) == 1).all() and (mult.sum(axis=1) == 1).all()
@@ -346,8 +342,8 @@ class TestPackedMembers:
     )
     def test_equal_to_validated_matrices(self, spec):
         mats = sample_many(spec, 5)
-        dense, _ = draw(spec, 5)
-        assert mats == [BiregularBitMatrix.from_dense(x) for x in dense]
+        words, _ = draw(spec, 5)
+        assert mats == [BiregularBitMatrix.from_dense(x) for x in words_to_dense(words, spec.n)]
         assert all((mat.m, mat.d, mat.dp) == (spec.m, spec.d, spec.dp) for mat in mats)
 
     @pytest.mark.parametrize(
@@ -357,7 +353,7 @@ class TestPackedMembers:
     )
     def test_margin_check_rejects_a_non_member(self, flips):
         spec = SamplerSpec(kind="switch_mcmc", n=70, d=5, steps=0)
-        words, _ = draw_packed(spec, 3)
+        words, _ = draw(spec, 3)
         # Rows 0 and 1 hold columns 0-4 and 1-5.  Moving column 5 from row 1
         # to row 0 keeps every column sum, and moving row 0's column 0 to
         # column 5 keeps every row sum.
@@ -370,13 +366,13 @@ class TestPackedMembers:
 
 class TestErdosRenyi:
     def test_p_zero_and_one(self):
-        zero = sample_er(SamplerSpec(kind="erdos_renyi", n=5, p=0.0, seed=0))
-        ones = sample_er(SamplerSpec(kind="erdos_renyi", n=5, p=1.0, seed=0))
+        zero = sample_many(SamplerSpec(kind="erdos_renyi", n=5, p=0.0, seed=0), 1)[0]
+        ones = sample_many(SamplerSpec(kind="erdos_renyi", n=5, p=1.0, seed=0), 1)[0]
         assert zero.sum() == 0 and ones.sum() == 25
 
     def test_mean_edge_count(self):
         spec = SamplerSpec(kind="erdos_renyi", n=50, p=0.2, seed=21)
-        batch = er_dense(spec, 10_000)
+        batch = words_to_dense(draw(spec, 10_000)[0], spec.n)
         mean_edges = batch.sum(axis=(1, 2)).mean()
         se = math.sqrt(2500 * 0.2 * 0.8 / 10_000)
         assert abs(mean_edges - 500.0) < 4 * se
@@ -446,3 +442,40 @@ class TestEnumeration:
         gen = enumerate_all(4, 4, 2, 2)
         first = next(gen)
         assert isinstance(first, BiregularBitMatrix)
+
+
+class TestPinnedStreams:
+    """SHA-256 of draw(spec, count)'s array bytes for each kind, and for the
+    switch chain's lone-chain and batch paths on one word and on three.  A
+    change to any kernel's stream, its block shapes or its output layout
+    shows here; a change that means to alter a stream updates its digest
+    and says so in CHANGES.md."""
+
+    @pytest.mark.parametrize(
+        "spec, count, attempts, digest",
+        [
+            (SamplerSpec(kind="rejection", n=8, d=3, seed=11), 5, 49,
+             "6d6566d13d71311db75e2157832d86e4828a1d5f6cd6c4488f4a1c51e5c221b7"),
+            (SamplerSpec(kind="rejection", m=6, n=9, d=3, dp=2, seed=12), 5, 23,
+             "2cef8820befeecb629f7fb05f9c5860793310df923fa6008ff3a33124d1e76a2"),
+            (SamplerSpec(kind="switch_mcmc", n=8, d=3, steps=200, seed=13), 1, 1,
+             "fe8c7283719141e599a07508511ed3d6daa6b4ba461ced62f5503cfcacf2c153"),
+            (SamplerSpec(kind="switch_mcmc", n=8, d=3, steps=200, seed=13), 3, 3,
+             "e41ce0eaf7ba2827573e378e711be5f9bc0a32937e738277883e490869c89403"),
+            (SamplerSpec(kind="switch_mcmc", n=130, d=5, steps=2000, seed=14), 1, 1,
+             "f6874a69ad8cfe63b26023338b9870b025ce33213eb2010d1e8e6293bf9a06c6"),
+            (SamplerSpec(kind="switch_mcmc", n=130, d=5, steps=2000, seed=14), 3, 3,
+             "9b2acb2920eeb3579389f228f9727e9c64b0cb22c4ddf3740eee04c9ed7d727c"),
+            (SamplerSpec(kind="permutation_model", n=7, d=2, seed=15), 4, 4,
+             "e020506860acebaf3d13a5671f4500965649c4ad37ff8c79fae98a38fae3d8bd"),
+            (SamplerSpec(kind="erdos_renyi", n=9, p=0.3, seed=16), 4, 4,
+             "8da3cbd8540031c8c3fc12af53355e0a9f2b01fe9578da099ee073bd6e99ac3c"),
+        ],
+        ids=["rejection", "rejection-biregular", "switch-lone-chain", "switch-batch",
+             "switch-lone-chain-three-words", "switch-batch-three-words", "permutation_model",
+             "erdos_renyi"],
+    )
+    def test_digest(self, spec, count, attempts, digest):
+        batch, made = draw(spec, count)
+        assert made == attempts
+        assert hashlib.sha256(batch.tobytes()).hexdigest() == digest
