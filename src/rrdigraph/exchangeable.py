@@ -156,8 +156,14 @@ def reflection_f(
     if i1 == i2:
         raise ValueError("reflection_f requires two distinct rows")
     order = RowOrder(i1, i2) if order is None else order
-    _, _, bad = _bad_mask(matrix, i1, i2, order)
-    return _reflection_f(matrix, i1, i2, int(bad.sum()))
+    return _reflection_parts(matrix, i1, i2, order)[0]
+
+
+def _reflection_parts(matrix: BiregularBitMatrix, i1: int, i2: int, order: RowOrder):
+    """The f part of reflection_vf: (f, (ex1, ex2, bad)), the bad-pair mask
+    from couplings._bad_mask kept for the v_f step."""
+    mask = _bad_mask(matrix, i1, i2, order)
+    return _reflection_f(matrix, i1, i2, int(mask[2].sum())), mask
 
 
 def _k_site_steps(walk_rows, j1s, j2s, ex1, ex2) -> np.ndarray:
@@ -210,16 +216,29 @@ def reflection_vf(
     """
     if i1 == i2:
         raise ValueError("reflection_vf requires two distinct rows")
+    order = RowOrder(i1, i2) if order is None else order
+    diag, mask = _reflection_parts(matrix, i1, i2, order)
+    return _reflection_vf_step(matrix, i1, i2, order, diag, mask)
+
+
+def _reflection_vf_step(
+    matrix: BiregularBitMatrix,
+    i1: int,
+    i2: int,
+    order: RowOrder,
+    diag: CouplingDiagnostics,
+    mask,
+) -> CouplingDiagnostics:
+    """The v_f step of reflection_vf: sets the bound, v_f and max_step of its
+    f part `diag` from the bad-pair mask that part scanned."""
     cost = matrix.m * matrix.d * (matrix.n - matrix.d) * matrix.d_hat
     if cost > REFLECTION_EXACT_CAP:
         raise ExactCapExceeded(
             f"exact reflection v_f needs m*d*(n-d)*d_hat = {cost} walk steps, "
             f"above the cap of {REFLECTION_EXACT_CAP}"
         )
-    order = RowOrder(i1, i2) if order is None else order
     n = matrix.n
-    ex1, ex2, bad = _bad_mask(matrix, i1, i2, order)
-    diag = _reflection_f(matrix, i1, i2, int(bad.sum()))
+    ex1, ex2, bad = mask
     diag.bound = diag.f + Fraction(2 * matrix.d_hat**2, n)
 
     i_steps = np.abs(bad.sum(axis=1)[:, None] + bad.sum(axis=0)[None, :] - n)[~bad]
@@ -386,18 +405,24 @@ def switching_vf(matrix: BiregularBitMatrix, pair: VertexSetPair) -> CouplingDia
     step bound |f - f~| <= 2 m d_hat.
     """
     pair.validate(matrix)
-    pair = _reduce_pair(matrix, pair)
-    m, n = matrix.m, matrix.n
-    if not (0 < pair.a < m and 0 < pair.b < n):
+    if not (0 < pair.a < matrix.m and 0 < pair.b < matrix.n):
         raise ValueError("switching_vf requires proper nonempty A and B")
-    a, b = pair.a, pair.b
-    k_ab = a * (m - a) * b * (n - b)
+    return _switching_vf_step(matrix, pair, switching_f(matrix, pair))
+
+
+def _switching_vf_step(
+    matrix: BiregularBitMatrix, pair: VertexSetPair, diag: CouplingDiagnostics
+) -> CouplingDiagnostics:
+    """The v_f step of switching_vf: sets the bound, v_f and max_step of its
+    f part `diag`, switching_f's result at the same (A, B)."""
+    pair = _reduce_pair(matrix, pair)
+    m = matrix.m
+    k_ab = pair.a * (m - pair.a) * pair.b * (matrix.n - pair.b)
     if k_ab > SWITCHING_EXACT_CAP:
         raise ExactCapExceeded(
             f"exact switching v_f needs K_ab = a(m-a)b(n-b) = {k_ab} site cells, "
             f"above the cap of {SWITCHING_EXACT_CAP}"
         )
-    diag = switching_f(matrix, pair)
     d_hat = matrix.d_hat
     diag.bound = Fraction(m * d_hat) * (diag.f + 2 * m * d_hat * pair.mu(matrix))
     step_cap = 2 * m * d_hat

@@ -16,12 +16,12 @@ from typing import List, Optional
 from .couplings import RowOrder, SwitchSite, column_walk, reflect, simple_switch
 from .exchangeable import (
     InvariantViolation,
+    _reflection_parts,
+    _reflection_vf_step,
+    _switching_vf_step,
     good_event_co,
     permutation_diagnostics,
-    reflection_f,
-    reflection_vf,
     switching_f,
-    switching_vf,
 )
 from .matrices import VertexSetPair, codegree
 from .samplers import PermutationTuple, SamplerSpec, sample_many, stream_generator
@@ -101,8 +101,7 @@ def _sample_matrices(n, d, count, seed, m=None, dp=None, steps=None):
     return sample_many(spec, count)
 
 
-def _reflection_suite(n, d, samples, seed, m=None, dp=None, steps=None):
-    mats = _sample_matrices(n, d, samples, seed, m, dp, steps)
+def _reflection_suite(mats, seed):
     rng = stream_generator(seed, 10_000)
     t_invol = _Tracker("reflect twice is the identity")
     t_member = _Tracker("reflection outputs stay in the class")
@@ -128,8 +127,8 @@ def _reflection_suite(n, d, samples, seed, m=None, dp=None, steps=None):
             t_member.check(False, detail=str(exc))
 
         try:
-            diag = reflection_f(mat, i1, i2, order)
-            t_ident.check(True, detail="")
+            diag, mask = _reflection_parts(mat, i1, i2, order)
+            t_ident.check(True)
         except InvariantViolation as exc:
             t_ident.check(False, detail=str(exc))
             continue
@@ -146,15 +145,14 @@ def _reflection_suite(n, d, samples, seed, m=None, dp=None, steps=None):
         )
 
         try:
-            diag = reflection_vf(mat, i1, i2, order)
+            diag = _reflection_vf_step(mat, i1, i2, order, diag, mask)
             t_vf.check(diag.bound_ok, margin=float(diag.bound - diag.v_f))
         except InvariantViolation as exc:
             t_vf.check(False, detail=str(exc))
     return [t.record() for t in (t_invol, t_member, t_ident, t_anti, t_walk, t_vf)]
 
 
-def _switching_suite(n, d, samples, seed, m=None, dp=None, steps=None):
-    mats = _sample_matrices(n, d, samples, seed, m, dp, steps)
+def _switching_suite(mats, seed):
     rng = stream_generator(seed, 20_000)
     t_invol = _Tracker("switch twice is the identity")
     t_member = _Tracker("switching outputs stay in the class")
@@ -193,8 +191,8 @@ def _switching_suite(n, d, samples, seed, m=None, dp=None, steps=None):
         t_f2.check(ok, margin=margin)
 
         try:
-            vf = switching_vf(mat, pair)
-            t_vf.check(vf.bound_ok, margin=float(vf.bound - vf.v_f))
+            diag = _switching_vf_step(mat, pair, diag)
+            t_vf.check(diag.bound_ok, margin=float(diag.bound - diag.v_f))
         except InvariantViolation as exc:
             t_vf.check(False, detail=str(exc))
     return [t.record() for t in (t_invol, t_member, t_ident, t_f2, t_vf)]
@@ -220,7 +218,7 @@ def _f2_good_event_check(mat, pair, diag):
     return lhs <= rhs, float(rhs - lhs)
 
 
-def _permutation_suite(n, d, samples, seed, m=None, dp=None, steps=None):
+def _permutation_suite(n, d, samples, seed):
     spec = SamplerSpec(kind="permutation_model", n=n, d=d, seed=seed)
     tuples = sample_many(spec, samples)
     rng = stream_generator(seed, 30_000)
@@ -272,10 +270,14 @@ def run_suite(
 ) -> List[SuiteResult]:
     """Run one named suite (or all three) and return their results.
 
+    The reflection and switching suites check the same class sample, drawn
+    once, so each suite's records are the same run alone or within "all".
     v_f is always exact; a class or (A, B) beyond the exact v_f cost guard
     raises ExactCapExceeded."""
     if suite not in SUITES:
         raise ValueError(f"suite must be one of {SUITES}")
+    chosen = SUITES[:3] if suite == "all" else (suite,)
+    class_suites = "reflection" in chosen or "switching" in chosen
     config = {
         "n": n,
         "d": d,
@@ -285,13 +287,15 @@ def run_suite(
         "seed": seed,
         "steps": steps,
     }
+    # Every suite draws two distinct columns (or points), and the class
+    # suites two distinct rows.
+    for name in ("n", "m") if class_suites else ("n",):
+        if config[name] < 2:
+            raise ValueError(f"verify field {name!r} must be >= 2, got {config[name]}")
+    mats = _sample_matrices(n, d, samples, seed, m, dp, steps) if class_suites else None
     runners = {
-        "reflection": _reflection_suite,
-        "switching": _switching_suite,
-        "permutation": _permutation_suite,
+        "reflection": lambda: _reflection_suite(mats, seed),
+        "switching": lambda: _switching_suite(mats, seed),
+        "permutation": lambda: _permutation_suite(n, d, samples, seed),
     }
-    chosen = SUITES[:3] if suite == "all" else (suite,)
-    return [
-        SuiteResult(name, runners[name](n, d, samples, seed, m, dp, steps), dict(config))
-        for name in chosen
-    ]
+    return [SuiteResult(name, runners[name](), dict(config)) for name in chosen]

@@ -543,10 +543,15 @@ class TestMalformedInputs:
             ["enumerate", "--n", "0", "--d", "0"],
             ["enumerate", "--n", "3", "--m", "0", "--d", "0", "--count-only"],
             ["sample", "--kind", "enumerate", "--n", "3", "--d", "1"],
+            ["verify", "--suite", "all", "--n", "1", "--d", "1", "--samples", "3"],
+            ["verify", "--suite", "reflection", "--n", "4", "--m", "1", "--d", "1", "--dp", "4"],
+            ["bound", "--theorem", "edge_upper", "--n", "5", "--d", "2", "--a", "7", "--b", "1", "--tau", "1"],
+            ["bound", "--theorem", "codegree_upper", "--n", "5", "--d", "9", "--eps", "1"],
         ],
         ids=["sigma2-permutation-model", "sigma2-erdos-renyi", "sigma2-sample-erdos-renyi",
              "bound-codegree-n0", "bound-perm-edge-n0", "bound-er-codegree-n0", "bound-m0",
-             "enumerate-n0", "enumerate-m0", "sample-kind-enumerate"],
+             "enumerate-n0", "enumerate-m0", "sample-kind-enumerate", "verify-n1", "verify-m1",
+             "bound-a-above-n", "bound-d-above-n"],
     )
     def test_exit_1_without_traceback(self, capsys, argv):
         code, stdout, err = run(capsys, *argv)

@@ -1,0 +1,180 @@
+"""The verify suites: one class draw shared by the class suites, one f per
+draw reused by its v_f step, and failures attributed to the record whose
+check broke."""
+
+from fractions import Fraction
+
+import pytest
+
+from rrdigraph import exchangeable, verify
+from rrdigraph.exchangeable import InvariantViolation
+from rrdigraph.verify import run_suite
+
+from conftest import reflection_vf_oracle, switching_vf_oracle
+
+# (n, d, samples, m, dp); the biregular class has m = 6 rows of degree 3
+# over n = 9 columns of degree 2.
+_CONFIGS = [
+    (16, 4, 200, None, None),
+    (12, 3, 200, None, None),
+    (9, 3, 200, 6, 2),
+    (8, 0, 50, None, None),
+]
+
+
+def _records(results):
+    return [(r.suite, r.to_dict()) for r in results]
+
+
+class TestSharedDraw:
+    @pytest.mark.parametrize("n,d,samples,m,dp", _CONFIGS)
+    def test_all_equals_the_single_suites_in_order(self, n, d, samples, m, dp):
+        whole = run_suite("all", n, d, samples, seed=5, m=m, dp=dp)
+        parts = [
+            result
+            for suite in ("reflection", "switching", "permutation")
+            for result in run_suite(suite, n, d, samples, seed=5, m=m, dp=dp)
+        ]
+        assert _records(whole) == _records(parts)
+
+    @pytest.mark.parametrize(
+        "suite,kinds",
+        [
+            ("all", ["switch_mcmc", "permutation_model"]),
+            ("reflection", ["switch_mcmc"]),
+            ("switching", ["switch_mcmc"]),
+            ("permutation", ["permutation_model"]),
+        ],
+    )
+    def test_one_class_draw(self, monkeypatch, suite, kinds):
+        seen = []
+        sample_many = verify.sample_many
+
+        def counting(spec, count):
+            seen.append(spec.kind)
+            return sample_many(spec, count)
+
+        monkeypatch.setattr(verify, "sample_many", counting)
+        run_suite(suite, 10, 3, 5, seed=1)
+        assert seen == kinds
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("all", 1, 1, 3, None), ("permutation", 1, 0, 3, None), ("reflection", 4, 1, 3, 1)],
+    )
+    def test_sizes_checked_before_any_draw(self, monkeypatch, argv):
+        suite, n, d, samples, m = argv
+        monkeypatch.setattr(verify, "sample_many", None)  # any draw would raise TypeError
+        with pytest.raises(ValueError, match="verify field '[nm]' must be >= 2"):
+            run_suite(suite, n, d, samples, m=m, dp=None if m is None else 4)
+
+
+class TestReusedF:
+    """The v_f that each suite computes from its own f part equals the
+    site-by-site oracles."""
+
+    @pytest.mark.parametrize("n,d,samples", [(30, 10, 3), (60, 4, 2)])
+    def test_suite_vf_equals_the_oracles(self, monkeypatch, n, d, samples):
+        seen = {"reflection": [], "switching": []}
+
+        def recording(name, step):
+            def wrapper(mat, *args):
+                diag = step(mat, *args)
+                seen[name].append((mat, args, diag.v_f, diag.max_step))
+                return diag
+            return wrapper
+
+        monkeypatch.setattr(
+            verify, "_reflection_vf_step", recording("reflection", verify._reflection_vf_step)
+        )
+        monkeypatch.setattr(
+            verify, "_switching_vf_step", recording("switching", verify._switching_vf_step)
+        )
+        results = run_suite("all", n, d, samples, seed=7)
+        assert all(r.ok for r in results)
+        assert [len(seen[name]) for name in seen] == [samples, samples]
+        for mat, (i1, i2, order, _, _), v_f, worst in seen["reflection"]:
+            total, oracle_worst = reflection_vf_oracle(mat, i1, i2, order)
+            assert (v_f, worst) == (Fraction(total, 2 * n * n), oracle_worst)
+        for mat, (pair, _), v_f, worst in seen["switching"]:
+            total, oracle_worst = switching_vf_oracle(mat, pair)
+            assert (v_f, worst) == (Fraction(total, 2), oracle_worst)
+
+
+def _status(result):
+    return {rec.invariant: (rec.status, rec.checked) for rec in result.records}
+
+
+class TestAttribution:
+    """Planted defects flip the record whose check they break, and only it."""
+
+    n, d, samples = 12, 3, 20
+
+    def _run(self, suite):
+        (result,) = run_suite(suite, self.n, self.d, self.samples, seed=4)
+        return result
+
+    def _fail_on_call(self, monkeypatch, owner, name, call):
+        original = getattr(owner, name)
+        calls = []
+
+        def planted(*args):
+            calls.append(None)
+            if len(calls) == call:
+                raise InvariantViolation("planted f defect")
+            return original(*args)
+
+        monkeypatch.setattr(owner, name, planted)
+
+    def test_switching_steps_scaled(self, monkeypatch):
+        original = exchangeable._switching_steps
+        monkeypatch.setattr(
+            exchangeable, "_switching_steps", lambda *stats: (10 * s for s in original(*stats))
+        )
+        status = _status(self._run("switching"))
+        assert status["minor-count form equals neighbourhood form; f = f1 + f2"] == (
+            "pass", self.samples,
+        )
+        vf_status, vf_checked = status["switching self-bound v_f <= m*d_hat*(f + 2*m*d_hat*mu)"]
+        assert (vf_status, vf_checked) == ("fail", self.samples)
+
+    def test_switching_f_part_fails(self, monkeypatch):
+        self._fail_on_call(monkeypatch, verify, "switching_f", 3)
+        result = self._run("switching")
+        status = _status(result)
+        assert status["minor-count form equals neighbourhood form; f = f1 + f2"] == (
+            "fail", self.samples,
+        )
+        ident = result.records[2]
+        assert ident.detail == "planted f defect"
+        assert status["error term: |f2| <= eta*(f1 + 2p(1-p)n*m*mu) at minimal eta"] == (
+            "pass", self.samples - 1,
+        )
+        assert status["switching self-bound v_f <= m*d_hat*(f + 2*m*d_hat*mu)"] == (
+            "pass", self.samples - 1,
+        )
+
+    def test_reflection_steps_scaled(self, monkeypatch):
+        original = exchangeable._k_site_steps
+        monkeypatch.setattr(
+            exchangeable, "_k_site_steps", lambda *args: 10 * original(*args)
+        )
+        status = _status(self._run("reflection"))
+        assert status["scale-n identity: n*f = n*co - d^2 + b"] == ("pass", self.samples)
+        assert status["reflection self-bound v_f <= f + 2*d_hat^2/n"] == ("fail", self.samples)
+
+    def test_reflection_f_part_fails(self, monkeypatch):
+        self._fail_on_call(monkeypatch, exchangeable, "_reflection_f", 3)
+        result = self._run("reflection")
+        status = _status(result)
+        assert status["scale-n identity: n*f = n*co - d^2 + b"] == ("fail", self.samples)
+        assert result.records[2].detail == "planted f defect"
+        for invariant in (
+            "antisymmetry of the codegree difference",
+            "walk returns to 0 with at most min(dp, m-dp) up-steps",
+            "reflection self-bound v_f <= f + 2*d_hat^2/n",
+        ):
+            assert status[invariant] == ("pass", self.samples - 1)
+        # A check made before the f part still counts every draw.
+        assert status["reflect twice is the identity"] == ("pass", self.samples)
+
