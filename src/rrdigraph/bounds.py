@@ -66,7 +66,6 @@ class TailBoundSpec:
     n: int = 0
     d: int = 0
     m: Optional[int] = None
-    dp: Optional[int] = None
     deviation: float = 0.0
     a: Optional[int] = None
     b: Optional[int] = None
@@ -86,10 +85,10 @@ class TailBoundSpec:
             value = getattr(self, name)
             if value is not None and value < 1:
                 raise ValueError(f"bound field {name!r} must be >= 1, got {value}")
-        # Degrees and set sizes of an m x n class: d and b count columns,
-        # dp and a count rows.
+        # The degree and set sizes of an m x n class: d and b count columns,
+        # a counts rows.
         m = self.n if self.m is None else self.m
-        for name, low, high in (("d", 0, self.n), ("dp", 0, m), ("a", 1, m), ("b", 1, self.n)):
+        for name, low, high in (("d", 0, self.n), ("a", 1, m), ("b", 1, self.n)):
             value = getattr(self, name)
             if value is not None and not low <= value <= high:
                 raise ValueError(f"bound field {name!r} must be in [{low}, {high}], got {value}")

@@ -23,6 +23,8 @@ import sys
 from pathlib import Path
 from typing import Optional
 
+import numpy as np
+
 from . import __version__
 from .bounds import THEOREMS, TailBoundSpec, eval_bound
 from .couplings import RowOrder, SwitchSite, reflect, simple_switch
@@ -35,7 +37,6 @@ from .experiments import (
 from .matrices import (
     BiregularBitMatrix,
     InvalidMatrixError,
-    codegree,
     format_matrix,
     format_matrices,
     parse_matrices,
@@ -43,6 +44,8 @@ from .matrices import (
 )
 from .samplers import (
     CLASS_KINDS,
+    DEFAULT_ENUMERATION_CAP,
+    DEFAULT_MAX_ATTEMPTS,
     SAMPLER_KINDS,
     ResourceGuardError,
     SamplerSpec,
@@ -56,11 +59,13 @@ from .verify import SCHEMA_VERSION as VERIFY_SCHEMA_VERSION, SUITES, run_suite
 SCHEMA_VERSION = 1
 # Version 2 of the sigma2 payload has no `tol` or `max_iters` in its config
 # (sigma2 is an exact SVD), version 2 of the stats payload no `format`
-# (stats emits JSON only), and version 2 of the verify payload no
-# v_f cap in its config (v_f is always exact); the other payloads keep
+# (stats emits JSON only), version 2 of the verify payload no v_f cap in
+# its config (v_f is always exact) and version 2 of the bound payload no
+# `dp` in its config (no theorem reads it); the other payloads keep
 # version 1.
 SIGMA2_SCHEMA_VERSION = 2
 STATS_SCHEMA_VERSION = 2
+BOUND_SCHEMA_VERSION = 2
 
 
 class _UsageError(Exception):
@@ -140,15 +145,7 @@ def _cmd_sample(args) -> int:
 
 def _cmd_stats(args) -> int:
     matrix = _read_matrix(getattr(args, "in"))
-    transposed = matrix.transpose()
-    co_out = []
-    co_in = []
-    for i1 in range(matrix.m):
-        for i2 in range(i1 + 1, matrix.m):
-            co_out.append(codegree(matrix, i1, i2, "out").co)
-    for j1 in range(matrix.n):
-        for j2 in range(j1 + 1, matrix.n):
-            co_in.append(codegree(transposed, j1, j2, "out").co)
+    dense = matrix.dense().astype(np.int64)
     report = {
         "schema_version": STATS_SCHEMA_VERSION,
         "config": {"in": getattr(args, "in")},
@@ -159,8 +156,8 @@ def _cmd_stats(args) -> int:
         "p": float(matrix.p),
         "d_hat": matrix.d_hat,
         "edges": matrix.m * matrix.d,
-        "codegree_out": _minmax(co_out),
-        "codegree_in": _minmax(co_in),
+        "codegree_out": _codegree_range(dense @ dense.T),
+        "codegree_in": _codegree_range(dense.T @ dense),
     }
     _emit(report)
     if args.out:
@@ -168,10 +165,13 @@ def _cmd_stats(args) -> int:
     return 0
 
 
-def _minmax(values) -> dict:
-    if not values:
+def _codegree_range(gram: np.ndarray) -> dict:
+    """Smallest and largest codegree over the distinct vertex pairs: the
+    off-diagonal entries of the Gram matrix `gram`."""
+    co = gram[np.triu_indices(gram.shape[0], k=1)]
+    if not co.size:
         return {"min": None, "max": None}
-    return {"min": int(min(values)), "max": int(max(values))}
+    return {"min": int(co.min()), "max": int(co.max())}
 
 
 def _cmd_couple(args) -> int:
@@ -236,18 +236,16 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_bound(args) -> int:
-    deviation = 0.0
-    for name in ("eps", "tau", "eta"):
-        value = getattr(args, name)
-        if value is not None:
-            deviation = value
+    given = [name for name in ("eps", "tau", "eta") if getattr(args, name) is not None]
+    if len(given) > 1:
+        flags = " ".join(f"--{name}" for name in given)
+        raise _UsageError(f"give at most one of --eps --tau --eta, got {flags}")
     spec = TailBoundSpec(
         theorem=args.theorem,
         n=args.n,
         d=args.d,
         m=args.m,
-        dp=args.dp,
-        deviation=deviation,
+        deviation=getattr(args, given[0]) if given else 0.0,
         a=args.a,
         b=args.b,
         eta=args.good_eta,
@@ -259,7 +257,7 @@ def _cmd_bound(args) -> int:
     result = eval_bound(spec)
     _emit(
         {
-            "schema_version": SCHEMA_VERSION,
+            "schema_version": BOUND_SCHEMA_VERSION,
             "config": dataclasses.asdict(spec),
             "bound": result.value,
             "valid": result.valid,
@@ -293,40 +291,16 @@ def _cmd_tail(args) -> int:
     return 0 if result.all_pass else 2
 
 
-def _parse_sampler_string(text: str) -> SamplerSpec:
-    """Parse 'kind=switch_mcmc,n=12,d=3,steps=400,seed=1' into a spec."""
-    fields = {}
-    for part in text.split(","):
-        if "=" not in part:
-            raise _UsageError(f"bad sampler spec fragment {part!r} (expected key=value)")
-        key, value = part.split("=", 1)
-        key = key.strip()
-        if key == "kind":
-            fields[key] = value.strip()
-        elif key == "p":
-            fields[key] = float(value)
-        else:
-            fields[key] = int(value)
-    try:
-        return SamplerSpec(**fields)
-    except (TypeError, ValueError) as exc:
-        raise _UsageError(f"bad sampler spec {text!r}: {exc}") from exc
-
-
 def _cmd_sigma2(args) -> int:
-    given = "--in" if getattr(args, "in") else "--sample" if args.sample else None
-    if given and args.seed is not None:
-        raise _UsageError(f"--seed applies to the sampler flags, not to {given}")
     if getattr(args, "in"):
+        if args.seed is not None:
+            raise _UsageError("--seed applies to the sampler flags, not to --in")
         matrix = _read_matrix(getattr(args, "in"))
         source = {"in": getattr(args, "in")}
     else:
-        if args.sample:
-            spec = _parse_sampler_string(args.sample)
-        elif args.kind is None or args.n == 0:
-            raise _UsageError("sigma2 needs --in, --sample, or sampler flags (--kind/--n/--d)")
-        else:
-            spec = dataclasses.replace(_spec_from_args(args), seed=args.seed or 0)
+        if args.kind is None or args.n == 0:
+            raise _UsageError("sigma2 needs --in or sampler flags (--kind/--n/--d)")
+        spec = dataclasses.replace(_spec_from_args(args), seed=args.seed or 0)
         if spec.kind not in CLASS_KINDS:
             raise _UsageError(f"sigma2 needs a class-valued sampler kind {CLASS_KINDS}, "
                               f"got {spec.kind!r}")
@@ -351,6 +325,8 @@ def _cmd_sigma2(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
+    if args.count_only and args.out:
+        raise _UsageError("--count-only prints the count and writes no file; drop --out")
     mats = enumerate_all(
         args.m if args.m is not None else args.n, args.n, args.d, args.dp,
         max_states=args.max_states,
@@ -394,7 +370,7 @@ def _add_sampler_flags(sub, kind_required=True):
     sub.add_argument("--p", type=float, default=None)
     sub.add_argument("--steps", type=int, default=None)
     sub.add_argument("--stream", type=int, default=0)
-    sub.add_argument("--max-attempts", dest="max_attempts", type=int, default=10**6)
+    sub.add_argument("--max-attempts", dest="max_attempts", type=int, default=DEFAULT_MAX_ATTEMPTS)
 
 
 def build_parser() -> _Parser:
@@ -442,7 +418,6 @@ def build_parser() -> _Parser:
     bound.add_argument("--n", type=int, default=0)
     bound.add_argument("--d", type=int, default=0)
     bound.add_argument("--m", type=int, default=None)
-    bound.add_argument("--dp", type=int, default=None)
     bound.add_argument("--eps", type=float, default=None)
     bound.add_argument("--tau", type=float, default=None)
     bound.add_argument("--eta", type=float, default=None)
@@ -462,14 +437,11 @@ def build_parser() -> _Parser:
     tail.set_defaults(func=_cmd_tail)
 
     sig = subs.add_parser("sigma2", help="second singular value diagnostics")
-    # One JSON payload from one thread, so no --threads and no csv; --seed
-    # seeds only the sampler flags (a --sample spec carries its own seed).
+    # One JSON payload from one thread, so no --threads and no --format;
+    # --seed seeds only the sampler flags.
     sig.add_argument("--seed", type=int, default=None)
     sig.add_argument("--out", type=str, default=None)
-    sig.add_argument("--format", choices=("json",), default="json")
     sig.add_argument("--in", dest="in", default=None)
-    sig.add_argument("--sample", default=None,
-                     help="sampler spec string, e.g. kind=switch_mcmc,n=12,d=3")
     _add_sampler_flags(sig, kind_required=False)
     sig.add_argument("--alpha", action="store_true", help="also compute exact jumbledness")
     sig.set_defaults(func=_cmd_sigma2)
@@ -481,7 +453,7 @@ def build_parser() -> _Parser:
     enum.add_argument("--m", type=int, default=None)
     enum.add_argument("--dp", type=int, default=None)
     enum.add_argument("--count-only", dest="count_only", action="store_true")
-    enum.add_argument("--max-states", dest="max_states", type=int, default=10**8)
+    enum.add_argument("--max-states", dest="max_states", type=int, default=DEFAULT_ENUMERATION_CAP)
     enum.set_defaults(func=_cmd_enumerate)
 
     return parser

@@ -24,7 +24,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .matrices import BiregularBitMatrix, codegree
+from .matrices import BiregularBitMatrix, _bits, codegree
 
 __all__ = [
     "SwitchSite",
@@ -181,15 +181,6 @@ def reflect(
         if b1 != b2:
             rows[i] = row ^ swap_mask
     return BiregularBitMatrix(rows, matrix.n, _trusted=True)
-
-
-def _bits(value: int) -> list:
-    out = []
-    while value:
-        low = value & -value
-        out.append(low.bit_length() - 1)
-        value ^= low
-    return out
 
 
 def _bad_mask(

@@ -28,8 +28,8 @@ from typing import Iterator, Optional, Tuple, Union
 
 import numpy as np
 
-from .matrices import BiregularBitMatrix, VertexSetPair, codegree, edge_count
-from .couplings import _BLOCK_CELLS, RowOrder, _bad_mask, _bits, _minor_class_counts
+from .matrices import BiregularBitMatrix, VertexSetPair, _bits, codegree, edge_count
+from .couplings import _BLOCK_CELLS, RowOrder, _bad_mask, _minor_class_counts
 from .samplers import PermutationTuple, ResourceGuardError
 
 __all__ = [
@@ -108,10 +108,6 @@ class GoodEventCo:
     worst_pair: Tuple[int, int]
     worst_deviation_scaled: int  # max over pairs of |n*co - d^2|
     threshold_scaled: Fraction  # eta * d * (n - d)
-
-
-def _as_fraction(x: Union[int, float, Fraction]) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
 
 
 # ---------------------------------------------------------------------------
@@ -285,16 +281,21 @@ def _reduce_pair(matrix: BiregularBitMatrix, pair: VertexSetPair) -> VertexSetPa
     return pair
 
 
-def _switch_stats(matrix: BiregularBitMatrix, pair: VertexSetPair):
+def _switch_sets(matrix: BiregularBitMatrix, pair: VertexSetPair):
+    """(dense, A, A^c, B, B^c, nb), nb[i] the number of row i's columns in B."""
     dense = matrix.dense().astype(np.int64)
     rows_a = sorted(pair.rows)
     rows_c = sorted(set(range(matrix.m)) - pair.rows)
     cols_b = sorted(pair.cols)
     cols_c = sorted(set(range(matrix.n)) - pair.cols)
     nb = dense[:, cols_b].sum(axis=1) if cols_b else np.zeros(matrix.m, dtype=np.int64)
-    co = dense @ dense.T
-    ex = matrix.d - co
-    return dense, rows_a, rows_c, cols_b, cols_c, nb, ex
+    return dense, rows_a, rows_c, cols_b, cols_c, nb
+
+
+def _switch_stats(matrix: BiregularBitMatrix, pair: VertexSetPair):
+    """_switch_sets and ex = d - M M^T, the exclusive counts of all row pairs."""
+    sets = _switch_sets(matrix, pair)
+    return (*sets, matrix.d - sets[0] @ sets[0].T)
 
 
 def switching_f(matrix: BiregularBitMatrix, pair: VertexSetPair) -> CouplingDiagnostics:
@@ -358,7 +359,7 @@ def switching_f(matrix: BiregularBitMatrix, pair: VertexSetPair) -> CouplingDiag
     )
 
 
-def _switching_steps(dense, rows_a, rows_c, cols_b, cols_c, nb, ex) -> Iterator[np.ndarray]:
+def _switching_steps(d, dense, rows_a, rows_c, cols_b, cols_c, nb) -> Iterator[np.ndarray]:
     """|f - f~| at every switchable site, block by block of row pairs.
 
     Fix (i1, i2) in A x A^c and the kind s (+1 for I sites, whose entries at
@@ -368,15 +369,17 @@ def _switching_steps(dense, rows_a, rows_c, cols_b, cols_c, nb, ex) -> Iterator[
     g = s*[(nb1 - s)(S_C - r2) - (T_C - nb2 r2)]
         - s*[(T_A - nb1 r1) - (nb2 + s)(S_A - r1)],
     where S_X = sum_{u in X} row_u, T_X = sum_{u in X} nb_u row_u, and r1,
-    r2, nb1, nb2 belong to rows i1, i2.  Yields one array of steps per block.
+    r2, nb1, nb2 belong to rows i1, i2.  The ex sums come from the same
+    column sums, ex[i, u] = d - row_i . row_u, so no Gram is formed.  Yields
+    one array of steps per block.
     """
     rows_a = np.asarray(rows_a)
     rows_c = np.asarray(rows_c)
     weighted = nb[:, None] * dense
     s_a, t_a = dense[rows_a].sum(axis=0), weighted[rows_a].sum(axis=0)
     s_c, t_c = dense[rows_c].sum(axis=0), weighted[rows_c].sum(axis=0)
-    ex_c = ex[:, rows_c].sum(axis=1)  # sum_{u in A^c} ex[i, u]
-    ex_a = ex[rows_a].sum(axis=0)  # sum_{u in A} ex[u, i]
+    ex_c = d * rows_c.size - dense @ s_c  # sum_{u in A^c} ex[i, u]
+    ex_a = d * rows_a.size - dense @ s_a  # sum_{u in A} ex[u, i]
     first = np.repeat(rows_a, rows_c.size)
     second = np.tile(rows_c, rows_a.size)
     block = max(1, _BLOCK_CELLS // (len(cols_b) * len(cols_c)))
@@ -429,7 +432,7 @@ def _switching_vf_step(
 
     total = 0
     worst = 0
-    for steps in _switching_steps(*_switch_stats(matrix, pair)):
+    for steps in _switching_steps(matrix.d, *_switch_sets(matrix, pair)):
         total += int(steps.sum())
         worst = max(worst, int(steps.max(initial=0)))
     if worst > step_cap:
@@ -540,7 +543,7 @@ def good_event_co(
     The comparison is |n*co - d^2| <= eta * d * (n-d) over the integers
     (eta exact as a Fraction), so no float tolerance enters.
     """
-    eta = _as_fraction(eta)
+    eta = Fraction(eta)
     if eta < 0:
         raise ValueError("eta must be >= 0")
     n, d = matrix.n, matrix.d

@@ -474,26 +474,18 @@ class UniformityResult:
     max_count: int
 
 
-def uniformity_test(
-    n: int,
-    d: int,
-    sampler: SamplerSpec,
-    N: int,
-    m: Optional[int] = None,
-    dp: Optional[int] = None,
-) -> UniformityResult:
-    """Empirical distribution over the enumerated class vs uniform.
+def uniformity_test(sampler: SamplerSpec, N: int) -> UniformityResult:
+    """Empirical distribution over the sampler's enumerated class vs uniform.
 
-    Requires enumerate_all to be feasible for (m, n, d, dp).  Returns the
-    total-variation distance and the chi-square p-value against the
-    uniform distribution; sampling is sharded exactly like the tail
+    Requires enumerate_all to be feasible for the sampler's (m, n, d, dp).
+    Returns the total-variation distance and the chi-square p-value against
+    the uniform distribution; sampling is sharded exactly like the tail
     harness, so the result is reproducible per (sampler, N).
     """
     if sampler.kind not in CLASS_KINDS:
         raise ValueError("uniformity_test needs a class-valued sampler")
-    mm = n if m is None else m
     index = {}
-    for i, mat in enumerate(enumerate_all(mm, n, d, dp)):
+    for i, mat in enumerate(enumerate_all(sampler.m, sampler.n, sampler.d, sampler.dp)):
         index[mat.rows] = i
     size = len(index)
     counts = np.zeros(size, dtype=np.int64)

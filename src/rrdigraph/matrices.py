@@ -87,6 +87,16 @@ def dense_to_words(dense: np.ndarray) -> np.ndarray:
     return raw.view("<u8").astype(np.uint64, copy=False)
 
 
+def _bits(value: int) -> list:
+    """The set bits of a packed row int, ascending: its columns."""
+    out = []
+    while value:
+        low = value & -value
+        out.append(low.bit_length() - 1)
+        value ^= low
+    return out
+
+
 class BiregularBitMatrix:
     """Immutable m x n 0/1 matrix with row sums d and column sums dp.
 
@@ -168,10 +178,6 @@ class BiregularBitMatrix:
     # -- derived scalars -------------------------------------------------------
 
     @property
-    def square(self) -> bool:
-        return self.m == self.n
-
-    @property
     def p(self) -> Fraction:
         """Edge density d/n = dp/m."""
         return Fraction(self.d, self.n)
@@ -206,10 +212,8 @@ class BiregularBitMatrix:
     def transpose(self) -> "BiregularBitMatrix":
         cols = [0] * self.n
         for i, r in enumerate(self.rows):
-            while r:
-                low = r & -r
-                cols[low.bit_length() - 1] |= 1 << i
-                r ^= low
+            for j in _bits(r):
+                cols[j] |= 1 << i
         return BiregularBitMatrix(cols, self.m, _trusted=True)
 
     def __eq__(self, other) -> bool:
@@ -256,9 +260,6 @@ class VertexSetPair:
     @property
     def b(self) -> int:
         return len(self.cols)
-
-    def row_mask(self) -> int:
-        return sum(1 << i for i in self.rows)
 
     def col_mask(self) -> int:
         return sum(1 << j for j in self.cols)

@@ -47,6 +47,7 @@ import numpy as np
 from .matrices import (
     BiregularBitMatrix,
     InvalidMatrixError,
+    _bits,
     dense_to_words,
     rows_to_words,
     words_to_dense,
@@ -80,6 +81,15 @@ CLASS_KINDS = ("rejection", "switch_mcmc")
 
 DEFAULT_MAX_ATTEMPTS = 10**6
 DEFAULT_ENUMERATION_CAP = 10**8
+
+# The optional spec fields each kind reads; setting any other is an error.
+# max_attempts is left out: its default is set, and echoed, for every kind.
+_OPTIONAL_READS = {
+    "rejection": ("m", "dp"),
+    "switch_mcmc": ("m", "dp", "steps"),
+    "permutation_model": ("m", "dp"),
+    "erdos_renyi": ("p",),
+}
 
 
 class ResourceGuardError(RuntimeError):
@@ -120,14 +130,14 @@ class SamplerSpec:
     def __post_init__(self):
         if self.kind not in _KERNELS:
             raise ValueError(f"unknown sampler kind {self.kind!r}")
+        for name in ("m", "dp", "p", "steps"):
+            if getattr(self, name) is not None and name not in _OPTIONAL_READS[self.kind]:
+                raise ValueError(f"sampler field {name!r} is not read by kind {self.kind!r}")
         if self.kind == "erdos_renyi":
             if self.p is None or not 0.0 <= self.p <= 1.0:
                 raise ValueError("erdos_renyi requires p in [0, 1]")
             if self.n <= 0:
                 raise ValueError("erdos_renyi requires n >= 1")
-            for name in ("m", "dp", "steps"):
-                if getattr(self, name) is not None:
-                    raise ValueError(f"sampler field {name!r} is not read by kind 'erdos_renyi'")
             return
         m = self.n if self.m is None else self.m
         dp = self.d if self.dp is None else self.dp
@@ -139,6 +149,10 @@ class SamplerSpec:
             raise ValueError(f"degrees out of range: d={self.d} (n={self.n}), dp={dp} (m={m})")
         if m * self.d != self.n * dp:
             raise ValueError(f"edge-count mismatch: m*d = {m * self.d} != n*dp = {self.n * dp}")
+        if self.kind == "permutation_model" and m != self.n:
+            raise ValueError(
+                f"sampler field 'm' must equal n = {self.n} for kind 'permutation_model', got {m}"
+            )
         if self.kind == "switch_mcmc" and self.resolved_steps < 0:
             raise ValueError("steps must be >= 0")
 
@@ -505,9 +519,11 @@ def enumerate_all(
         raise SearchSpaceTooLarge(
             f"C({n},{d})^{m} = {enumeration_size_bound(m, n, d)} exceeds cap {max_states}"
         )
-    candidates = sorted(
-        sum(1 << j for j in combo) for combo in itertools.combinations(range(n), d)
-    )
+    # Each candidate row with its columns, in ascending mask order.
+    candidates = [
+        (mask, _bits(mask))
+        for mask in sorted(sum(1 << j for j in combo) for combo in itertools.combinations(range(n), d))
+    ]
     rem = [dp] * n
     rows: list = []
 
@@ -526,31 +542,17 @@ def enumerate_all(
             yield BiregularBitMatrix(list(rows), n, _trusted=True)
             return
         rows_left = m - i - 1
-        for mask in candidates:
-            bits = mask
-            ok = True
-            while bits:
-                low = bits & -bits
-                if rem[low.bit_length() - 1] == 0:
-                    ok = False
-                    break
-                bits ^= low
-            if not ok:
+        for mask, cols in candidates:
+            if not all(rem[j] for j in cols):
                 continue
-            bits = mask
-            while bits:
-                low = bits & -bits
-                rem[low.bit_length() - 1] -= 1
-                bits ^= low
+            for j in cols:
+                rem[j] -= 1
             if feasible(rows_left):
                 rows.append(mask)
                 yield from rec()
                 rows.pop()
-            bits = mask
-            while bits:
-                low = bits & -bits
-                rem[low.bit_length() - 1] += 1
-                bits ^= low
+            for j in cols:
+                rem[j] += 1
 
     return rec()
 

@@ -94,10 +94,18 @@ class _Tracker:
         )
 
 
+def _by_rejection(n, d):
+    """Whether the class suites draw by rejection, which accepts often
+    enough when d or n - d is at most 2, rather than by the switch chain."""
+    return d <= 2 or n - d <= 2
+
+
 def _sample_matrices(n, d, count, seed, m=None, dp=None, steps=None):
-    kind = "rejection" if d <= 2 or n - d <= 2 else "switch_mcmc"
-    steps = steps if steps is not None else min(100 * n * d, 4000)
-    spec = SamplerSpec(kind=kind, n=n, d=d, m=m, dp=dp, steps=steps, seed=seed)
+    if _by_rejection(n, d):
+        spec = SamplerSpec(kind="rejection", n=n, d=d, m=m, dp=dp, seed=seed)
+    else:
+        steps = min(100 * n * d, 4000) if steps is None else steps
+        spec = SamplerSpec(kind="switch_mcmc", n=n, d=d, m=m, dp=dp, steps=steps, seed=seed)
     return sample_many(spec, count)
 
 
@@ -292,6 +300,11 @@ def run_suite(
     for name in ("n", "m") if class_suites else ("n",):
         if config[name] < 2:
             raise ValueError(f"verify field {name!r} must be >= 2, got {config[name]}")
+    if steps is not None and (not class_suites or _by_rejection(n, d)):
+        raise ValueError(
+            "verify field 'steps' is not read: only the reflection and switching "
+            "suites run the switch chain, and only when 2 < d < n - 2"
+        )
     mats = _sample_matrices(n, d, samples, seed, m, dp, steps) if class_suites else None
     runners = {
         "reflection": lambda: _reflection_suite(mats, seed),

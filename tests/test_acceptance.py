@@ -255,10 +255,10 @@ def test_criterion_06_catalan_ratio():
 
 def test_criterion_07_sampler_uniformity():
     started = time.time()
-    r31 = uniformity_test(3, 1, SamplerSpec(kind="rejection", n=3, d=1, seed=731), 90_000)
-    r42 = uniformity_test(4, 2, SamplerSpec(kind="rejection", n=4, d=2, seed=732), 90_000)
+    r31 = uniformity_test(SamplerSpec(kind="rejection", n=3, d=1, seed=731), 90_000)
+    r42 = uniformity_test(SamplerSpec(kind="rejection", n=4, d=2, seed=732), 90_000)
     m42 = uniformity_test(
-        4, 2, SamplerSpec(kind="switch_mcmc", n=4, d=2, steps=200, seed=733), 90_000
+        SamplerSpec(kind="switch_mcmc", n=4, d=2, steps=200, seed=733), 90_000
     )
     ok = r31.tv_distance <= 0.02 and r42.tv_distance <= 0.02 and m42.tv_distance <= 0.03
     elapsed = time.time() - started

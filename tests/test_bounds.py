@@ -138,7 +138,6 @@ class TestEvalBound:
         [
             dict(n=5, d=6),
             dict(n=5, d=-1),
-            dict(n=9, m=6, d=3, dp=7),
             dict(n=9, m=6, d=3, a=7, b=1),
             dict(n=9, m=6, d=3, a=0, b=1),
             dict(n=9, m=6, d=3, a=1, b=10),
@@ -146,11 +145,11 @@ class TestEvalBound:
         ],
     )
     def test_sizes_outside_the_class_rejected(self, fields):
-        with pytest.raises(ValueError, match="bound field '(d|dp|a|b)' must be in"):
+        with pytest.raises(ValueError, match="bound field '(d|a|b)' must be in"):
             TailBoundSpec(theorem="bipartite_edge", deviation=1.0, **fields)
 
     def test_sizes_at_the_class_edges_accepted(self):
-        spec = TailBoundSpec(theorem="bipartite_edge", n=9, m=6, d=9, dp=6, a=6, b=9, deviation=1.0)
+        spec = TailBoundSpec(theorem="bipartite_edge", n=9, m=6, d=9, a=6, b=9, deviation=1.0)
         assert eval_bound(spec).value > 0
 
     def test_missing_parameter_rejected(self):

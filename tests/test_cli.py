@@ -276,6 +276,13 @@ class TestBoundCli:
         payload = json.loads(stdout)
         assert payload["constants"]["c"]["source"] == "chosen"
 
+    def test_payload_version_and_config(self, capsys):
+        code, stdout, _ = run(capsys, "bound", "--theorem", "codegree_upper", "--tau", "1", "--n", "10", "--d", "3")
+        assert code == 0
+        payload = json.loads(stdout)
+        assert payload["schema_version"] == 2
+        assert "dp" not in payload["config"] and payload["config"]["deviation"] == 1.0
+
     def test_usage_error_exit_1(self, capsys):
         code, _, err = run(capsys, "bound", "--theorem", "no_such_theorem")
         assert code == 1
@@ -379,7 +386,7 @@ class TestSigma2Cli:
         assert code == 1
 
     def test_exact_payload_has_no_iteration_settings(self, capsys):
-        code, stdout, _ = run(capsys, "sigma2", "--sample", "kind=switch_mcmc,n=8,d=3,steps=50")
+        code, stdout, _ = run(capsys, "sigma2", "--kind", "switch_mcmc", "--n", "8", "--d", "3", "--steps", "50")
         assert code == 0
         payload = json.loads(stdout)
         assert payload["schema_version"] == 2
@@ -388,7 +395,7 @@ class TestSigma2Cli:
 
     @pytest.mark.parametrize("flag", ["--tol", "--max-iters"])
     def test_iteration_flags_removed(self, capsys, flag):
-        code, _, _ = run(capsys, "sigma2", "--sample", "kind=switch_mcmc,n=8,d=3", flag, "5")
+        code, _, _ = run(capsys, "sigma2", "--kind", "switch_mcmc", "--n", "8", "--d", "3", flag, "5")
         assert code == 1
 
 
@@ -419,10 +426,8 @@ class TestSigma2CommonFlags:
         assert err.startswith("usage error: ") and message in err
         assert stdout == "" and not out.exists()
 
-    @pytest.mark.parametrize("source", ["in", "sample"])
-    def test_seed_only_with_sampler_flags(self, full_file, capsys, source):
-        given = ("--in", full_file) if source == "in" else ("--sample", "kind=switch_mcmc,n=8,d=3,seed=2")
-        code, _, err = run(capsys, "sigma2", *given, "--seed", "5")
+    def test_seed_only_with_sampler_flags(self, full_file, capsys):
+        code, _, err = run(capsys, "sigma2", "--in", full_file, "--seed", "5")
         assert code == 1
         assert err.startswith("usage error: ") and "--seed" in err
 
@@ -465,6 +470,24 @@ class TestFlagMatrix:
     """Each subcommand takes only the flags it reads; any other is a usage
     error raised before any work or output."""
 
+    @staticmethod
+    def _run(tmp_path, capsys, argv):
+        """Run argv with {in}, {cfg} and {out} filled in; (code, stdout, err,
+        outputs), `outputs` the directory that {out} names a file in."""
+        from conftest import matrix_from_strings
+
+        inputs = tmp_path / "inputs"
+        inputs.mkdir()
+        (inputs / "m.txt").write_text(format_matrix(matrix_from_strings(["1100", "1100", "0011", "0011"])))
+        (inputs / "cfg.json").write_text(json.dumps({
+            "sampler": {"kind": "permutation_model", "n": 40, "d": 3},
+            "statistic": "perm_edge_count", "grid": [0.5], "N": 100, "a": 12, "b": 12,
+        }))
+        outputs = tmp_path / "outputs"
+        outputs.mkdir()
+        paths = {"{in}": str(inputs / "m.txt"), "{cfg}": str(inputs / "cfg.json"), "{out}": str(outputs / "x")}
+        return (*run(capsys, *(paths.get(arg, arg) for arg in argv)), outputs)
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -495,21 +518,42 @@ class TestFlagMatrix:
              "tail-without-out", "enumerate-threads", "enumerate-seed", "enumerate-format"],
     )
     def test_unread_flag_is_usage_error(self, tmp_path, capsys, argv):
-        from conftest import matrix_from_strings
-
-        inputs = tmp_path / "inputs"
-        inputs.mkdir()
-        (inputs / "m.txt").write_text(format_matrix(matrix_from_strings(["1100", "1100", "0011", "0011"])))
-        (inputs / "cfg.json").write_text(json.dumps({
-            "sampler": {"kind": "permutation_model", "n": 40, "d": 3},
-            "statistic": "perm_edge_count", "grid": [0.5], "N": 100, "a": 12, "b": 12,
-        }))
-        outputs = tmp_path / "outputs"
-        outputs.mkdir()
-        paths = {"{in}": str(inputs / "m.txt"), "{cfg}": str(inputs / "cfg.json"), "{out}": str(outputs / "x")}
-        code, stdout, err = run(capsys, *(paths.get(arg, arg) for arg in argv))
+        code, stdout, err, outputs = self._run(tmp_path, capsys, argv)
         assert code == 1
         assert err.startswith("usage error: ")
+        assert stdout == ""
+        assert list(outputs.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "argv, name",
+        [
+            (["sample", "--kind", "rejection", "--n", "4", "--d", "2", "--out", "{out}", "--steps", "3"], "'steps'"),
+            (["sample", "--kind", "rejection", "--n", "4", "--d", "2", "--out", "{out}", "--p", "0.9"], "'p'"),
+            (["sample", "--kind", "permutation_model", "--n", "4", "--d", "2", "--m", "2", "--dp", "1",
+              "--out", "{out}"], "'m'"),
+            (["sigma2", "--kind", "switch_mcmc", "--n", "8", "--d", "3", "--p", "0.5", "--out", "{out}"], "'p'"),
+            (["sigma2", "--sample", "kind=switch_mcmc,n=8,d=3", "--out", "{out}"], "--sample"),
+            (["sigma2", "--in", "{in}", "--out", "{out}", "--format", "json"], "--format"),
+            (["verify", "--suite", "all", "--n", "8", "--d", "2", "--samples", "5", "--out", "{out}",
+              "--steps", "1"], "'steps'"),
+            (["verify", "--suite", "switching", "--n", "8", "--d", "6", "--samples", "5", "--out", "{out}",
+              "--steps", "1"], "'steps'"),
+            (["verify", "--suite", "permutation", "--n", "8", "--d", "3", "--samples", "5", "--out", "{out}",
+              "--steps", "1"], "'steps'"),
+            (["bound", "--theorem", "codegree_upper", "--eps", "1", "--n", "10", "--d", "3", "--dp", "3"], "--dp"),
+            (["bound", "--theorem", "codegree_upper", "--eps", "1", "--tau", "2", "--n", "10", "--d", "3"],
+             "--eps --tau"),
+            (["enumerate", "--n", "3", "--d", "1", "--count-only", "--out", "{out}"], "--out"),
+        ],
+        ids=["sample-rejection-steps", "sample-rejection-p", "sample-permutation-m", "sigma2-switch-p",
+             "sigma2-sample", "sigma2-format", "verify-steps-d2", "verify-steps-n-d2",
+             "verify-steps-permutation", "bound-dp", "bound-two-deviations", "enumerate-count-only-out"],
+    )
+    def test_unread_input_is_rejected(self, tmp_path, capsys, argv, name):
+        # Flags and sampler fields nothing reads; the message names each one.
+        code, stdout, err, outputs = self._run(tmp_path, capsys, argv)
+        assert code == 1
+        assert err.startswith(("usage error: ", "error: ")) and name in err
         assert stdout == ""
         assert list(outputs.iterdir()) == []
 
@@ -534,7 +578,6 @@ class TestMalformedInputs:
         [
             ["sigma2", "--kind", "permutation_model", "--n", "5", "--d", "2"],
             ["sigma2", "--kind", "erdos_renyi", "--n", "5", "--p", "0.5"],
-            ["sigma2", "--sample", "kind=erdos_renyi,n=5,p=0.5"],
             ["bound", "--theorem", "codegree_upper", "--n", "0", "--d", "0", "--eps", "1"],
             ["bound", "--theorem", "perm_edge", "--n", "0", "--d", "1", "--a", "1", "--b", "1", "--tau", "1"],
             ["bound", "--theorem", "er_codegree", "--n", "0", "--p", "0.5", "--eps", "1"],
@@ -548,7 +591,7 @@ class TestMalformedInputs:
             ["bound", "--theorem", "edge_upper", "--n", "5", "--d", "2", "--a", "7", "--b", "1", "--tau", "1"],
             ["bound", "--theorem", "codegree_upper", "--n", "5", "--d", "9", "--eps", "1"],
         ],
-        ids=["sigma2-permutation-model", "sigma2-erdos-renyi", "sigma2-sample-erdos-renyi",
+        ids=["sigma2-permutation-model", "sigma2-erdos-renyi",
              "bound-codegree-n0", "bound-perm-edge-n0", "bound-er-codegree-n0", "bound-m0",
              "enumerate-n0", "enumerate-m0", "sample-kind-enumerate", "verify-n1", "verify-m1",
              "bound-a-above-n", "bound-d-above-n"],

@@ -75,14 +75,14 @@ class TestBinomialCI:
 class TestUniformity:
     def test_rejection_3_1(self):
         spec = SamplerSpec(kind="rejection", n=3, d=1, seed=301)
-        res = uniformity_test(3, 1, spec, 20_000)
+        res = uniformity_test(spec, 20_000)
         assert res.class_size == 6
         assert res.tv_distance <= 0.02
         assert res.chi_sq_p > 0.001
 
     def test_mcmc_4_2_smoke(self):
         spec = SamplerSpec(kind="switch_mcmc", n=4, d=2, steps=200, seed=302)
-        res = uniformity_test(4, 2, spec, 20_000)
+        res = uniformity_test(spec, 20_000)
         assert res.class_size == 90
         assert res.tv_distance <= 0.05
 
@@ -90,14 +90,14 @@ class TestUniformity:
         # uniform over the 90-element class: the chi-square test must not
         # reject at any sane level
         spec = SamplerSpec(kind="rejection", n=4, d=2, seed=303)
-        res = uniformity_test(4, 2, spec, 30_000)
+        res = uniformity_test(spec, 30_000)
         assert res.chi_sq_p > 0.001
         assert res.min_count > 0
 
     def test_rejects_non_class_sampler(self):
         spec = SamplerSpec(kind="erdos_renyi", n=4, p=0.5, seed=1)
         with pytest.raises(ValueError):
-            uniformity_test(4, 2, spec, 100)
+            uniformity_test(spec, 100)
 
 
 class TestConfig:

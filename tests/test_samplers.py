@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 import tracemalloc
@@ -50,6 +51,41 @@ class TestSpec:
     def test_er_rejects_fields_it_does_not_read(self, field):
         with pytest.raises(ValueError, match=f"'{field}' is not read by kind 'erdos_renyi'"):
             SamplerSpec(kind="erdos_renyi", n=3, p=0.5, **{field: 2})
+
+    @pytest.mark.parametrize(
+        "kind, fields, name",
+        [
+            ("rejection", dict(n=4, d=2, steps=3), "steps"),
+            ("rejection", dict(n=4, d=2, p=0.9), "p"),
+            ("switch_mcmc", dict(n=4, d=2, p=0.9), "p"),
+            ("permutation_model", dict(n=4, d=2, steps=3), "steps"),
+            ("permutation_model", dict(n=4, d=2, p=0.5), "p"),
+        ],
+        ids=["rejection-steps", "rejection-p", "switch-p", "permutation-steps", "permutation-p"],
+    )
+    def test_each_kind_rejects_fields_it_does_not_read(self, kind, fields, name):
+        with pytest.raises(ValueError, match=f"sampler field '{name}' is not read by kind '{kind}'"):
+            SamplerSpec(kind=kind, **fields)
+
+    def test_permutation_model_is_square(self):
+        with pytest.raises(ValueError, match="sampler field 'm' must equal n = 4"):
+            SamplerSpec(kind="permutation_model", n=4, d=2, m=2, dp=1)
+        assert SamplerSpec(kind="permutation_model", n=4, d=2, m=4).m == 4
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            SamplerSpec(kind="rejection", n=9, d=3, m=6, dp=2),
+            SamplerSpec(kind="switch_mcmc", n=6, d=2, steps=5),
+            SamplerSpec(kind="permutation_model", n=5, d=2),
+            SamplerSpec(kind="erdos_renyi", n=5, p=0.5),
+        ],
+        ids=lambda spec: spec.kind,
+    )
+    def test_resolved_spec_survives_replace(self, spec):
+        # The tail harness re-validates a resolved spec once per shard.
+        moved = dataclasses.replace(spec, stream=7)
+        assert moved.stream == 7 and dataclasses.replace(moved, stream=spec.stream) == spec
 
     def test_unknown_kind(self):
         # Exhaustive generation is enumerate_all, not a sampler kind.

@@ -58,6 +58,28 @@ class TestSharedDraw:
         run_suite(suite, 10, 3, 5, seed=1)
         assert seen == kinds
 
+    def test_steps_reach_the_chain(self, monkeypatch):
+        specs = []
+        sample_many = verify.sample_many
+
+        def recording(spec, count):
+            specs.append(spec)
+            return sample_many(spec, count)
+
+        monkeypatch.setattr(verify, "sample_many", recording)
+        (result,) = run_suite("switching", 10, 3, 2, seed=1, steps=7)
+        assert [(spec.kind, spec.steps) for spec in specs] == [("switch_mcmc", 7)]
+        assert result.config["steps"] == 7
+
+    @pytest.mark.parametrize(
+        "suite,n,d",
+        [("permutation", 10, 3), ("all", 10, 2), ("reflection", 10, 8), ("switching", 10, 1)],
+    )
+    def test_steps_rejected_where_no_chain_runs(self, monkeypatch, suite, n, d):
+        monkeypatch.setattr(verify, "sample_many", None)  # any draw would raise TypeError
+        with pytest.raises(ValueError, match="verify field 'steps' is not read"):
+            run_suite(suite, n, d, 3, steps=5)
+
     @pytest.mark.parametrize(
         "argv",
         [("all", 1, 1, 3, None), ("permutation", 1, 0, 3, None), ("reflection", 4, 1, 3, 1)],
