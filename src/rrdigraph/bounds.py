@@ -1,20 +1,21 @@
 """Closed-form tail/discrepancy bound evaluators and deterministic lemmas.
 
-Each evaluator returns the displayed expression of one theorem, together
-with a validity flag for its side conditions and a record of which
-constants are pinned by the source result (C1 = 64, C2 = 8 for the
-edge-count bounds) versus chosen defaults for the genuinely unspecified
-absolute constants (reported as non-paper so plots cannot pass them off
-as claims).
+Each theorem is one row of `_THEOREMS`: the optional inputs it reads, its
+constants, its note and its displayed expression.  An evaluation returns
+the expression together with a validity flag for its side conditions and
+a record of where each constant comes from: pinned by the source result
+("paper": C1 = 64, C2 = 8 for the edge-count bounds), a chosen default
+for a genuinely unspecified absolute constant ("chosen", so plots cannot
+pass it off as a claim), or set by the caller ("given").
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import Callable, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -31,19 +32,6 @@ __all__ = [
     "corollary_good_event",
 ]
 
-THEOREMS = (
-    "codegree_upper",
-    "codegree_uniform",
-    "edge_upper",
-    "edge_lower",
-    "edge_twosided",
-    "perm_edge",
-    "er_codegree",
-    "er_edge",
-    "bipartite_codegree_uniform",
-    "bipartite_edge",
-)
-
 # Chosen defaults for constants the statements leave unspecified.
 DEFAULT_SMALL_C = 1.0 / 64.0
 DEFAULT_POLY_C = 1.0
@@ -58,8 +46,9 @@ class TailBoundSpec:
 
     `deviation` is the theorem's deviation parameter (epsilon, tau or eta
     depending on the statement); `eta` is the codegree-event tolerance a
-    joint edge-count bound is conditioned on.  Unset constants pick up the
-    per-theorem defaults at evaluation time.
+    joint edge-count bound is conditioned on.  The optional fields a
+    theorem does not read must stay None; unset constants pick up the
+    theorem's defaults at evaluation time.
     """
 
     theorem: str
@@ -76,7 +65,8 @@ class TailBoundSpec:
     c: Optional[float] = None
 
     def __post_init__(self):
-        if self.theorem not in THEOREMS:
+        row = _THEOREMS.get(self.theorem)
+        if row is None:
             raise ValueError(f"unknown theorem {self.theorem!r}")
         if self.deviation < 0:
             raise ValueError("deviation parameter must be >= 0")
@@ -92,103 +82,122 @@ class TailBoundSpec:
             value = getattr(self, name)
             if value is not None and not low <= value <= high:
                 raise ValueError(f"bound field {name!r} must be in [{low}, {high}], got {value}")
+        for name in _OPTIONAL_FIELDS:
+            if name not in row.reads and getattr(self, name) is not None:
+                raise ValueError(f"bound field {name!r} is not read by theorem {self.theorem!r}")
+        for name in row.requires:
+            if getattr(self, name) is None:
+                raise ValueError(f"theorem {self.theorem!r} requires parameter {name!r}")
+
+
+# m, a, b, eta, p, c1, c2 and c: the fields only some theorems read.
+_OPTIONAL_FIELDS = tuple(f.name for f in fields(TailBoundSpec) if f.default is None)
 
 
 @dataclass(frozen=True)
 class BoundValue:
     value: float
     valid: bool
-    constants: dict = field(default_factory=dict)  # name -> (value, "paper"|"chosen")
+    constants: dict = field(default_factory=dict)  # name -> (value, "paper"|"chosen"|"given")
     note: str = ""
 
 
-def _d_hat(n: int, d: int) -> int:
-    return min(d, n - d)
+def _d_hat(s: TailBoundSpec) -> int:
+    return min(s.d, s.n - s.d)
 
 
-def _mu_hat_scaled(n: int, d: int, m: int, a: int, b: int) -> int:
-    """n * mu_hat as an exact integer: d * min(ab, (m-a)(n-b))."""
-    return d * min(a * b, (m - a) * (n - b))
+def _mu_hat(s: TailBoundSpec) -> float:
+    """mu_hat = d * min(ab, (m-a)(n-b)) / n, the numerator an exact integer."""
+    m = s.n if s.m is None else s.m
+    return s.d * min(s.a * s.b, (m - s.a) * (s.n - s.b)) / s.n
 
 
-def _require(spec: TailBoundSpec, *names: str) -> None:
-    for name in names:
-        if getattr(spec, name) is None:
-            raise ValueError(f"theorem {spec.theorem} requires parameter {name!r}")
+@dataclass(frozen=True)
+class _Theorem:
+    """One theorem: the optional spec fields it reads, those of them it
+    requires, its constants as name -> (default, "paper" | "chosen"), its
+    displayed bound as formula(spec, deviation, **constants) and its note."""
+
+    reads: Tuple[str, ...]
+    requires: Tuple[str, ...]
+    constants: dict
+    formula: Callable[..., float]
+    note: str = ""
+    # For a bound joint with the codegree event: the largest eta at which
+    # it holds, as a function of the deviation.
+    eta_limit: Optional[Callable[[float], float]] = None
+
+
+_CHOSEN_C = {"c": (DEFAULT_SMALL_C, "chosen")}
+_UNPINNED = {"c1": (DEFAULT_POLY_C, "chosen"), "c2": (DEFAULT_POLY_C, "chosen"), **_CHOSEN_C}
+_UNPINNED_NOTE = "absolute constants are not pinned by the statement"
+_EDGE_READS = ("m", "a", "b", "eta", "c1", "c2")
+_EDGE_CONSTANTS = {"c1": (64.0, "paper"), "c2": (8.0, "paper")}
+
+_THEOREMS = {
+    # exp(-eps^2/(4+2eps) * (d_hat/n)^2 * n), one fixed row pair.
+    "codegree_upper": _Theorem(
+        (), (), {}, lambda s, t: math.exp(-(t * t) / (4.0 + 2.0 * t) * (_d_hat(s) ** 2 / s.n)),
+    ),
+    "codegree_uniform": _Theorem(
+        ("c1", "c2", "c"), (), _UNPINNED,
+        lambda s, t, c1, c2, c: c1 * s.n**2 * _d_hat(s) ** 2 * math.exp(-c * t * _d_hat(s))
+        + c2 * s.n**2 * math.exp(-c * t * t / (1.0 + t) * _d_hat(s) ** 2 / s.n),
+        _UNPINNED_NOTE,
+    ),
+    # The edge-count tails in tau, with mu_hat over the m x n class.
+    "edge_upper": _Theorem(
+        _EDGE_READS, ("a", "b"), _EDGE_CONSTANTS,
+        lambda s, t, c1, c2: math.exp(-(t * t) * _mu_hat(s) / (c1 + c2 * t)),
+        eta_limit=lambda t: min(0.25, t / 8.0),
+    ),
+    "edge_lower": _Theorem(
+        _EDGE_READS, ("a", "b"), _EDGE_CONSTANTS,
+        lambda s, t, c1, c2: math.exp(-(t * t) * _mu_hat(s) / c1),
+        eta_limit=lambda t: t / 4.0,
+    ),
+    "edge_twosided": _Theorem(
+        _EDGE_READS, ("a", "b"), _EDGE_CONSTANTS,
+        lambda s, t, c1, c2: 2.0 * math.exp(-(t * t) * _mu_hat(s) / (c1 + c2 * t)),
+        eta_limit=lambda t: min(0.25, t / 8.0),
+    ),
+    "perm_edge": _Theorem(
+        ("a", "b"), ("a", "b"), {},
+        lambda s, t: 2.0 * math.exp(-(t * t) * (s.d * s.a * s.b / s.n) / (2.0 + t)),
+    ),
+    "er_codegree": _Theorem(
+        ("p", "c"), ("p",), _CHOSEN_C,
+        lambda s, t, c: 2.0 * math.exp(-c * t * t / (1.0 + t) * s.p**2 * s.n),
+    ),
+    "er_edge": _Theorem(
+        ("p", "a", "b", "c"), ("p", "a", "b"), _CHOSEN_C,
+        lambda s, t, c: 2.0 * math.exp(-c * t * t / (1.0 + t) * s.p * s.a * s.b),
+    ),
+    "bipartite_codegree_uniform": _Theorem(
+        ("m", "c1", "c2", "c"), ("m",), _UNPINNED,
+        lambda s, t, c1, c2, c: c1 * s.m**2 * _d_hat(s) ** 2 * math.exp(-c * t * s.n**2 / s.m)
+        + c2 * s.m**2 * math.exp(-c * t * min(_d_hat(s), t * s.n)),
+        _UNPINNED_NOTE,
+    ),
+    "bipartite_edge": _Theorem(
+        _EDGE_READS, ("a", "b"), _EDGE_CONSTANTS,
+        lambda s, t, c1, c2: 2.0 * math.exp(-(t * t) * _mu_hat(s) / (c1 + c2 * t)),
+        eta_limit=lambda t: min(0.25, t / 8.0),
+    ),
+}
+THEOREMS = tuple(_THEOREMS)
 
 
 def eval_bound(spec: TailBoundSpec) -> BoundValue:
     """Evaluate the displayed bound of `spec.theorem` at its parameters."""
-    th = spec.theorem
-    dev = spec.deviation
-    if th == "codegree_upper":
-        # exp(-eps^2/(4+2eps) * (d_hat/n)^2 * n), one fixed row pair.
-        p_hat_sq_n = _d_hat(spec.n, spec.d) ** 2 / spec.n
-        value = math.exp(-(dev * dev) / (4.0 + 2.0 * dev) * p_hat_sq_n)
-        return BoundValue(value, True)
-    if th == "codegree_uniform":
-        c1 = DEFAULT_POLY_C if spec.c1 is None else spec.c1
-        c2 = DEFAULT_POLY_C if spec.c2 is None else spec.c2
-        c = DEFAULT_SMALL_C if spec.c is None else spec.c
-        dh = _d_hat(spec.n, spec.d)
-        term1 = c1 * spec.n**2 * dh**2 * math.exp(-c * dev * dh)
-        term2 = c2 * spec.n**2 * math.exp(-c * dev * dev / (1.0 + dev) * dh**2 / spec.n)
-        return BoundValue(
-            term1 + term2,
-            True,
-            constants={"c1": (c1, "chosen"), "c2": (c2, "chosen"), "c": (c, "chosen")},
-            note="absolute constants are not pinned by the statement",
-        )
-    if th in ("edge_upper", "edge_lower", "edge_twosided", "bipartite_edge"):
-        _require(spec, "a", "b")
-        m = spec.n if spec.m is None else spec.m
-        c1 = 64.0 if spec.c1 is None else spec.c1
-        c2 = 8.0 if spec.c2 is None else spec.c2
-        mu_hat = _mu_hat_scaled(spec.n, spec.d, m, spec.a, spec.b) / spec.n
-        tau = dev
-        if th == "edge_lower":
-            value = math.exp(-(tau * tau) * mu_hat / c1)
-            valid = spec.eta is None or spec.eta <= tau / 4.0
-        else:
-            factor = 2.0 if th in ("edge_twosided", "bipartite_edge") else 1.0
-            value = factor * math.exp(-(tau * tau) * mu_hat / (c1 + c2 * tau))
-            valid = spec.eta is None or spec.eta <= min(0.25, tau / 8.0)
-        return BoundValue(
-            value,
-            valid,
-            constants={"c1": (c1, "paper"), "c2": (c2, "paper")},
-        )
-    if th == "perm_edge":
-        _require(spec, "a", "b")
-        mu = spec.d * spec.a * spec.b / spec.n
-        value = 2.0 * math.exp(-(dev * dev) * mu / (2.0 + dev))
-        return BoundValue(value, True)
-    if th == "er_codegree":
-        _require(spec, "p")
-        c = DEFAULT_SMALL_C if spec.c is None else spec.c
-        value = 2.0 * math.exp(-c * dev * dev / (1.0 + dev) * spec.p**2 * spec.n)
-        return BoundValue(value, True, constants={"c": (c, "chosen")})
-    if th == "er_edge":
-        _require(spec, "p", "a", "b")
-        c = DEFAULT_SMALL_C if spec.c is None else spec.c
-        value = 2.0 * math.exp(-c * dev * dev / (1.0 + dev) * spec.p * spec.a * spec.b)
-        return BoundValue(value, True, constants={"c": (c, "chosen")})
-    if th == "bipartite_codegree_uniform":
-        _require(spec, "m")
-        c1 = DEFAULT_POLY_C if spec.c1 is None else spec.c1
-        c2 = DEFAULT_POLY_C if spec.c2 is None else spec.c2
-        c = DEFAULT_SMALL_C if spec.c is None else spec.c
-        dh = _d_hat(spec.n, spec.d)
-        eta = dev
-        term1 = c1 * spec.m**2 * dh**2 * math.exp(-c * eta * spec.n**2 / spec.m)
-        term2 = c2 * spec.m**2 * math.exp(-c * eta * min(dh, eta * spec.n))
-        return BoundValue(
-            term1 + term2,
-            True,
-            constants={"c1": (c1, "chosen"), "c2": (c2, "chosen"), "c": (c, "chosen")},
-            note="absolute constants are not pinned by the statement",
-        )
-    raise AssertionError(f"unhandled theorem {th}")
+    row = _THEOREMS[spec.theorem]
+    constants = {
+        name: default if getattr(spec, name) is None else (getattr(spec, name), "given")
+        for name, default in row.constants.items()
+    }
+    value = row.formula(spec, spec.deviation, **{name: v for name, (v, _) in constants.items()})
+    valid = spec.eta is None or spec.eta <= row.eta_limit(spec.deviation)
+    return BoundValue(value, valid, constants, row.note)
 
 
 # ---------------------------------------------------------------------------

@@ -45,7 +45,6 @@ from .matrices import (
 from .samplers import (
     CLASS_KINDS,
     DEFAULT_ENUMERATION_CAP,
-    DEFAULT_MAX_ATTEMPTS,
     SAMPLER_KINDS,
     ResourceGuardError,
     SamplerSpec,
@@ -57,15 +56,16 @@ from .spectral import alpha_exact, sigma2
 from .verify import SCHEMA_VERSION as VERIFY_SCHEMA_VERSION, SUITES, run_suite
 
 SCHEMA_VERSION = 1
-# Version 2 of the sigma2 payload has no `tol` or `max_iters` in its config
-# (sigma2 is an exact SVD), version 2 of the stats payload no `format`
-# (stats emits JSON only), version 2 of the verify payload no v_f cap in
-# its config (v_f is always exact) and version 2 of the bound payload no
-# `dp` in its config (no theorem reads it); the other payloads keep
-# version 1.
-SIGMA2_SCHEMA_VERSION = 2
+# Version 2 of the stats payload has no `format`, of the verify payload no
+# v_f cap.  The sample (2) and sigma2 (3; 2 dropped `tol` and `max_iters`)
+# payloads echo `max_attempts` as null for the kinds other than rejection,
+# and the bound payload (3; 2 dropped `dp`) labels a constant the caller
+# sets "given".  The tail payload reports the tail metadata's version; the
+# other payloads keep version 1.
+SAMPLE_SCHEMA_VERSION = 2
+SIGMA2_SCHEMA_VERSION = 3
 STATS_SCHEMA_VERSION = 2
-BOUND_SCHEMA_VERSION = 2
+BOUND_SCHEMA_VERSION = 3
 
 
 class _UsageError(Exception):
@@ -97,19 +97,14 @@ def _read_matrix(path: str) -> BiregularBitMatrix:
     return mats[0]
 
 
+# The flags of _add_sampler_flags, by their SamplerSpec field names.
+_SAMPLER_FLAGS = ("kind", "n", "d", "m", "dp", "p", "steps", "stream", "max_attempts")
+
+
 def _spec_from_args(args) -> SamplerSpec:
-    return SamplerSpec(
-        kind=args.kind,
-        n=args.n,
-        d=args.d,
-        m=args.m,
-        dp=args.dp,
-        p=args.p,
-        steps=args.steps,
-        max_attempts=args.max_attempts,
-        seed=args.seed,
-        stream=args.stream,
-    )
+    """The spec the sampler flags and --seed name; a flag not given keeps its default."""
+    given = {name: getattr(args, name) for name in ("seed",) + _SAMPLER_FLAGS}
+    return SamplerSpec(**{name: value for name, value in given.items() if value is not None})
 
 
 # -- subcommand implementations ----------------------------------------------------
@@ -118,7 +113,7 @@ def _spec_from_args(args) -> SamplerSpec:
 def _cmd_sample(args) -> int:
     spec = _spec_from_args(args)
     config = dict(dataclasses.asdict(spec), count=args.count)
-    head = {"schema_version": SCHEMA_VERSION, "config": config}
+    head = {"schema_version": SAMPLE_SCHEMA_VERSION, "config": config}
     if spec.kind in CLASS_KINDS:
         text = format_matrices(sample_many(spec, args.count))
         payload = dict(head, count=args.count)
@@ -240,20 +235,9 @@ def _cmd_bound(args) -> int:
     if len(given) > 1:
         flags = " ".join(f"--{name}" for name in given)
         raise _UsageError(f"give at most one of --eps --tau --eta, got {flags}")
-    spec = TailBoundSpec(
-        theorem=args.theorem,
-        n=args.n,
-        d=args.d,
-        m=args.m,
-        deviation=getattr(args, given[0]) if given else 0.0,
-        a=args.a,
-        b=args.b,
-        eta=args.good_eta,
-        p=args.p,
-        c1=args.c1,
-        c2=args.c2,
-        c=args.c,
-    )
+    names = ("theorem", "n", "d", "m", "a", "b", "p", "c1", "c2", "c")
+    spec = TailBoundSpec(deviation=getattr(args, given[0]) if given else 0.0, eta=args.good_eta,
+                         **{name: getattr(args, name) for name in names})
     result = eval_bound(spec)
     _emit(
         {
@@ -261,9 +245,7 @@ def _cmd_bound(args) -> int:
             "config": dataclasses.asdict(spec),
             "bound": result.value,
             "valid": result.valid,
-            "constants": {
-                k: {"value": v[0], "source": v[1]} for k, v in result.constants.items()
-            },
+            "constants": {k: {"value": v, "source": src} for k, (v, src) in result.constants.items()},
             "note": result.note,
         }
     )
@@ -281,7 +263,7 @@ def _cmd_tail(args) -> int:
     sidecar.write_text(json.dumps(result.metadata, indent=2, default=str))
     _emit(
         {
-            "schema_version": SCHEMA_VERSION,
+            "schema_version": result.metadata["schema_version"],
             "config": result.metadata["config"],
             "csv": str(out_path),
             "metadata": str(sidecar),
@@ -293,14 +275,16 @@ def _cmd_tail(args) -> int:
 
 def _cmd_sigma2(args) -> int:
     if getattr(args, "in"):
-        if args.seed is not None:
-            raise _UsageError("--seed applies to the sampler flags, not to --in")
+        given = [name for name in ("seed",) + _SAMPLER_FLAGS if getattr(args, name) is not None]
+        if given:
+            flags = " ".join("--" + name.replace("_", "-") for name in given)
+            raise _UsageError(f"--in reads the matrix from a file; the sampler flags {flags} do not apply")
         matrix = _read_matrix(getattr(args, "in"))
         source = {"in": getattr(args, "in")}
     else:
-        if args.kind is None or args.n == 0:
+        if args.kind is None or args.n is None:
             raise _UsageError("sigma2 needs --in or sampler flags (--kind/--n/--d)")
-        spec = dataclasses.replace(_spec_from_args(args), seed=args.seed or 0)
+        spec = _spec_from_args(args)
         if spec.kind not in CLASS_KINDS:
             raise _UsageError(f"sigma2 needs a class-valued sampler kind {CLASS_KINDS}, "
                               f"got {spec.kind!r}")
@@ -362,15 +346,16 @@ def _cmd_enumerate(args) -> int:
 
 
 def _add_sampler_flags(sub, kind_required=True):
+    # None stands for a flag not given, which keeps the SamplerSpec default.
     sub.add_argument("--kind", choices=SAMPLER_KINDS, required=kind_required)
-    sub.add_argument("--n", type=int, default=0)
-    sub.add_argument("--d", type=int, default=0)
+    sub.add_argument("--n", type=int, default=None)
+    sub.add_argument("--d", type=int, default=None)
     sub.add_argument("--m", type=int, default=None)
     sub.add_argument("--dp", type=int, default=None)
     sub.add_argument("--p", type=float, default=None)
     sub.add_argument("--steps", type=int, default=None)
-    sub.add_argument("--stream", type=int, default=0)
-    sub.add_argument("--max-attempts", dest="max_attempts", type=int, default=DEFAULT_MAX_ATTEMPTS)
+    sub.add_argument("--stream", type=int, default=None)
+    sub.add_argument("--max-attempts", dest="max_attempts", type=int, default=None)
 
 
 def build_parser() -> _Parser:

@@ -24,7 +24,7 @@ from typing import Callable, List, Optional, Tuple, Union, get_args, get_origin,
 
 import numpy as np
 
-from .bounds import BoundValue, TailBoundSpec, eval_bound
+from .bounds import _THEOREMS, BoundValue, TailBoundSpec, eval_bound
 from .matrices import rows_to_words, words_to_rows
 from .samplers import CLASS_KINDS, SamplerSpec, draw, enumerate_all
 
@@ -43,7 +43,9 @@ __all__ = [
 
 SHARD_SIZE = 4096
 CSV_HEADER = "grid_value,empirical,ci_lo,ci_hi,bound,valid,verdict"
-SCHEMA_VERSION = 1
+# Version 2 of the tail metadata echoes `sampler.max_attempts` as null for
+# the kinds other than rejection, which alone reads it.
+SCHEMA_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -300,31 +302,36 @@ def _er_edge_events(cfg: ExperimentConfig, words: np.ndarray) -> List[np.ndarray
 
 
 # Config fields that only some statistics read; setting one the statistic
-# does not read is an error.  All but the row pair feed the bound.
-_BOUND_FIELDS = ("a", "b", "c", "c1", "c2", "good_event_eta")
-_OPTIONAL_FIELDS = ("i1", "i2") + _BOUND_FIELDS
+# does not read is an error.
+_OPTIONAL_FIELDS = tuple(f.name for f in dataclasses.fields(ExperimentConfig) if f.default is None)
+# The config field that feeds each theorem field; the sampler feeds m and p.
+_CONFIG_FIELD = {"eta": "good_event_eta", "m": None, "p": None}
 
 
 @dataclass(frozen=True)
 class _Statistic:
-    """One tail statistic: where it is defined, what it reads, its event
-    and the theorem that bounds the event's probability."""
+    """One tail statistic: where it is defined, its event and the theorem
+    that bounds the event's probability."""
 
     kinds: Tuple[str, ...]  # sampler kinds it is defined under
-    reads: Tuple[str, ...]  # config fields it reads besides sampler, grid, N and seed
     events: Callable[[ExperimentConfig, np.ndarray], List[np.ndarray]]  # one mask per grid value
     theorem: str
+    row_pair: bool = False  # reads the rows i1 and i2
     # The joint statement needs the codegree event; without eta the curve
     # is shown but carries no claim.
     claim_needs_eta: bool = False
+    bound_fields: dict = dataclasses.field(init=False)  # theorem field -> the config field feeding it
+    reads: Tuple[str, ...] = dataclasses.field(init=False)  # config fields besides sampler, grid, N, seed
+
+    def __post_init__(self):
+        feeds = {name: _CONFIG_FIELD.get(name, name) for name in _THEOREMS[self.theorem].reads}
+        object.__setattr__(self, "bound_fields", {name: c for name, c in feeds.items() if c is not None})
+        object.__setattr__(self, "reads", ("i1", "i2") * self.row_pair + tuple(self.bound_fields.values()))
 
     def bound(self, cfg: ExperimentConfig, grid_value: float) -> Tuple[BoundValue, bool]:
         """The theorem's bound at one grid value, fed the config fields the
-        statistic reads, and whether it makes a claim there."""
-        fields = {
-            "eta" if name == "good_event_eta" else name: getattr(cfg, name)
-            for name in self.reads if name in _BOUND_FIELDS
-        }
+        theorem reads, and whether it makes a claim there."""
+        fields = {name: getattr(cfg, c) for name, c in self.bound_fields.items()}
         s = cfg.sampler
         value = eval_bound(
             TailBoundSpec(theorem=self.theorem, n=s.n, d=s.d, p=s.p, deviation=grid_value, **fields)
@@ -333,17 +340,12 @@ class _Statistic:
 
 
 _STATISTICS = {
-    "codegree": _Statistic(CLASS_KINDS, ("i1", "i2"), _codegree_events, "codegree_upper"),
-    "codegree_uniform": _Statistic(
-        CLASS_KINDS, ("c", "c1", "c2"), _codegree_uniform_events, "codegree_uniform"
-    ),
-    "edge_count": _Statistic(
-        CLASS_KINDS, ("a", "b", "good_event_eta", "c1", "c2"), _edge_events, "edge_upper",
-        claim_needs_eta=True,
-    ),
-    "perm_edge_count": _Statistic(("permutation_model",), ("a", "b"), _perm_edge_events, "perm_edge"),
-    "er_codegree": _Statistic(("erdos_renyi",), ("i1", "i2", "c"), _er_codegree_events, "er_codegree"),
-    "er_edge": _Statistic(("erdos_renyi",), ("a", "b", "c"), _er_edge_events, "er_edge"),
+    "codegree": _Statistic(CLASS_KINDS, _codegree_events, "codegree_upper", row_pair=True),
+    "codegree_uniform": _Statistic(CLASS_KINDS, _codegree_uniform_events, "codegree_uniform"),
+    "edge_count": _Statistic(CLASS_KINDS, _edge_events, "edge_upper", claim_needs_eta=True),
+    "perm_edge_count": _Statistic(("permutation_model",), _perm_edge_events, "perm_edge"),
+    "er_codegree": _Statistic(("erdos_renyi",), _er_codegree_events, "er_codegree", row_pair=True),
+    "er_edge": _Statistic(("erdos_renyi",), _er_edge_events, "er_edge"),
 }
 
 

@@ -83,9 +83,8 @@ DEFAULT_MAX_ATTEMPTS = 10**6
 DEFAULT_ENUMERATION_CAP = 10**8
 
 # The optional spec fields each kind reads; setting any other is an error.
-# max_attempts is left out: its default is set, and echoed, for every kind.
 _OPTIONAL_READS = {
-    "rejection": ("m", "dp"),
+    "rejection": ("m", "dp", "max_attempts"),
     "switch_mcmc": ("m", "dp", "steps"),
     "permutation_model": ("m", "dp"),
     "erdos_renyi": ("p",),
@@ -123,14 +122,14 @@ class SamplerSpec:
     dp: Optional[int] = None
     p: Optional[float] = None
     steps: Optional[int] = None
-    max_attempts: int = DEFAULT_MAX_ATTEMPTS
+    max_attempts: Optional[int] = None
     seed: int = 0
     stream: int = 0
 
     def __post_init__(self):
         if self.kind not in _KERNELS:
             raise ValueError(f"unknown sampler kind {self.kind!r}")
-        for name in ("m", "dp", "p", "steps"):
+        for name in ("m", "dp", "p", "steps", "max_attempts"):
             if getattr(self, name) is not None and name not in _OPTIONAL_READS[self.kind]:
                 raise ValueError(f"sampler field {name!r} is not read by kind {self.kind!r}")
         if self.kind == "erdos_renyi":
@@ -143,6 +142,8 @@ class SamplerSpec:
         dp = self.d if self.dp is None else self.dp
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "dp", dp)
+        if self.kind == "rejection" and self.max_attempts is None:
+            object.__setattr__(self, "max_attempts", DEFAULT_MAX_ATTEMPTS)
         if self.n <= 0 or m <= 0:
             raise ValueError("matrix dimensions must be positive")
         if not 0 <= self.d <= self.n or not 0 <= dp <= m:

@@ -2,8 +2,11 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rrdigraph.bounds import (
+    _THEOREMS,
     THEOREMS,
     TailBoundSpec,
     check_pseudorandom_implication,
@@ -113,7 +116,8 @@ class TestEvalBound:
 
     @pytest.mark.parametrize("theorem", [t for t in THEOREMS])
     def test_monotone_in_deviation_and_vanishing(self, theorem):
-        kwargs = dict(n=24, d=6, m=24, a=6, b=8, p=0.25, eta=None)
+        optional = dict(m=24, a=6, b=8, p=0.25, eta=None)
+        kwargs = dict(n=24, d=6, **{k: v for k, v in optional.items() if k in _THEOREMS[theorem].reads})
         grid = [0.0, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0]
         values = [
             eval_bound(TailBoundSpec(theorem=theorem, deviation=g, **kwargs)).value
@@ -155,6 +159,20 @@ class TestEvalBound:
     def test_missing_parameter_rejected(self):
         with pytest.raises(ValueError, match="requires parameter"):
             eval_bound(TailBoundSpec(theorem="er_codegree", n=10, deviation=1.0))
+
+    def test_given_constants_are_labelled_given(self):
+        bv = eval_bound(TailBoundSpec(theorem="edge_upper", n=8, d=3, a=2, b=2, deviation=0.5, c1=3))
+        assert bv.constants == {"c1": (3, "given"), "c2": (8.0, "paper")}
+        bv = eval_bound(TailBoundSpec(theorem="er_edge", n=8, p=0.5, a=2, b=2, deviation=0.5, c=0.25))
+        assert bv.constants == {"c": (0.25, "given")}
+
+    def test_unread_field_rejected(self):
+        with pytest.raises(ValueError, match="bound field 'c1' is not read by theorem 'codegree_upper'"):
+            TailBoundSpec(theorem="codegree_upper", n=10, d=3, deviation=1.0, c1=5.0)
+
+    def test_range_checks_run_before_the_read_check(self):
+        with pytest.raises(ValueError, match="bound field 'a' must be in"):
+            TailBoundSpec(theorem="codegree_upper", n=10, d=3, a=11)
 
 
 class TestPseudorandomImplication:
@@ -219,3 +237,57 @@ class TestCorollarySweep:
     def test_eps_range(self):
         with pytest.raises(ValueError):
             corollary_good_event(FULL3, eps=1.5)
+
+
+# eval_bound at fixed inputs, one or more per theorem, as (theorem, fields,
+# value, valid): values recorded from the if-chain that the theorem table
+# replaced.
+_PINNED = [
+    ("codegree_upper", dict(n=40, d=7, deviation=0.75), 0.8822462288460213, True),
+    ("codegree_uniform", dict(n=40, d=7, deviation=3.0), 58001.95807790781, True),
+    ("codegree_uniform", dict(n=40, d=33, deviation=3.0, c1=2.0, c2=0.5, c=0.1), 19808.44598124434, True),
+    ("edge_upper", dict(n=40, d=7, a=9, b=13, deviation=0.5, eta=0.05), 0.9274877099703895, True),
+    ("edge_upper", dict(n=40, d=7, a=9, b=13, deviation=0.5, eta=0.07), 0.9274877099703895, False),
+    ("edge_lower", dict(n=40, d=7, a=9, b=13, deviation=0.5, eta=0.125), 0.9231343761788477, True),
+    ("edge_lower", dict(n=40, d=7, a=9, b=13, deviation=0.5, eta=0.13, c1=16.0), 0.726205769683301, False),
+    ("edge_twosided", dict(n=40, d=7, a=35, b=30, deviation=1.5), 1.54357495876165, True),
+    ("perm_edge", dict(n=40, d=3, a=12, b=12, deviation=0.5), 0.6791910512898782, True),
+    ("er_codegree", dict(n=40, p=0.3, deviation=2.0), 1.8554869726571057, True),
+    ("er_edge", dict(n=40, p=0.3, a=10, b=20, deviation=2.0, c=0.05), 0.03663127777746836, True),
+    ("bipartite_codegree_uniform", dict(n=9, m=6, d=3, deviation=0.5), 326.73450147196206, True),
+    ("bipartite_edge", dict(n=9, m=6, d=3, a=5, b=5, deviation=1.0, eta=0.125), 1.9633037913693197, True),
+    ("bipartite_edge", dict(n=9, m=6, d=3, a=5, b=5, deviation=3.0, c2=4.0), 1.7078793312470704, True),
+]
+
+
+class TestPinnedBounds:
+    @pytest.mark.parametrize("theorem, fields, value, valid", _PINNED)
+    def test_value_and_validity(self, theorem, fields, value, valid):
+        bv = eval_bound(TailBoundSpec(theorem=theorem, **fields))
+        assert bv.value == value
+        assert bv.valid is valid
+
+    def test_every_theorem_is_pinned(self):
+        assert {case[0] for case in _PINNED} == set(THEOREMS)
+
+
+# A value in range for each optional field at n = 24, d = 6.
+_BOUND_VALUES = dict(m=24, a=6, b=8, eta=0.1, p=0.25, c1=2.0, c2=3.0, c=0.5)
+
+
+class TestOptionalFields:
+    """A spec is accepted exactly when the optional fields set are among the
+    ones its theorem reads and cover the ones it requires."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(THEOREMS), st.sets(st.sampled_from(sorted(_BOUND_VALUES))))
+    def test_bound_spec_accepts_exactly_the_read_fields(self, theorem, names):
+        row = _THEOREMS[theorem]
+        accepted = names <= set(row.reads) and set(row.requires) <= names
+        fields = {name: _BOUND_VALUES[name] for name in names}
+        try:
+            TailBoundSpec(theorem=theorem, n=24, d=6, deviation=1.0, **fields)
+        except ValueError:
+            assert not accepted
+        else:
+            assert accepted

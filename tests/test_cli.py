@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from rrdigraph.bounds import THEOREMS
 from rrdigraph.cli import main
 from rrdigraph.matrices import format_matrix, parse_matrices, parse_matrix
 
@@ -22,13 +23,20 @@ class TestSample:
         )
         assert code == 0
         payload = json.loads(stdout)
-        assert payload["schema_version"] == 1
+        assert payload["schema_version"] == 2
         assert payload["config"]["steps"] == 100
         assert payload["config"]["m"] == 6  # defaults filled
         mats = parse_matrices(out.read_text())
         assert len(mats) == 3
         for mat in mats:
             mat.validate()
+
+    @pytest.mark.parametrize("kind, echoed", [("rejection", 10**6), ("switch_mcmc", None), ("permutation_model", None)])
+    def test_max_attempts_echoed_only_where_read(self, tmp_path, capsys, kind, echoed):
+        out = tmp_path / "x.txt"
+        code, stdout, _ = run(capsys, "sample", "--kind", kind, "--n", "4", "--d", "2", "--out", str(out))
+        assert code == 0
+        assert json.loads(stdout)["config"]["max_attempts"] == echoed
 
     def test_stdout_matrix_when_no_out(self, capsys):
         code, stdout, _ = run(
@@ -256,6 +264,26 @@ class TestVerifyCli:
             }
 
 
+# The optional bound fields each theorem reads, and those of them it requires.
+_BOUND_READS = {
+    "codegree_upper": ("", ""),
+    "codegree_uniform": ("c1 c2 c", ""),
+    "edge_upper": ("m a b eta c1 c2", "a b"),
+    "edge_lower": ("m a b eta c1 c2", "a b"),
+    "edge_twosided": ("m a b eta c1 c2", "a b"),
+    "perm_edge": ("a b", "a b"),
+    "er_codegree": ("p c", "p"),
+    "er_edge": ("p a b c", "p a b"),
+    "bipartite_codegree_uniform": ("m c1 c2 c", "m"),
+    "bipartite_edge": ("m a b eta c1 c2", "a b"),
+}
+# A `bound` flag and value in range at n = 24, d = 6 for each optional field.
+_BOUND_FLAGS = {
+    "m": ["--m", "24"], "a": ["--a", "6"], "b": ["--b", "8"], "eta": ["--good-eta", "0.1"],
+    "p": ["--p", "0.25"], "c1": ["--c1", "2"], "c2": ["--c2", "3"], "c": ["--c", "0.5"],
+}
+
+
 class TestBoundCli:
     def test_edge_twosided_at_zero_prints_two(self, capsys):
         code, stdout, _ = run(
@@ -280,8 +308,39 @@ class TestBoundCli:
         code, stdout, _ = run(capsys, "bound", "--theorem", "codegree_upper", "--tau", "1", "--n", "10", "--d", "3")
         assert code == 0
         payload = json.loads(stdout)
-        assert payload["schema_version"] == 2
+        assert payload["schema_version"] == 3
         assert "dp" not in payload["config"] and payload["config"]["deviation"] == 1.0
+
+    def test_given_constant_is_labelled_given(self, capsys):
+        code, stdout, _ = run(
+            capsys, "bound", "--theorem", "edge_upper", "--tau", "0.5", "--n", "8", "--d", "3",
+            "--a", "2", "--b", "2", "--c1", "3",
+        )
+        assert code == 0
+        assert json.loads(stdout)["constants"] == {
+            "c1": {"value": 3.0, "source": "given"}, "c2": {"value": 8.0, "source": "paper"},
+        }
+
+    @pytest.mark.parametrize(
+        "theorem, name", [(theorem, name) for theorem in _BOUND_READS for name in _BOUND_FLAGS]
+    )
+    def test_each_theorem_takes_only_the_fields_it_reads(self, capsys, theorem, name):
+        reads, requires = (set(names.split()) for names in _BOUND_READS[theorem])
+        argv = ["bound", "--theorem", theorem, "--n", "24", "--d", "6", "--eps", "1"]
+        for field in sorted(requires | {name}):
+            argv += _BOUND_FLAGS[field]
+        code, stdout, err = run(capsys, *argv)
+        if name in reads:
+            assert code == 0
+            assert json.loads(stdout)["config"][name] == float(_BOUND_FLAGS[name][1])
+        else:
+            assert code == 1
+            assert stdout == ""
+            assert f"bound field '{name}' is not read by theorem '{theorem}'" in err
+
+    def test_the_read_pairs(self):
+        assert set(_BOUND_READS) == set(THEOREMS)
+        assert sum(len(reads.split()) for reads, _ in _BOUND_READS.values()) == 39
 
     def test_usage_error_exit_1(self, capsys):
         code, _, err = run(capsys, "bound", "--theorem", "no_such_theorem")
@@ -315,7 +374,7 @@ class TestTailCli:
         sidecar = tmp_path / "tail.csv.meta.json"
         meta = json.loads(sidecar.read_text())
         assert meta["config"]["N"] == 3000
-        assert meta["schema_version"] == 1
+        assert meta["schema_version"] == 2
 
     def test_byte_identical_reruns(self, tmp_path, capsys):
         cfg = self._config(tmp_path)
@@ -389,7 +448,7 @@ class TestSigma2Cli:
         code, stdout, _ = run(capsys, "sigma2", "--kind", "switch_mcmc", "--n", "8", "--d", "3", "--steps", "50")
         assert code == 0
         payload = json.loads(stdout)
-        assert payload["schema_version"] == 2
+        assert payload["schema_version"] == 3
         assert "tol" not in payload["config"] and "max_iters" not in payload["config"]
         assert (payload["iterations"], payload["residual"], payload["converged"]) == (0, 0.0, True)
 
@@ -424,6 +483,18 @@ class TestSigma2CommonFlags:
         code, stdout, err = run(capsys, "sigma2", "--in", full_file, "--out", str(out), *flags)
         assert code == 1
         assert err.startswith("usage error: ") and message in err
+        assert stdout == "" and not out.exists()
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--kind", "rejection"), ("--n", "3"), ("--d", "3"), ("--m", "3"), ("--dp", "3"), ("--p", "0.5"),
+         ("--steps", "9"), ("--stream", "0"), ("--max-attempts", "5")],
+    )
+    def test_sampler_flags_with_in_are_usage_errors(self, full_file, tmp_path, capsys, flag, value):
+        out = tmp_path / "sigma.json"
+        code, stdout, err = run(capsys, "sigma2", "--in", full_file, "--out", str(out), flag, value)
+        assert code == 1
+        assert err.startswith("usage error: ") and flag in err
         assert stdout == "" and not out.exists()
 
     def test_seed_only_with_sampler_flags(self, full_file, capsys):
@@ -544,10 +615,16 @@ class TestFlagMatrix:
             (["bound", "--theorem", "codegree_upper", "--eps", "1", "--tau", "2", "--n", "10", "--d", "3"],
              "--eps --tau"),
             (["enumerate", "--n", "3", "--d", "1", "--count-only", "--out", "{out}"], "--out"),
+            (["bound", "--theorem", "codegree_upper", "--eps", "1", "--n", "10", "--d", "3", "--c1", "5"],
+             "'c1' is not read by theorem 'codegree_upper'"),
+            (["sigma2", "--in", "{in}", "--out", "{out}", "--kind", "rejection"], "--kind"),
+            (["sample", "--kind", "switch_mcmc", "--n", "4", "--d", "2", "--steps", "3", "--max-attempts", "5",
+              "--out", "{out}"], "'max_attempts'"),
         ],
         ids=["sample-rejection-steps", "sample-rejection-p", "sample-permutation-m", "sigma2-switch-p",
              "sigma2-sample", "sigma2-format", "verify-steps-d2", "verify-steps-n-d2",
-             "verify-steps-permutation", "bound-dp", "bound-two-deviations", "enumerate-count-only-out"],
+             "verify-steps-permutation", "bound-dp", "bound-two-deviations", "enumerate-count-only-out",
+             "bound-codegree-c1", "sigma2-in-kind", "sample-switch-max-attempts"],
     )
     def test_unread_input_is_rejected(self, tmp_path, capsys, argv, name):
         # Flags and sampler fields nothing reads; the message names each one.

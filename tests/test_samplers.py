@@ -6,9 +6,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rrdigraph.matrices import BiregularBitMatrix, InvalidMatrixError, rows_to_words, words_to_dense
 from rrdigraph.samplers import (
+    DEFAULT_MAX_ATTEMPTS,
     SAMPLER_KINDS,
     RejectionBudgetExhausted,
     SamplerSpec,
@@ -23,6 +26,7 @@ from rrdigraph.samplers import (
     switch_mcmc_dense,
 )
 from rrdigraph.samplers import (
+    _OPTIONAL_READS,
     _members,
     _site_blocks,
     _switch_rows,
@@ -66,6 +70,24 @@ class TestSpec:
     def test_each_kind_rejects_fields_it_does_not_read(self, kind, fields, name):
         with pytest.raises(ValueError, match=f"sampler field '{name}' is not read by kind '{kind}'"):
             SamplerSpec(kind=kind, **fields)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(SAMPLER_KINDS), st.sets(st.sampled_from(["m", "dp", "p", "steps", "max_attempts"])))
+    def test_accepts_exactly_the_fields_its_kind_reads(self, kind, names):
+        # In range at n = 6, d = 2; erdos_renyi cannot do without p.
+        values = dict(m=6, dp=2, p=0.5, steps=10, max_attempts=100)
+        required = {"p"} if kind == "erdos_renyi" else set()
+        accepted = names <= set(_OPTIONAL_READS[kind]) and required <= names
+        try:
+            SamplerSpec(kind=kind, n=6, d=2, **{name: values[name] for name in names})
+        except ValueError:
+            assert not accepted
+        else:
+            assert accepted
+
+    def test_max_attempts_resolved_for_rejection_only(self):
+        assert SamplerSpec(kind="rejection", n=6, d=2).max_attempts == DEFAULT_MAX_ATTEMPTS
+        assert SamplerSpec(kind="switch_mcmc", n=6, d=2).max_attempts is None
 
     def test_permutation_model_is_square(self):
         with pytest.raises(ValueError, match="sampler field 'm' must equal n = 4"):
