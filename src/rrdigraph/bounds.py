@@ -151,9 +151,10 @@ _THEOREMS = {
         lambda s, t, c1, c2: math.exp(-(t * t) * _mu_hat(s) / (c1 + c2 * t)),
         eta_limit=lambda t: min(0.25, t / 8.0),
     ),
+    # exp(-tau^2 mu_hat / C1): the lower tail has no C2 term.
     "edge_lower": _Theorem(
-        _EDGE_READS, ("a", "b"), _EDGE_CONSTANTS,
-        lambda s, t, c1, c2: math.exp(-(t * t) * _mu_hat(s) / c1),
+        ("m", "a", "b", "eta", "c1"), ("a", "b"), {"c1": _EDGE_CONSTANTS["c1"]},
+        lambda s, t, c1: math.exp(-(t * t) * _mu_hat(s) / c1),
         eta_limit=lambda t: t / 4.0,
     ),
     "edge_twosided": _Theorem(

@@ -56,16 +56,16 @@ from .spectral import alpha_exact, sigma2
 from .verify import SCHEMA_VERSION as VERIFY_SCHEMA_VERSION, SUITES, run_suite
 
 SCHEMA_VERSION = 1
-# Version 2 of the stats payload has no `format`, of the verify payload no
-# v_f cap.  The sample (2) and sigma2 (3; 2 dropped `tol` and `max_iters`)
-# payloads echo `max_attempts` as null for the kinds other than rejection,
-# and the bound payload (3; 2 dropped `dp`) labels a constant the caller
-# sets "given".  The tail payload reports the tail metadata's version; the
+# Version 2 of the stats payload has no `format`.  The sample (2) and sigma2
+# (3; 2 dropped `tol` and `max_iters`) payloads echo `max_attempts` as null
+# for the kinds other than rejection.  The bound payload (4) has no `c2` for
+# `edge_lower`; 3 labelled a constant the caller sets "given", 2 dropped
+# `dp`.  The verify and tail payloads report their module's version; the
 # other payloads keep version 1.
 SAMPLE_SCHEMA_VERSION = 2
 SIGMA2_SCHEMA_VERSION = 3
 STATS_SCHEMA_VERSION = 2
-BOUND_SCHEMA_VERSION = 3
+BOUND_SCHEMA_VERSION = 4
 
 
 class _UsageError(Exception):

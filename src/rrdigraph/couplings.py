@@ -13,8 +13,10 @@ preserve class membership, which is what makes them usable for building
 exchangeable pairs out of a uniform element.
 
 Row order convention: the walk reads rows as (i1, i2, remaining rows
-ascending).  The paper-facing case is (i1, i2) = (first, second) row; the
-general order supports per-pair bad-pair counts via row exchangeability.
+ascending).  The paper states the reflection for (i1, i2) = (first,
+second) row; row exchangeability carries it to any distinguished pair, so
+the bad-pair counts and minor classes of a pair (i1, i2) always read that
+pair's own order.
 """
 
 from __future__ import annotations
@@ -183,45 +185,36 @@ def reflect(
     return BiregularBitMatrix(rows, matrix.n, _trusted=True)
 
 
-def _bad_mask(
-    matrix: BiregularBitMatrix, i1: int, i2: int, order: RowOrder
-) -> tuple:
-    """(ex1 columns, ex2 columns, bad boolean matrix) for Ex x Ex pairs.
+def _bad_mask(matrix: BiregularBitMatrix, i1: int, i2: int) -> tuple:
+    """(ex1 columns, ex2 columns, bad boolean matrix, walk rows) for the
+    Ex x Ex pairs, walk rows the int8 dense matrix in walk order (i1, i2,
+    remaining rows ascending).
 
     A pair (c1, c2) in Ex(i1,i2) x Ex(i2,i1) automatically satisfies the
-    first two reflecting conditions under `order`; it is bad exactly when
-    its walk never returns to +1 from step 3 on.
+    first two reflecting conditions; it is bad exactly when its walk never
+    returns to +1 from step 3 on.
     """
+    walk_rows = matrix.dense()[list(RowOrder(i1, i2).sequence(matrix.m))].astype(np.int8)
     r1, r2 = matrix.rows[i1], matrix.rows[i2]
     ex1 = _bits(r1 & ~r2)
     ex2 = _bits(r2 & ~r1)
-    if not ex1:
-        return ex1, ex2, np.zeros((0, 0), dtype=bool)
-    seq = list(order.sequence(matrix.m))
-    dense = matrix.dense()[seq, :].astype(np.int8)
-    cols2 = dense[:, None, ex2]
+    cols2 = walk_rows[:, None, ex2]
     bad = np.empty((len(ex1), len(ex2)), dtype=bool)
-    block = max(1, _BLOCK_CELLS // (matrix.m * len(ex2)))
+    block = max(1, _BLOCK_CELLS // (matrix.m * max(1, len(ex2))))
     for start in range(0, len(ex1), block):
-        steps = dense[:, ex1[start : start + block], None] - cols2
+        steps = walk_rows[:, ex1[start : start + block], None] - cols2
         walks = np.cumsum(steps, axis=0, dtype=np.int32)
         bad[start : start + block] = ~(walks[2:] == 1).any(axis=0)
-    return ex1, ex2, bad
+    return ex1, ex2, bad, walk_rows
 
 
-def bad_pair_count(
-    matrix: BiregularBitMatrix, i1: int, i2: int, order: Optional[RowOrder] = None
-) -> int:
+def bad_pair_count(matrix: BiregularBitMatrix, i1: int, i2: int) -> int:
     """Number of non-reflecting pairs in Ex(i1,i2) x Ex(i2,i1).
 
     Bounded by ex^2 <= min(d, n-d)^2; each candidate walk is O(m) with the
     scan vectorised over all candidate pairs at once.
     """
-    if i1 == i2:
-        raise ValueError("bad_pair_count requires two distinct rows")
-    order = RowOrder(i1, i2) if order is None else order
-    _, _, bad = _bad_mask(matrix, i1, i2, order)
-    return int(bad.sum())
+    return int(_bad_mask(matrix, i1, i2)[2].sum())
 
 
 class MinorClassCounts(NamedTuple):
@@ -230,18 +223,13 @@ class MinorClassCounts(NamedTuple):
     nI_bad: int
 
 
-def count_minor_classes(
-    matrix: BiregularBitMatrix, i1: int, i2: int, order: Optional[RowOrder] = None
-) -> MinorClassCounts:
+def count_minor_classes(matrix: BiregularBitMatrix, i1: int, i2: int) -> MinorClassCounts:
     """Counts of K minors and of reflecting/bad I minors over all column pairs.
 
     nK = co * (n - 2d + co) and nI_reflecting + nI_bad = ex^2; the direct
     O(n^2) scan is kept to the test oracle.
     """
-    if i1 == i2:
-        raise ValueError("count_minor_classes requires two distinct rows")
-    order = RowOrder(i1, i2) if order is None else order
-    return _minor_class_counts(matrix, i1, i2, bad_pair_count(matrix, i1, i2, order))
+    return _minor_class_counts(matrix, i1, i2, bad_pair_count(matrix, i1, i2))
 
 
 def _minor_class_counts(

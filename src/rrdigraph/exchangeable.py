@@ -29,7 +29,7 @@ from typing import Iterator, Optional, Tuple, Union
 import numpy as np
 
 from .matrices import BiregularBitMatrix, VertexSetPair, _bits, codegree, edge_count
-from .couplings import _BLOCK_CELLS, RowOrder, _bad_mask, _minor_class_counts
+from .couplings import _BLOCK_CELLS, _bad_mask, _minor_class_counts
 from .samplers import PermutationTuple, ResourceGuardError
 
 __all__ = [
@@ -138,28 +138,20 @@ def _reflection_f(
     )
 
 
-def reflection_f(
-    matrix: BiregularBitMatrix,
-    i1: int,
-    i2: int,
-    order: Optional[RowOrder] = None,
-) -> CouplingDiagnostics:
+def reflection_f(matrix: BiregularBitMatrix, i1: int, i2: int) -> CouplingDiagnostics:
     """Conditional mean f of the reflection pair at rows (i1, i2), scale n.
 
     f_scaled = #K-minors - #reflecting-I-minors = n*co - d^2 + b as exact
     integers (b = bad-pair count).
     """
-    if i1 == i2:
-        raise ValueError("reflection_f requires two distinct rows")
-    order = RowOrder(i1, i2) if order is None else order
-    return _reflection_parts(matrix, i1, i2, order)[0]
+    return _reflection_parts(matrix, i1, i2)[0]
 
 
-def _reflection_parts(matrix: BiregularBitMatrix, i1: int, i2: int, order: RowOrder):
-    """The f part of reflection_vf: (f, (ex1, ex2, bad)), the bad-pair mask
-    from couplings._bad_mask kept for the v_f step."""
-    mask = _bad_mask(matrix, i1, i2, order)
-    return _reflection_f(matrix, i1, i2, int(mask[2].sum())), mask
+def _reflection_parts(matrix: BiregularBitMatrix, i1: int, i2: int):
+    """The f part of reflection_vf: (f, scan), scan the (ex1, ex2, bad, walk
+    rows) of couplings._bad_mask, kept for the v_f step."""
+    scan = _bad_mask(matrix, i1, i2)
+    return _reflection_f(matrix, i1, i2, int(scan[2].sum())), scan
 
 
 def _k_site_steps(walk_rows, j1s, j2s, ex1, ex2) -> np.ndarray:
@@ -195,12 +187,7 @@ def _k_site_steps(walk_rows, j1s, j2s, ex1, ex2) -> np.ndarray:
     return np.abs(n - bad.sum(axis=1))
 
 
-def reflection_vf(
-    matrix: BiregularBitMatrix,
-    i1: int,
-    i2: int,
-    order: Optional[RowOrder] = None,
-) -> CouplingDiagnostics:
+def reflection_vf(matrix: BiregularBitMatrix, i1: int, i2: int) -> CouplingDiagnostics:
     """Exact v_f of the reflection pair plus the bound v_f <= f + 2*d_hat^2/n.
 
     v_f = sum / (2 n^2), the sum of |f - f~| (scale n) over the active
@@ -210,23 +197,14 @@ def reflection_vf(
     n - b_new (see _k_site_steps).  Guarded by
     m*d*(n-d)*d_hat <= REFLECTION_EXACT_CAP.
     """
-    if i1 == i2:
-        raise ValueError("reflection_vf requires two distinct rows")
-    order = RowOrder(i1, i2) if order is None else order
-    diag, mask = _reflection_parts(matrix, i1, i2, order)
-    return _reflection_vf_step(matrix, i1, i2, order, diag, mask)
+    return _reflection_vf_step(matrix, i1, i2, *_reflection_parts(matrix, i1, i2))
 
 
 def _reflection_vf_step(
-    matrix: BiregularBitMatrix,
-    i1: int,
-    i2: int,
-    order: RowOrder,
-    diag: CouplingDiagnostics,
-    mask,
+    matrix: BiregularBitMatrix, i1: int, i2: int, diag: CouplingDiagnostics, scan
 ) -> CouplingDiagnostics:
     """The v_f step of reflection_vf: sets the bound, v_f and max_step of its
-    f part `diag` from the bad-pair mask that part scanned."""
+    f part `diag` from the bad-pair mask and walk rows that part scanned."""
     cost = matrix.m * matrix.d * (matrix.n - matrix.d) * matrix.d_hat
     if cost > REFLECTION_EXACT_CAP:
         raise ExactCapExceeded(
@@ -234,7 +212,7 @@ def _reflection_vf_step(
             f"above the cap of {REFLECTION_EXACT_CAP}"
         )
     n = matrix.n
-    ex1, ex2, bad = mask
+    ex1, ex2, bad, walk_rows = scan
     diag.bound = diag.f + Fraction(2 * matrix.d_hat**2, n)
 
     i_steps = np.abs(bad.sum(axis=1)[:, None] + bad.sum(axis=0)[None, :] - n)[~bad]
@@ -245,7 +223,6 @@ def _reflection_vf_step(
     co_cols = _bits(r1 & r2)
     zz_cols = _bits(~(r1 | r2) & ((1 << n) - 1))
     if co_cols and zz_cols:
-        walk_rows = matrix.dense()[list(order.sequence(matrix.m)), :].astype(np.int8)
         j1s = np.repeat(co_cols, len(zz_cols))
         j2s = np.tile(zz_cols, len(co_cols))
         block = max(1, _BLOCK_CELLS // (matrix.m * max(1, 2 * len(ex1))))

@@ -52,9 +52,9 @@ SCHEMA_VERSION = 2
 class ExperimentConfig:
     """One tail experiment: sampler, statistic, deviation grid, sample count.
 
-    `seed` overrides the sampler's own (seed, stream): shard k runs with
-    (seed, sampler.stream + k), which makes the merge independent of
-    worker scheduling.
+    `seed` keys the draws in place of the sampler's own, which must stay 0:
+    shard k runs with (seed, sampler.stream + k), which makes the merge
+    independent of worker scheduling.
     """
 
     sampler: SamplerSpec
@@ -79,6 +79,10 @@ class ExperimentConfig:
             raise ValueError("N must be >= 1")
         if any(g < 0 for g in self.grid):
             raise ValueError("grid values must be >= 0")
+        if self.sampler.seed:
+            raise ValueError(
+                f"config field 'sampler.seed' is not read (the shards use 'seed'), got {self.sampler.seed}"
+            )
         if self.sampler.kind not in stat.kinds:
             raise ValueError(
                 f"statistic {self.statistic!r} needs sampler kind in {stat.kinds}, "

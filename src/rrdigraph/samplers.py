@@ -142,8 +142,11 @@ class SamplerSpec:
         dp = self.d if self.dp is None else self.dp
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "dp", dp)
-        if self.kind == "rejection" and self.max_attempts is None:
-            object.__setattr__(self, "max_attempts", DEFAULT_MAX_ATTEMPTS)
+        if self.kind == "rejection":
+            if self.max_attempts is None:
+                object.__setattr__(self, "max_attempts", DEFAULT_MAX_ATTEMPTS)
+            if self.max_attempts < 1:
+                raise ValueError(f"sampler field 'max_attempts' must be >= 1, got {self.max_attempts}")
         if self.n <= 0 or m <= 0:
             raise ValueError("matrix dimensions must be positive")
         if not 0 <= self.d <= self.n or not 0 <= dp <= m:
@@ -445,12 +448,6 @@ class PermutationTuple:
         for perm in self.perms:
             out[np.arange(n), list(perm)] += 1
         return out
-
-    def validate(self) -> None:
-        n = self.n
-        for perm in self.perms:
-            if sorted(perm) != list(range(n)):
-                raise ValueError("not a permutation of range(n)")
 
 
 def permutation_batch(spec: SamplerSpec, count: int) -> np.ndarray:

@@ -11,7 +11,6 @@ columns with the largest, or the smallest, column sums over A.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -33,7 +32,6 @@ class SpectralReport:
     iterations: int
     residual: float
     converged: bool
-    alpha_exact: Optional[float] = None
 
 
 def sigma2(matrix: BiregularBitMatrix) -> SpectralReport:

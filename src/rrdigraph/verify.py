@@ -30,7 +30,10 @@ __all__ = ["VerifyRecord", "SuiteResult", "run_suite", "SUITES"]
 
 SUITES = ("reflection", "switching", "permutation", "all")
 
-SCHEMA_VERSION = 2
+# Version 2 of the payload has no v_f cap.  Version 3 replaces the
+# reflection record "antisymmetry of the codegree difference", which held
+# for any two integers, by the per-site codegree step.
+SCHEMA_VERSION = 3
 
 
 @dataclass
@@ -114,7 +117,7 @@ def _reflection_suite(mats, seed):
     t_invol = _Tracker("reflect twice is the identity")
     t_member = _Tracker("reflection outputs stay in the class")
     t_ident = _Tracker("scale-n identity: n*f = n*co - d^2 + b")
-    t_anti = _Tracker("antisymmetry of the codegree difference")
+    t_step = _Tracker("co(M) - co(M~) at the site: +1 on K, -1 on a reflecting I, else 0")
     t_walk = _Tracker("walk returns to 0 with at most min(dp, m-dp) up-steps")
     t_vf = _Tracker("reflection self-bound v_f <= f + 2*d_hat^2/n")
     for mat in mats:
@@ -135,15 +138,20 @@ def _reflection_suite(mats, seed):
             t_member.check(False, detail=str(exc))
 
         try:
-            diag, mask = _reflection_parts(mat, i1, i2, order)
+            diag, scan = _reflection_parts(mat, i1, i2)
             t_ident.check(True)
         except InvariantViolation as exc:
             t_ident.check(False, detail=str(exc))
             continue
 
-        delta_fwd = codegree(mat, i1, i2).co - codegree(image, i1, i2).co
-        delta_bwd = codegree(image, i1, i2).co - codegree(mat, i1, i2).co
-        t_anti.check(delta_fwd == -delta_bwd)
+        # A K minor [[1,0],[1,0]] always reflects and loses a common column;
+        # an I minor [[1,0],[0,1]] that the scan marks as not bad gains one.
+        ex1, ex2, bad, _ = scan
+        minor = (mat.entry(i1, j1), mat.entry(i1, j2), mat.entry(i2, j1), mat.entry(i2, j2))
+        reflecting_i = minor == (1, 0, 0, 1) and not bad[ex1.index(j1), ex2.index(j2)]
+        want = 1 if minor == (1, 0, 1, 0) else -1 if reflecting_i else 0
+        step = codegree(mat, i1, i2).co - codegree(image, i1, i2).co
+        t_step.check(step == want, detail=f"step {step} at ({j1}, {j2}), expected {want}")
 
         walk = column_walk(mat, j1, j2, order)
         cap = min(mat.dp, mat.m - mat.dp)
@@ -153,11 +161,11 @@ def _reflection_suite(mats, seed):
         )
 
         try:
-            diag = _reflection_vf_step(mat, i1, i2, order, diag, mask)
+            diag = _reflection_vf_step(mat, i1, i2, diag, scan)
             t_vf.check(diag.bound_ok, margin=float(diag.bound - diag.v_f))
         except InvariantViolation as exc:
             t_vf.check(False, detail=str(exc))
-    return [t.record() for t in (t_invol, t_member, t_ident, t_anti, t_walk, t_vf)]
+    return [t.record() for t in (t_invol, t_member, t_ident, t_step, t_walk, t_vf)]
 
 
 def _switching_suite(mats, seed):
@@ -300,6 +308,9 @@ def run_suite(
     for name in ("n", "m") if class_suites else ("n",):
         if config[name] < 2:
             raise ValueError(f"verify field {name!r} must be >= 2, got {config[name]}")
+    unread = [name for name, value in (("m", m), ("dp", dp)) if value is not None]
+    if unread and not class_suites:
+        raise ValueError(f"verify field {unread[0]!r} is not read: only the class suites draw matrices")
     if steps is not None and (not class_suites or _by_rejection(n, d)):
         raise ValueError(
             "verify field 'steps' is not read: only the reflection and switching "

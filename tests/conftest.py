@@ -130,11 +130,11 @@ def matrix_from_strings(rows):
     )
 
 
-def reflection_vf_oracle(matrix, i1, i2, order=None):
+def reflection_vf_oracle(matrix, i1, i2):
     """(sum, max) of |f - f~| (scale n) over every ordered column pair whose
     reflection changes the matrix, f~ recomputed on each image."""
-    order = order or RowOrder(i1, i2)
-    f0 = reflection_f(matrix, i1, i2, order).f_scaled
+    order = RowOrder(i1, i2)
+    f0 = reflection_f(matrix, i1, i2).f_scaled
     steps = []
     for j1 in range(matrix.n):
         for j2 in range(matrix.n):
@@ -142,7 +142,7 @@ def reflection_vf_oracle(matrix, i1, i2, order=None):
                 continue
             image = reflect(matrix, j1, j2, order)
             if image is not matrix:
-                steps.append(abs(f0 - reflection_f(image, i1, i2, order).f_scaled))
+                steps.append(abs(f0 - reflection_f(image, i1, i2).f_scaled))
     return sum(steps), max(steps, default=0)
 
 

@@ -256,9 +256,9 @@ class TestVerifyCli:
         )
         assert code == 0
         payload = json.loads(stdout)
-        assert payload["schema_version"] == 2
+        assert payload["schema_version"] == 3
         for suite in payload["suites"]:
-            assert suite["schema_version"] == 2
+            assert suite["schema_version"] == 3
             assert suite["config"] == {
                 "n": 8, "d": 3, "m": 8, "dp": 3, "samples": 3, "seed": 0, "steps": None,
             }
@@ -269,7 +269,7 @@ _BOUND_READS = {
     "codegree_upper": ("", ""),
     "codegree_uniform": ("c1 c2 c", ""),
     "edge_upper": ("m a b eta c1 c2", "a b"),
-    "edge_lower": ("m a b eta c1 c2", "a b"),
+    "edge_lower": ("m a b eta c1", "a b"),
     "edge_twosided": ("m a b eta c1 c2", "a b"),
     "perm_edge": ("a b", "a b"),
     "er_codegree": ("p c", "p"),
@@ -308,7 +308,7 @@ class TestBoundCli:
         code, stdout, _ = run(capsys, "bound", "--theorem", "codegree_upper", "--tau", "1", "--n", "10", "--d", "3")
         assert code == 0
         payload = json.loads(stdout)
-        assert payload["schema_version"] == 3
+        assert payload["schema_version"] == 4
         assert "dp" not in payload["config"] and payload["config"]["deviation"] == 1.0
 
     def test_given_constant_is_labelled_given(self, capsys):
@@ -340,7 +340,7 @@ class TestBoundCli:
 
     def test_the_read_pairs(self):
         assert set(_BOUND_READS) == set(THEOREMS)
-        assert sum(len(reads.split()) for reads, _ in _BOUND_READS.values()) == 39
+        assert sum(len(reads.split()) for reads, _ in _BOUND_READS.values()) == 38
 
     def test_usage_error_exit_1(self, capsys):
         code, _, err = run(capsys, "bound", "--theorem", "no_such_theorem")
@@ -550,13 +550,17 @@ class TestFlagMatrix:
         inputs = tmp_path / "inputs"
         inputs.mkdir()
         (inputs / "m.txt").write_text(format_matrix(matrix_from_strings(["1100", "1100", "0011", "0011"])))
-        (inputs / "cfg.json").write_text(json.dumps({
+        cfg = {
             "sampler": {"kind": "permutation_model", "n": 40, "d": 3},
             "statistic": "perm_edge_count", "grid": [0.5], "N": 100, "a": 12, "b": 12,
-        }))
+        }
+        (inputs / "cfg.json").write_text(json.dumps(cfg))
+        cfg["sampler"]["seed"] = 999
+        (inputs / "cfg-sampler-seed.json").write_text(json.dumps(cfg))
         outputs = tmp_path / "outputs"
         outputs.mkdir()
-        paths = {"{in}": str(inputs / "m.txt"), "{cfg}": str(inputs / "cfg.json"), "{out}": str(outputs / "x")}
+        paths = {"{in}": str(inputs / "m.txt"), "{cfg}": str(inputs / "cfg.json"),
+                 "{cfg-sampler-seed}": str(inputs / "cfg-sampler-seed.json"), "{out}": str(outputs / "x")}
         return (*run(capsys, *(paths.get(arg, arg) for arg in argv)), outputs)
 
     @pytest.mark.parametrize(
@@ -620,11 +624,19 @@ class TestFlagMatrix:
             (["sigma2", "--in", "{in}", "--out", "{out}", "--kind", "rejection"], "--kind"),
             (["sample", "--kind", "switch_mcmc", "--n", "4", "--d", "2", "--steps", "3", "--max-attempts", "5",
               "--out", "{out}"], "'max_attempts'"),
+            (["tail", "--config", "{cfg-sampler-seed}", "--out", "{out}"], "'sampler.seed'"),
+            (["verify", "--suite", "permutation", "--n", "6", "--d", "2", "--m", "3", "--dp", "4",
+              "--out", "{out}"], "'m'"),
+            (["sample", "--kind", "rejection", "--n", "6", "--d", "2", "--max-attempts", "0", "--out", "{out}"],
+             "'max_attempts'"),
+            (["bound", "--theorem", "edge_lower", "--tau", "0.5", "--n", "10", "--d", "3", "--a", "2", "--b", "2",
+              "--c2", "8"], "'c2' is not read by theorem 'edge_lower'"),
         ],
         ids=["sample-rejection-steps", "sample-rejection-p", "sample-permutation-m", "sigma2-switch-p",
              "sigma2-sample", "sigma2-format", "verify-steps-d2", "verify-steps-n-d2",
              "verify-steps-permutation", "bound-dp", "bound-two-deviations", "enumerate-count-only-out",
-             "bound-codegree-c1", "sigma2-in-kind", "sample-switch-max-attempts"],
+             "bound-codegree-c1", "sigma2-in-kind", "sample-switch-max-attempts", "tail-sampler-seed",
+             "verify-permutation-m", "sample-max-attempts-0", "bound-edge-lower-c2"],
     )
     def test_unread_input_is_rejected(self, tmp_path, capsys, argv, name):
         # Flags and sampler fields nothing reads; the message names each one.

@@ -32,10 +32,14 @@ class TestSharedDraw:
         whole = run_suite("all", n, d, samples, seed=5, m=m, dp=dp)
         parts = [
             result
-            for suite in ("reflection", "switching", "permutation")
+            for suite in ("reflection", "switching")
             for result in run_suite(suite, n, d, samples, seed=5, m=m, dp=dp)
         ]
-        assert _records(whole) == _records(parts)
+        assert _records(whole[:2]) == _records(parts)
+        # The permutation suite reads no m or dp; "all" echoes the class's.
+        (alone,) = run_suite("permutation", n, d, samples, seed=5)
+        assert alone.records == whole[2].records
+        assert alone.config == dict(whole[2].config, m=n, dp=d)
 
     @pytest.mark.parametrize(
         "suite,kinds",
@@ -115,12 +119,15 @@ class TestReusedF:
         results = run_suite("all", n, d, samples, seed=7)
         assert all(r.ok for r in results)
         assert [len(seen[name]) for name in seen] == [samples, samples]
-        for mat, (i1, i2, order, _, _), v_f, worst in seen["reflection"]:
-            total, oracle_worst = reflection_vf_oracle(mat, i1, i2, order)
+        for mat, (i1, i2, _, _), v_f, worst in seen["reflection"]:
+            total, oracle_worst = reflection_vf_oracle(mat, i1, i2)
             assert (v_f, worst) == (Fraction(total, 2 * n * n), oracle_worst)
         for mat, (pair, _), v_f, worst in seen["switching"]:
             total, oracle_worst = switching_vf_oracle(mat, pair)
             assert (v_f, worst) == (Fraction(total, 2), oracle_worst)
+
+
+_SITE_STEP = "co(M) - co(M~) at the site: +1 on K, -1 on a reflecting I, else 0"
 
 
 def _status(result):
@@ -192,7 +199,7 @@ class TestAttribution:
         assert status["scale-n identity: n*f = n*co - d^2 + b"] == ("fail", self.samples)
         assert result.records[2].detail == "planted f defect"
         for invariant in (
-            "antisymmetry of the codegree difference",
+            _SITE_STEP,
             "walk returns to 0 with at most min(dp, m-dp) up-steps",
             "reflection self-bound v_f <= f + 2*d_hat^2/n",
         ):
@@ -200,3 +207,26 @@ class TestAttribution:
         # A check made before the f part still counts every draw.
         assert status["reflect twice is the identity"] == ("pass", self.samples)
 
+    # The site-step record sees a defect only on draws whose sampled columns
+    # form a K or an I minor: 20 of these 200 draws (4 K, 16 I), and none of
+    # the 20 draws at n = 12, d = 3 that the tests above use.
+    def _site_step_only_fails(self):
+        (result,) = run_suite("reflection", 16, 4, 200, seed=3)
+        for rec in result.records:
+            want = "fail" if rec.invariant == _SITE_STEP else "pass"
+            assert (rec.invariant, rec.status, rec.checked) == (rec.invariant, want, 200)
+
+    def test_reflect_as_identity(self, monkeypatch):
+        # Still an involution that keeps the class, so only the site step sees it.
+        monkeypatch.setattr(verify, "reflect", lambda mat, j1, j2, order: mat)
+        self._site_step_only_fails()
+
+    def test_bad_pair_mask_inverted(self, monkeypatch):
+        original = exchangeable._bad_mask
+
+        def inverted(*args):
+            ex1, ex2, bad, walk_rows = original(*args)
+            return ex1, ex2, ~bad, walk_rows
+
+        monkeypatch.setattr(exchangeable, "_bad_mask", inverted)
+        self._site_step_only_fails()
