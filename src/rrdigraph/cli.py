@@ -52,7 +52,7 @@ from .samplers import (
     enumerate_all,
     sample_many,
 )
-from .spectral import alpha_exact, sigma2
+from .spectral import alpha_exact, check_alpha_shape, sigma2
 from .verify import SCHEMA_VERSION as VERIFY_SCHEMA_VERSION, SUITES, run_suite
 
 SCHEMA_VERSION = 1
@@ -280,6 +280,8 @@ def _cmd_sigma2(args) -> int:
             flags = " ".join("--" + name.replace("_", "-") for name in given)
             raise _UsageError(f"--in reads the matrix from a file; the sampler flags {flags} do not apply")
         matrix = _read_matrix(getattr(args, "in"))
+        if args.alpha:
+            check_alpha_shape(matrix.m, matrix.n)
         source = {"in": getattr(args, "in")}
     else:
         if args.kind is None or args.n is None:
@@ -288,6 +290,8 @@ def _cmd_sigma2(args) -> int:
         if spec.kind not in CLASS_KINDS:
             raise _UsageError(f"sigma2 needs a class-valued sampler kind {CLASS_KINDS}, "
                               f"got {spec.kind!r}")
+        if args.alpha:
+            check_alpha_shape(spec.m, spec.n)  # before the draw and the decomposition
         matrix = sample_many(spec, 1)[0]
         source = dataclasses.asdict(spec)
     report = sigma2(matrix)

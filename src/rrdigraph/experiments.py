@@ -43,9 +43,10 @@ __all__ = [
 
 SHARD_SIZE = 4096
 CSV_HEADER = "grid_value,empirical,ci_lo,ci_hi,bound,valid,verdict"
-# Version 2 of the tail metadata echoes `sampler.max_attempts` as null for
-# the kinds other than rejection, which alone reads it.
-SCHEMA_VERSION = 2
+# Version 3 of the tail metadata has no `sampler.seed` (always 0, never
+# read); version 2 echoes `sampler.max_attempts` as null for the kinds
+# other than rejection, which alone reads it.
+SCHEMA_VERSION = 3
 
 
 @dataclass(frozen=True)
@@ -136,6 +137,8 @@ class ExperimentConfig:
         sampler = data.pop("sampler")
         if not isinstance(sampler, dict):
             raise ValueError(f"config field 'sampler' must be an object, got {type(sampler).__name__}")
+        if "seed" in sampler:
+            raise ValueError("config field 'sampler.seed' is not read (the shards use 'seed'); drop it")
         try:
             _check_scalar_types(SamplerSpec, sampler, "sampler.")
             spec = SamplerSpec(**sampler)
@@ -149,6 +152,7 @@ class ExperimentConfig:
 
     def to_dict(self) -> dict:
         out = dataclasses.asdict(self)
+        del out["sampler"]["seed"]  # always 0: the shards draw from `seed`
         out["grid"] = list(self.grid)
         return out
 

@@ -187,13 +187,12 @@ def circulant(n: int, d: int, m: Optional[int] = None) -> BiregularBitMatrix:
     blocks tile Z_n so every column is hit exactly m*d/n times.
     """
     m = n if m is None else m
+    block, full = (1 << d) - 1, (1 << n) - 1
     rows = []
     for i in range(m):
-        start = i if m == n else i * d
-        r = 0
-        for t in range(d):
-            r |= 1 << ((start + t) % n)
-        rows.append(r)
+        # The d-bit block shifted to its start, its bits past n wrapped round.
+        shifted = block << ((i if m == n else i * d) % n)
+        rows.append((shifted | shifted >> n) & full)
     return BiregularBitMatrix(rows, n)
 
 

@@ -2,9 +2,12 @@ import json
 
 import pytest
 
+from rrdigraph import cli
 from rrdigraph.bounds import THEOREMS
 from rrdigraph.cli import main
 from rrdigraph.matrices import format_matrix, parse_matrices, parse_matrix
+from rrdigraph.samplers import circulant
+from rrdigraph.spectral import ALPHA_EXACT_CAP
 
 
 def run(capsys, *argv):
@@ -374,7 +377,7 @@ class TestTailCli:
         sidecar = tmp_path / "tail.csv.meta.json"
         meta = json.loads(sidecar.read_text())
         assert meta["config"]["N"] == 3000
-        assert meta["schema_version"] == 2
+        assert meta["schema_version"] == 3
 
     def test_byte_identical_reruns(self, tmp_path, capsys):
         cfg = self._config(tmp_path)
@@ -439,6 +442,48 @@ class TestSigma2Cli:
         assert code == 0
         payload = json.loads(stdout)
         assert payload["converged"] is True
+
+    @staticmethod
+    def refuse_work(monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the alpha guard should refuse before this")
+
+        monkeypatch.setattr(cli, "sample_many", refuse)
+        monkeypatch.setattr(cli, "sigma2", refuse)
+        monkeypatch.setattr(cli, "alpha_exact", refuse)
+
+    @pytest.mark.parametrize("n, d", [(15, 3), (100, 50), (300, 150)])
+    def test_alpha_guard_before_the_draw(self, capsys, monkeypatch, n, d):
+        self.refuse_work(monkeypatch)
+        code, stdout, err = run(capsys, "sigma2", "--kind", "switch_mcmc", "--n", str(n),
+                                "--d", str(d), "--alpha")
+        assert code == 3 and stdout == ""
+        assert err == (f"resource guard: alpha_exact enumerates 2^{n} row sets; "
+                       f"cap is n <= {ALPHA_EXACT_CAP}\n")
+
+    def test_alpha_guard_before_the_decomposition_of_a_file(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "c15.txt"
+        path.write_text(format_matrix(circulant(15, 3)))
+        self.refuse_work(monkeypatch)
+        code, stdout, err = run(capsys, "sigma2", "--in", str(path), "--alpha")
+        assert code == 3 and stdout == ""
+        assert "alpha_exact enumerates 2^15 row sets" in err
+
+    def test_alpha_on_a_rectangular_class_is_a_usage_error_first(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "rect.txt"
+        path.write_text(format_matrix(circulant(20, 2, 10)))
+        self.refuse_work(monkeypatch)
+        for argv in (["--in", str(path)],
+                     ["--kind", "rejection", "--m", "10", "--n", "20", "--d", "2", "--dp", "1"]):
+            code, stdout, err = run(capsys, "sigma2", *argv, "--alpha")
+            assert code == 1 and stdout == ""
+            assert "square" in err
+
+    def test_alpha_at_the_cap_runs(self, capsys):
+        code, stdout, _ = run(capsys, "sigma2", "--kind", "switch_mcmc", "--n", str(ALPHA_EXACT_CAP),
+                              "--d", "3", "--steps", "100", "--alpha")
+        assert code == 0
+        assert json.loads(stdout)["alpha_exact"] > 0.0
 
     def test_needs_source(self, capsys):
         code, _, err = run(capsys, "sigma2")

@@ -114,6 +114,16 @@ class TestConfig:
         again = ExperimentConfig.from_dict(json.loads(json.dumps(cfg.to_dict())))
         assert again == cfg
 
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_sampler_seed_is_not_an_input(self, seed):
+        cfg = ExperimentConfig(sampler=SamplerSpec(kind="rejection", n=8, d=2), statistic="codegree",
+                               grid=(0.5,), N=10, seed=3)
+        payload = cfg.to_dict()
+        assert "seed" not in payload["sampler"] and payload["seed"] == 3
+        payload["sampler"]["seed"] = seed
+        with pytest.raises(ValueError, match="'sampler.seed'"):
+            ExperimentConfig.from_dict(payload)
+
     def test_validation(self):
         sampler = SamplerSpec(kind="rejection", n=8, d=2, seed=0)
         with pytest.raises(ValueError, match="statistic"):

@@ -254,6 +254,26 @@ class TestSwitchChain:
         assert mat.rows[0] == 0b00011
         assert mat.rows[4] == 0b10001  # wraps mod n
 
+    @staticmethod
+    def circulant_bit_loop(n, d, m):
+        """Each row set one column at a time: the plain form of circulant."""
+        rows = []
+        for i in range(m):
+            start = i if m == n else i * d
+            r = 0
+            for t in range(d):
+                r |= 1 << ((start + t) % n)
+            rows.append(r)
+        return rows
+
+    @pytest.mark.parametrize("n", range(1, 25))
+    def test_circulant_equals_bit_loop(self, n):
+        for d in range(n + 1):
+            assert list(circulant(n, d).rows) == self.circulant_bit_loop(n, d, n)
+            for m in range(1, 2 * n + 1):
+                if m != n and m * d % n == 0:
+                    assert list(circulant(n, d, m).rows) == self.circulant_bit_loop(n, d, m)
+
     def test_every_state_is_a_member(self):
         spec = SamplerSpec(kind="switch_mcmc", n=9, d=4, steps=350, seed=2)
         for mat in sample_many(spec, 25):

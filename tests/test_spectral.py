@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from rrdigraph.matrices import VertexSetPair, complement, edge_count
+from rrdigraph.matrices import BiregularBitMatrix, VertexSetPair, complement, edge_count
 from rrdigraph.samplers import (
     SamplerSpec,
     SearchSpaceTooLarge,
@@ -107,6 +107,64 @@ class TestSigma2:
         report = sigma2(circulant(n, d))
         assert report.sigma1 == pytest.approx(d, abs=1e-12)
         assert report.sigma2 == pytest.approx(0.0, abs=1e-12)
+
+
+def assert_matches_svd(mat):
+    """sigma1 is exactly d, and sigma2 agrees with a full LAPACK SVD, the oracle."""
+    report = sigma2(mat)
+    oracle = float(np.linalg.svd(mat.dense().astype(np.float64), compute_uv=False)[1])
+    assert report.sigma1 == float(mat.d)
+    assert abs(report.sigma2 - oracle) <= 1e-12 * max(1.0, oracle)
+
+
+class TestSigma2DeflatedGram:
+    """sigma2 reads sigma_2 off the top eigenvalue of n M^T M - d^2 J; the
+    full SVD of M stays here as the oracle."""
+
+    def test_every_member_of_the_4_2_class(self, class_4_2):
+        for mat in class_4_2:
+            assert_matches_svd(mat)
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_circulants(self, n):
+        for d in range(n + 1):
+            assert_matches_svd(circulant(n, d))
+
+    @pytest.mark.parametrize("d", [3, 150, 297])
+    def test_switch_draws_at_n_300(self, d):
+        spec = SamplerSpec(kind="switch_mcmc", n=300, d=d, steps=3000, seed=d)
+        assert_matches_svd(sample_many(spec, 1)[0])
+
+    @pytest.mark.parametrize("k, d", [(5, 2), (9, 4), (40, 3)])
+    def test_disjoint_union_of_two_blocks(self, k, d):
+        # Each block contributes a singular value d, so sigma_2 = sigma_1 = d.
+        block = circulant(k, d).dense()
+        dense = np.zeros((2 * k, 2 * k), dtype=np.uint8)
+        dense[:k, :k] = block
+        dense[k:, k:] = block
+        report = sigma2(BiregularBitMatrix.from_dense(dense))
+        assert report.sigma1 == float(d)
+        assert abs(report.sigma2 - d) <= 1e-12 * d
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 9, 64])
+    def test_exact_at_the_extremes(self, n):
+        for d in (0, n):
+            report = sigma2(circulant(n, d))
+            assert report.sigma1 == float(d)
+            assert report.sigma2 == 0.0
+
+    def test_peak_memory_at_n_1000(self):
+        n = 1000
+        mat = circulant(n, n // 2)
+        mat.dense()  # the matrix's own cached uint8 view, built before the measurement
+        tracemalloc.start()
+        try:
+            report = sigma2(mat)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * n * n * 8 + 2**20
+        assert report.sigma2 == pytest.approx(circulant_sigma2(n, n // 2), rel=1e-12)
 
 
 class TestAlphaExact:
