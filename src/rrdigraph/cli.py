@@ -52,7 +52,7 @@ from .samplers import (
     enumerate_all,
     sample_many,
 )
-from .spectral import alpha_exact, check_alpha_shape, sigma2
+from .spectral import alpha_exact, check_alpha_shape, check_sigma2_shape, sigma2
 from .verify import SCHEMA_VERSION as VERIFY_SCHEMA_VERSION, SUITES, run_suite
 
 SCHEMA_VERSION = 1
@@ -273,6 +273,14 @@ def _cmd_tail(args) -> int:
     return 0 if result.all_pass else 2
 
 
+def _check_sigma2_shapes(m: int, n: int, alpha: bool) -> None:
+    """Refuse what sigma2 (and alpha_exact, with --alpha) would refuse,
+    before the draw and the decomposition."""
+    check_sigma2_shape(m, n)
+    if alpha:
+        check_alpha_shape(m, n)
+
+
 def _cmd_sigma2(args) -> int:
     if getattr(args, "in"):
         given = [name for name in ("seed",) + _SAMPLER_FLAGS if getattr(args, name) is not None]
@@ -280,8 +288,7 @@ def _cmd_sigma2(args) -> int:
             flags = " ".join("--" + name.replace("_", "-") for name in given)
             raise _UsageError(f"--in reads the matrix from a file; the sampler flags {flags} do not apply")
         matrix = _read_matrix(getattr(args, "in"))
-        if args.alpha:
-            check_alpha_shape(matrix.m, matrix.n)
+        _check_sigma2_shapes(matrix.m, matrix.n, args.alpha)
         source = {"in": getattr(args, "in")}
     else:
         if args.kind is None or args.n is None:
@@ -290,8 +297,7 @@ def _cmd_sigma2(args) -> int:
         if spec.kind not in CLASS_KINDS:
             raise _UsageError(f"sigma2 needs a class-valued sampler kind {CLASS_KINDS}, "
                               f"got {spec.kind!r}")
-        if args.alpha:
-            check_alpha_shape(spec.m, spec.n)  # before the draw and the decomposition
+        _check_sigma2_shapes(spec.m, spec.n, args.alpha)
         matrix = sample_many(spec, 1)[0]
         source = dataclasses.asdict(spec)
     report = sigma2(matrix)

@@ -358,10 +358,11 @@ def _switch_words(words: np.ndarray, m: int, n: int, sites: np.ndarray) -> None:
     flat = words.reshape(-1)
     i1, i2, j1, j2 = _split_sites(sites, m, n)
     chain_rows = np.arange(count, dtype=np.int64) * m
+    one = np.uint64(1)
     if width == 1:
         r1 = chain_rows + i1
         r2 = chain_rows + i2
-        masks = _WORD_BITS[j1] | _WORD_BITS[j2]
+        masks = (one << j1.astype(np.uint64)) | (one << j2.astype(np.uint64))
         for t in range(sites.shape[0]):
             p1, p2, mask = r1[t], r2[t], masks[t]
             a = flat.take(p1)
@@ -378,7 +379,7 @@ def _switch_words(words: np.ndarray, m: int, n: int, sites: np.ndarray) -> None:
     base1 = (chain_rows + i1) * width
     base2 = (chain_rows + i2) * width
     w1, w2 = j1 // 64, j2 // 64
-    bits1, bits2 = _WORD_BITS[j1 % 64], _WORD_BITS[j2 % 64]
+    bits1, bits2 = one << (j1 % 64).astype(np.uint64), one << (j2 % 64).astype(np.uint64)
     for t in range(sites.shape[0]):
         entries = (base1[t] + w1[t], base1[t] + w2[t], base2[t] + w1[t], base2[t] + w2[t])
         b1, b2 = bits1[t], bits2[t]

@@ -27,7 +27,9 @@ import numpy as np
 from .matrices import BiregularBitMatrix
 from .samplers import SearchSpaceTooLarge
 
-__all__ = ["SpectralReport", "sigma2", "alpha_exact", "check_alpha_shape", "ALPHA_EXACT_CAP"]
+__all__ = [
+    "SpectralReport", "sigma2", "alpha_exact", "check_sigma2_shape", "check_alpha_shape", "ALPHA_EXACT_CAP",
+]
 
 ALPHA_EXACT_CAP = 14
 
@@ -49,8 +51,7 @@ class SpectralReport:
 
 def sigma2(matrix: BiregularBitMatrix) -> SpectralReport:
     """The two largest singular values of a square digraph's matrix."""
-    if matrix.m != matrix.n:
-        raise ValueError("sigma2 is defined here for the square digraph case")
+    check_sigma2_shape(matrix.m, matrix.n)
     n, d = matrix.n, matrix.d
     dense = matrix.dense().astype(np.float64)
     gram = dense.T @ dense
@@ -59,6 +60,13 @@ def sigma2(matrix: BiregularBitMatrix) -> SpectralReport:
     gram -= d * d
     top = np.linalg.eigvalsh(gram)[-1]
     return SpectralReport(float(d), float(np.sqrt(max(top, 0.0) / n)), 0, 0.0, True)
+
+
+def check_sigma2_shape(m: int, n: int) -> None:
+    """Raise what sigma2 raises for an m x n matrix, so that a caller can
+    refuse before drawing it: ValueError unless square."""
+    if m != n:
+        raise ValueError("sigma2 is defined here for the square digraph case")
 
 
 def check_alpha_shape(m: int, n: int) -> None:

@@ -479,6 +479,16 @@ class TestSigma2Cli:
             assert code == 1 and stdout == ""
             assert "square" in err
 
+    def test_rectangular_class_is_refused_before_the_draw(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "rect.txt"
+        path.write_text(format_matrix(circulant(20, 2, 10)))
+        self.refuse_work(monkeypatch)
+        for argv in (["--in", str(path)],
+                     ["--kind", "rejection", "--m", "10", "--n", "20", "--d", "2", "--dp", "1"]):
+            code, stdout, err = run(capsys, "sigma2", *argv)
+            assert code == 1 and stdout == ""
+            assert err == "error: sigma2 is defined here for the square digraph case\n"
+
     def test_alpha_at_the_cap_runs(self, capsys):
         code, stdout, _ = run(capsys, "sigma2", "--kind", "switch_mcmc", "--n", str(ALPHA_EXACT_CAP),
                               "--d", "3", "--steps", "100", "--alpha")

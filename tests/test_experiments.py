@@ -24,8 +24,8 @@ from rrdigraph.experiments import (
     run_tail_experiment,
     uniformity_test,
 )
-from rrdigraph.matrices import words_to_dense
-from rrdigraph.samplers import SamplerSpec, draw, switch_mcmc_dense
+from rrdigraph.matrices import words_to_dense, words_to_rows
+from rrdigraph.samplers import SamplerSpec, draw, enumerate_all, switch_mcmc_dense
 
 
 class TestCatalanWalk:
@@ -71,6 +71,17 @@ class TestBinomialCI:
         with pytest.raises(ValueError):
             binomial_ci(5, 4)
 
+    @pytest.mark.parametrize("n", [1, 2, 50, 4096, 20000])
+    def test_equals_beta_quantiles(self, n):
+        # The reference is the textbook form, beta.ppf from scipy.stats,
+        # which the package itself never imports.
+        from scipy import stats
+
+        for k in sorted({0, 1, n // 2, n - 1, n}):
+            lo = 0.0 if k == 0 else stats.beta.ppf(0.025, k, n - k + 1)
+            hi = 1.0 if k == n else stats.beta.ppf(0.975, k + 1, n - k)
+            assert binomial_ci(k, n) == pytest.approx((lo, hi), rel=1e-12, abs=0.0)
+
 
 class TestUniformity:
     def test_rejection_3_1(self):
@@ -98,6 +109,29 @@ class TestUniformity:
         spec = SamplerSpec(kind="erdos_renyi", n=4, p=0.5, seed=1)
         with pytest.raises(ValueError):
             uniformity_test(spec, 100)
+
+    @pytest.mark.parametrize("spec, N", [
+        (SamplerSpec(kind="rejection", n=4, d=2, seed=304), 5000),
+        (SamplerSpec(kind="rejection", n=3, d=1, seed=305), 9000),  # two shards
+        # Short chains are biased: p near 1e-9 and 1e-94.
+        (SamplerSpec(kind="switch_mcmc", n=4, d=2, steps=30, seed=306), 3000),
+        (SamplerSpec(kind="switch_mcmc", n=4, d=2, steps=20, seed=306), 3000),
+    ])
+    def test_p_value_equals_chisquare(self, spec, N):
+        # Recount the same shards, then take scipy.stats.chisquare as the
+        # reference for the p-value the package computes without it.
+        from scipy import stats
+
+        index = {mat.rows: i for i, mat in enumerate(enumerate_all(spec.m, spec.n, spec.d, spec.dp))}
+        counts = np.zeros(len(index), dtype=np.int64)
+        for shard, start in enumerate(range(0, N, experiments.SHARD_SIZE)):
+            take = min(experiments.SHARD_SIZE, N - start)
+            words, _ = draw(dataclasses.replace(spec, stream=spec.stream + shard), take)
+            for key in words_to_rows(words):
+                counts[index[key]] += 1
+        res = uniformity_test(spec, N)
+        assert (res.min_count, res.max_count) == (counts.min(), counts.max())
+        assert res.chi_sq_p == pytest.approx(stats.chisquare(counts).pvalue, rel=1e-12, abs=0.0)
 
 
 class TestConfig:
@@ -489,13 +523,25 @@ def test_perm_edge_count_with_b_equal_to_256_labels():
 
 
 def test_package_import_leaves_scipy_stats_unloaded():
-    # scipy.stats costs about a second to import; only binomial_ci and
-    # uniformity_test need it, so a plain `import rrdigraph` must not load it.
+    # Importing scipy.stats takes a process to about 100 MB of peak RSS and
+    # 1.5 s.  The intervals and the chi-square p-value come from
+    # scipy.special, so neither `import rrdigraph` nor a tail run nor a
+    # uniformity test may load it.
     src = Path(rrdigraph.__file__).resolve().parents[1]
-    probe = "import sys, rrdigraph; print('scipy.stats' in sys.modules)"
+    probe = "\n".join([
+        "import sys, rrdigraph",
+        "from rrdigraph.experiments import ExperimentConfig, run_tail_experiment, uniformity_test",
+        "from rrdigraph.samplers import SamplerSpec",
+        "print('scipy.stats' in sys.modules)",
+        "cfg = ExperimentConfig(sampler=SamplerSpec(kind='rejection', n=8, d=2), statistic='codegree',",
+        "                       grid=(0.0, 0.5), N=20)",
+        "assert all(0.0 <= row.ci_lo <= row.ci_hi <= 1.0 for row in run_tail_experiment(cfg).rows)",
+        "assert 0.0 <= uniformity_test(SamplerSpec(kind='rejection', n=3, d=1), 60).chi_sq_p <= 1.0",
+        "print('scipy.special' in sys.modules, 'scipy.stats' in sys.modules)",
+    ])
     done = subprocess.run(
         [sys.executable, "-c", probe],
         env=dict(os.environ, PYTHONPATH=str(src)),
         capture_output=True, text=True, check=True, timeout=120,
     )
-    assert done.stdout.strip() == "False"
+    assert done.stdout.split() == ["False", "True", "False"]
