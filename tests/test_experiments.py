@@ -11,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rrdigraph
 
@@ -82,6 +84,62 @@ class TestBinomialCI:
             hi = 1.0 if k == n else stats.beta.ppf(0.975, k + 1, n - k)
             assert binomial_ci(k, n) == pytest.approx((lo, hi), rel=1e-12, abs=0.0)
 
+    @pytest.mark.parametrize("n", range(1, 41))
+    def test_limits_solve_their_tail_equations(self, n):
+        # From the definition in exact arithmetic, no SciPy: P(X >= k) - alpha/2
+        # changes sign within 8 ulps either side of the lower limit, and
+        # P(X <= k) - alpha/2 within 8 ulps of the upper one.
+        target = Fraction((1.0 - 0.95) / 2.0)
+
+        def tail(k, p, upper):
+            p = Fraction(p)
+            return sum(math.comb(n, j) * p**j * (1 - p) ** (n - j)
+                       for j in (range(k, n + 1) if upper else range(k + 1)))
+
+        def ulps(x, toward):
+            for _ in range(8):
+                x = math.nextafter(x, toward)
+            return x
+
+        for k in range(n + 1):
+            lo, hi = binomial_ci(k, n)
+            if k > 0:
+                assert tail(k, ulps(lo, 0.0), True) < target < tail(k, ulps(lo, 1.0), True)
+            if k < n:
+                assert tail(k, ulps(hi, 1.0), False) < target < tail(k, ulps(hi, 0.0), False)
+
+    @pytest.mark.parametrize("n", [*range(1, 61), 4096, 20000, 100000])
+    def test_equals_betaincinv(self, n):
+        # The oracle is imported here only; the package never imports it.
+        from scipy.special import betaincinv
+
+        target = (1.0 - 0.95) / 2.0
+        ks = range(n + 1) if n <= 60 else sorted(
+            {0, 1, 2, 3, 10, n // 3, n // 2, n - 10, n - 3, n - 2, n - 1, n})
+        for k in ks:
+            lo = 0.0 if k == 0 else betaincinv(k, n - k + 1, target)
+            hi = 1.0 if k == n else betaincinv(k + 1, n - k, 1.0 - target)
+            limits = binomial_ci(k, n)
+            assert limits == pytest.approx((lo, hi), rel=1e-12, abs=0.0)
+            # The tail CSV writes the limits with repr, which spells np.float64 out.
+            assert [type(x) for x in limits] == [float, float]
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 5000), data=st.data())
+    def test_ordered_monotone_and_mirrored(self, n, data):
+        k = data.draw(st.integers(0, n))
+        lo, hi = binomial_ci(k, n)
+        assert lo <= k / n <= hi
+        if k < n:
+            lo_next, hi_next = binomial_ci(k + 1, n)
+            assert lo <= lo_next and hi <= hi_next
+        assert binomial_ci(n - k, n)[1] == pytest.approx(1.0 - lo, rel=1e-12)
+
+    def test_bad_confidence(self):
+        for confidence in (0.0, 1.0, 1.5):
+            with pytest.raises(ValueError):
+                binomial_ci(1, 4, confidence)
+
 
 class TestUniformity:
     def test_rejection_3_1(self):
@@ -104,6 +162,15 @@ class TestUniformity:
         res = uniformity_test(spec, 30_000)
         assert res.chi_sq_p > 0.001
         assert res.min_count > 0
+
+    @pytest.mark.parametrize("kind", ["rejection", "switch_mcmc"])
+    @pytest.mark.parametrize("d", [0, 3])
+    def test_one_member_class_is_vacuous(self, kind, d):
+        # Every sampler is uniform on one member: no chi-square test, no nan.
+        res = uniformity_test(SamplerSpec(kind=kind, n=3, d=d), 50)
+        assert res.vacuous and res.chi_sq_p is None
+        assert (res.class_size, res.tv_distance, res.min_count, res.max_count) == (1, 0.0, 50, 50)
+        assert not uniformity_test(SamplerSpec(kind=kind, n=3, d=1), 50).vacuous
 
     def test_rejects_non_class_sampler(self):
         spec = SamplerSpec(kind="erdos_renyi", n=4, p=0.5, seed=1)
@@ -524,11 +591,9 @@ def test_perm_edge_count_with_b_equal_to_256_labels():
 
 def test_package_import_leaves_scipy_stats_unloaded():
     # Importing scipy.stats takes a process to about 100 MB of peak RSS and
-    # 1.5 s.  The intervals and the chi-square p-value come from
-    # scipy.special, so neither `import rrdigraph` nor a tail run nor a
-    # uniformity test may load it.
-    src = Path(rrdigraph.__file__).resolve().parents[1]
-    probe = "\n".join([
+    # 1.5 s.  The chi-square p-value comes from scipy.special, so neither
+    # `import rrdigraph` nor a tail run nor a uniformity test may load it.
+    stdout = _run_fresh([
         "import sys, rrdigraph",
         "from rrdigraph.experiments import ExperimentConfig, run_tail_experiment, uniformity_test",
         "from rrdigraph.samplers import SamplerSpec",
@@ -539,9 +604,34 @@ def test_package_import_leaves_scipy_stats_unloaded():
         "assert 0.0 <= uniformity_test(SamplerSpec(kind='rejection', n=3, d=1), 60).chi_sq_p <= 1.0",
         "print('scipy.special' in sys.modules, 'scipy.stats' in sys.modules)",
     ])
+    assert stdout.split() == ["False", "True", "False"]
+
+
+def test_tail_run_loads_no_scipy():
+    # binomial_ci solves its tail equations itself and a one-member class has
+    # no chi-square test, so neither loads any part of SciPy (scipy.special
+    # alone takes a process from about 27 to 52 MB of peak RSS).
+    stdout = _run_fresh([
+        "import sys",
+        "from rrdigraph.experiments import ExperimentConfig, run_tail_experiment, uniformity_test",
+        "from rrdigraph.samplers import SamplerSpec",
+        "cfg = ExperimentConfig(sampler=SamplerSpec(kind='rejection', n=8, d=2), statistic='codegree',",
+        "                       grid=(0.0, 0.5), N=20)",
+        "scipy = lambda: sorted(name for name in sys.modules if name.split('.')[0] == 'scipy')",
+        "assert all(0.0 <= row.ci_lo < row.ci_hi <= 1.0 for row in run_tail_experiment(cfg).rows)",
+        "print(scipy())",
+        "uniformity_test(SamplerSpec(kind='rejection', n=3, d=0), 10)",
+        "print(scipy())",
+    ])
+    assert stdout.split("\n") == ["[]", "[]", ""]
+
+
+def _run_fresh(lines):
+    """Run the lines in a fresh interpreter on this checkout; return its stdout."""
+    src = Path(rrdigraph.__file__).resolve().parents[1]
     done = subprocess.run(
-        [sys.executable, "-c", probe],
+        [sys.executable, "-c", "\n".join(lines)],
         env=dict(os.environ, PYTHONPATH=str(src)),
         capture_output=True, text=True, check=True, timeout=120,
     )
-    assert done.stdout.split() == ["False", "True", "False"]
+    return done.stdout
