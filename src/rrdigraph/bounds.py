@@ -19,6 +19,7 @@ from typing import Callable, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .exchangeable import SELF_BOUND, chatterjee_tail
 from .matrices import BiregularBitMatrix, VertexSetPair, edge_count
 
 __all__ = [
@@ -112,6 +113,13 @@ def _mu_hat(s: TailBoundSpec) -> float:
     return s.d * min(s.a * s.b, (m - s.a) * (s.n - s.b)) / s.n
 
 
+def _self_bounding_upper(coupling: str, s: TailBoundSpec, t: float) -> float:
+    """The upper tail at t of a square-class pair with the coupling's
+    SELF_BOUND constants."""
+    k1, k2 = SELF_BOUND[coupling](s.n, s.n, s.d, s.a, s.b)
+    return chatterjee_tail(float(k1), float(k2), t)[0]
+
+
 @dataclass(frozen=True)
 class _Theorem:
     """One theorem: the optional spec fields it reads, those of them it
@@ -135,9 +143,10 @@ _EDGE_READS = ("m", "a", "b", "eta", "c1", "c2")
 _EDGE_CONSTANTS = {"c1": (64.0, "paper"), "c2": (8.0, "paper")}
 
 _THEOREMS = {
-    # exp(-eps^2/(4+2eps) * (d_hat/n)^2 * n), one fixed row pair.
+    # exp(-eps^2/(4+2eps) * (d_hat/n)^2 * n), one fixed row pair: the
+    # reflection pair's tail at t = eps * d_hat^2 / n.
     "codegree_upper": _Theorem(
-        (), (), {}, lambda s, t: math.exp(-(t * t) / (4.0 + 2.0 * t) * (_d_hat(s) ** 2 / s.n)),
+        (), (), {}, lambda s, t: _self_bounding_upper("reflection", s, t * _d_hat(s) ** 2 / s.n),
     ),
     "codegree_uniform": _Theorem(
         ("c1", "c2", "c"), (), _UNPINNED,
@@ -162,9 +171,11 @@ _THEOREMS = {
         lambda s, t, c1, c2: 2.0 * math.exp(-(t * t) * _mu_hat(s) / (c1 + c2 * t)),
         eta_limit=lambda t: min(0.25, t / 8.0),
     ),
+    # 2 exp(-tau^2 mu / (2 + tau)), mu = d a b / n: twice the permutation
+    # pair's upper tail at t = tau * mu.
     "perm_edge": _Theorem(
         ("a", "b"), ("a", "b"), {},
-        lambda s, t: 2.0 * math.exp(-(t * t) * (s.d * s.a * s.b / s.n) / (2.0 + t)),
+        lambda s, t: 2.0 * _self_bounding_upper("permutation", s, t * s.d * s.a * s.b / s.n),
     ),
     "er_codegree": _Theorem(
         ("p", "c"), ("p",), _CHOSEN_C,

@@ -58,14 +58,16 @@ from .verify import SCHEMA_VERSION as VERIFY_SCHEMA_VERSION, SUITES, run_suite
 SCHEMA_VERSION = 1
 # Version 2 of the stats payload has no `format`.  The sample (2) and sigma2
 # (3; 2 dropped `tol` and `max_iters`) payloads echo `max_attempts` as null
-# for the kinds other than rejection.  The bound payload (4) has no `c2` for
-# `edge_lower`; 3 labelled a constant the caller sets "given", 2 dropped
+# for the kinds other than rejection.  The bound payload (5) evaluates
+# `codegree_upper` and `perm_edge` as Chatterjee tails at the SELF_BOUND
+# constants, which moves some values in their last bits; 4 dropped `c2` for
+# `edge_lower`, 3 labelled a constant the caller sets "given", 2 dropped
 # `dp`.  The verify and tail payloads report their module's version; the
 # other payloads keep version 1.
 SAMPLE_SCHEMA_VERSION = 2
 SIGMA2_SCHEMA_VERSION = 3
 STATS_SCHEMA_VERSION = 2
-BOUND_SCHEMA_VERSION = 4
+BOUND_SCHEMA_VERSION = 5
 
 
 class _UsageError(Exception):

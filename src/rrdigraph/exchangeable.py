@@ -14,6 +14,9 @@ This module computes f and v_f exactly (integer-scaled / rational) for
 * the permutation model        (statistic: e_pi(A, B)),
 
 and evaluates the tail bound that a self-bounding pair (K1, K2) yields.
+Each coupling's constants in v_f <= K2*f + K1 have one source,
+`SELF_BOUND`: the diagnostics' self-bound check and the `codegree_upper`
+and `perm_edge` rows of `bounds` all read it.
 
 Every algebraic identity here is checked in exact arithmetic with a
 declared integer scale; floats appear only in the final bound values.
@@ -36,8 +39,10 @@ __all__ = [
     "CouplingDiagnostics",
     "GoodEventCo",
     "InvariantViolation",
+    "SelfBoundViolation",
     "ExactCapExceeded",
     "REFLECTION_EXACT_CAP",
+    "SELF_BOUND",
     "SWITCHING_EXACT_CAP",
     "reflection_f",
     "reflection_vf",
@@ -63,28 +68,44 @@ class InvariantViolation(AssertionError):
     """An exact identity or proven inequality failed; indicates a defect."""
 
 
+class SelfBoundViolation(InvariantViolation):
+    """v_f exceeded its coupling's self-bound K2*f + K1."""
+
+
 class ExactCapExceeded(ResourceGuardError):
     """Exact v_f cost guard tripped: the class or (A, B) is too large."""
+
+
+# Chatterjee's self-bounding constants (PTRF 138, 2007): for each coupling,
+# (m, n, d, a, b) -> (K1, K2) with v_f <= K2*f + K1, exact, where
+# d_hat = min(d, n - d) and the switching (a, b) are the reduced pair's.
+SELF_BOUND = {
+    "reflection": lambda m, n, d, a, b: (Fraction(2 * min(d, n - d) ** 2, n), Fraction(1)),
+    "switching": lambda m, n, d, a, b: (
+        Fraction(2 * m**2 * min(d, n - d) ** 2 * d * a * b, n),
+        Fraction(m * min(d, n - d)),
+    ),
+    "permutation": lambda m, n, d, a, b: (Fraction(d * a * b, n), Fraction(1, 2)),
+}
 
 
 @dataclass
 class CouplingDiagnostics:
     """Exact integer-scaled f and v_f for one coupling instance.
 
-    f equals f_scaled / scale; v_f and its self-bound are exact Fractions,
-    set by the functions that compute v_f.
+    f equals f_scaled / scale; v_f, set by the functions that compute it,
+    and the constants K1, K2 of SELF_BOUND[coupling] are exact Fractions.
     """
 
     coupling: str  # "reflection" | "switching" | "permutation"
     f_scaled: int
     scale: int
+    K1: Fraction
+    K2: Fraction
     v_f: Optional[Fraction] = None
     b: Optional[int] = None
     f1_scaled: Optional[int] = None
     f2_scaled: Optional[int] = None
-    K1: Optional[Fraction] = None
-    K2: Optional[Fraction] = None
-    bound: Optional[Fraction] = None  # the coupling's self-bound on v_f
     max_step: Optional[int] = None  # worst |f - f~| over the active sites
 
     @property
@@ -92,11 +113,25 @@ class CouplingDiagnostics:
         return Fraction(self.f_scaled, self.scale)
 
     @property
+    def bound(self) -> Fraction:
+        """The self-bound K2*f + K1 on v_f."""
+        return self.K2 * self.f + self.K1
+
+    @property
     def bound_ok(self) -> Optional[bool]:
-        """v_f <= bound, exactly; None until both are set."""
-        if self.v_f is None or self.bound is None:
+        """v_f <= bound, exactly; None until v_f is set."""
+        if self.v_f is None:
             return None
         return self.v_f <= self.bound
+
+
+def _check_self_bound(diag: CouplingDiagnostics) -> CouplingDiagnostics:
+    """diag, once its v_f is within K2*f + K1; raises SelfBoundViolation."""
+    if not diag.bound_ok:
+        raise SelfBoundViolation(
+            f"{diag.coupling} self-bound failed: v_f = {diag.v_f} > K2*f + K1 = {diag.bound}"
+        )
+    return diag
 
 
 @dataclass(frozen=True)
@@ -128,14 +163,8 @@ def _reflection_f(
         raise InvariantViolation(
             f"reflection identity broke: {f_scaled} != n*co - d^2 + b = {shifted}"
         )
-    return CouplingDiagnostics(
-        coupling="reflection",
-        f_scaled=f_scaled,
-        scale=matrix.n,
-        b=b,
-        K1=Fraction(2 * matrix.d_hat**2, matrix.n),
-        K2=Fraction(1),
-    )
+    constants = SELF_BOUND["reflection"](matrix.m, matrix.n, matrix.d, None, None)
+    return CouplingDiagnostics("reflection", f_scaled, matrix.n, *constants, b=b)
 
 
 def reflection_f(matrix: BiregularBitMatrix, i1: int, i2: int) -> CouplingDiagnostics:
@@ -188,7 +217,7 @@ def _k_site_steps(walk_rows, j1s, j2s, ex1, ex2) -> np.ndarray:
 
 
 def reflection_vf(matrix: BiregularBitMatrix, i1: int, i2: int) -> CouplingDiagnostics:
-    """Exact v_f of the reflection pair plus the bound v_f <= f + 2*d_hat^2/n.
+    """Exact v_f of the reflection pair, checked against its self-bound.
 
     v_f = sum / (2 n^2), the sum of |f - f~| (scale n) over the active
     column pairs, those with |F| = n: every K minor and every reflecting I
@@ -203,8 +232,8 @@ def reflection_vf(matrix: BiregularBitMatrix, i1: int, i2: int) -> CouplingDiagn
 def _reflection_vf_step(
     matrix: BiregularBitMatrix, i1: int, i2: int, diag: CouplingDiagnostics, scan
 ) -> CouplingDiagnostics:
-    """The v_f step of reflection_vf: sets the bound, v_f and max_step of its
-    f part `diag` from the bad-pair mask and walk rows that part scanned."""
+    """The v_f step of reflection_vf: sets v_f and max_step of its f part
+    `diag` from the bad-pair mask and walk rows that part scanned."""
     cost = matrix.m * matrix.d * (matrix.n - matrix.d) * matrix.d_hat
     if cost > REFLECTION_EXACT_CAP:
         raise ExactCapExceeded(
@@ -213,7 +242,6 @@ def _reflection_vf_step(
         )
     n = matrix.n
     ex1, ex2, bad, walk_rows = scan
-    diag.bound = diag.f + Fraction(2 * matrix.d_hat**2, n)
 
     i_steps = np.abs(bad.sum(axis=1)[:, None] + bad.sum(axis=0)[None, :] - n)[~bad]
     total = int(i_steps.sum())
@@ -234,11 +262,7 @@ def _reflection_vf_step(
 
     diag.v_f = Fraction(total, 2 * n * n)
     diag.max_step = worst
-    if not diag.bound_ok:
-        raise InvariantViolation(
-            f"reflection self-bound failed: v_f = {diag.v_f} > {diag.bound}"
-        )
-    return diag
+    return _check_self_bound(diag)
 
 
 # ---------------------------------------------------------------------------
@@ -325,14 +349,9 @@ def switching_f(matrix: BiregularBitMatrix, pair: VertexSetPair) -> CouplingDiag
             f"switching error-term mismatch: {f2_direct_n} vs {f2_scaled} at scale {scale}"
         )
 
+    constants = SELF_BOUND["switching"](m, n, d, a, b)
     return CouplingDiagnostics(
-        coupling="switching",
-        f_scaled=f_scaled,
-        scale=scale,
-        f1_scaled=f1_scaled,
-        f2_scaled=f2_scaled,
-        K1=Fraction(2 * matrix.m**2 * matrix.d_hat**2) * Fraction(d * a * b, n),
-        K2=Fraction(matrix.m * matrix.d_hat),
+        "switching", f_scaled, scale, *constants, f1_scaled=f1_scaled, f2_scaled=f2_scaled
     )
 
 
@@ -376,7 +395,7 @@ def _switching_steps(d, dense, rows_a, rows_c, cols_b, cols_c, nb) -> Iterator[n
 
 
 def switching_vf(matrix: BiregularBitMatrix, pair: VertexSetPair) -> CouplingDiagnostics:
-    """Exact v_f of the switching pair plus v_f <= m*d_hat*(f + 2*m*d_hat*mu).
+    """Exact v_f of the switching pair, checked against its self-bound.
 
     v_f = (1/2) * sum over switchable sites of |f - f~| (the K_ab
     normalisations cancel), with every site's difference in closed form
@@ -393,8 +412,8 @@ def switching_vf(matrix: BiregularBitMatrix, pair: VertexSetPair) -> CouplingDia
 def _switching_vf_step(
     matrix: BiregularBitMatrix, pair: VertexSetPair, diag: CouplingDiagnostics
 ) -> CouplingDiagnostics:
-    """The v_f step of switching_vf: sets the bound, v_f and max_step of its
-    f part `diag`, switching_f's result at the same (A, B)."""
+    """The v_f step of switching_vf: sets v_f and max_step of its f part
+    `diag`, switching_f's result at the same (A, B)."""
     pair = _reduce_pair(matrix, pair)
     m = matrix.m
     k_ab = pair.a * (m - pair.a) * pair.b * (matrix.n - pair.b)
@@ -403,9 +422,7 @@ def _switching_vf_step(
             f"exact switching v_f needs K_ab = a(m-a)b(n-b) = {k_ab} site cells, "
             f"above the cap of {SWITCHING_EXACT_CAP}"
         )
-    d_hat = matrix.d_hat
-    diag.bound = Fraction(m * d_hat) * (diag.f + 2 * m * d_hat * pair.mu(matrix))
-    step_cap = 2 * m * d_hat
+    step_cap = 2 * m * matrix.d_hat
 
     total = 0
     worst = 0
@@ -418,11 +435,7 @@ def _switching_vf_step(
         )
     diag.v_f = Fraction(total, 2)
     diag.max_step = worst
-    if not diag.bound_ok:
-        raise InvariantViolation(
-            f"switching self-bound failed: v_f = {diag.v_f} > {diag.bound}"
-        )
-    return diag
+    return _check_self_bound(diag)
 
 
 # ---------------------------------------------------------------------------
@@ -436,8 +449,8 @@ def permutation_diagnostics(
     """f and exact v_f for the permutation-model pair at (A, B).
 
     f is the full (J, I1, I2) enumeration at scale n and must equal
-    e_pi(A, B) - d*a*b/n exactly; v_f = f/2 + T/n with T <= d*a*b checked
-    exactly, where T counts the (transposed-minor) triples.
+    e_pi(A, B) - d*a*b/n exactly; v_f = f/2 + T/n, where T counts the
+    (transposed-minor) triples, is checked against its self-bound.
     """
     n = pi.n
     d = pi.d
@@ -471,20 +484,9 @@ def permutation_diagnostics(
         raise InvariantViolation(
             f"permutation identity broke: enumerated {s_total} != n*e - d*a*b = {identity_rhs}"
         )
-    diag = CouplingDiagnostics(
-        coupling="permutation",
-        f_scaled=s_total,
-        scale=n,
-        v_f=Fraction(s_total, 2 * n) + Fraction(t_total, n),
-        K1=Fraction(d * a * b, n),
-        K2=Fraction(1, 2),
-        bound=Fraction(s_total, 2 * n) + Fraction(d * a * b, n),
-    )
-    if not diag.bound_ok:
-        raise InvariantViolation(
-            f"permutation self-bound failed: T = {t_total} > d*a*b = {d * a * b}"
-        )
-    return diag
+    constants = SELF_BOUND["permutation"](n, n, d, a, b)
+    v_f = Fraction(s_total, 2 * n) + Fraction(t_total, n)
+    return _check_self_bound(CouplingDiagnostics("permutation", s_total, n, *constants, v_f=v_f))
 
 
 def permutation_f(pi: PermutationTuple, pair: VertexSetPair) -> Fraction:
@@ -501,12 +503,16 @@ def chatterjee_tail(k1: float, k2: float, t: float) -> Tuple[float, float]:
     """(upper, lower) tail bounds for a (K1, K2) self-bounding pair.
 
     upper = exp(-t^2 / (2(K1 + K2 t))) bounds P(f >= t); lower =
-    exp(-t^2 / (2 K1)) bounds P(f <= -t).
+    exp(-t^2 / (2 K1)) bounds P(f <= -t).  At t = 0 both are 1.0 for any
+    K1 >= 0, so a degenerate class (K1 = 0, e.g. d_hat = 0) has the trivial
+    bound there; every t > 0 needs K1 > 0.
     """
-    if k1 <= 0:
-        raise ValueError("K1 must be positive")
     if k2 < 0 or t < 0:
         raise ValueError("K2 and t must be nonnegative")
+    if t == 0 and k1 >= 0:
+        return 1.0, 1.0
+    if k1 <= 0:
+        raise ValueError("K1 must be positive")
     upper = math.exp(-(t * t) / (2.0 * (k1 + k2 * t)))
     lower = math.exp(-(t * t) / (2.0 * k1))
     return upper, lower

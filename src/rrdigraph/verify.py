@@ -16,6 +16,7 @@ from typing import List, Optional
 from .couplings import RowOrder, SwitchSite, column_walk, reflect, simple_switch
 from .exchangeable import (
     InvariantViolation,
+    SelfBoundViolation,
     _reflection_parts,
     _reflection_vf_step,
     _switching_vf_step,
@@ -162,7 +163,7 @@ def _reflection_suite(mats, seed):
 
         try:
             diag = _reflection_vf_step(mat, i1, i2, diag, scan)
-            t_vf.check(diag.bound_ok, margin=float(diag.bound - diag.v_f))
+            t_vf.check(True, margin=float(diag.bound - diag.v_f))
         except InvariantViolation as exc:
             t_vf.check(False, detail=str(exc))
     return [t.record() for t in (t_invol, t_member, t_ident, t_step, t_walk, t_vf)]
@@ -208,7 +209,7 @@ def _switching_suite(mats, seed):
 
         try:
             diag = _switching_vf_step(mat, pair, diag)
-            t_vf.check(diag.bound_ok, margin=float(diag.bound - diag.v_f))
+            t_vf.check(True, margin=float(diag.bound - diag.v_f))
         except InvariantViolation as exc:
             t_vf.check(False, detail=str(exc))
     return [t.record() for t in (t_invol, t_member, t_ident, t_f2, t_vf)]
@@ -261,10 +262,15 @@ def _permutation_suite(n, d, samples, seed):
         )
         try:
             diag = permutation_diagnostics(pi, pair)
+        except SelfBoundViolation as exc:
             t_ident.check(True)
-            t_vf.check(diag.bound_ok, margin=float(diag.bound - diag.v_f))
+            t_vf.check(False, detail=str(exc))
+            continue
         except InvariantViolation as exc:
             t_ident.check(False, detail=str(exc))
+            continue
+        t_ident.check(True)
+        t_vf.check(True, margin=float(diag.bound - diag.v_f))
     return [t.record() for t in (t_mult, t_invol, t_ident, t_vf)]
 
 

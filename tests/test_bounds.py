@@ -257,6 +257,10 @@ _PINNED = [
     ("bipartite_codegree_uniform", dict(n=9, m=6, d=3, deviation=0.5), 326.73450147196206, True),
     ("bipartite_edge", dict(n=9, m=6, d=3, a=5, b=5, deviation=1.0, eta=0.125), 1.9633037913693197, True),
     ("bipartite_edge", dict(n=9, m=6, d=3, a=5, b=5, deviation=3.0, c2=4.0), 1.7078793312470704, True),
+    # K1 = 0 at d_hat = 0 or d = 0, where t = 0 too: the trivial bound.
+    ("codegree_upper", dict(n=10, d=0, deviation=1.0), 1.0, True),
+    ("codegree_upper", dict(n=10, d=10, deviation=1.0), 1.0, True),
+    ("perm_edge", dict(n=10, d=0, a=2, b=3, deviation=1.0), 2.0, True),
 ]
 
 

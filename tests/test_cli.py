@@ -311,7 +311,7 @@ class TestBoundCli:
         code, stdout, _ = run(capsys, "bound", "--theorem", "codegree_upper", "--tau", "1", "--n", "10", "--d", "3")
         assert code == 0
         payload = json.loads(stdout)
-        assert payload["schema_version"] == 4
+        assert payload["schema_version"] == 5
         assert "dp" not in payload["config"] and payload["config"]["deviation"] == 1.0
 
     def test_given_constant_is_labelled_given(self, capsys):

@@ -1,11 +1,14 @@
 import math
 import tracemalloc
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
-from rrdigraph.couplings import _BLOCK_CELLS
+from rrdigraph import exchangeable
+from rrdigraph.couplings import _BLOCK_CELLS, MinorClassCounts, RowOrder, reflect
 from rrdigraph.exchangeable import (
     ExactCapExceeded,
+    InvariantViolation,
     chatterjee_tail,
     good_event_co,
     permutation_diagnostics,
@@ -72,6 +75,61 @@ class TestReflectionF:
     def test_requires_distinct_rows(self):
         with pytest.raises(ValueError):
             reflection_f(PARALLEL, 2, 2)
+
+
+def _reflection_f_definition(mats):
+    """(cases, mismatches, raised) of f = E[F | M] checked from its
+    definition on every matrix and ordered row pair (i1, i2): with F at
+    scale n, n*f sums co(M) - co(reflect(M)) over the ordered column pairs,
+    using only reflect and codegree.  A case whose reflection_f raises
+    InvariantViolation counts as a mismatch and as raised."""
+    cases = mismatches = raised = 0
+    for mat in mats:
+        for i1, i2 in permutations(range(mat.m), 2):
+            order = RowOrder(i1, i2)
+            co = codegree(mat, i1, i2).co
+            want = sum(
+                co - codegree(reflect(mat, j1, j2, order), i1, i2).co
+                for j1, j2 in permutations(range(mat.n), 2)
+            )
+            cases += 1
+            try:
+                got = reflection_f(mat, i1, i2).f_scaled
+            except InvariantViolation:
+                mismatches += 1
+                raised += 1
+                continue
+            mismatches += got != want
+    return cases, mismatches, raised
+
+
+class TestReflectionFDefinition:
+    """f from its definition on all of (4,2), and two planted defects in
+    the closed form: the definition sees both, the cross-check inside
+    _reflection_f (#K - #reflecting I against n*co - d^2 + b) only one."""
+
+    def test_definition_holds_on_class_4_2(self, class_4_2):
+        assert _reflection_f_definition(class_4_2) == (1080, 0, 0)
+
+    def test_inverted_bad_mask_fails_it_not_the_cross_check(self, class_4_2, monkeypatch):
+        original = exchangeable._bad_mask
+
+        def inverted(*args):
+            ex1, ex2, bad, walk_rows = original(*args)
+            return ex1, ex2, ~bad, walk_rows
+
+        monkeypatch.setattr(exchangeable, "_bad_mask", inverted)
+        assert _reflection_f_definition(class_4_2) == (1080, 1008, 0)
+
+    def test_i_minor_sign_flip_fails_it_and_the_cross_check(self, class_4_2, monkeypatch):
+        original = exchangeable._minor_class_counts
+
+        def flipped(*args):
+            counts = original(*args)
+            return MinorClassCounts(counts.nK, -counts.nI_reflecting, counts.nI_bad)
+
+        monkeypatch.setattr(exchangeable, "_minor_class_counts", flipped)
+        assert _reflection_f_definition(class_4_2) == (1080, 648, 648)
 
 
 class TestReflectionVf:
@@ -310,6 +368,9 @@ class TestPermutationCoupling:
 class TestChatterjeeTail:
     def test_zero_deviation(self):
         assert chatterjee_tail(1.0, 0.5, 0.0) == (1.0, 1.0)
+
+    def test_zero_deviation_at_zero_k1(self):
+        assert chatterjee_tail(0.0, 1.0, 0.0) == (1.0, 1.0)
 
     def test_k2_zero_makes_tails_coincide(self):
         up, lo = chatterjee_tail(3.0, 0.0, 2.0)

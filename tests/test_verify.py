@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from rrdigraph import exchangeable, verify
+from rrdigraph.bounds import TailBoundSpec, eval_bound
 from rrdigraph.exchangeable import InvariantViolation
 from rrdigraph.verify import run_suite
 
@@ -207,6 +208,20 @@ class TestAttribution:
         # A check made before the f part still counts every draw.
         assert status["reflect twice is the identity"] == ("pass", self.samples)
 
+    @pytest.mark.parametrize("suite", ["reflection", "switching", "permutation"])
+    def test_self_bound_failure_books_to_the_self_bound_record(self, monkeypatch, suite):
+        clean = self._run(suite).records
+        never = property(lambda diag: False)
+        monkeypatch.setattr(exchangeable.CouplingDiagnostics, "bound_ok", never)
+        records = self._run(suite).records
+        # The self-bound record is each suite's last; every other record,
+        # the identity one included, reads as it does without the defect.
+        assert [(r.status, r.checked) for r in records[:-1]] == [
+            (r.status, r.checked) for r in clean[:-1]
+        ]
+        assert (records[-1].status, records[-1].checked) == ("fail", self.samples)
+        assert records[-1].detail.startswith(f"{suite} self-bound failed: v_f = ")
+
     # The site-step record sees a defect only on draws whose sampled columns
     # form a K or an I minor: 20 of these 200 draws (4 K, 16 I), and none of
     # the 20 draws at n = 12, d = 3 that the tests above use.
@@ -230,3 +245,28 @@ class TestAttribution:
 
         monkeypatch.setattr(exchangeable, "_bad_mask", inverted)
         self._site_step_only_fails()
+
+
+class TestOneSelfBoundTable:
+    """verify's self-bound check and the theorem row of the same coupling
+    read one SELF_BOUND entry: shrinking it moves both."""
+
+    _ROWS = {
+        "reflection": TailBoundSpec(theorem="codegree_upper", n=40, d=7, deviation=0.75),
+        "permutation": TailBoundSpec(theorem="perm_edge", n=40, d=3, a=12, b=12, deviation=0.5),
+    }
+
+    @pytest.mark.parametrize("coupling", sorted(_ROWS))
+    def test_one_entry_moves_the_check_and_the_bound(self, monkeypatch, coupling):
+        before = {name: eval_bound(spec).value for name, spec in self._ROWS.items()}
+        original = exchangeable.SELF_BOUND[coupling]
+
+        def planted(*sizes):
+            k1, _ = original(*sizes)
+            return k1 / 100, Fraction(0)
+
+        monkeypatch.setitem(exchangeable.SELF_BOUND, coupling, planted)
+        (result,) = run_suite(coupling, 12, 3, 20, seed=4)
+        assert [r.status for r in result.records] == ["pass"] * (len(result.records) - 1) + ["fail"]
+        after = {name: eval_bound(spec).value for name, spec in self._ROWS.items()}
+        assert {name for name in after if after[name] != before[name]} == {coupling}
