@@ -282,21 +282,16 @@ def _reduce_pair(matrix: BiregularBitMatrix, pair: VertexSetPair) -> VertexSetPa
     return pair
 
 
-def _switch_sets(matrix: BiregularBitMatrix, pair: VertexSetPair):
-    """(dense, A, A^c, B, B^c, nb), nb[i] the number of row i's columns in B."""
+def _switch_stats(matrix: BiregularBitMatrix, pair: VertexSetPair):
+    """(dense, A, A^c, B, B^c, nb, ex): nb[i] the number of row i's columns
+    in B, and ex = d - M M^T the exclusive counts of all row pairs."""
     dense = matrix.dense().astype(np.int64)
     rows_a = sorted(pair.rows)
     rows_c = sorted(set(range(matrix.m)) - pair.rows)
     cols_b = sorted(pair.cols)
     cols_c = sorted(set(range(matrix.n)) - pair.cols)
     nb = dense[:, cols_b].sum(axis=1) if cols_b else np.zeros(matrix.m, dtype=np.int64)
-    return dense, rows_a, rows_c, cols_b, cols_c, nb
-
-
-def _switch_stats(matrix: BiregularBitMatrix, pair: VertexSetPair):
-    """_switch_sets and ex = d - M M^T, the exclusive counts of all row pairs."""
-    sets = _switch_sets(matrix, pair)
-    return (*sets, matrix.d - sets[0] @ sets[0].T)
+    return dense, rows_a, rows_c, cols_b, cols_c, nb, matrix.d - dense @ dense.T
 
 
 def switching_f(matrix: BiregularBitMatrix, pair: VertexSetPair) -> CouplingDiagnostics:
@@ -308,12 +303,20 @@ def switching_f(matrix: BiregularBitMatrix, pair: VertexSetPair) -> CouplingDiag
     f1 = p(1-p) n m (e(A,B) - mu); scale n in the square case, n^2 for
     rectangular classes, keeps every term integral.
     """
+    return _switching_parts(matrix, pair)[0]
+
+
+def _switching_parts(matrix: BiregularBitMatrix, pair: VertexSetPair):
+    """The f part of switching_vf: (f, stats), stats the (dense, A, A^c, B,
+    B^c, nb, ex) of _switch_stats at the reduced (A, B), kept for the v_f
+    step."""
     pair.validate(matrix)
     if not 0 < pair.a < matrix.m:
         raise ValueError("switching_f requires A to be a proper nonempty row set")
     pair = _reduce_pair(matrix, pair)
     m, n, d = matrix.m, matrix.n, matrix.d
-    dense, rows_a, rows_c, cols_b, cols_c, nb, ex = _switch_stats(matrix, pair)
+    stats = _switch_stats(matrix, pair)
+    dense, rows_a, rows_c, cols_b, cols_c, nb, ex = stats
 
     # Form 1: minor-count double sum.
     sub = dense[:, cols_b] if cols_b else np.zeros((m, 0), dtype=np.int64)
@@ -350,9 +353,10 @@ def switching_f(matrix: BiregularBitMatrix, pair: VertexSetPair) -> CouplingDiag
         )
 
     constants = SELF_BOUND["switching"](m, n, d, a, b)
-    return CouplingDiagnostics(
+    diag = CouplingDiagnostics(
         "switching", f_scaled, scale, *constants, f1_scaled=f1_scaled, f2_scaled=f2_scaled
     )
+    return diag, stats
 
 
 def _switching_steps(d, dense, rows_a, rows_c, cols_b, cols_c, nb) -> Iterator[np.ndarray]:
@@ -406,14 +410,14 @@ def switching_vf(matrix: BiregularBitMatrix, pair: VertexSetPair) -> CouplingDia
     pair.validate(matrix)
     if not (0 < pair.a < matrix.m and 0 < pair.b < matrix.n):
         raise ValueError("switching_vf requires proper nonempty A and B")
-    return _switching_vf_step(matrix, pair, switching_f(matrix, pair))
+    return _switching_vf_step(matrix, pair, *_switching_parts(matrix, pair))
 
 
 def _switching_vf_step(
-    matrix: BiregularBitMatrix, pair: VertexSetPair, diag: CouplingDiagnostics
+    matrix: BiregularBitMatrix, pair: VertexSetPair, diag: CouplingDiagnostics, stats
 ) -> CouplingDiagnostics:
     """The v_f step of switching_vf: sets v_f and max_step of its f part
-    `diag`, switching_f's result at the same (A, B)."""
+    `diag` from the switch sets `stats` that part built (_switching_parts)."""
     pair = _reduce_pair(matrix, pair)
     m = matrix.m
     k_ab = pair.a * (m - pair.a) * pair.b * (matrix.n - pair.b)
@@ -426,7 +430,7 @@ def _switching_vf_step(
 
     total = 0
     worst = 0
-    for steps in _switching_steps(matrix.d, *_switch_sets(matrix, pair)):
+    for steps in _switching_steps(matrix.d, *stats[:-1]):
         total += int(steps.sum())
         worst = max(worst, int(steps.max(initial=0)))
     if worst > step_cap:
@@ -450,7 +454,11 @@ def permutation_diagnostics(
 
     f is the full (J, I1, I2) enumeration at scale n and must equal
     e_pi(A, B) - d*a*b/n exactly; v_f = f/2 + T/n, where T counts the
-    (transposed-minor) triples, is checked against its self-bound.
+    (transposed-minor) triples, is checked against its self-bound.  For
+    each factor the (I1, I2) pairs in A x A^c are counted as products of
+    its hit counts, where row i hits when perm(i) is in B:
+    |A hits| * |A^c misses| pairs raise f and |A misses| * |A^c hits|
+    lower it and make up T.
     """
     n = pi.n
     d = pi.d
@@ -459,25 +467,19 @@ def permutation_diagnostics(
         raise ValueError("permutation coupling requires A proper and nonempty")
     if b == 0:
         raise ValueError("permutation coupling requires B nonempty")
-    rows_a = sorted(pair.rows)
-    rows_c = sorted(set(range(n)) - pair.rows)
+    in_a = np.zeros(n, dtype=bool)
+    in_a[sorted(pair.rows)] = True
     in_b = np.zeros(n, dtype=bool)
     in_b[sorted(pair.cols)] = True
 
-    s_total = 0  # scale-n numerator of f
-    t_total = 0  # scale-n numerator of v_f - f/2
-    e_pi = 0
-    for perm in pi.perms:
-        perm_arr = np.asarray(perm)
-        hits = in_b[perm_arr]  # hits[i] = 1(perm(i) in B)
-        ha = hits[rows_a]
-        hc = hits[rows_c]
-        e_pi += int(ha.sum())
-        # Enumerate (I1, I2) in A x A^c as an outer product of indicators.
-        plus = np.outer(ha, ~hc)
-        minus = np.outer(~ha, hc)
-        s_total += int(plus.sum()) - int(minus.sum())
-        t_total += int(minus.sum())
+    hits = in_b[pi.as_array()]  # hits[k, i] = 1(perm_k(i) in B)
+    hits_a = np.count_nonzero(hits & in_a, axis=1)
+    hits_c = np.count_nonzero(hits, axis=1) - hits_a
+    plus = hits_a * (n - a - hits_c)
+    minus = (a - hits_a) * hits_c
+    s_total = int(plus.sum() - minus.sum())  # scale-n numerator of f
+    t_total = int(minus.sum())  # scale-n numerator of v_f - f/2
+    e_pi = int(hits_a.sum())
 
     identity_rhs = n * e_pi - d * a * b
     if s_total != identity_rhs:

@@ -311,12 +311,13 @@ def _site_blocks(rng: np.random.Generator, m: int, n: int, steps: int, count: in
 
     A code s in [0, m*m*n*n) names the 2x2 minor
     s = ((i1*m + i2)*n + j1)*n + j2, so one exact uniform draw replaces four
-    bounded ones.  Blocks hold about _SITE_BLOCK codes, a function of count
-    alone.
+    bounded ones.  The blocks are consecutive rows of one row-major run of
+    steps x count bounded draws, so block size does not enter the stream:
+    blocks of about _SITE_BLOCK codes only bound the memory a block holds.
     """
     per_block = max(1, _SITE_BLOCK // max(count, 1))
     high = m * m * n * n
-    # 32-bit codes, when they fit, halve the cost of _split_sites.
+    # 32-bit codes, when they fit, halve a block's memory and its decoding.
     dtype = np.uint32 if high < 1 << 32 else np.int64
     for start in range(0, steps, per_block):
         yield rng.integers(0, high, size=(min(per_block, steps - start), count), dtype=dtype)
@@ -346,39 +347,83 @@ def _switch_rows(rows: list, m: int, n: int, codes: np.ndarray) -> None:
             rows[i2] ^= mask
 
 
-def _switch_words(words: np.ndarray, m: int, n: int, sites: np.ndarray) -> None:
+class _OneWordSites:
+    """Site blocks of chains of one-word rows, decoded into arrays that are
+    reused from block to block.
+
+    A code s = (i1*m + i2)*n*n + c, c = j1*n + j2, of chain k becomes the
+    flat row indices k*m + i1 and k*m + i2 and the column mask
+    bit j1 | bit j2, looked up at c in an n x n table (at most 4,096 words).
+    Quotients go through floor_divide in the codes' own dtype; NumPy's
+    divmod and remainder by a scalar take several times as long.
+    """
+
+    def __init__(self, m: int, n: int):
+        self.m, self.nn = m, n * n
+        self.table = (_WORD_BITS[:n, None] | _WORD_BITS[None, :n]).reshape(-1)
+        self.pairs = None
+
+    def decode(self, sites: np.ndarray):
+        """(r1, r2, masks) of the (steps, count) block `sites`; views that
+        the next call overwrites."""
+        steps, count = sites.shape
+        if self.pairs is None or steps > self.pairs.shape[0]:
+            self.pairs, self.parts = np.empty_like(sites), np.empty_like(sites)
+            self.r1, self.r2 = (np.empty(sites.shape, dtype=np.int64) for _ in range(2))
+            self.masks = np.empty(sites.shape, dtype=np.uint64)
+            # k*m in column k, as a full array: adding a broadcast row would
+            # make NumPy copy the other operand whole.
+            chain_rows = np.arange(0, count * self.m, self.m, dtype=np.int64)
+            self.offsets = np.repeat(chain_rows[None], steps, axis=0)
+        pairs, parts, offsets = self.pairs[:steps], self.parts[:steps], self.offsets[:steps]
+        r1, r2, masks = self.r1[:steps], self.r2[:steps], self.masks[:steps]
+        np.floor_divide(sites, self.nn, out=pairs)  # i1*m + i2
+        np.multiply(pairs, self.nn, out=parts)
+        np.subtract(sites, parts, out=r1)  # j1*n + j2, as intp for take
+        # mode="clip" writes straight into `masks`; "raise" would buffer it.
+        self.table.take(r1, out=masks, mode="clip")
+        np.floor_divide(pairs, self.m, out=parts)  # i1
+        np.add(offsets, parts, out=r1)
+        np.multiply(parts, self.m, out=parts)
+        np.subtract(pairs, parts, out=parts)  # i2
+        np.add(offsets, parts, out=r2)
+        return r1, r2, masks
+
+
+def _switch_words(
+    words: np.ndarray, m: int, n: int, sites: np.ndarray, decoder: Optional[_OneWordSites] = None
+) -> None:
     """Apply the proposals sites[t, k] in place to chain k of `words`.
 
     `words` is a C-contiguous (count, m, L) uint64 array holding bit j of
     row i in word j // 64 at position j % 64.  Each step makes the test of
     _switch_rows for every chain at once and writes back only the chains
-    that switch.
+    that switch.  One-word rows decode the block with `decoder`, made here
+    when none is passed.
     """
     count, _, width = words.shape
     flat = words.reshape(-1)
-    i1, i2, j1, j2 = _split_sites(sites, m, n)
-    chain_rows = np.arange(count, dtype=np.int64) * m
-    one = np.uint64(1)
     if width == 1:
-        r1 = chain_rows + i1
-        r2 = chain_rows + i2
-        masks = (one << j1.astype(np.uint64)) | (one << j2.astype(np.uint64))
+        r1, r2, masks = (decoder or _OneWordSites(m, n)).decode(sites)
         for t in range(sites.shape[0]):
             p1, p2, mask = r1[t], r2[t], masks[t]
             a = flat.take(p1)
             b = flat.take(p2)
             x = a & mask
             y = b & mask
-            hit = np.flatnonzero((x ^ y == mask) & (np.minimum(x, y) != 0))
+            hit = ((x ^ y == mask) & (np.minimum(x, y) != 0)).nonzero()[0]
             flips = mask[hit]
             flat.put(p1[hit], a[hit] ^ flips)
             flat.put(p2[hit], b[hit] ^ flips)
         return
     # Wide rows: one word per entry of the minor, flipped one entry at a time
     # so that two entries sharing a word both flip.
+    i1, i2, j1, j2 = _split_sites(sites, m, n)
+    chain_rows = np.arange(count, dtype=np.int64) * m
     base1 = (chain_rows + i1) * width
     base2 = (chain_rows + i2) * width
     w1, w2 = j1 // 64, j2 // 64
+    one = np.uint64(1)
     bits1, bits2 = one << (j1 % 64).astype(np.uint64), one << (j2 % 64).astype(np.uint64)
     for t in range(sites.shape[0]):
         entries = (base1[t] + w1[t], base1[t] + w2[t], base2[t] + w1[t], base2[t] + w2[t])
@@ -399,9 +444,12 @@ def switch_mcmc_words(spec: SamplerSpec, count: int) -> np.ndarray:
     every state is a class member.  Returns (count, m, L) uint64 row words.
 
     Each step of chain k reads one site code from column k of the blocks
-    drawn by _site_blocks.  Many chains step together as packed uint64 row
-    words; a lone chain steps in a Python loop over row ints, which is
-    faster for one chain and gives the same state for the same sites.
+    drawn by _site_blocks; block size does not enter the stream.  Many
+    chains step together as packed uint64 row words, and on one-word rows
+    (n <= 64) every block is decoded into the same arrays by table lookup
+    (_OneWordSites).  A lone chain steps in a Python loop over row ints,
+    which is faster for one chain and gives the same state for the same
+    sites.
     """
     if spec.kind != "switch_mcmc":
         raise ValueError("spec.kind must be 'switch_mcmc'")
@@ -415,8 +463,9 @@ def switch_mcmc_words(spec: SamplerSpec, count: int) -> np.ndarray:
         return rows_to_words(rows, n)[None]
     start_words = rows_to_words(start, n)
     words = np.broadcast_to(start_words, (count, *start_words.shape)).copy()
+    decoder = _OneWordSites(m, n) if words.shape[2] == 1 else None
     for sites in blocks:
-        _switch_words(words, m, n, sites)
+        _switch_words(words, m, n, sites, decoder)
     return words
 
 
@@ -441,13 +490,15 @@ class PermutationTuple:
     def d(self) -> int:
         return len(self.perms)
 
+    def as_array(self) -> np.ndarray:
+        """The permutations as one (d, n) array; row k is perms[k]."""
+        return np.asarray(self.perms, dtype=np.intp).reshape(self.d, self.n)
+
     def multiplicity(self) -> np.ndarray:
         """Entrywise sum of the d permutation matrices (values in [0, d])."""
         n = self.n
-        out = np.zeros((n, n), dtype=np.int64)
-        for perm in self.perms:
-            out[np.arange(n), list(perm)] += 1
-        return out
+        cells = np.arange(0, n * n, n) + self.as_array()  # cell i*n + perm(i) of each factor
+        return np.bincount(cells.reshape(-1), minlength=n * n).reshape(n, n)
 
 
 def permutation_batch(spec: SamplerSpec, count: int) -> np.ndarray:

@@ -13,16 +13,17 @@ import dataclasses
 from dataclasses import dataclass
 from typing import List, Optional
 
+import numpy as np
+
 from .couplings import RowOrder, SwitchSite, column_walk, reflect, simple_switch
 from .exchangeable import (
     InvariantViolation,
     SelfBoundViolation,
     _reflection_parts,
     _reflection_vf_step,
+    _switching_parts,
     _switching_vf_step,
-    good_event_co,
     permutation_diagnostics,
-    switching_f,
 )
 from .matrices import VertexSetPair, codegree
 from .samplers import PermutationTuple, SamplerSpec, sample_many, stream_generator
@@ -198,41 +199,50 @@ def _switching_suite(mats, seed):
             (int(x) for x in rng.choice(nn, b, replace=False)),
         )
         try:
-            diag = switching_f(mat, pair)
+            diag, stats = _switching_parts(mat, pair)
             t_ident.check(True)
         except InvariantViolation as exc:
             t_ident.check(False, detail=str(exc))
             continue
 
-        ok, margin = _f2_good_event_check(mat, pair, diag)
+        ok, margin = _f2_good_event_check(mat, pair, diag, stats[-1])
         t_f2.check(ok, margin=margin)
 
         try:
-            diag = _switching_vf_step(mat, pair, diag)
+            diag = _switching_vf_step(mat, pair, diag, stats)
             t_vf.check(True, margin=float(diag.bound - diag.v_f))
         except InvariantViolation as exc:
             t_vf.check(False, detail=str(exc))
     return [t.record() for t in (t_invol, t_member, t_ident, t_f2, t_vf)]
 
 
-def _f2_good_event_check(mat, pair, diag):
+def _f2_good_event_check(mat, pair, diag, ex):
     """|f2| <= eta*(f1 + 2 p(1-p) n m mu) at the smallest eta that holds.
 
     Scaled through: with W = max|n co - d^2| over row pairs (so eta* =
     W/(d(n-d))), the check is |f2_s| d(n-d) <= W (f1_s + 2 d(n-d) d a b R)
     where R = m for the n^2 scale and 1 for the square scale n, and (a, b)
     are the sizes of the pair switching_f reduces to, a*b = min(ab,
-    (m-a)(n-b)), so d a b = n*mu_hat of the pair as given.
+    (m-a)(n-b)), so d a b = n*mu_hat of the pair as given.  W comes from
+    the f part's exclusive counts `ex` (see _worst_codegree_deviation).
     """
     n, d, mm = mat.n, mat.d, mat.m
     if d in (0, n):
         return True, None
-    event = good_event_co(mat, 0)
-    w = event.worst_deviation_scaled
+    w = _worst_codegree_deviation(n, d, ex)
     r_factor = 1 if diag.scale == n else mm
     lhs = abs(diag.f2_scaled) * d * (n - d)
     rhs = w * (diag.f1_scaled + 2 * d * (n - d) * int(n * pair.mu_hat(mat)) * r_factor)
     return lhs <= rhs, float(rhs - lhs)
+
+
+def _worst_codegree_deviation(n, d, ex):
+    """good_event_co's W = max over rows i < j of |n*co(i, j) - d^2|, from
+    the exclusive counts ex = d - co of all row pairs.  The diagonal is left
+    out: ex[i, i] = 0 gives d(n - d), which can exceed every pair's."""
+    dev = np.abs(n * (d - ex) - d * d)
+    np.fill_diagonal(dev, 0)
+    return int(dev.max())
 
 
 def _permutation_suite(n, d, samples, seed):

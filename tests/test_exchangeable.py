@@ -357,6 +357,33 @@ class TestPermutationCoupling:
             assert diag.bound_ok
             assert diag.v_f <= diag.f / 2 + Fraction(3 * a * b, 40)
 
+    @pytest.mark.parametrize("d", [0, 1, 4])
+    def test_counts_equal_the_pair_by_pair_enumeration(self, d):
+        # Each factor's (I1, I2) in A x A^c, one pair at a time: a pair whose
+        # I1 hits B and I2 misses it raises f, the reverse lowers f and adds
+        # to T.  The counts are products of hit counts; this is their sum.
+        n = 9
+        tuples = sample_many(SamplerSpec(kind="permutation_model", n=n, d=d, seed=42), 20)
+        rng = stream_generator(43, 0)
+        for pt in tuples:
+            pair = VertexSetPair.of(
+                (int(x) for x in rng.choice(n, int(rng.integers(1, n)), replace=False)),
+                (int(x) for x in rng.choice(n, int(rng.integers(1, n + 1)), replace=False)),
+            )
+            plus = minus = 0
+            for perm in pt.perms:
+                for i1 in pair.rows:
+                    for i2 in set(range(n)) - pair.rows:
+                        hit1, hit2 = perm[i1] in pair.cols, perm[i2] in pair.cols
+                        plus += hit1 and not hit2
+                        minus += hit2 and not hit1
+            diag = permutation_diagnostics(pt, pair)
+            assert (diag.f_scaled, diag.v_f) == (
+                plus - minus, Fraction(plus - minus, 2 * n) + Fraction(minus, n)
+            )
+            mult = [[sum(perm[i] == j for perm in pt.perms) for j in range(n)] for i in range(n)]
+            assert pt.multiplicity().tolist() == mult
+
     def test_rejects_improper_A(self):
         pt = PermutationTuple(((0, 1, 2),), 3)
         with pytest.raises(ValueError):

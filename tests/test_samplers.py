@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rrdigraph import samplers
 from rrdigraph.matrices import BiregularBitMatrix, InvalidMatrixError, rows_to_words, words_to_dense
 from rrdigraph.samplers import (
     DEFAULT_MAX_ATTEMPTS,
@@ -24,6 +25,7 @@ from rrdigraph.samplers import (
     sample_many,
     stream_generator,
     switch_mcmc_dense,
+    switch_mcmc_words,
 )
 from rrdigraph.samplers import (
     _OPTIONAL_READS,
@@ -320,6 +322,40 @@ class TestSwitchKernel:
         words = rows_to_words(start.rows, n)[None].copy()
         _switch_words(words, m, n, self._sites(spec, 1))
         assert np.array_equal(words_to_dense(words, n), lone)
+
+    def test_one_word_rows_on_64_bit_codes(self):
+        # m*m*n*n = 1024^2 * 64^2 >= 2^32: one-word rows, int64 site codes.
+        m, n, d, count = 1024, 64, 2, 3
+        spec = SamplerSpec(kind="switch_mcmc", m=m, n=n, d=d, dp=m * d // n, steps=3000, seed=3)
+        sites = self._sites(spec, count)
+        assert sites.dtype == np.int64
+        batch = switch_mcmc_words(spec, count)
+        for k in range(count):
+            rows = list(circulant(n, d, m).rows)
+            _switch_rows(rows, m, n, sites[:, k])
+            assert np.array_equal(rows_to_words(rows, n), batch[k])
+        assert (batch != rows_to_words(circulant(n, d, m).rows, n)).any()
+
+    @pytest.mark.parametrize(
+        "spec, count",
+        [
+            (SamplerSpec(kind="switch_mcmc", n=8, d=3, steps=200, seed=13), 1),
+            (SamplerSpec(kind="switch_mcmc", n=8, d=3, steps=200, seed=13), 3),
+            (SamplerSpec(kind="switch_mcmc", n=130, d=5, steps=2000, seed=14), 1),
+            (SamplerSpec(kind="switch_mcmc", n=130, d=5, steps=2000, seed=14), 3),
+            (SamplerSpec(kind="switch_mcmc", n=16, d=4, steps=4000, seed=5), 200),
+            (SamplerSpec(kind="switch_mcmc", m=6, n=9, d=3, dp=2, steps=500, seed=5), 7),
+        ],
+        ids=["one-word-lone", "one-word-batch", "three-words-lone", "three-words-batch",
+             "verify-batch", "biregular-batch"],
+    )
+    def test_block_size_does_not_enter_the_stream(self, monkeypatch, spec, count):
+        # The sites are one row-major run of bounded draws, cut into blocks.
+        outputs = []
+        for block in (1, 7, 1 << 14, 10**7):
+            monkeypatch.setattr(samplers, "_SITE_BLOCK", block)
+            outputs.append(switch_mcmc_words(spec, count).tobytes())
+        assert outputs == outputs[:1] * 4
 
     @pytest.mark.parametrize("count", [1, 3])
     @pytest.mark.parametrize("n", [7, 70])

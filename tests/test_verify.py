@@ -2,13 +2,15 @@
 draw reused by its v_f step, and failures attributed to the record whose
 check broke."""
 
+import hashlib
+import json
 from fractions import Fraction
 
 import pytest
 
 from rrdigraph import exchangeable, verify
 from rrdigraph.bounds import TailBoundSpec, eval_bound
-from rrdigraph.exchangeable import InvariantViolation
+from rrdigraph.exchangeable import InvariantViolation, good_event_co
 from rrdigraph.verify import run_suite
 
 from conftest import reflection_vf_oracle, switching_vf_oracle
@@ -123,9 +125,72 @@ class TestReusedF:
         for mat, (i1, i2, _, _), v_f, worst in seen["reflection"]:
             total, oracle_worst = reflection_vf_oracle(mat, i1, i2)
             assert (v_f, worst) == (Fraction(total, 2 * n * n), oracle_worst)
-        for mat, (pair, _), v_f, worst in seen["switching"]:
+        for mat, (pair, _, _), v_f, worst in seen["switching"]:
             total, oracle_worst = switching_vf_oracle(mat, pair)
             assert (v_f, worst) == (Fraction(total, 2), oracle_worst)
+
+
+class TestPinnedPayload:
+    """SHA-256 of run_suite("all")'s records, worst margins and details
+    included: the one-word batch chain, the biregular class, n = 60 and wide
+    rows.  Like TestPinnedStreams, the digests assume NumPy's Philox and
+    bounded-integer streams stay as they are."""
+
+    @pytest.mark.parametrize(
+        "n, d, samples, kwargs, digest",
+        [
+            (16, 4, 200, dict(seed=3),
+             "a73fff2efd9a86e1b4e2e7014f440dae580f6f3cd8be3c61bf7cb20f888bd2af"),
+            (9, 3, 200, dict(m=6, dp=2, seed=3),
+             "78ad2ff8be620af2d929e05f3c687a3f6349c1aa07a5d17d1fcadb30400e9b04"),
+            (60, 30, 5, dict(seed=0),
+             "7ae93de5923e40de04b7a996c97c3e66c56407d566f1a63165bdc009d61f9f62"),
+            (130, 5, 3, dict(seed=1),
+             "e1d15407337b00c9b339b71bb9ee3c5261602beefc25c7836e91ba7dd45888b7"),
+        ],
+        ids=["n16-d4", "biregular-6x9", "n60-d30", "n130-d5"],
+    )
+    def test_digest(self, n, d, samples, kwargs, digest):
+        results = run_suite("all", n, d, samples, **kwargs)
+        payload = json.dumps([r.to_dict() for r in results], sort_keys=True)
+        assert hashlib.sha256(payload.encode()).hexdigest() == digest
+
+
+_ERROR_TERM = "error term: |f2| <= eta*(f1 + 2p(1-p)n*m*mu) at minimal eta"
+
+
+class TestGoodEventFromTheFPart:
+    """The error-term record takes W = max |n*co - d^2| over row pairs from
+    the exclusive counts of the switching f part, not from good_event_co."""
+
+    @pytest.mark.parametrize("n, d, samples, seed", [(16, 4, 200, 3), (60, 30, 5, 0)])
+    def test_w_equals_good_event_co(self, monkeypatch, n, d, samples, seed):
+        seen = []
+        parts = verify._switching_parts
+
+        def recording(mat, pair):
+            diag, stats = parts(mat, pair)
+            seen.append((mat, stats[-1]))
+            return diag, stats
+
+        monkeypatch.setattr(verify, "_switching_parts", recording)
+        run_suite("switching", n, d, samples, seed=seed)
+        assert len(seen) == samples
+        for mat, ex in seen:
+            want = good_event_co(mat, 0).worst_deviation_scaled
+            assert verify._worst_codegree_deviation(mat.n, mat.d, ex) == want
+
+    @pytest.mark.parametrize("n, d, samples, seed", [(12, 3, 20, 4), (16, 4, 200, 3)])
+    def test_zero_w_fails_only_the_error_term(self, monkeypatch, n, d, samples, seed):
+        (clean,) = run_suite("switching", n, d, samples, seed=seed)
+        monkeypatch.setattr(verify, "_worst_codegree_deviation", lambda n, d, ex: 0)
+        (planted,) = run_suite("switching", n, d, samples, seed=seed)
+        assert _ERROR_TERM in [rec.invariant for rec in planted.records]
+        for before, after in zip(clean.records, planted.records):
+            if after.invariant == _ERROR_TERM:
+                assert (before.status, after.status, after.checked) == ("pass", "fail", samples)
+            else:
+                assert (after.status, after.checked) == (before.status, before.checked)
 
 
 _SITE_STEP = "co(M) - co(M~) at the site: +1 on K, -1 on a reflecting I, else 0"
@@ -169,7 +234,7 @@ class TestAttribution:
         assert (vf_status, vf_checked) == ("fail", self.samples)
 
     def test_switching_f_part_fails(self, monkeypatch):
-        self._fail_on_call(monkeypatch, verify, "switching_f", 3)
+        self._fail_on_call(monkeypatch, verify, "_switching_parts", 3)
         result = self._run("switching")
         status = _status(result)
         assert status["minor-count form equals neighbourhood form; f = f1 + f2"] == (
