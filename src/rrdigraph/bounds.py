@@ -20,7 +20,7 @@ from typing import Callable, Iterable, Optional, Sequence, Tuple
 import numpy as np
 
 from .exchangeable import SELF_BOUND, chatterjee_tail
-from .matrices import BiregularBitMatrix, VertexSetPair, edge_count
+from .matrices import BiregularBitMatrix, VertexSetPair, codegree_extremes, edge_count, rows_to_words
 
 __all__ = [
     "TailBoundSpec",
@@ -264,11 +264,10 @@ def check_pseudorandom_implication(
         raise ValueError("the implication is stated for the square digraph case")
     eps_frac = Fraction(eps)
 
-    dense = matrix.dense().astype(np.int64)
-    co_out = dense @ dense.T
-    co_in = dense.T @ dense
-    iu = np.triu_indices(n, k=1)
-    worst = int(max(co_out[iu].max(initial=0), co_in[iu].max(initial=0)))
+    worst = 0
+    if n >= 2:  # the greatest out- and in-codegree, or 0 with no pair
+        words = np.stack([rows_to_words(t.rows, n) for t in (matrix, matrix.transpose())])
+        worst = int(codegree_extremes(words)[1].max())
     # co <= (1+eps) p^2 n  <=>  n * co <= (1+eps) d^2, exactly.
     hypothesis = Fraction(n * worst) <= (1 + eps_frac) * d * d
 

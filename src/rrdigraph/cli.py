@@ -23,8 +23,6 @@ import sys
 from pathlib import Path
 from typing import Optional
 
-import numpy as np
-
 from . import __version__
 from .bounds import THEOREMS, TailBoundSpec, eval_bound
 from .couplings import RowOrder, SwitchSite, reflect, simple_switch
@@ -37,9 +35,11 @@ from .experiments import (
 from .matrices import (
     BiregularBitMatrix,
     InvalidMatrixError,
+    codegree_extremes,
     format_matrix,
     format_matrices,
     parse_matrices,
+    rows_to_words,
     words_to_dense,
 )
 from .samplers import (
@@ -142,7 +142,6 @@ def _cmd_sample(args) -> int:
 
 def _cmd_stats(args) -> int:
     matrix = _read_matrix(getattr(args, "in"))
-    dense = matrix.dense().astype(np.int64)
     report = {
         "schema_version": STATS_SCHEMA_VERSION,
         "config": {"in": getattr(args, "in")},
@@ -153,8 +152,8 @@ def _cmd_stats(args) -> int:
         "p": float(matrix.p),
         "d_hat": matrix.d_hat,
         "edges": matrix.m * matrix.d,
-        "codegree_out": _codegree_range(dense @ dense.T),
-        "codegree_in": _codegree_range(dense.T @ dense),
+        "codegree_out": _codegree_range(matrix),
+        "codegree_in": _codegree_range(matrix.transpose()),
     }
     _emit(report)
     if args.out:
@@ -162,13 +161,12 @@ def _cmd_stats(args) -> int:
     return 0
 
 
-def _codegree_range(gram: np.ndarray) -> dict:
-    """Smallest and largest codegree over the distinct vertex pairs: the
-    off-diagonal entries of the Gram matrix `gram`."""
-    co = gram[np.triu_indices(gram.shape[0], k=1)]
-    if not co.size:
+def _codegree_range(matrix: BiregularBitMatrix) -> dict:
+    """Smallest and largest codegree over the pairs of distinct rows."""
+    if matrix.m < 2:
         return {"min": None, "max": None}
-    return {"min": int(co.min()), "max": int(co.max())}
+    lo, hi = codegree_extremes(rows_to_words(matrix.rows, matrix.n)[None])
+    return {"min": int(lo[0]), "max": int(hi[0])}
 
 
 def _cmd_couple(args) -> int:

@@ -31,7 +31,8 @@ from typing import Iterator, Optional, Tuple, Union
 
 import numpy as np
 
-from .matrices import BiregularBitMatrix, VertexSetPair, _bits, codegree, edge_count
+from .matrices import BiregularBitMatrix, VertexSetPair, _bits, codegree, codegree_extremes
+from .matrices import edge_count, rows_to_words
 from .couplings import _BLOCK_CELLS, _bad_mask, _minor_class_counts
 from .samplers import PermutationTuple, ResourceGuardError
 
@@ -140,7 +141,6 @@ class GoodEventCo:
 
     eta: Fraction
     holds: bool
-    worst_pair: Tuple[int, int]
     worst_deviation_scaled: int  # max over pairs of |n*co - d^2|
     threshold_scaled: Fraction  # eta * d * (n - d)
 
@@ -526,21 +526,16 @@ def good_event_co(
     """Scan all row pairs for |co - p^2 n| <= eta p(1-p) n, exactly.
 
     The comparison is |n*co - d^2| <= eta * d * (n-d) over the integers
-    (eta exact as a Fraction), so no float tolerance enters.
+    (eta exact as a Fraction), so no float tolerance enters.  The max is
+    at the least or greatest codegree, from the tail harness's packed-word
+    kernel `matrices.codegree_extremes`; with no row pair the event holds.
     """
     eta = Fraction(eta)
     if eta < 0:
         raise ValueError("eta must be >= 0")
     n, d = matrix.n, matrix.d
-    dense = matrix.dense().astype(np.int64)
-    co = dense @ dense.T
-    dev = np.abs(n * co - d * d)
-    iu = np.triu_indices(matrix.m, k=1)
-    if iu[0].size == 0:
-        return GoodEventCo(eta, True, (0, 0), 0, eta * d * (n - d))
-    flat = dev[iu]
-    k = int(flat.argmax())
-    worst = (int(iu[0][k]), int(iu[1][k]))
-    worst_dev = int(flat[k])
-    threshold = eta * d * (n - d)
-    return GoodEventCo(eta, Fraction(worst_dev) <= threshold, worst, worst_dev, threshold)
+    worst = 0
+    if matrix.m >= 2:
+        lo, hi = codegree_extremes(rows_to_words(matrix.rows, n)[None])
+        worst = max(abs(n * int(lo[0]) - d * d), abs(n * int(hi[0]) - d * d))
+    return GoodEventCo(eta, worst <= eta * d * (n - d), worst, eta * d * (n - d))

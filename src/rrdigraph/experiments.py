@@ -25,7 +25,7 @@ from typing import Callable, List, Optional, Tuple, Union, get_args, get_origin,
 import numpy as np
 
 from .bounds import _THEOREMS, BoundValue, TailBoundSpec, eval_bound
-from .matrices import rows_to_words, words_to_rows
+from .matrices import codegree_extremes, rows_to_words, words_to_rows
 from .samplers import CLASS_KINDS, SamplerSpec, draw, enumerate_all
 
 __all__ = [
@@ -298,32 +298,12 @@ def _tail_root(k: int, n: int, target: float, upper: bool) -> float:
     raise ArithmeticError(f"no Clopper-Pearson limit found for k={k}, n={n}")
 
 
-# Samples per block of _all_pair_codegree_dev: about 1 MB of row words, so a
-# block and its temporaries stay in cache and add a fixed amount of memory
-# whatever the shard size.
-_PAIR_BLOCK_BYTES = 1 << 20
-
-
 def _all_pair_codegree_dev(words: np.ndarray, n: int, d: int) -> np.ndarray:
-    """max over row pairs of |n*co - d^2| per sample, from (count, m, L) words.
-
-    |n*co - d^2| is convex in co, so the max sits at a sample's least or
-    greatest codegree.  Samples go in blocks laid out as (m, L, block), so
-    every operation runs along the samples; one step per row i counts its
-    codegrees with all later rows.
-    """
-    count, m, width = words.shape
-    lo = np.full(count, n, dtype=np.int64)
-    hi = np.zeros(count, dtype=np.int64)
-    block = max(1, _PAIR_BLOCK_BYTES // (8 * m * width))
-    for start in range(0, count, block):
-        part = words[start : start + block].transpose(1, 2, 0).copy()
-        part_lo, part_hi = lo[start : start + block], hi[start : start + block]
-        for i in range(m - 1):
-            ones = np.bitwise_count(part[i + 1 :] & part[i])
-            co = ones.sum(axis=1, dtype=np.int32) if width > 1 else ones[:, 0]
-            np.minimum(part_lo, co.min(axis=0), out=part_lo)
-            np.maximum(part_hi, co.max(axis=0), out=part_hi)
+    """max over row pairs of |n*co - d^2| per sample, from (count, m, L) words:
+    convex in co, so it sits at the least or greatest codegree; 0 with no pair."""
+    if words.shape[1] < 2:
+        return np.zeros(len(words), dtype=np.int64)
+    lo, hi = codegree_extremes(words)
     return np.maximum(np.abs(n * lo - d * d), np.abs(n * hi - d * d))
 
 

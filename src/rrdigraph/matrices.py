@@ -40,6 +40,7 @@ __all__ = [
     "words_to_rows",
     "words_to_dense",
     "dense_to_words",
+    "codegree_extremes",
 ]
 
 
@@ -85,6 +86,29 @@ def dense_to_words(dense: np.ndarray) -> np.ndarray:
     raw = np.zeros((*dense.shape[:-1], 8 * ((n + 63) // 64)), dtype=np.uint8)
     raw[..., : (n + 7) // 8] = np.packbits(dense, axis=-1, bitorder="little")
     return raw.view("<u8").astype(np.uint64, copy=False)
+
+
+_PAIR_BLOCK_BYTES = 1 << 20  # row words per block of codegree_extremes
+
+
+def codegree_extremes(words: np.ndarray) -> tuple:
+    """(lo, hi) int64 arrays: each sample's least and greatest row-pair codegree,
+    from (count, m, L) words with m >= 2.  Blocks of about 1 MB of samples, laid
+    out as (m, L, block), stay in cache and in fixed memory; every operation runs
+    along the samples, and one step per row i counts its codegrees with later rows."""
+    count, m, width = words.shape
+    lo = np.full(count, 64 * width, dtype=np.int64)
+    hi = np.zeros(count, dtype=np.int64)
+    block = max(1, _PAIR_BLOCK_BYTES // (8 * m * width))
+    for start in range(0, count, block):
+        part = words[start : start + block].transpose(1, 2, 0).copy()
+        part_lo, part_hi = lo[start : start + block], hi[start : start + block]
+        for i in range(m - 1):
+            ones = np.bitwise_count(part[i + 1 :] & part[i])
+            co = ones.sum(axis=1, dtype=np.int32) if width > 1 else ones[:, 0]
+            np.minimum(part_lo, co.min(axis=0), out=part_lo)
+            np.maximum(part_hi, co.max(axis=0), out=part_hi)
+    return lo, hi
 
 
 def _bits(value: int) -> list:

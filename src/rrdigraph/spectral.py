@@ -88,15 +88,17 @@ def alpha_exact(matrix: BiregularBitMatrix) -> float:
     For each A and b = |B| the numerator max |n e - d a b| / n is an exact
     integer taken from the sorted column sums over A: the b largest sum
     to top[b], and the b smallest to the row total a d minus top[n - b].
+    A^c has column sums d minus A's, so the same numerator at every b: only
+    the row sets without row n - 1 are scanned, for A and for A^c.
     """
     check_alpha_shape(matrix.m, matrix.n)
     n, d = matrix.n, matrix.d
-    size = 1 << n
+    size = 1 << (n - 1)
     dense = matrix.dense().astype(np.int32)
     # colsums[mask] = column sums of the row set `mask`; popcount[mask] = |mask|.
     colsums = np.zeros((size, n), dtype=np.int32)
     popcount = np.zeros(size, dtype=np.int32)
-    for i in range(n):
+    for i in range(n - 1):
         bit = 1 << i
         colsums[bit : 2 * bit] = colsums[:bit] + dense[i]
         popcount[bit : 2 * bit] = popcount[:bit] + 1
@@ -110,4 +112,5 @@ def alpha_exact(matrix: BiregularBitMatrix) -> float:
     expected = total * b
     dev = np.maximum(n * top - expected, expected - n * bottom)
     per_a = (dev * (1.0 / np.sqrt(b.astype(np.float64)))).max(axis=1)
-    return float((per_a / (n * np.sqrt(a[:, 0].astype(np.float64)))).max())
+    sizes = np.stack([a[:, 0], n - a[:, 0]]).astype(np.float64)  # |A| and |A^c|
+    return float((per_a / (n * np.sqrt(sizes))).max(initial=0.0))

@@ -34,8 +34,9 @@ SUITES = ("reflection", "switching", "permutation", "all")
 
 # Version 2 of the payload has no v_f cap.  Version 3 replaces the
 # reflection record "antisymmetry of the codegree difference", which held
-# for any two integers, by the per-site codegree step.
-SCHEMA_VERSION = 3
+# for any two integers, by the per-site codegree step.  Version 4 names each
+# self-bound record after SELF_BOUND, the table its check reads.
+SCHEMA_VERSION = 4
 
 
 @dataclass
@@ -121,7 +122,7 @@ def _reflection_suite(mats, seed):
     t_ident = _Tracker("scale-n identity: n*f = n*co - d^2 + b")
     t_step = _Tracker("co(M) - co(M~) at the site: +1 on K, -1 on a reflecting I, else 0")
     t_walk = _Tracker("walk returns to 0 with at most min(dp, m-dp) up-steps")
-    t_vf = _Tracker("reflection self-bound v_f <= f + 2*d_hat^2/n")
+    t_vf = _Tracker("reflection self-bound v_f <= K2*f + K1 (SELF_BOUND)")
     for mat in mats:
         mm = mat.m
         i1, i2 = 0, 1
@@ -176,7 +177,7 @@ def _switching_suite(mats, seed):
     t_member = _Tracker("switching outputs stay in the class")
     t_ident = _Tracker("minor-count form equals neighbourhood form; f = f1 + f2")
     t_f2 = _Tracker("error term: |f2| <= eta*(f1 + 2p(1-p)n*m*mu) at minimal eta")
-    t_vf = _Tracker("switching self-bound v_f <= m*d_hat*(f + 2*m*d_hat*mu)")
+    t_vf = _Tracker("switching self-bound v_f <= K2*f + K1 (SELF_BOUND)")
     for mat in mats:
         mm, nn = mat.m, mat.n
         site = SwitchSite(
@@ -252,7 +253,7 @@ def _permutation_suite(n, d, samples, seed):
     t_mult = _Tracker("multiplicity matrix has all margins equal to d")
     t_invol = _Tracker("transposing one factor twice is the identity")
     t_ident = _Tracker("scale-n identity: n*f = n*e_pi - d*a*b")
-    t_vf = _Tracker("permutation self-bound v_f <= f/2 + (d/n)ab")
+    t_vf = _Tracker("permutation self-bound v_f <= K2*f + K1 (SELF_BOUND)")
     for pi in tuples:
         mult = pi.multiplicity()
         t_mult.check(

@@ -8,6 +8,7 @@ against something an undergraduate could audit.
 import itertools
 import sys
 
+import numpy as np
 import pytest
 
 from rrdigraph.couplings import RowOrder, reflect
@@ -52,6 +53,14 @@ def naive_codegree(matrix, i1, i2):
     return sum(
         1 for j in range(matrix.n) if matrix.entry(i1, j) == 1 and matrix.entry(i2, j) == 1
     )
+
+
+def gram_codegrees(dense):
+    """Codegrees of every ordered pair of distinct rows of a 0/1 array: the
+    off-diagonal entries of its dense int64 Gram matrix."""
+    dense = np.asarray(dense, dtype=np.int64)
+    gram = dense @ dense.T
+    return gram[~np.eye(len(gram), dtype=bool)]
 
 
 def naive_column_classes(matrix, i1, i2):
@@ -99,6 +108,50 @@ def naive_minor_scan(matrix, i1, i2, order=None):
                 if naive_reflecting(matrix, j1, j2, order):
                     n_i_reflecting += 1
     return n_k, n_i, n_i_reflecting
+
+
+def _with_line(text, index, line):
+    lines = text.split("\n")
+    lines[index] = line
+    return "\n".join(lines)
+
+
+def _row_0(text, change):
+    return _with_line(text, 1, change(text.split("\n")[1]))
+
+
+def _header_fields(text, change):
+    fields = text.split("\n", 1)[0].split()
+    return _with_line(text, 0, " ".join(change(fields)))
+
+
+def _move_a_one(text, matrix):
+    """Row 0 keeps its sum d but moves a one onto a zero, so a column sum
+    breaks; with d in {0, n} there is no such move and the header's dp is
+    raised instead."""
+    if matrix.d in (0, matrix.n):
+        return _header_fields(text, lambda f: f[:3] + [str(int(f[3]) + 1)])
+    row = list(text.split("\n")[1])
+    j, k = row.index("1"), row.index("0")
+    row[j], row[k] = "0", "1"
+    return _with_line(text, 1, "".join(row))
+
+
+# Malformed matrix texts: name -> (corrupt(text, matrix), the message that
+# names the fault).  Each corrupts the text of one valid matrix.
+MALFORMED_TEXT = {
+    "bad-header": (lambda text, mat: _header_fields(text, lambda f: f[:3]), "malformed header"),
+    "non-integer-field": (lambda text, mat: _header_fields(text, lambda f: f[:2] + ["x", f[3]]),
+                          "non-integer header field"),
+    "wrong-row-count": (lambda text, mat: "\n".join(text.split("\n")[:-2]) + "\n",
+                        r"expected \d+ rows, found \d+"),
+    "bad-character": (lambda text, mat: _row_0(text, lambda r: "2" + r[1:]),
+                      r"row 0 is not a string of \d+ characters in 0/1"),
+    "wrong-row-sum": (lambda text, mat: _row_0(text, lambda r: "10"[int(r[0])] + r[1:]),
+                      r"row 0 sums to \d+, expected d = \d+"),
+    "wrong-column-sum": (_move_a_one, r"column \d+ sums to \d+, expected dp = \d+"),
+    "no-trailing-newline": (lambda text, mat: text[:-1], "trailing newline"),
+}
 
 
 def brute_force_class_4_2():

@@ -16,7 +16,7 @@ from rrdigraph.bounds import (
 from rrdigraph.matrices import VertexSetPair, codegree, discrepancy
 from rrdigraph.samplers import SamplerSpec, sample_many, stream_generator
 
-from conftest import matrix_from_strings
+from conftest import gram_codegrees, matrix_from_strings
 
 FULL3 = matrix_from_strings(["111", "111", "111"])
 
@@ -210,6 +210,17 @@ class TestPseudorandomImplication:
     def test_eps_must_be_positive(self):
         with pytest.raises(ValueError):
             check_pseudorandom_implication(FULL3, eps=0.0)
+
+    @pytest.mark.parametrize("n, d", [(1, 1), (8, 3), (65, 20), (130, 40)])
+    def test_worst_codegree_equal_to_the_gram_oracle(self, n, d):
+        # The hypothesis fails at eps = 0.01 on every draw here but n = 1,
+        # which has no row pair and reports 0.
+        mat = sample_many(SamplerSpec(kind="switch_mcmc", n=n, d=d, steps=20 * n, seed=n), 1)[0]
+        co = [gram_codegrees(mat.dense()), gram_codegrees(mat.dense().T)]
+        worst = max(int(c.max(initial=0)) for c in co)
+        report = check_pseudorandom_implication(mat, eps=0.01)
+        assert report.worst_codegree_scaled == n * worst
+        assert report.hypothesis_holds is (n == 1)
 
 
 class TestCorollarySweep:

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -6,8 +7,10 @@ from rrdigraph import cli
 from rrdigraph.bounds import THEOREMS
 from rrdigraph.cli import main
 from rrdigraph.matrices import format_matrix, parse_matrices, parse_matrix
-from rrdigraph.samplers import circulant
+from rrdigraph.samplers import SamplerSpec, circulant, sample_many
 from rrdigraph.spectral import ALPHA_EXACT_CAP
+
+from conftest import MALFORMED_TEXT, gram_codegrees
 
 
 def run(capsys, *argv):
@@ -97,6 +100,52 @@ class TestStatsRoundTrip:
         code, _, err = run(capsys, "stats", "--in", str(bad))
         assert code == 1
         assert "column" in err
+
+
+class TestStatsCodegrees:
+    """stats' least and greatest out- and in-codegrees against a dense Gram
+    oracle, on one-word and multi-word rows and on square and rectangular
+    classes; with fewer than two rows (columns) there is no pair to report."""
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            dict(kind="switch_mcmc", n=6, d=3, steps=200, seed=4),
+            dict(kind="rejection", n=9, d=3, m=6, dp=2, seed=77),
+            dict(kind="switch_mcmc", n=130, d=40, steps=2600, seed=1),
+            dict(kind="switch_mcmc", n=300, d=7, steps=6000, seed=2),
+        ],
+        ids=["square-6", "biregular-6x9", "n130", "n300"],
+    )
+    def test_equal_to_the_gram_oracle(self, tmp_path, capsys, spec):
+        mat = sample_many(SamplerSpec(**spec), 1)[0]
+        path = tmp_path / "m.txt"
+        path.write_text(format_matrix(mat))
+        code, stdout, _ = run(capsys, "stats", "--in", str(path))
+        assert code == 0
+        report = json.loads(stdout)
+        for key, dense in (("codegree_out", mat.dense()), ("codegree_in", mat.dense().T)):
+            co = gram_codegrees(dense)
+            assert report[key] == {"min": int(co.min()), "max": int(co.max())}
+
+    @pytest.mark.parametrize(
+        "rows, out, in_",
+        [
+            (["11111"], None, 1),
+            (["1", "1", "1", "1", "1"], 1, None),
+        ],
+        ids=["1x5", "5x1"],
+    )
+    def test_one_line_has_no_pair(self, tmp_path, capsys, rows, out, in_):
+        from conftest import matrix_from_strings
+
+        path = tmp_path / "m.txt"
+        path.write_text(format_matrix(matrix_from_strings(rows)))
+        code, stdout, _ = run(capsys, "stats", "--in", str(path))
+        assert code == 0
+        report = json.loads(stdout)
+        assert report["codegree_out"] == {"min": out, "max": out}
+        assert report["codegree_in"] == {"min": in_, "max": in_}
 
 
 class TestCouple:
@@ -259,9 +308,9 @@ class TestVerifyCli:
         )
         assert code == 0
         payload = json.loads(stdout)
-        assert payload["schema_version"] == 3
+        assert payload["schema_version"] == 4
         for suite in payload["suites"]:
-            assert suite["schema_version"] == 3
+            assert suite["schema_version"] == 4
             assert suite["config"] == {
                 "n": 8, "d": 3, "m": 8, "dp": 3, "samples": 3, "seed": 0, "steps": None,
             }
@@ -745,6 +794,21 @@ class TestMalformedInputs:
         assert code == 1
         assert stdout == ""
         assert err.startswith(("usage error: ", "error: ")) and "Traceback" not in err
+
+
+class TestMalformedMatrixText:
+    @pytest.mark.parametrize("case", sorted(MALFORMED_TEXT))
+    @pytest.mark.parametrize("mat", [circulant(5, 2), circulant(4, 0), circulant(3, 3)],
+                             ids=["n5-d2", "n4-d0", "n3-d3"])
+    def test_stats_exits_1_naming_the_fault(self, tmp_path, capsys, mat, case):
+        corrupt, message = MALFORMED_TEXT[case]
+        path = tmp_path / "bad.txt"
+        path.write_text(corrupt(format_matrix(mat), mat))
+        code, stdout, err = run(capsys, "stats", "--in", str(path))
+        assert code == 1
+        assert stdout == ""
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert re.search(message, err)
 
 
 class TestUsageErrors:

@@ -3,6 +3,7 @@ import tracemalloc
 from fractions import Fraction
 from itertools import permutations
 
+import numpy as np
 import pytest
 from rrdigraph import exchangeable
 from rrdigraph.couplings import _BLOCK_CELLS, MinorClassCounts, RowOrder, reflect
@@ -27,6 +28,7 @@ from rrdigraph.samplers import (
 )
 
 from conftest import (
+    gram_codegrees,
     matrix_from_strings,
     naive_minor_scan,
     reflection_vf_oracle,
@@ -458,3 +460,16 @@ class TestGoodEventCo:
     def test_negative_eta_rejected(self):
         with pytest.raises(ValueError):
             good_event_co(PARALLEL, -0.1)
+
+    @pytest.mark.parametrize("n, d", [(65, 20), (130, 40), (300, 7)])
+    def test_equal_to_the_dense_oracle(self, n, d):
+        # One-word-plus-one-bit, two-word and five-word rows.
+        mat = sample_many(SamplerSpec(kind="switch_mcmc", n=n, d=d, steps=20 * n, seed=n), 1)[0]
+        w = int(np.abs(n * gram_codegrees(mat.dense()) - d * d).max())
+        eta_star = Fraction(w, d * (n - d))
+        for eta, holds in ((eta_star, True), (eta_star - Fraction(1, 10**9), False),
+                           (Fraction(1, 2), w <= Fraction(1, 2) * d * (n - d))):
+            event = good_event_co(mat, eta)
+            assert event.worst_deviation_scaled == w
+            assert event.threshold_scaled == eta * d * (n - d)
+            assert event.holds is holds

@@ -520,7 +520,7 @@ class TestWordStatistics:
         oracle = np.abs(n * gram[:, upper[0], upper[1]] - d * d).max(axis=1)
         assert np.array_equal(experiments._all_pair_codegree_dev(words, n, d), oracle)
         # Blocks of 8 samples, the last one partial, give the same answer.
-        monkeypatch.setattr(experiments, "_PAIR_BLOCK_BYTES", 8 * words[0].nbytes)
+        monkeypatch.setattr("rrdigraph.matrices._PAIR_BLOCK_BYTES", 8 * words[0].nbytes)
         assert np.array_equal(experiments._all_pair_codegree_dev(words, n, d), oracle)
 
     def test_codegree_spread_reaches_both_ends(self):
@@ -534,6 +534,20 @@ class TestWordStatistics:
         scaled = n * gram[:, upper[0], upper[1]] - d * d
         assert (scaled.min(axis=1) < 0).all() and (scaled.max(axis=1) > 0).all()
         assert np.array_equal(experiments._all_pair_codegree_dev(words, n, d), np.abs(scaled).max(axis=1))
+
+    def test_one_row_has_no_pair(self):
+        # With no row pair the uniform-codegree event holds, as good_event_co
+        # says: W = 0, whatever n and d.
+        words = np.ones((3, 1, 1), dtype=np.uint64)
+        assert np.array_equal(experiments._all_pair_codegree_dev(words, 1, 1), [0, 0, 0])
+
+    @pytest.mark.parametrize("kind", ["rejection", "switch_mcmc"])
+    def test_joint_edge_count_at_one_vertex(self, kind):
+        # n = d = a = b = 1: e = mu = 1 and n*mu_hat = 0, so every grid value
+        # is reached, and the good event holds on every draw.
+        cfg = ExperimentConfig(sampler=SamplerSpec(kind=kind, n=1, d=1), statistic="edge_count",
+                               grid=(0.0, 1.0), N=20, a=1, b=1, good_event_eta=0.25)
+        assert [row.empirical for row in run_tail_experiment(cfg).rows] == [1.0, 1.0]
 
 
 @pytest.mark.parametrize(

@@ -3,21 +3,30 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from rrdigraph.matrices import (
     BiregularBitMatrix,
     InvalidMatrixError,
     VertexSetPair,
     codegree,
+    codegree_extremes,
     complement,
     discrepancy,
     edge_count,
+    format_matrices,
     format_matrix,
     parse_matrices,
     parse_matrix,
+    rows_to_words,
+    words_to_dense,
 )
+from rrdigraph.samplers import SamplerSpec, circulant, draw, sample_many
 from conftest import (
+    MALFORMED_TEXT,
     all_set_pairs,
+    gram_codegrees,
     matrix_from_strings,
     naive_codegree,
     naive_column_classes,
@@ -245,6 +254,55 @@ class TestTextFormat:
         blob = format_matrix(class_4_2[0]) + "\n" + format_matrix(class_4_2[1])
         mats = parse_matrices(blob)
         assert mats == [class_4_2[0], class_4_2[1]]
+
+
+@st.composite
+def class_members(draw_from):
+    """One member of an m x n class, m, n <= 12, d over every feasible row
+    sum, 0 and n among them."""
+    m, n = draw_from(st.integers(1, 12)), draw_from(st.integers(1, 12))
+    d = draw_from(st.sampled_from([d for d in range(n + 1) if m * d % n == 0]))
+    seed = draw_from(st.integers(0, 2**32 - 1))
+    spec = SamplerSpec(kind="switch_mcmc", n=n, d=d, m=m, dp=m * d // n, steps=2 * m * n, seed=seed)
+    return sample_many(spec, 1)[0]
+
+
+class TestTextFormatProperties:
+    @given(st.lists(class_members(), min_size=1, max_size=3))
+    @example([circulant(12, 0), circulant(12, 12), circulant(1, 1)])
+    @settings(max_examples=150, deadline=None)
+    def test_round_trip(self, mats):
+        text = format_matrices(mats)
+        assert parse_matrices(text) == mats
+        assert format_matrices(parse_matrices(text)) == text
+
+    @given(class_members(), st.sampled_from(sorted(MALFORMED_TEXT)))
+    @example(circulant(7, 0), "wrong-column-sum")
+    @example(circulant(7, 7), "wrong-column-sum")
+    @settings(max_examples=150, deadline=None)
+    def test_malformed_text_names_its_fault(self, mat, case):
+        corrupt, message = MALFORMED_TEXT[case]
+        with pytest.raises(InvalidMatrixError, match=message):
+            parse_matrices(corrupt(format_matrix(mat), mat))
+
+
+class TestCodegreeExtremes:
+    @pytest.mark.parametrize("n, d", [(2, 1), (9, 4), (64, 20), (65, 30), (130, 40)])
+    def test_equal_to_the_gram_oracle(self, monkeypatch, n, d):
+        words, _ = draw(SamplerSpec(kind="switch_mcmc", n=n, d=d, steps=20 * n, seed=n), 11)
+        co = np.array([gram_codegrees(w) for w in words_to_dense(words, n)])
+        want = (co.min(axis=1), co.max(axis=1))
+        for block_bytes in (1 << 20, 3 * words[0].nbytes):  # one block; blocks of 3 samples
+            monkeypatch.setattr("rrdigraph.matrices._PAIR_BLOCK_BYTES", block_bytes)
+            lo, hi = codegree_extremes(words)
+            assert lo.dtype == hi.dtype == np.int64
+            assert np.array_equal(lo, want[0]) and np.array_equal(hi, want[1])
+
+    def test_one_matrix(self, pool_bipartite):
+        mat = pool_bipartite[0]
+        co = gram_codegrees(mat.dense())
+        lo, hi = codegree_extremes(rows_to_words(mat.rows, mat.n)[None])
+        assert (lo.tolist(), hi.tolist()) == ([co.min()], [co.max()])
 
 
 class TestAgainstNaiveOracles:
