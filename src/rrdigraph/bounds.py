@@ -14,13 +14,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
-from itertools import combinations
 from typing import Callable, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .exchangeable import SELF_BOUND, chatterjee_tail
 from .matrices import BiregularBitMatrix, VertexSetPair, codegree_extremes, edge_count, rows_to_words
+from .spectral import row_set_extremes
 
 __all__ = [
     "TailBoundSpec",
@@ -36,9 +36,6 @@ __all__ = [
 # Chosen defaults for constants the statements leave unspecified.
 DEFAULT_SMALL_C = 1.0 / 64.0
 DEFAULT_POLY_C = 1.0
-
-# Most (A, B) pairs check_pseudorandom_implication enumerates on its own.
-PSEUDORANDOM_ENUMERATION_CAP = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -77,9 +74,9 @@ class TailBoundSpec:
             if value is not None and value < 1:
                 raise ValueError(f"bound field {name!r} must be >= 1, got {value}")
         # The degree and set sizes of an m x n class: d and b count columns,
-        # a counts rows.
+        # a counts rows.  p is a probability; nan fails the comparison.
         m = self.n if self.m is None else self.m
-        for name, low, high in (("d", 0, self.n), ("a", 1, m), ("b", 1, self.n)):
+        for name, low, high in (("d", 0, self.n), ("a", 1, m), ("b", 1, self.n), ("p", 0, 1)):
             value = getattr(self, name)
             if value is not None and not low <= value <= high:
                 raise ValueError(f"bound field {name!r} must be in [{low}, {high}], got {value}")
@@ -219,24 +216,56 @@ def eval_bound(spec: TailBoundSpec) -> BoundValue:
 
 @dataclass(frozen=True)
 class PseudorandomReport:
+    """With an explicit family, `pairs_checked` counts its qualifying (A, B)
+    and `violations` lists those that break the conclusion.  Without one the
+    unit is a qualifying (A, b), |B| = b: `violations` holds one witness
+    (A, B) per violating (A, b), B the b columns of largest or of smallest
+    column sum over A, as ascending index tuples."""
+
     eps: float
     hypothesis_holds: bool
     worst_codegree_scaled: int  # max over pairs/directions of n*co
     size_threshold: float  # sets of at least this size are in scope
     pairs_checked: int
-    violations: tuple  # ((A, B) tuples that broke the conclusion)
+    violations: tuple
 
     @property
     def conclusion_holds(self) -> bool:
         return self.hypothesis_holds and not self.violations
 
 
-def _qualifying_subsets(n: int, threshold: float) -> list:
-    sizes = range(max(1, math.ceil(threshold)), n + 1)
-    out = []
-    for size in sizes:
-        out.extend(combinations(range(n), size))
-    return out
+# The conclusion: |e/(p a b) - 1| <= sqrt(_CONCLUSION_C eps n / max(a, b)).
+_CONCLUSION_C = 2
+
+
+def _allowed_deviation(n: int, d: int, eps: Fraction, a: int, b: int) -> int:
+    """The largest |n e - d a b| the conclusion allows at |A| = a, |B| = b: it
+    reads (n e - d a b)^2 max(a, b) <= C eps n (d a b)^2, and an integer D
+    has D^2 <= R iff D <= isqrt(floor(R))."""
+    return math.isqrt(math.floor(_CONCLUSION_C * eps * n * (d * a * b) ** 2 / max(a, b)))
+
+
+def _extreme_violations(matrix: BiregularBitMatrix, eps: Fraction, lo: int) -> tuple:
+    """(checked, violations) over every (A, b) with |A|, b >= lo.  The
+    conclusion's left side is convex in e(A,B) and its right side is free
+    of B, so some B of size b breaks it iff row_set_extremes' extreme does."""
+    n, d = matrix.n, matrix.d
+    sizes, dev = row_set_extremes(matrix)
+    cutoff = np.full((n + 1, n), n**3, dtype=np.int64)  # n^3: more than any |n e - d a b|
+    for a in range(lo, n + 1):
+        for b in range(lo, n + 1):
+            cutoff[a, b - 1] = min(n**3, _allowed_deviation(n, d, eps, a, b))
+    checked, violations = n - lo + 1, []  # the full row set, which gives 0
+    for flip, a in ((0, sizes), ((1 << n) - 1, n - sizes)):  # A, and A^c
+        checked += int((a >= lo).sum()) * (n - lo + 1)
+        for k, j in zip(*np.nonzero(dev > cutoff[a])):
+            A, b = tuple(i for i in range(n) if ((int(k) + 1) ^ flip) >> i & 1), int(j) + 1
+            colsums = matrix.dense()[list(A)].sum(axis=0, dtype=np.int64)
+            order = np.argsort(colsums, kind="stable")
+            top = n * int(colsums[order[n - b :]].sum()) - d * len(A) * b
+            B = order[n - b :] if top > cutoff[len(A), j] else order[:b]
+            violations.append((A, tuple(sorted(int(c) for c in B))))
+    return checked, tuple(violations)
 
 
 def check_pseudorandom_implication(
@@ -252,10 +281,10 @@ def check_pseudorandom_implication(
 
         |e(A,B)/(p|A||B|) - 1| <= sqrt(2 eps n / max(|A|, |B|)).
 
-    Both sides are compared squared in exact rational arithmetic.  With no
-    explicit family the qualifying pairs are enumerated exhaustively
-    (guarded); a conclusion violation is a defect, since the implication
-    is deterministic.
+    Both sides are compared squared in exact integer arithmetic.  With no
+    explicit family each qualifying (A, b) is checked at its extreme B, for
+    n <= ALPHA_EXACT_CAP; a conclusion violation is a defect, since the
+    implication is deterministic.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -275,33 +304,22 @@ def check_pseudorandom_implication(
     if not hypothesis:
         return PseudorandomReport(eps, False, n * worst, threshold, 0, ())
 
+    lo = max(1, math.ceil(threshold)) if d > 0 else n + 1
     if pairs is None:
-        if d == 0:
-            candidates = []
-        else:
-            subsets = _qualifying_subsets(n, threshold)
-            if len(subsets) ** 2 > PSEUDORANDOM_ENUMERATION_CAP:
-                raise ValueError(
-                    f"{len(subsets)**2} qualifying pairs exceed the enumeration cap; "
-                    "pass an explicit family"
-                )
-            candidates = [(A, B) for A in subsets for B in subsets]
-    else:
-        candidates = [(tuple(A), tuple(B)) for A, B in pairs]
+        checked, violations = _extreme_violations(matrix, eps_frac, lo) if lo <= n else (0, ())
+        return PseudorandomReport(eps, True, n * worst, threshold, checked, violations)
 
+    candidates = [(tuple(A), tuple(B)) for A, B in pairs]
     violations = []
     checked = 0
     for A, B in candidates:
         a, b = len(A), len(B)
-        if a == 0 or b == 0 or math.ceil(threshold) > min(a, b):
+        if a == 0 or b == 0 or lo > min(a, b):
             continue
         checked += 1
         e = edge_count(matrix, VertexSetPair.of(A, B))
-        # (e/(p a b) - 1)^2 <= 2 eps n / max(a, b), cleared of denominators.
-        lhs = Fraction((n * e - d * a * b) ** 2) * max(a, b)
-        rhs = 2 * eps_frac * n * Fraction((d * a * b) ** 2)
-        if lhs > rhs:
-            violations.append((tuple(A), tuple(B)))
+        if abs(n * e - d * a * b) > _allowed_deviation(n, d, eps_frac, a, b):
+            violations.append((A, B))
     return PseudorandomReport(
         eps, True, n * worst, threshold, checked, tuple(violations)
     )

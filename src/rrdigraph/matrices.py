@@ -234,10 +234,7 @@ class BiregularBitMatrix:
         return (self.rows[i] >> j) & 1
 
     def transpose(self) -> "BiregularBitMatrix":
-        cols = [0] * self.n
-        for i, r in enumerate(self.rows):
-            for j in _bits(r):
-                cols[j] |= 1 << i
+        cols = words_to_rows(dense_to_words(self.dense().T)[None])[0]
         return BiregularBitMatrix(cols, self.m, _trusted=True)
 
     def __eq__(self, other) -> bool:

@@ -13,9 +13,10 @@ epsilon; for d in {0, n}, G' is exactly zero and so is sigma_2.
 
 A digraph with second singular value sigma_2 is sigma_2-jumbled, so on
 tiny instances the exhaustive discrepancy maximum alpha can be checked
-against sigma_2 directly.  alpha is exact: for a row set A and a size b
-the largest |n e(A,B) - d a b| is reached by the b columns with the
-largest, or the smallest, column sums over A.
+against sigma_2 directly.  For a row set A and a size b the largest
+|n e(A,B) - d a b| is reached by the b columns with the largest, or the
+smallest, column sums over A: `row_set_extremes` scans that lemma once,
+for alpha_exact and for bounds.check_pseudorandom_implication.
 """
 
 from __future__ import annotations
@@ -28,7 +29,8 @@ from .matrices import BiregularBitMatrix
 from .samplers import SearchSpaceTooLarge
 
 __all__ = [
-    "SpectralReport", "sigma2", "alpha_exact", "check_sigma2_shape", "check_alpha_shape", "ALPHA_EXACT_CAP",
+    "SpectralReport", "sigma2", "alpha_exact", "row_set_extremes", "check_sigma2_shape", "check_alpha_shape",
+    "ALPHA_EXACT_CAP",
 ]
 
 ALPHA_EXACT_CAP = 14
@@ -70,9 +72,9 @@ def check_sigma2_shape(m: int, n: int) -> None:
 
 
 def check_alpha_shape(m: int, n: int) -> None:
-    """Raise what alpha_exact raises for an m x n matrix, so that a caller
-    can refuse before drawing or decomposing it: ValueError unless square,
-    SearchSpaceTooLarge above the cap."""
+    """Raise what row_set_extremes, and so alpha_exact, raises for an m x n
+    matrix, so that a caller can refuse before drawing or decomposing it:
+    ValueError unless square, SearchSpaceTooLarge above the cap."""
     if m != n:
         raise ValueError("alpha_exact is defined here for the square digraph case")
     if n > ALPHA_EXACT_CAP:
@@ -81,16 +83,14 @@ def check_alpha_shape(m: int, n: int) -> None:
         )
 
 
-def alpha_exact(matrix: BiregularBitMatrix) -> float:
-    """max over nonempty A, B of |e(A,B) - p|A||B|| / sqrt(|A||B|).
-
-    Exhaustive over the 2^n row sets, so guarded by n <= ALPHA_EXACT_CAP.
-    For each A and b = |B| the numerator max |n e - d a b| / n is an exact
-    integer taken from the sorted column sums over A: the b largest sum
-    to top[b], and the b smallest to the row total a d minus top[n - b].
-    A^c has column sums d minus A's, so the same numerator at every b: only
-    the row sets without row n - 1 are scanned, for A and for A^c.
-    """
+def row_set_extremes(matrix: BiregularBitMatrix) -> tuple:
+    """(sizes, dev) for the nonempty row sets A without row n - 1, row k
+    for the rows in the bits of k + 1: sizes[k] = |A| and dev[k, b - 1] =
+    max over |B| = b of |n e(A,B) - d |A| b|, an exact integer.  The b
+    largest column sums over A sum to top[b], the b smallest to |A| d minus
+    top[n - b].  A^c has column sums d minus A's, so the same value at every
+    b, and the full row set has 0: the table covers every row set.
+    Guarded by n <= ALPHA_EXACT_CAP."""
     check_alpha_shape(matrix.m, matrix.n)
     n, d = matrix.n, matrix.d
     size = 1 << (n - 1)
@@ -105,12 +105,19 @@ def alpha_exact(matrix: BiregularBitMatrix) -> float:
     colsums = colsums[1:]
     colsums.sort(axis=1)
     top = np.cumsum(colsums[:, ::-1], axis=1, dtype=np.int32)
-    a = popcount[1:, None]
-    total = a * d
+    sizes = popcount[1:]
+    total = sizes[:, None] * d
     bottom = np.concatenate([total - top[:, -2::-1], total], axis=1)
-    b = np.arange(1, n + 1, dtype=np.int32)
-    expected = total * b
-    dev = np.maximum(n * top - expected, expected - n * bottom)
-    per_a = (dev * (1.0 / np.sqrt(b.astype(np.float64)))).max(axis=1)
-    sizes = np.stack([a[:, 0], n - a[:, 0]]).astype(np.float64)  # |A| and |A^c|
-    return float((per_a / (n * np.sqrt(sizes))).max(initial=0.0))
+    expected = total * np.arange(1, n + 1, dtype=np.int32)
+    return sizes, np.maximum(n * top - expected, expected - n * bottom)
+
+
+def alpha_exact(matrix: BiregularBitMatrix) -> float:
+    """max over nonempty A, B of |e(A,B) - p|A||B|| / sqrt(|A||B|), from the
+    extremes of `row_set_extremes`, each read for A and for A^c."""
+    n = matrix.n
+    sizes, dev = row_set_extremes(matrix)
+    b = np.arange(1, n + 1, dtype=np.float64)
+    per_a = (dev * (1.0 / np.sqrt(b))).max(axis=1)
+    both = np.stack([sizes, n - sizes]).astype(np.float64)  # |A| and |A^c|
+    return float((per_a / (n * np.sqrt(both))).max(initial=0.0))

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rrdigraph import bounds
 from rrdigraph.bounds import (
     _THEOREMS,
     THEOREMS,
@@ -14,9 +15,9 @@ from rrdigraph.bounds import (
     eval_bound,
 )
 from rrdigraph.matrices import VertexSetPair, codegree, discrepancy
-from rrdigraph.samplers import SamplerSpec, sample_many, stream_generator
+from rrdigraph.samplers import SamplerSpec, SearchSpaceTooLarge, circulant, sample_many, stream_generator
 
-from conftest import gram_codegrees, matrix_from_strings
+from conftest import all_set_pairs, gram_codegrees, matrix_from_strings
 
 FULL3 = matrix_from_strings(["111", "111", "111"])
 
@@ -170,9 +171,34 @@ class TestEvalBound:
         with pytest.raises(ValueError, match="bound field 'c1' is not read by theorem 'codegree_upper'"):
             TailBoundSpec(theorem="codegree_upper", n=10, d=3, deviation=1.0, c1=5.0)
 
+    @pytest.mark.parametrize("p", [2.0, -0.5, float("nan")])
+    def test_p_outside_the_unit_interval_rejected(self, p):
+        with pytest.raises(ValueError, match=r"bound field 'p' must be in \[0, 1\]"):
+            TailBoundSpec(theorem="er_codegree", n=10, p=p, deviation=1.0)
+
     def test_range_checks_run_before_the_read_check(self):
         with pytest.raises(ValueError, match="bound field 'a' must be in"):
             TailBoundSpec(theorem="codegree_upper", n=10, d=3, a=11)
+
+
+def violating_sizes_oracle(matrix, eps, constant):
+    """{(A, b)}: row sets A with some |B| = b, both at least n/(eps d), that
+    break |e/(p a b) - 1| <= sqrt(constant eps n / max(a, b)), from every
+    (A, B) pair and the inequality squared in Fractions."""
+    n, d = matrix.n, matrix.d
+    out = set()
+    for A, B in all_set_pairs(n, n):
+        a, b = len(A), len(B)
+        if min(a, b) < n / (eps * d):
+            continue
+        e = sum(matrix.dense()[i, j] for i in A for j in B)
+        if Fraction((n * int(e) - d * a * b) ** 2 * max(a, b)) > constant * Fraction(eps) * n * (d * a * b) ** 2:
+            out.add((A, b))
+    return out
+
+
+# (n, d, eps) of one switch-chain draw each; a draw that fails the hypothesis is skipped.
+_SCAN_CASES = [(n, d, eps) for n in (4, 5, 6) for d in (1, n // 2, n - 1) for eps in (0.5, 1.0, 3.0)]
 
 
 class TestPseudorandomImplication:
@@ -210,6 +236,53 @@ class TestPseudorandomImplication:
     def test_eps_must_be_positive(self):
         with pytest.raises(ValueError):
             check_pseudorandom_implication(FULL3, eps=0.0)
+
+    def _scan_against_oracle(self, constant):
+        """The exhaustive path's violating (A, b) set, each witness checked,
+        against the oracle's; returns how many violations were seen."""
+        seen = 0
+        for n, d, eps in _SCAN_CASES:
+            mat = sample_many(SamplerSpec(kind="switch_mcmc", n=n, d=d, steps=20 * n, seed=n + 7 * d), 1)[0]
+            report = check_pseudorandom_implication(mat, eps=eps)
+            if not report.hypothesis_holds:
+                continue
+            got = {(A, len(B)) for A, B in report.violations}
+            assert len(got) == len(report.violations)
+            assert got == violating_sizes_oracle(mat, eps, constant), (n, d, eps)
+            for A, B in report.violations:
+                colsums = mat.dense()[list(A)].sum(axis=0)
+                ranked = sorted(colsums)
+                assert sorted(colsums[list(B)]) in (ranked[: len(B)], ranked[n - len(B) :])
+                again = check_pseudorandom_implication(mat, eps=eps, pairs=[(A, B)])
+                assert again.violations == ((A, B),)
+            seen += len(report.violations)
+        return seen
+
+    def test_exhaustive_scan_equals_the_oracle(self):
+        self._scan_against_oracle(2)
+
+    def test_tightened_constant_gives_the_same_violations(self, monkeypatch):
+        # A negative control: with the conclusion's constant cut from 2 to
+        # 1/5 the conclusion fails, and the scan must find what the oracle does.
+        monkeypatch.setattr(bounds, "_CONCLUSION_C", Fraction(1, 5))
+        assert self._scan_against_oracle(Fraction(1, 5)) > 0
+
+    @pytest.mark.parametrize("n, d, eps", [(6, 3, 1.0), (8, 4, 2.0), (10, 5, 0.9), (12, 6, 1.5)])
+    def test_pairs_checked_closed_form(self, n, d, eps):
+        mat = sample_many(SamplerSpec(kind="switch_mcmc", n=n, d=d, seed=1), 1)[0]
+        report = check_pseudorandom_implication(mat, eps=eps)
+        assert report.hypothesis_holds
+        lo = max(1, math.ceil(n / (eps * d)))
+        assert report.pairs_checked == sum(math.comb(n, s) for s in range(lo, n + 1)) * (n - lo + 1)
+
+    def test_guard_only_for_a_non_empty_family(self):
+        n = 15
+        mat = sample_many(SamplerSpec(kind="switch_mcmc", n=n, d=7, steps=200, seed=2), 1)[0]
+        with pytest.raises(SearchSpaceTooLarge):
+            check_pseudorandom_implication(mat, eps=10.0)
+        # n / (eps d) = 30 > n: no set qualifies, at any n.
+        report = check_pseudorandom_implication(circulant(n, 1), eps=0.5)
+        assert report.hypothesis_holds and report.pairs_checked == 0 and not report.violations
 
     @pytest.mark.parametrize("n, d", [(1, 1), (8, 3), (65, 20), (130, 40)])
     def test_worst_codegree_equal_to_the_gram_oracle(self, n, d):

@@ -394,6 +394,13 @@ class TestBoundCli:
         assert set(_BOUND_READS) == set(THEOREMS)
         assert sum(len(reads.split()) for reads, _ in _BOUND_READS.values()) == 38
 
+    @pytest.mark.parametrize("p", ["2", "-0.5", "nan"])
+    def test_p_outside_the_unit_interval_exit_1(self, capsys, p):
+        code, stdout, err = run(capsys, "bound", "--theorem", "er_codegree", "--n", "10", "--p", p, "--eps", "1")
+        assert code == 1
+        assert stdout == ""
+        assert "bound field 'p' must be in [0, 1]" in err
+
     def test_usage_error_exit_1(self, capsys):
         code, _, err = run(capsys, "bound", "--theorem", "no_such_theorem")
         assert code == 1

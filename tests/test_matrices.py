@@ -52,6 +52,15 @@ class TestCodegree:
             for j1, j2 in ((0, 1), (2, 5)):
                 assert codegree(mat, j1, j2, "in").co == codegree(t, j1, j2, "out").co
 
+    @pytest.mark.parametrize("m, n, d", [(130, 130, 40), (100, 150, 30), (6, 9, 3)])
+    def test_transpose_equals_dense_transpose(self, m, n, d):
+        spec = SamplerSpec(kind="switch_mcmc", n=n, d=d, m=m, dp=m * d // n, steps=5 * n, seed=m + n)
+        mat = sample_many(spec, 1)[0]
+        t = mat.transpose()
+        assert (t.m, t.n, t.d, t.dp) == (n, m, mat.dp, d)
+        assert (t.dense() == mat.dense().T).all()
+        t.validate()
+
     def test_errors(self):
         with pytest.raises(ValueError):
             codegree(PARALLEL_ROWS, 1, 1)

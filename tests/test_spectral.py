@@ -11,7 +11,7 @@ from rrdigraph.samplers import (
     circulant,
     sample_many,
 )
-from rrdigraph.spectral import ALPHA_EXACT_CAP, alpha_exact, sigma2
+from rrdigraph.spectral import ALPHA_EXACT_CAP, alpha_exact, row_set_extremes, sigma2
 
 from conftest import matrix_from_strings
 
@@ -45,6 +45,18 @@ def alpha_all_pairs(matrix):
     root = np.sqrt(size.astype(np.float64))
     per_a = (dev * (1.0 / root)[None, :]).max(axis=1)
     return float((per_a / (n * root)).max())
+
+
+def extremes_brute_force(matrix):
+    """max over |B| = b of |n e(A,B) - d |A| b| at row (row mask of A) - 1
+    and column b - 1, for every nonempty A and b, from the full e(A, B) table."""
+    n, d = matrix.n, matrix.d
+    masks = np.arange(1, 1 << n)
+    ind = (masks[:, None] >> np.arange(n)) & 1
+    e = ind @ matrix.dense().astype(np.int64) @ ind.T
+    size = ind.sum(axis=1)
+    dev = np.abs(n * e - d * np.outer(size, size))
+    return np.stack([dev[:, size == b].max(axis=1) for b in range(1, n + 1)], axis=1)
 
 
 def circulant_sigma2(n, d):
@@ -190,6 +202,21 @@ class TestAlphaExact:
             spec = SamplerSpec(kind="switch_mcmc", n=n, d=d, steps=20 * n * n, seed=900 + n)
             for mat in [circulant(n, d), *sample_many(spec, 3)]:
                 assert alpha_exact(mat) == alpha_all_pairs(mat)
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_row_set_extremes_equal_brute_force(self, n):
+        # Every (A, b): the table's rows as scanned, and A^c read from A's row.
+        full = (1 << n) - 1
+        for d in sorted({0, 1, n // 2, n - 1, n}):
+            spec = SamplerSpec(kind="switch_mcmc", n=n, d=d, steps=20 * n * n, seed=950 + n)
+            for mat in [circulant(n, d), *sample_many(spec, 2)]:
+                sizes, dev = row_set_extremes(mat)
+                oracle = extremes_brute_force(mat)
+                half = np.arange(1, 1 << (n - 1))
+                assert (sizes == [bin(k).count("1") for k in half]).all()
+                assert (dev == oracle[half - 1]).all()
+                assert (dev == oracle[(full ^ half) - 1]).all()
+                assert (oracle[full - 1] == 0).all()
 
     def test_at_cap_memory(self):
         spec = SamplerSpec(kind="switch_mcmc", n=ALPHA_EXACT_CAP, d=5, steps=2000, seed=3)
