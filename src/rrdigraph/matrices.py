@@ -111,6 +111,16 @@ def codegree_extremes(words: np.ndarray) -> tuple:
     return lo, hi
 
 
+def _check_column_sums(dense: np.ndarray, dp: int) -> None:
+    """Raise InvalidMatrixError naming the first column of `dense` whose sum
+    is not dp."""
+    col_sums = dense.sum(axis=0)
+    bad = np.flatnonzero(col_sums != dp)
+    if bad.size:
+        j = int(bad[0])
+        raise InvalidMatrixError(f"column {j} sums to {int(col_sums[j])}, expected dp = {dp}")
+
+
 def _bits(value: int) -> list:
     """The set bits of a packed row int, ascending: its columns."""
     out = []
@@ -191,13 +201,7 @@ class BiregularBitMatrix:
                 raise InvalidMatrixError(
                     f"row {i} sums to {r.bit_count()}, expected d = {self.d}"
                 )
-        col_sums = self.dense().sum(axis=0)
-        bad = np.flatnonzero(col_sums != self.dp)
-        if bad.size:
-            j = int(bad[0])
-            raise InvalidMatrixError(
-                f"column {j} sums to {int(col_sums[j])}, expected dp = {self.dp}"
-            )
+        _check_column_sums(self.dense(), self.dp)
 
     # -- derived scalars -------------------------------------------------------
 
@@ -331,14 +335,14 @@ def codegree(
         raise ValueError(f"direction must be 'out' or 'in', got {direction!r}")
     if i1 == i2:
         raise ValueError("codegree requires two distinct indices")
-    if direction == "out":
-        rows, limit, deg = matrix.rows, matrix.m, matrix.d
-    else:
-        t = matrix.transpose()
-        rows, limit, deg = t.rows, t.m, t.d
+    limit, deg = (matrix.m, matrix.d) if direction == "out" else (matrix.n, matrix.dp)
     if not (0 <= i1 < limit and 0 <= i2 < limit):
         raise IndexError(f"indices ({i1}, {i2}) out of range [0, {limit})")
-    co = (rows[i1] & rows[i2]).bit_count()
+    if direction == "out":
+        co = (matrix.rows[i1] & matrix.rows[i2]).bit_count()
+    else:  # the rows that hold both columns
+        both = (1 << int(i1)) | (1 << int(i2))
+        co = sum(r & both == both for r in matrix.rows)
     return CodegreeRecord(co=co, ex=deg - co, direction=direction)
 
 
@@ -385,11 +389,8 @@ def complement(matrix: BiregularBitMatrix) -> BiregularBitMatrix:
 
 
 def format_matrix(matrix: BiregularBitMatrix) -> str:
-    lines = [f"{matrix.m} {matrix.n} {matrix.d} {matrix.dp}"]
-    dense = matrix.dense()
-    for i in range(matrix.m):
-        lines.append("".join("1" if v else "0" for v in dense[i]))
-    return "\n".join(lines) + "\n"
+    rows = (format(r, f"0{matrix.n}b")[::-1] for r in matrix.rows)  # character j is bit j
+    return "\n".join([f"{matrix.m} {matrix.n} {matrix.d} {matrix.dp}", *rows]) + "\n"
 
 
 def format_matrices(matrices: Iterable[BiregularBitMatrix]) -> str:
@@ -422,19 +423,15 @@ def _parse_block(block: str) -> BiregularBitMatrix:
     if len(lines) - 1 != m:
         raise InvalidMatrixError(f"expected {m} rows, found {len(lines) - 1}")
     rows = []
-    col_sums = [0] * n
     for i, line in enumerate(lines[1:]):
         if len(line) != n or set(line) - {"0", "1"}:
             raise InvalidMatrixError(f"row {i} is not a string of {n} characters in 0/1")
-        r = 0
-        for j, ch in enumerate(line):
-            if ch == "1":
-                r |= 1 << j
-                col_sums[j] += 1
+        r = int(line[::-1], 2)  # linear time in base 2, and not capped by int_max_str_digits
         if r.bit_count() != d:
             raise InvalidMatrixError(f"row {i} sums to {r.bit_count()}, expected d = {d}")
         rows.append(r)
-    for j, s in enumerate(col_sums):
-        if s != dp:
-            raise InvalidMatrixError(f"column {j} sums to {s}, expected dp = {dp}")
+    # With no rows (refused by the constructor) only column 0 can be named, and
+    # n may be any integer, so no n-wide array is made.
+    dense = words_to_dense(rows_to_words(rows, n), n) if rows else np.zeros((0, int(n > 0)))
+    _check_column_sums(dense, dp)
     return BiregularBitMatrix(rows, n, _trusted=True)

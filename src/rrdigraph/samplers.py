@@ -147,8 +147,9 @@ class SamplerSpec:
                 object.__setattr__(self, "max_attempts", DEFAULT_MAX_ATTEMPTS)
             if self.max_attempts < 1:
                 raise ValueError(f"sampler field 'max_attempts' must be >= 1, got {self.max_attempts}")
-        if self.n <= 0 or m <= 0:
-            raise ValueError("matrix dimensions must be positive")
+        for name, value in (("n", self.n), ("m", m)):
+            if value <= 0:
+                raise ValueError(f"sampler field {name!r} must be >= 1, got {value}")
         if not 0 <= self.d <= self.n or not 0 <= dp <= m:
             raise ValueError(f"degrees out of range: d={self.d} (n={self.n}), dp={dp} (m={m})")
         if m * self.d != self.n * dp:

@@ -25,7 +25,7 @@ from .exchangeable import (
     _switching_vf_step,
     permutation_diagnostics,
 )
-from .matrices import VertexSetPair, codegree
+from .matrices import VertexSetPair, codegree, complement
 from .samplers import PermutationTuple, SamplerSpec, sample_many, stream_generator
 
 __all__ = ["VerifyRecord", "SuiteResult", "run_suite", "SUITES"]
@@ -102,13 +102,20 @@ class _Tracker:
 
 def _by_rejection(n, d):
     """Whether the class suites draw by rejection, which accepts often
-    enough when d or n - d is at most 2, rather than by the switch chain."""
+    enough when d or n - d is at most 2, rather than by the switch chain.
+    Where 2d > n, rejection draws the complement class, whose row degree
+    is n - d."""
     return d <= 2 or n - d <= 2
 
 
 def _sample_matrices(n, d, count, seed, m=None, dp=None, steps=None):
     if _by_rejection(n, d):
         spec = SamplerSpec(kind="rejection", n=n, d=d, m=m, dp=dp, seed=seed)
+        if 2 * d > n:
+            # Complementing is a bijection onto the class, so its draws stay
+            # exactly uniform.
+            spec = dataclasses.replace(spec, d=n - d, dp=spec.m - spec.dp)
+            return [complement(mat) for mat in sample_many(spec, count)]
     else:
         steps = min(100 * n * d, 4000) if steps is None else steps
         spec = SamplerSpec(kind="switch_mcmc", n=n, d=d, m=m, dp=dp, steps=steps, seed=seed)
@@ -325,6 +332,8 @@ def run_suite(
     for name in ("n", "m") if class_suites else ("n",):
         if config[name] < 2:
             raise ValueError(f"verify field {name!r} must be >= 2, got {config[name]}")
+    if samples < 0:
+        raise ValueError(f"verify field 'samples' must be >= 0, got {samples}")
     unread = [name for name, value in (("m", m), ("dp", dp)) if value is not None]
     if unread and not class_suites:
         raise ValueError(f"verify field {unread[0]!r} is not read: only the class suites draw matrices")

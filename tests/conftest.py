@@ -13,7 +13,7 @@ import pytest
 
 from rrdigraph.couplings import RowOrder, reflect
 from rrdigraph.exchangeable import _reduce_pair, _switch_stats, reflection_f
-from rrdigraph.matrices import BiregularBitMatrix
+from rrdigraph.matrices import BiregularBitMatrix, InvalidMatrixError
 from rrdigraph.samplers import SamplerSpec, enumerate_all, sample_many
 
 
@@ -152,6 +152,53 @@ MALFORMED_TEXT = {
     "wrong-column-sum": (_move_a_one, r"column \d+ sums to \d+, expected dp = \d+"),
     "no-trailing-newline": (lambda text, mat: text[:-1], "trailing newline"),
 }
+
+
+def oracle_format_matrix(matrix):
+    """The text format written one character per entry."""
+    lines = [f"{matrix.m} {matrix.n} {matrix.d} {matrix.dp}"]
+    dense = matrix.dense()
+    for i in range(matrix.m):
+        lines.append("".join("1" if v else "0" for v in dense[i]))
+    return "\n".join(lines) + "\n"
+
+
+def oracle_parse_matrices(text):
+    """The text format read one character per entry, with a running column
+    sum; the same checks, in the same order and with the same messages, as
+    the library's parser."""
+    if not text.endswith("\n"):
+        raise InvalidMatrixError("matrix text must end with a trailing newline")
+    mats = []
+    for block in (b for b in text.split("\n\n") if b.strip()):
+        lines = block.strip("\n").split("\n")
+        header = lines[0].split()
+        if len(header) != 4:
+            raise InvalidMatrixError(f"malformed header {lines[0]!r}: expected 'm n d dp'")
+        try:
+            m, n, d, dp = (int(x) for x in header)
+        except ValueError as exc:
+            raise InvalidMatrixError(f"non-integer header field in {lines[0]!r}") from exc
+        if len(lines) - 1 != m:
+            raise InvalidMatrixError(f"expected {m} rows, found {len(lines) - 1}")
+        rows = []
+        col_sums = [0] * n
+        for i, line in enumerate(lines[1:]):
+            if len(line) != n or set(line) - {"0", "1"}:
+                raise InvalidMatrixError(f"row {i} is not a string of {n} characters in 0/1")
+            r = 0
+            for j, ch in enumerate(line):
+                if ch == "1":
+                    r |= 1 << j
+                    col_sums[j] += 1
+            if r.bit_count() != d:
+                raise InvalidMatrixError(f"row {i} sums to {r.bit_count()}, expected d = {d}")
+            rows.append(r)
+        for j, total in enumerate(col_sums):
+            if total != dp:
+                raise InvalidMatrixError(f"column {j} sums to {total}, expected dp = {dp}")
+        mats.append(BiregularBitMatrix(rows, n, _trusted=True))
+    return mats
 
 
 def brute_force_class_4_2():

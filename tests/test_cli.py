@@ -832,3 +832,30 @@ class TestUsageErrors:
         code, _, _ = run(capsys, "sample", "--kind", "rejection", "--n", "9",
                          "--d", "3", "--m", "6", "--dp", "3")
         assert code == 1
+
+
+class TestFieldNamedInMessages:
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["verify", "--suite", "all", "--n", "8", "--d", "3", "--samples", "-3"],
+             "verify field 'samples' must be >= 0, got -3"),
+            (["sample", "--kind", "rejection", "--n", "0", "--d", "0"],
+             "sampler field 'n' must be >= 1, got 0"),
+            (["sample", "--kind", "switch_mcmc", "--n", "3", "--m", "0", "--d", "0", "--dp", "0"],
+             "sampler field 'm' must be >= 1, got 0"),
+        ],
+        ids=["verify-samples-negative", "sample-n0", "sample-m0"],
+    )
+    def test_exit_1_naming_the_field(self, capsys, argv, message):
+        code, stdout, err = run(capsys, *argv)
+        assert code == 1
+        assert stdout == ""
+        assert message in err and "Traceback" not in err
+
+
+class TestVerifyNearCompleteCli:
+    def test_n16_d14_exits_0(self, capsys):
+        code, stdout, _ = run(capsys, "verify", "--suite", "all", "--n", "16", "--d", "14", "--samples", "20")
+        assert code == 0
+        assert json.loads(stdout)["ok"] is True

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from rrdigraph.matrices import (
     BiregularBitMatrix,
+    CodegreeRecord,
     InvalidMatrixError,
     VertexSetPair,
     codegree,
@@ -31,6 +32,8 @@ from conftest import (
     naive_codegree,
     naive_column_classes,
     naive_edge_count,
+    oracle_format_matrix,
+    oracle_parse_matrices,
 )
 
 PARALLEL_ROWS = matrix_from_strings(["1100", "1100", "0011", "0011"])
@@ -331,3 +334,95 @@ class TestAgainstNaiveOracles:
             assert edge_count(mat, VertexSetPair.of(rows, cols)) == naive_edge_count(
                 mat, rows, cols
             )
+
+
+def _member(n, d, m=None, dp=None):
+    """A switch-chain member of the class, seeded by its shape."""
+    m = n if m is None else m
+    spec = SamplerSpec(kind="switch_mcmc", n=n, d=d, m=m, dp=d if dp is None else dp,
+                       steps=4 * max(m, n), seed=7 * m + n + d)
+    return sample_many(spec, 1)[0]
+
+
+def _parsed_or_error(parse, text):
+    try:
+        return parse(text)
+    except InvalidMatrixError as exc:
+        return str(exc)
+
+
+_TEXT_SIZES = [
+    (n, d) for n in (1, 5, 63, 64, 65, 130, 1000) for d in sorted({0, 1, n // 2, n - 1, n})
+]
+
+
+class TestTextFormatAgainstTheOracles:
+    """The packed-int formatter and parser against the per-character ones
+    in conftest: the same bytes, the same matrices, the same messages."""
+
+    @pytest.mark.parametrize("n, d", _TEXT_SIZES, ids=[f"n{n}-d{d}" for n, d in _TEXT_SIZES])
+    def test_square_classes(self, n, d):
+        mat = _member(n, d)
+        text = format_matrix(mat)
+        assert text == oracle_format_matrix(mat)
+        (parsed,) = parse_matrices(text)
+        assert parsed == oracle_parse_matrices(text)[0] == mat
+        assert (parsed.m, parsed.n, parsed.d, parsed.dp) == (n, n, d, d)
+
+    def test_biregular_class(self, pool_bipartite):
+        text = format_matrices(pool_bipartite)
+        assert text == "\n".join(oracle_format_matrix(mat) for mat in pool_bipartite)
+        assert parse_matrices(text) == oracle_parse_matrices(text) == pool_bipartite
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_TEXT))
+    def test_malformed_text_same_message(self, pool_bipartite, case):
+        corrupt, _ = MALFORMED_TEXT[case]
+        for mat in (circulant(5, 2), circulant(4, 0), circulant(3, 3), pool_bipartite[0], _member(130, 40)):
+            text = corrupt(format_matrix(mat), mat)
+            got = _parsed_or_error(parse_matrices, text)
+            assert isinstance(got, str) and got == _parsed_or_error(oracle_parse_matrices, text)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "0 3 0 1\n",  # no rows, column sums 0 against dp = 1
+            "0 3 0 0\n",  # no rows at all
+            "0 -1 0 0\n",
+            "0 -100 0 0\n",
+            "2 3 1 1\n100\n010\n",  # m*d not divisible by n: a column sum breaks first
+            "1 1 1 100000000000000000000000000\n1\n",
+            "1 3 1 1\n1_0\n",
+            "1 2 1 1\n 1\n",
+            "2 2 1 1\n10\n01\n\n1 2 1 1\n11\n",  # the second record is bad
+        ],
+    )
+    def test_edge_texts_same_outcome(self, text):
+        assert _parsed_or_error(parse_matrices, text) == _parsed_or_error(oracle_parse_matrices, text)
+
+    def test_no_rows_with_a_huge_width_allocates_nothing(self):
+        # The oracle would build a list of 10^12 column sums.
+        with pytest.raises(InvalidMatrixError, match=r"^column 0 sums to 0, expected dp = 1$"):
+            parse_matrix("0 1000000000000 0 1\n")
+        with pytest.raises(InvalidMatrixError, match="at least one row"):
+            parse_matrix("0 1000000000000 0 0\n")
+
+
+class TestInCodegree:
+    @pytest.mark.parametrize("m, n, d, dp", [(130, 130, 65, 65), (100, 150, 30, 20), (150, 100, 20, 30)])
+    def test_equals_the_transposes_out_codegree(self, monkeypatch, m, n, d, dp):
+        mat = _member(n, d, m, dp)
+        t = mat.transpose()
+
+        def no_transpose(self):
+            raise AssertionError("the in-codegree transposed the matrix")
+
+        monkeypatch.setattr(BiregularBitMatrix, "transpose", no_transpose)
+        for i1 in range(n):
+            for i2 in range(i1 + 1, n):
+                co = codegree(t, i1, i2).co
+                assert codegree(mat, i1, i2, "in") == codegree(mat, i2, i1, "in")
+                assert codegree(mat, i1, i2, "in") == CodegreeRecord(co=co, ex=dp - co, direction="in")
+        rec = codegree(mat, np.int64(n - 1), np.int64(0), "in")
+        assert rec.co == codegree(t, n - 1, 0).co
+        with pytest.raises(IndexError):
+            codegree(mat, 0, n, "in")

@@ -593,3 +593,14 @@ class TestPinnedStreams:
         batch, made = draw(spec, count)
         assert made == attempts
         assert hashlib.sha256(batch.tobytes()).hexdigest() == digest
+
+
+class TestDimensionMessages:
+    @pytest.mark.parametrize(
+        "fields, name",
+        [({"n": 0, "d": 0}, "n"), ({"n": -2, "d": 0}, "n"), ({"n": 3, "d": 0, "m": 0, "dp": 0}, "m")],
+    )
+    @pytest.mark.parametrize("kind", ["rejection", "switch_mcmc", "permutation_model"])
+    def test_names_the_field(self, kind, fields, name):
+        with pytest.raises(ValueError, match=rf"sampler field '{name}' must be >= 1, got {fields[name]}"):
+            SamplerSpec(kind=kind, **fields)

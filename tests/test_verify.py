@@ -6,6 +6,7 @@ import hashlib
 import json
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from rrdigraph import exchangeable, verify
@@ -335,3 +336,55 @@ class TestOneSelfBoundTable:
         assert [r.status for r in result.records] == ["pass"] * (len(result.records) - 1) + ["fail"]
         after = {name: eval_bound(spec).value for name, spec in self._ROWS.items()}
         assert {name for name in after if after[name] != before[name]} == {coupling}
+
+
+class TestNearCompleteClasses:
+    """Where d > 2 >= n - d, rejection draws the complement class, whose row
+    degree is n - d, and complements each draw back."""
+
+    @pytest.mark.parametrize("n, d, m, dp", [(16, 14, None, None), (8, 6, None, None), (6, 4, 3, 2)])
+    def test_every_record_passes(self, monkeypatch, n, d, m, dp):
+        specs = []
+        sample_many = verify.sample_many
+
+        def recording(spec, count):
+            specs.append(spec)
+            return sample_many(spec, count)
+
+        monkeypatch.setattr(verify, "sample_many", recording)
+        results = run_suite("all", n, d, 20, seed=1, m=m, dp=dp)
+        rows = n if m is None else m
+        assert [(s.kind, s.n, s.d, s.m, s.dp) for s in specs][0] == (
+            "rejection", n, n - d, rows, rows - (d if dp is None else dp)
+        )
+        assert all(result.ok for result in results)
+        assert all(rec.status != "fail" for result in results for rec in result.records)
+
+    def test_draws_are_members_of_the_asked_class(self):
+        mats = verify._sample_matrices(6, 4, 50, 3, m=3, dp=2)
+        assert len(mats) == 50
+        for mat in mats:
+            mat.validate()
+            assert (mat.m, mat.n, mat.d, mat.dp) == (3, 6, 4, 2)
+
+    def test_uniform_on_the_4_3_class(self):
+        # The 24 complements of the 4 x 4 permutation matrices; N = 4800,
+        # seed 2024 and the level 1e-3 were fixed before the first run.
+        from scipy import stats
+
+        from rrdigraph.samplers import enumerate_all
+
+        index = {mat.rows: k for k, mat in enumerate(enumerate_all(4, 4, 3, 3))}
+        assert len(index) == 24
+        mats = verify._sample_matrices(4, 3, 4800, 2024)
+        counts = np.bincount([index[mat.rows] for mat in mats], minlength=24)
+        assert counts.sum() == 4800
+        assert stats.chisquare(counts).pvalue > 1e-3
+
+
+class TestNegativeSamples:
+    @pytest.mark.parametrize("suite", ["all", "reflection", "permutation"])
+    def test_refused_before_any_draw(self, monkeypatch, suite):
+        monkeypatch.setattr(verify, "sample_many", None)  # any draw would raise TypeError
+        with pytest.raises(ValueError, match=r"verify field 'samples' must be >= 0, got -3"):
+            run_suite(suite, 8, 3, -3)
