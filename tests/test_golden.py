@@ -1,0 +1,117 @@
+"""Golden tail outputs: one small valid config per tail statistic, with the
+CSV and the metadata (less `wall_time_s`) that `rrdigraph tail` must write.
+
+Each case in `tests/golden/` is `<case>.config.json`, `<case>.csv` and
+`<case>.meta.json`.  It runs through `cli.main` at `--threads 1` and `2`;
+N = 5000 makes two shards, so the second run merges shards from two
+workers.
+
+Integers, booleans and strings compare exactly.  Floats compare at 1e-12
+relative, not bit for bit: the confidence limits and the bounds go through
+libm's exp and log and NumPy's reductions, whose last bits may differ
+between platforms and NumPy builds (CI's floor-pin job runs NumPy 2.0), so
+an exact comparison would fail correct builds.  A failure names the first
+differing path.
+
+After an intended change, rewrite the expected files with
+
+    PYTHONPATH=src python tests/test_golden.py --update
+
+which prints the cases that moved.  Never regenerate a case to hide a
+change nobody intended.
+"""
+
+import contextlib
+import csv
+import io
+import json
+import math
+import sys
+from pathlib import Path
+
+import pytest
+
+from rrdigraph.cli import main
+from rrdigraph.experiments import _STATISTICS
+
+GOLDEN = Path(__file__).parent / "golden"
+CASES = sorted(path.name[: -len(".config.json")] for path in GOLDEN.glob("tail_*.config.json"))
+
+
+def _cell(text: str):
+    """A CSV cell as the int, float or string it spells."""
+    for kind in (int, float):
+        try:
+            return kind(text)
+        except ValueError:
+            pass
+    return text
+
+
+def _read_csv(text: str) -> list:
+    return [[_cell(cell) for cell in row] for row in csv.reader(io.StringIO(text))]
+
+
+def _diff(got, want, path="$"):
+    """The first path at which `got` differs from `want`, or None."""
+    if type(got) is not type(want):
+        return f"{path}: got {got!r}, want {type(want).__name__} {want!r}"
+    if isinstance(want, dict):
+        if got.keys() != want.keys():
+            return f"{path}: keys {sorted(got)}, want {sorted(want)}"
+        return next((d for key in want if (d := _diff(got[key], want[key], f"{path}.{key}"))), None)
+    if isinstance(want, list):
+        if len(got) != len(want):
+            return f"{path}: length {len(got)}, want {len(want)}"
+        return next((d for i, (g, w) in enumerate(zip(got, want)) if (d := _diff(g, w, f"{path}[{i}]"))), None)
+    same = math.isclose(got, want, rel_tol=1e-12, abs_tol=0.0) if isinstance(want, float) else got == want
+    return None if same else f"{path}: got {got!r}, want {want!r}"
+
+
+def _run(case: str, out: Path, threads: int):
+    """(exit code, CSV text, metadata less wall_time_s) of one tail run."""
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(["tail", "--config", str(GOLDEN / f"{case}.config.json"), "--out", str(out),
+                     "--threads", str(threads)])
+    meta = json.loads(Path(f"{out}.meta.json").read_text())
+    meta.pop("wall_time_s")
+    return code, out.read_text(), meta
+
+
+def test_one_case_per_statistic():
+    statistics = [json.loads((GOLDEN / f"{case}.config.json").read_text())["statistic"] for case in CASES]
+    assert sorted(statistics) == sorted(_STATISTICS)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("case", CASES)
+def test_tail_matches_golden(case, threads, tmp_path):
+    code, text, meta = _run(case, tmp_path / "tail.csv", threads)
+    assert code == 0
+    want_csv = (GOLDEN / f"{case}.csv").read_text()
+    assert text.splitlines()[0] == want_csv.splitlines()[0]  # the header, byte for byte
+    for diff in (_diff(_read_csv(text), _read_csv(want_csv), "csv"),
+                 _diff(meta, json.loads((GOLDEN / f"{case}.meta.json").read_text()), "meta")):
+        assert diff is None, diff
+
+
+def _update(scratch: Path) -> None:
+    """Rewrite every case's expected files and print the ones that moved."""
+    for case in CASES:
+        _, text, meta = _run(case, scratch / "tail.csv", 1)
+        meta_text = json.dumps(meta, indent=2) + "\n"
+        csv_path, meta_path = GOLDEN / f"{case}.csv", GOLDEN / f"{case}.meta.json"
+        old = [p.read_text() if p.exists() else None for p in (csv_path, meta_path)]
+        if old != [text, meta_text]:
+            print(f"moved: {case}")
+        csv_path.write_text(text)
+        meta_path.write_text(meta_text)
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--update"]:
+        sys.exit("usage: python tests/test_golden.py --update")
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as scratch:
+        _update(Path(scratch))
