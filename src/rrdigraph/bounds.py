@@ -20,6 +20,7 @@ import numpy as np
 
 from .exchangeable import SELF_BOUND, chatterjee_tail
 from .matrices import BiregularBitMatrix, VertexSetPair, codegree_extremes, edge_count, rows_to_words
+from .samplers import Above, check_ranges
 from .spectral import row_set_extremes
 
 __all__ = [
@@ -66,20 +67,13 @@ class TailBoundSpec:
         row = _THEOREMS.get(self.theorem)
         if row is None:
             raise ValueError(f"unknown theorem {self.theorem!r}")
-        if self.deviation < 0:
-            raise ValueError("deviation parameter must be >= 0")
-        # Every theorem divides by n, and the bipartite ones by m.
-        for name in ("n", "m"):
-            value = getattr(self, name)
-            if value is not None and value < 1:
-                raise ValueError(f"bound field {name!r} must be >= 1, got {value}")
-        # The degree and set sizes of an m x n class: d and b count columns,
-        # a counts rows.  p is a probability; nan fails the comparison.
+        # Every theorem divides by n, and the bipartite ones by m; d and b count
+        # columns of the m x n class and a counts rows; c, c1, c2 are constants.
         m = self.n if self.m is None else self.m
-        for name, low, high in (("d", 0, self.n), ("a", 1, m), ("b", 1, self.n), ("p", 0, 1)):
-            value = getattr(self, name)
-            if value is not None and not low <= value <= high:
-                raise ValueError(f"bound field {name!r} must be in [{low}, {high}], got {value}")
+        check_ranges("bound", ("deviation", self.deviation, 0), ("n", self.n, 1), ("m", self.m, 1),
+                     ("d", self.d, 0, self.n), ("a", self.a, 1, m), ("b", self.b, 1, self.n),
+                     ("p", self.p, 0, 1), ("eta", self.eta, 0),
+                     ("c1", self.c1, Above(0)), ("c2", self.c2, Above(0)), ("c", self.c, Above(0)))
         for name in _OPTIONAL_FIELDS:
             if name not in row.reads and getattr(self, name) is not None:
                 raise ValueError(f"bound field {name!r} is not read by theorem {self.theorem!r}")
@@ -286,8 +280,7 @@ def check_pseudorandom_implication(
     n <= ALPHA_EXACT_CAP; a conclusion violation is a defect, since the
     implication is deterministic.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    check_ranges("implication", ("eps", eps, Above(0)))
     n, d = matrix.n, matrix.d
     if matrix.m != n:
         raise ValueError("the implication is stated for the square digraph case")

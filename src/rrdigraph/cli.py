@@ -17,7 +17,9 @@ the JSON metadata it emits.
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
+import io
 import json
 import sys
 from pathlib import Path
@@ -212,13 +214,14 @@ def _cmd_verify(args) -> int:
         "ok": all(r.ok for r in results),
     }
     if args.format == "csv":
-        lines = ["suite,invariant,status,checked,worst_margin"]
-        for r in results:
-            for rec in r.records:
-                lines.append(
-                    f"{r.suite},{rec.invariant!r},{rec.status},{rec.checked},{rec.worst_margin}"
-                )
-        text = "\n".join(lines) + "\n"
+        # csv quotes the invariant names that hold commas; no margin is an empty field.
+        buffer = io.StringIO()
+        csv.writer(buffer, lineterminator="\n").writerows(
+            [("suite", "invariant", "status", "checked", "worst_margin")]
+            + [(r.suite, rec.invariant, rec.status, rec.checked, rec.worst_margin)
+               for r in results for rec in r.records]
+        )
+        text = buffer.getvalue()
         if args.out:
             Path(args.out).write_text(text)
         else:

@@ -34,7 +34,7 @@ import numpy as np
 from .matrices import BiregularBitMatrix, VertexSetPair, _bits, codegree, codegree_extremes
 from .matrices import edge_count, rows_to_words
 from .couplings import _BLOCK_CELLS, _bad_mask, _minor_class_counts
-from .samplers import PermutationTuple, ResourceGuardError
+from .samplers import PermutationTuple, ResourceGuardError, check_ranges
 
 __all__ = [
     "CouplingDiagnostics",
@@ -311,8 +311,7 @@ def _switching_parts(matrix: BiregularBitMatrix, pair: VertexSetPair):
     B^c, nb, ex) of _switch_stats at the reduced (A, B), kept for the v_f
     step."""
     pair.validate(matrix)
-    if not 0 < pair.a < matrix.m:
-        raise ValueError("switching_f requires A to be a proper nonempty row set")
+    check_ranges("switching_f", ("a", pair.a, 1, matrix.m - 1))  # A proper and nonempty
     pair = _reduce_pair(matrix, pair)
     m, n, d = matrix.m, matrix.n, matrix.d
     stats = _switch_stats(matrix, pair)
@@ -408,8 +407,7 @@ def switching_vf(matrix: BiregularBitMatrix, pair: VertexSetPair) -> CouplingDia
     step bound |f - f~| <= 2 m d_hat.
     """
     pair.validate(matrix)
-    if not (0 < pair.a < matrix.m and 0 < pair.b < matrix.n):
-        raise ValueError("switching_vf requires proper nonempty A and B")
+    check_ranges("switching_vf", ("a", pair.a, 1, matrix.m - 1), ("b", pair.b, 1, matrix.n - 1))
     return _switching_vf_step(matrix, pair, *_switching_parts(matrix, pair))
 
 
@@ -463,10 +461,7 @@ def permutation_diagnostics(
     n = pi.n
     d = pi.d
     a, b = pair.a, pair.b
-    if not 0 < a < n:
-        raise ValueError("permutation coupling requires A proper and nonempty")
-    if b == 0:
-        raise ValueError("permutation coupling requires B nonempty")
+    check_ranges("permutation coupling", ("a", a, 1, n - 1), ("b", b, 1))
     in_a = np.zeros(n, dtype=bool)
     in_a[sorted(pair.rows)] = True
     in_b = np.zeros(n, dtype=bool)
@@ -530,9 +525,8 @@ def good_event_co(
     at the least or greatest codegree, from the tail harness's packed-word
     kernel `matrices.codegree_extremes`; with no row pair the event holds.
     """
+    check_ranges("good_event_co", ("eta", eta, 0))
     eta = Fraction(eta)
-    if eta < 0:
-        raise ValueError("eta must be >= 0")
     n, d = matrix.n, matrix.d
     worst = 0
     if matrix.m >= 2:

@@ -26,7 +26,7 @@ import numpy as np
 
 from .bounds import _THEOREMS, BoundValue, TailBoundSpec, eval_bound
 from .matrices import codegree_extremes, rows_to_words, words_to_rows
-from .samplers import CLASS_KINDS, SamplerSpec, draw, enumerate_all
+from .samplers import CLASS_KINDS, SamplerSpec, check_ranges, draw, enumerate_all
 
 __all__ = [
     "ExperimentConfig",
@@ -76,10 +76,8 @@ class ExperimentConfig:
         stat = _STATISTICS.get(self.statistic)
         if stat is None:
             raise ValueError(f"unknown statistic {self.statistic!r}")
-        if self.N < 1:
-            raise ValueError("N must be >= 1")
-        if any(g < 0 for g in self.grid):
-            raise ValueError("grid values must be >= 0")
+        check_ranges("config", ("N", self.N, 1), *(("grid", g, 0) for g in self.grid),
+                     ("good_event_eta", self.good_event_eta, 0))
         if self.sampler.seed:
             raise ValueError(
                 f"config field 'sampler.seed' is not read (the shards use 'seed'), got {self.sampler.seed}"
@@ -109,13 +107,11 @@ class ExperimentConfig:
                     raise ValueError(f"config field {name!r} must be a row in [0, {n}), got {value}")
             if self.i1 == self.i2:
                 raise ValueError(f"config fields 'i1' and 'i2' must differ, both are {self.i1}")
-        if "a" in stat.reads:
-            if self.a is None or self.b is None:
-                raise ValueError(f"statistic {self.statistic!r} requires set sizes a and b")
-            for name in ("a", "b"):
-                value = getattr(self, name)
-                if not 1 <= value <= n:
-                    raise ValueError(f"config field {name!r} must be in [1, {n}], got {value}")
+        if "a" in stat.reads and (self.a is None or self.b is None):
+            raise ValueError(f"statistic {self.statistic!r} requires set sizes a and b")
+        # The theorem checks a, b, the constants and each grid value (an empty grid's constants too).
+        for g in self.grid or (0.0,):
+            stat.bound_spec(self, g)
 
     @classmethod
     def from_dict(cls, payload: dict) -> "ExperimentConfig":
@@ -220,8 +216,7 @@ def binomial_ci(k: int, n: int, confidence: float = 0.95) -> Tuple[float, float]
     # 0.16-0.6 ms per call at n = 4096 and 0.17-1.9 ms at n = 20000 on a
     # 2-core Xeon, mostly the tail sums of 5-13 Newton steps.  No SciPy: the
     # package imports it only in uniformity_test.
-    if not 0 <= k <= n:
-        raise ValueError("need 0 <= k <= n")
+    check_ranges("binomial_ci", ("k", k, 0, n))
     if not 0.0 < confidence < 1.0:
         raise ValueError("need 0 < confidence < 1")
     target = (1.0 - confidence) / 2.0
@@ -397,14 +392,15 @@ class _Statistic:
         object.__setattr__(self, "bound_fields", {name: c for name, c in feeds.items() if c is not None})
         object.__setattr__(self, "reads", ("i1", "i2") * self.row_pair + tuple(self.bound_fields.values()))
 
-    def bound(self, cfg: ExperimentConfig, grid_value: float) -> Tuple[BoundValue, bool]:
-        """The theorem's bound at one grid value, fed the config fields the
-        theorem reads, and whether it makes a claim there."""
+    def bound_spec(self, cfg: ExperimentConfig, grid_value: float) -> TailBoundSpec:
+        """The theorem's inputs at one grid value, from the config fields it reads."""
         fields = {name: getattr(cfg, c) for name, c in self.bound_fields.items()}
         s = cfg.sampler
-        value = eval_bound(
-            TailBoundSpec(theorem=self.theorem, n=s.n, d=s.d, p=s.p, deviation=grid_value, **fields)
-        )
+        return TailBoundSpec(theorem=self.theorem, n=s.n, d=s.d, p=s.p, deviation=grid_value, **fields)
+
+    def bound(self, cfg: ExperimentConfig, grid_value: float) -> Tuple[BoundValue, bool]:
+        """The theorem's bound at one grid value, and whether it makes a claim there."""
+        value = eval_bound(self.bound_spec(cfg, grid_value))
         return value, value.valid and (cfg.good_event_eta is not None or not self.claim_needs_eta)
 
 
@@ -515,8 +511,7 @@ def catalan_walk_check(r: int) -> Fraction:
     0 that never hits +1 is counted.  The count is the Catalan number
     C_{r-1}, so the returned fraction is exactly 1/r.
     """
-    if not 1 <= r <= 10:
-        raise ValueError("r must be in [1, 10]")
+    check_ranges("catalan_walk_check", ("r", r, 1, 10))
     import itertools
 
     steps = 2 * (r - 1)

@@ -107,6 +107,32 @@ class SearchSpaceTooLarge(ResourceGuardError):
     """Exhaustive enumeration guard tripped."""
 
 
+class Above(float):
+    """An open lower end for check_ranges: the value must exceed it."""
+
+
+def check_ranges(owner: str, *rows) -> None:
+    """Raise ValueError naming the first row whose value is out of range.
+
+    A row is (name, value, low) or (name, value, low, high).  A None value
+    is skipped.  Any other must be finite and at least `low` (above it for
+    an Above low), and at most `high` when one is given.  The message reads
+    "<owner> field 'name' must be ..., got value".
+    """
+    for name, value, low, *high in rows:
+        if value is None:
+            continue
+        strict = isinstance(low, Above)
+        finite = isinstance(value, int) or math.isfinite(value)
+        if finite and (low < value if strict else low <= value) and all(value <= h for h in high):
+            continue
+        if high:
+            want = f"in {'(' if strict else '['}{low:g}, {high[0]}]"
+        else:
+            want = f"{'' if finite else 'finite and '}{'>' if strict else '>='} {low:g}"
+        raise ValueError(f"{owner} field {name!r} must be {want}, got {value}")
+
+
 @dataclass(frozen=True)
 class SamplerSpec:
     """Fully-resolved sampler configuration.
@@ -133,33 +159,24 @@ class SamplerSpec:
             if getattr(self, name) is not None and name not in _OPTIONAL_READS[self.kind]:
                 raise ValueError(f"sampler field {name!r} is not read by kind {self.kind!r}")
         if self.kind == "erdos_renyi":
-            if self.p is None or not 0.0 <= self.p <= 1.0:
-                raise ValueError("erdos_renyi requires p in [0, 1]")
-            if self.n <= 0:
-                raise ValueError("erdos_renyi requires n >= 1")
+            if self.p is None:
+                raise ValueError("sampler field 'p' is required by kind 'erdos_renyi'")
+            check_ranges("sampler", ("n", self.n, 1), ("p", self.p, 0, 1))
             return
         m = self.n if self.m is None else self.m
         dp = self.d if self.dp is None else self.dp
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "dp", dp)
-        if self.kind == "rejection":
-            if self.max_attempts is None:
-                object.__setattr__(self, "max_attempts", DEFAULT_MAX_ATTEMPTS)
-            if self.max_attempts < 1:
-                raise ValueError(f"sampler field 'max_attempts' must be >= 1, got {self.max_attempts}")
-        for name, value in (("n", self.n), ("m", m)):
-            if value <= 0:
-                raise ValueError(f"sampler field {name!r} must be >= 1, got {value}")
-        if not 0 <= self.d <= self.n or not 0 <= dp <= m:
-            raise ValueError(f"degrees out of range: d={self.d} (n={self.n}), dp={dp} (m={m})")
+        if self.kind == "rejection" and self.max_attempts is None:
+            object.__setattr__(self, "max_attempts", DEFAULT_MAX_ATTEMPTS)
+        check_ranges("sampler", ("n", self.n, 1), ("m", m, 1), ("d", self.d, 0, self.n), ("dp", dp, 0, m),
+                     ("max_attempts", self.max_attempts, 1), ("steps", self.steps, 0))
         if m * self.d != self.n * dp:
             raise ValueError(f"edge-count mismatch: m*d = {m * self.d} != n*dp = {self.n * dp}")
         if self.kind == "permutation_model" and m != self.n:
             raise ValueError(
                 f"sampler field 'm' must equal n = {self.n} for kind 'permutation_model', got {m}"
             )
-        if self.kind == "switch_mcmc" and self.resolved_steps < 0:
-            raise ValueError("steps must be >= 0")
 
     @property
     def resolved_steps(self) -> int:
@@ -557,14 +574,11 @@ def enumerate_all(
     with each row's candidate masks in ascending integer order.  Guarded
     by a search-space cap (raises SearchSpaceTooLarge).
     """
-    for name, value in (("n", n), ("m", m)):
-        if value < 1:
-            raise ValueError(f"enumeration field {name!r} must be >= 1, got {value}")
+    check_ranges("enumeration", ("n", n, 1), ("m", m, 1), ("d", d, 0, n), ("dp", dp, 0, m),
+                 ("max_states", max_states, 1))
     dp = d * m // n if dp is None else dp
     if m * d != n * dp:
         raise ValueError(f"edge-count mismatch: m*d = {m * d} != n*dp = {n * dp}")
-    if not (0 <= d <= n and 0 <= dp <= m):
-        raise ValueError("degrees out of range")
     if enumeration_size_bound(m, n, d) > max_states:
         raise SearchSpaceTooLarge(
             f"C({n},{d})^{m} = {enumeration_size_bound(m, n, d)} exceeds cap {max_states}"
@@ -629,8 +643,7 @@ def draw(spec: SamplerSpec, count: int) -> Tuple[np.ndarray, int]:
     Bernoulli digraph, and (count, d, n) permutations for the permutation
     model.
     """
-    if count < 0:
-        raise ValueError("count must be >= 0")
+    check_ranges("draw", ("count", count, 0))
     return _KERNELS[spec.kind](spec, count)
 
 

@@ -26,7 +26,7 @@ from .exchangeable import (
     permutation_diagnostics,
 )
 from .matrices import VertexSetPair, codegree, complement
-from .samplers import PermutationTuple, SamplerSpec, sample_many, stream_generator
+from .samplers import PermutationTuple, SamplerSpec, check_ranges, sample_many, stream_generator
 
 __all__ = ["VerifyRecord", "SuiteResult", "run_suite", "SUITES"]
 
@@ -329,11 +329,8 @@ def run_suite(
     }
     # Every suite draws two distinct columns (or points), and the class
     # suites two distinct rows.
-    for name in ("n", "m") if class_suites else ("n",):
-        if config[name] < 2:
-            raise ValueError(f"verify field {name!r} must be >= 2, got {config[name]}")
-    if samples < 0:
-        raise ValueError(f"verify field 'samples' must be >= 0, got {samples}")
+    check_ranges("verify", ("n", n, 2), ("m", config["m"] if class_suites else None, 2),
+                 ("samples", samples, 0))
     unread = [name for name, value in (("m", m), ("dp", dp)) if value is not None]
     if unread and not class_suites:
         raise ValueError(f"verify field {unread[0]!r} is not read: only the class suites draw matrices")

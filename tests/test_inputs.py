@@ -1,0 +1,254 @@
+"""The numeric input boundary: every range goes through samplers.check_ranges,
+and malformed numbers end in exit 1 naming their field, never a traceback."""
+
+import contextlib
+import csv
+import io
+import json
+import re
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from rrdigraph import experiments
+from rrdigraph.bounds import TailBoundSpec
+from rrdigraph.cli import main
+from rrdigraph.experiments import _STATISTICS, ExperimentConfig
+from rrdigraph.samplers import Above, SamplerSpec, check_ranges, enumerate_all
+
+NAN, INF = float("nan"), float("inf")
+
+
+def run(*argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([str(a) for a in argv])
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestCheckRanges:
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            (("x", -1, 0), "thing field 'x' must be >= 0, got -1"),
+            (("x", 2.5, 0, 2), "thing field 'x' must be in [0, 2], got 2.5"),
+            (("x", 0, Above(0)), "thing field 'x' must be > 0, got 0"),
+            (("x", 0.0, Above(0), 1), "thing field 'x' must be in (0, 1], got 0.0"),
+            (("x", NAN, 0), "thing field 'x' must be finite and >= 0, got nan"),
+            (("x", INF, Above(0)), "thing field 'x' must be finite and > 0, got inf"),
+            (("x", -INF, 0), "thing field 'x' must be finite and >= 0, got -inf"),
+            (("x", NAN, 0, 1), "thing field 'x' must be in [0, 1], got nan"),
+        ],
+    )
+    def test_refuses_with_one_message_shape(self, row, message):
+        with pytest.raises(ValueError) as info:
+            check_ranges("thing", ("ok", 1, 0), row)
+        assert str(info.value) == message
+
+    def test_passes_and_skips_none(self):
+        check_ranges("thing", ("a", None, 1), ("b", 0, 0), ("c", 1e308, Above(0)), ("d", 10**400, 1), ("e", 1, 0, 1))
+
+
+# The cases below each passed the input boundary before it had a row for
+# their field: a traceback, a NaN bound reported valid, a negative constant
+# or tolerance, or a resource-guard exit for a malformed cap.
+_BOUND_CASES = [
+    ("edge_upper --n 10 --d 3 --a 2 --b 2 --tau 1 --c1 0 --c2 0", "c1"),
+    ("codegree_upper --n 10 --d 3 --eps nan", "deviation"),
+    ("codegree_upper --n 10 --d 3 --eps inf", "deviation"),
+    ("er_edge --n 10 --p 0.3 --a 2 --b 2 --tau 1 --c nan", "c"),
+    ("codegree_uniform --n 10 --d 3 --eps 1 --c -1", "c"),
+    ("edge_upper --n 10 --d 3 --a 2 --b 2 --tau 1 --c1 -64", "c1"),
+    ("edge_upper --n 10 --d 3 --a 2 --b 2 --tau 1 --good-eta -1", "eta"),
+]
+
+
+class TestClosedGaps:
+    @pytest.mark.parametrize("argv, field", _BOUND_CASES)
+    def test_bound_cli(self, argv, field):
+        code, out, err = run("bound", "--theorem", *argv.split())
+        assert code == 1 and not out
+        assert f"bound field '{field}' must be" in err
+
+    @pytest.mark.parametrize("argv, field", _BOUND_CASES)
+    def test_bound_spec(self, argv, field):
+        tokens = argv.split()
+        flags = {f.lstrip("-").replace("-", "_"): v for f, v in zip(tokens[1::2], tokens[2::2])}
+        deviation = next(float(flags.pop(k)) for k in ("eps", "tau") if k in flags)
+        if "good_eta" in flags:
+            flags["eta"] = flags.pop("good_eta")
+        fields = {k: (int(v) if k in ("n", "d", "a", "b") else float(v)) for k, v in flags.items()}
+        with pytest.raises(ValueError, match=f"bound field '{field}' must be"):
+            TailBoundSpec(theorem=tokens[0], deviation=deviation, **fields)
+
+    _TAIL_CASES = [
+        (dict(statistic="edge_count", a=5, b=5, c1=0, c2=0), "bound field 'c1' must be > 0"),
+        (dict(statistic="edge_count", a=5, b=5, good_event_eta=-1), "config field 'good_event_eta' must be >= 0"),
+        (dict(statistic="edge_count", a=5, b=5, good_event_eta=NAN), "config field 'good_event_eta' must be finite"),
+        (dict(statistic="codegree", grid=[INF]), "config field 'grid' must be finite"),
+        (dict(statistic="codegree_uniform", c=-1.0), "bound field 'c' must be > 0"),
+    ]
+
+    @pytest.mark.parametrize("fields, message", _TAIL_CASES)
+    def test_tail_refused_before_any_draw(self, tmp_path, monkeypatch, fields, message):
+        def no_draw(*args):
+            raise AssertionError("draw called on a config that should be refused")
+
+        monkeypatch.setattr(experiments, "draw", no_draw)
+        payload = dict({"sampler": {"kind": "rejection", "n": 20, "d": 3}, "grid": [0.5], "N": 10**7}, **fields)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(payload))
+        code, _, err = run("tail", "--config", path, "--out", tmp_path / "t.csv")
+        assert code == 1 and message in err
+        assert not (tmp_path / "t.csv").exists()
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ExperimentConfig.from_dict(payload)
+
+    def test_max_states_is_a_usage_error(self):
+        with pytest.raises(ValueError, match="enumeration field 'max_states' must be >= 1, got -1"):
+            enumerate_all(3, 3, 1, max_states=-1)
+        code, _, err = run("enumerate", "--n", 3, "--d", 1, "--max-states", -1)
+        assert code == 1 and "'max_states'" in err
+
+
+class TestVerifyCsv:
+    @pytest.mark.parametrize("suite, n, d", [("reflection", 8, 3), ("all", 8, 3)])
+    def test_rows_parse_and_equal_the_json_records(self, suite, n, d):
+        argv = ("verify", "--suite", suite, "--n", n, "--d", d, "--samples", 5)
+        code, text, _ = run(*argv, "--format", "csv")
+        assert code == 0
+        rows = list(csv.reader(io.StringIO(text)))
+        assert rows[0] == ["suite", "invariant", "status", "checked", "worst_margin"]
+        assert all(len(row) == 5 for row in rows)
+        _, payload, _ = run(*argv)
+        records = [
+            [s["suite"], r["invariant"], r["status"], r["checked"], r["worst_margin"]]
+            for s in json.loads(payload)["suites"] for r in s["records"]
+        ]
+        parsed = [[s, i, st_, int(c), None if m == "" else float(m)] for s, i, st_, c, m in rows[1:]]
+        assert parsed == records
+        assert any("," in r[1] for r in records) and any(r[4] is None for r in records)
+
+
+# -- property tests ------------------------------------------------------------------
+
+
+@st.composite
+def tail_configs(draw):
+    """A valid ExperimentConfig: any statistic, a sampler kind it is defined
+    under and every optional field it reads, set or left to its default."""
+    statistic = draw(st.sampled_from(sorted(_STATISTICS)))
+    stat = _STATISTICS[statistic]
+    kind = draw(st.sampled_from(stat.kinds))
+    n = draw(st.integers(2, 40))
+    sampler = dict(kind=kind, n=n, stream=draw(st.integers(0, 2**32)))
+    if kind == "erdos_renyi":
+        sampler["p"] = draw(st.floats(0, 1))
+    else:
+        sampler["d"] = draw(st.integers(0, n))
+    if kind == "switch_mcmc":
+        sampler["steps"] = draw(st.none() | st.integers(0, 10**6))
+    if kind == "rejection":
+        sampler["max_attempts"] = draw(st.none() | st.integers(1, 10**9))
+    fields = {}
+    if stat.row_pair:
+        fields["i1"], fields["i2"] = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+    if "a" in stat.reads:
+        fields["a"], fields["b"] = draw(st.integers(1, n)), draw(st.integers(1, n))
+    if "good_event_eta" in stat.reads:
+        fields["good_event_eta"] = draw(st.none() | st.floats(0, 10))
+    for name in ("c", "c1", "c2"):
+        if name in stat.reads:
+            fields[name] = draw(st.none() | st.floats(0, 1e6, exclude_min=True))
+    return ExperimentConfig(
+        sampler=SamplerSpec(**sampler),
+        statistic=statistic,
+        grid=tuple(draw(st.lists(st.floats(0, 1e6), max_size=4))),
+        N=draw(st.integers(1, 10**9)),
+        seed=draw(st.integers(0, 2**63)),
+        **fields,
+    )
+
+
+class TestBoundaryProperties:
+    """Fixed budgets and a fixed seed (derandomize), chosen before the runs."""
+
+    @given(tail_configs())
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_config_round_trip(self, cfg):
+        assert ExperimentConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
+
+    _VALUES = (-1, 0, 1, "n", "n+1", NAN, INF, -INF, 1e308)
+
+    # One small valid config per statistic, N <= 50, every numeric field set.
+    _TAIL_BASE = {
+        "codegree": {"sampler": {"kind": "rejection", "n": 8, "d": 2, "max_attempts": 1000}, "i1": 0, "i2": 1},
+        "codegree_uniform": {"sampler": {"kind": "switch_mcmc", "n": 8, "d": 2, "steps": 20},
+                             "c": 0.5, "c1": 1.0, "c2": 1.0},
+        "edge_count": {"sampler": {"kind": "rejection", "n": 8, "d": 2}, "a": 2, "b": 3,
+                       "good_event_eta": 0.25, "c1": 64.0, "c2": 8.0},
+        "perm_edge_count": {"sampler": {"kind": "permutation_model", "n": 8, "d": 2}, "a": 2, "b": 3},
+        "er_codegree": {"sampler": {"kind": "erdos_renyi", "n": 8, "p": 0.3}, "i1": 0, "i2": 1, "c": 0.5},
+        "er_edge": {"sampler": {"kind": "erdos_renyi", "n": 8, "p": 0.3}, "a": 2, "b": 3, "c": 0.5},
+    }
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_tail_numbers(self, tmp_path_factory, data):
+        statistic = data.draw(st.sampled_from(sorted(self._TAIL_BASE)))
+        cfg = json.loads(json.dumps(self._TAIL_BASE[statistic]))
+        cfg.update(statistic=statistic, grid=[0.5], N=20, seed=1)
+        paths = [("sampler", k) for k in cfg["sampler"] if k != "kind"] + [(k,) for k in cfg if k != "sampler"]
+        paths.remove(("statistic",))
+        path = data.draw(st.sampled_from(paths))
+        value = data.draw(st.sampled_from(self._VALUES))
+        value = {"n": 8, "n+1": 9}.get(value, value) if isinstance(value, str) else value
+        target = cfg["sampler"] if path[0] == "sampler" else cfg
+        target[path[-1]] = [value] if path[-1] == "grid" else value
+        folder = tmp_path_factory.mktemp("tail")
+        (folder / "cfg.json").write_text(json.dumps(cfg))
+        code, _, err = run("tail", "--config", folder / "cfg.json", "--out", folder / "t.csv")
+        # 2 is the verdict of a run whose bound fails, as a given constant
+        # can make it; 3 the rejection budget's guard.
+        assert code in (0, 1, 2) or (code == 3 and cfg["sampler"]["kind"] == "rejection"), (code, err)
+        if code == 1:
+            named = re.findall(r"'([\w.]+)'", err)
+            # A small n can push the fields it bounds out of range first.
+            assert named and (path == ("sampler", "n") or path[-1] in {x.split(".")[-1] for x in named}), err
+            assert not (folder / "t.csv").exists()
+        if code == 2:
+            assert ",fail\n" in (folder / "t.csv").read_text()
+
+    _BOUND_BASE = {
+        "codegree_upper": "--n 10 --d 3 --eps 1",
+        "codegree_uniform": "--n 10 --d 3 --eps 1 --c1 1 --c2 1 --c 0.5",
+        "edge_upper": "--n 10 --d 3 --a 2 --b 3 --tau 1 --good-eta 0.1 --c1 64 --c2 8",
+        "edge_lower": "--n 10 --d 3 --a 2 --b 3 --tau 1 --good-eta 0.1 --c1 64",
+        "edge_twosided": "--n 10 --d 3 --a 2 --b 3 --tau 1 --good-eta 0.1 --c1 64 --c2 8",
+        "perm_edge": "--n 10 --d 3 --a 2 --b 3 --tau 1",
+        "er_codegree": "--n 10 --p 0.3 --eps 1 --c 0.5",
+        "er_edge": "--n 10 --p 0.3 --a 2 --b 3 --tau 1 --c 0.5",
+        "bipartite_codegree_uniform": "--n 10 --m 5 --d 3 --eps 1 --c1 1 --c2 1 --c 0.5",
+        "bipartite_edge": "--n 10 --m 5 --d 3 --a 2 --b 3 --tau 1 --good-eta 0.1 --c1 64 --c2 8",
+    }
+    # The spec field each flag feeds, where the names differ.
+    _BOUND_FIELD = {"eps": "deviation", "tau": "deviation", "good-eta": "eta"}
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_bound_numbers(self, data):
+        theorem = data.draw(st.sampled_from(sorted(self._BOUND_BASE)))
+        tokens = self._BOUND_BASE[theorem].split()
+        i = data.draw(st.sampled_from(range(1, len(tokens), 2)))
+        value = data.draw(st.sampled_from(self._VALUES))
+        tokens[i] = {"n": "10", "n+1": "11"}.get(value, value) if isinstance(value, str) else repr(value)
+        code, out, err = run("bound", "--theorem", theorem, *tokens)
+        assert code in (0, 1), (code, err)
+        if code == 0:
+            json.loads(out)
+        else:
+            flag = tokens[i - 1][2:]
+            field = self._BOUND_FIELD.get(flag, flag)
+            # An out-of-range n or m can push d, a or b out of range first.
+            assert f"--{flag}" in err or f"'{field}'" in err or (flag in ("n", "m") and "field '" in err), err
