@@ -12,7 +12,7 @@ pass it off as a claim), or set by the caller ("given").
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence, Tuple
 
@@ -20,7 +20,7 @@ import numpy as np
 
 from .exchangeable import SELF_BOUND, chatterjee_tail
 from .matrices import BiregularBitMatrix, VertexSetPair, codegree_extremes, edge_count, rows_to_words
-from .samplers import Above, check_ranges
+from .samplers import Above, check_ranges, check_reads
 from .spectral import row_set_extremes
 
 __all__ = [
@@ -74,16 +74,7 @@ class TailBoundSpec:
                      ("d", self.d, 0, self.n), ("a", self.a, 1, m), ("b", self.b, 1, self.n),
                      ("p", self.p, 0, 1), ("eta", self.eta, 0),
                      ("c1", self.c1, Above(0)), ("c2", self.c2, Above(0)), ("c", self.c, Above(0)))
-        for name in _OPTIONAL_FIELDS:
-            if name not in row.reads and getattr(self, name) is not None:
-                raise ValueError(f"bound field {name!r} is not read by theorem {self.theorem!r}")
-        for name in row.requires:
-            if getattr(self, name) is None:
-                raise ValueError(f"theorem {self.theorem!r} requires parameter {name!r}")
-
-
-# m, a, b, eta, p, c1, c2 and c: the fields only some theorems read.
-_OPTIONAL_FIELDS = tuple(f.name for f in fields(TailBoundSpec) if f.default is None)
+        check_reads("bound", self, row.reads, f"theorem {self.theorem!r}", row.requires)
 
 
 @dataclass(frozen=True)
@@ -198,7 +189,17 @@ def eval_bound(spec: TailBoundSpec) -> BoundValue:
         name: default if getattr(spec, name) is None else (getattr(spec, name), "given")
         for name, default in row.constants.items()
     }
-    value = row.formula(spec, spec.deviation, **{name: v for name, (v, _) in constants.items()})
+    inputs = {name: v for name, (v, _) in constants.items()}
+    try:
+        value = row.formula(spec, spec.deviation, **inputs)
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        # Only an input far out of scale overflows a formula: name the largest.
+        inputs.update((k, v) for k, v in asdict(spec).items() if isinstance(v, (int, float)))
+        name = max(inputs, key=inputs.get)
+        raise ValueError(f"bound field {name!r} must give theorem {spec.theorem!r} a finite bound, "
+                         f"got {inputs[name]} (bound {value})")
     valid = spec.eta is None or spec.eta <= row.eta_limit(spec.deviation)
     return BoundValue(value, valid, constants, row.note)
 

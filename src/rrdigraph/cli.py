@@ -52,6 +52,7 @@ from .samplers import (
     SamplerSpec,
     draw,
     enumerate_all,
+    fields_named,
     sample_many,
 )
 from .spectral import alpha_exact, check_alpha_shape, check_sigma2_shape, sigma2
@@ -239,9 +240,14 @@ def _cmd_bound(args) -> int:
         flags = " ".join(f"--{name}" for name in given)
         raise _UsageError(f"give at most one of --eps --tau --eta, got {flags}")
     names = ("theorem", "n", "d", "m", "a", "b", "p", "c1", "c2", "c")
-    spec = TailBoundSpec(deviation=getattr(args, given[0]) if given else 0.0, eta=args.good_eta,
-                         **{name: getattr(args, name) for name in names})
-    result = eval_bound(spec)
+    # A refused deviation or tolerance is named by the flag typed, not by its spec field.
+    typed = {"bound field 'eta'": "bound field '--good-eta'"}
+    if given:
+        typed["bound field 'deviation'"] = f"bound field '--{given[0]}'"
+    with fields_named(typed):
+        spec = TailBoundSpec(deviation=getattr(args, given[0]) if given else 0.0, eta=args.good_eta,
+                             **{name: getattr(args, name) for name in names})
+        result = eval_bound(spec)
     _emit(
         {
             "schema_version": BOUND_SCHEMA_VERSION,

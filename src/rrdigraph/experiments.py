@@ -26,7 +26,7 @@ import numpy as np
 
 from .bounds import _THEOREMS, BoundValue, TailBoundSpec, eval_bound
 from .matrices import codegree_extremes, rows_to_words, words_to_rows
-from .samplers import CLASS_KINDS, SamplerSpec, check_ranges, draw, enumerate_all
+from .samplers import CLASS_KINDS, SamplerSpec, check_ranges, check_reads, draw, enumerate_all, fields_named
 
 __all__ = [
     "ExperimentConfig",
@@ -95,9 +95,7 @@ class ExperimentConfig:
                 f"config field 'sampler.m' must equal sampler.n = {n} for statistic "
                 f"{self.statistic!r}, got {self.sampler.m}"
             )
-        for name in _OPTIONAL_FIELDS:
-            if name not in stat.reads and getattr(self, name) is not None:
-                raise ValueError(f"config field {name!r} is not read by statistic {self.statistic!r}")
+        check_reads("config", self, stat.reads, f"statistic {self.statistic!r}", stat.requires)
         if "i1" in stat.reads:
             for name, default in (("i1", 0), ("i2", 1)):
                 if getattr(self, name) is None:
@@ -107,11 +105,11 @@ class ExperimentConfig:
                     raise ValueError(f"config field {name!r} must be a row in [0, {n}), got {value}")
             if self.i1 == self.i2:
                 raise ValueError(f"config fields 'i1' and 'i2' must differ, both are {self.i1}")
-        if "a" in stat.reads and (self.a is None or self.b is None):
-            raise ValueError(f"statistic {self.statistic!r} requires set sizes a and b")
-        # The theorem checks a, b, the constants and each grid value (an empty grid's constants too).
-        for g in self.grid or (0.0,):
-            stat.bound_spec(self, g)
+        # The theorem checks a, b, the constants and each grid value (an empty
+        # grid's constants too), and that its bound is finite there.
+        with fields_named({"bound field 'deviation'": "config field 'grid'"}):
+            for g in self.grid or (0.0,):
+                eval_bound(stat.bound_spec(self, g))
 
     @classmethod
     def from_dict(cls, payload: dict) -> "ExperimentConfig":
@@ -143,8 +141,12 @@ class ExperimentConfig:
         grid = data.pop("grid")
         if not isinstance(grid, list) or not all(_is_number(g) for g in grid):
             raise ValueError("config field 'grid' must be a list of numbers")
+        try:
+            grid = tuple(float(g) for g in grid)
+        except OverflowError:
+            raise ValueError("config field 'grid' must hold numbers within float range") from None
         _check_scalar_types(cls, data)
-        return cls(sampler=spec, grid=tuple(float(g) for g in grid), **data)
+        return cls(sampler=spec, grid=grid, **data)
 
     def to_dict(self) -> dict:
         out = dataclasses.asdict(self)
@@ -365,9 +367,6 @@ def _er_edge_events(cfg: ExperimentConfig, words: np.ndarray) -> List[np.ndarray
     return [dev >= eps * center for eps in cfg.grid]
 
 
-# Config fields that only some statistics read; setting one the statistic
-# does not read is an error.
-_OPTIONAL_FIELDS = tuple(f.name for f in dataclasses.fields(ExperimentConfig) if f.default is None)
 # The config field that feeds each theorem field; the sampler feeds m and p.
 _CONFIG_FIELD = {"eta": "good_event_eta", "m": None, "p": None}
 
@@ -386,11 +385,13 @@ class _Statistic:
     claim_needs_eta: bool = False
     bound_fields: dict = dataclasses.field(init=False)  # theorem field -> the config field feeding it
     reads: Tuple[str, ...] = dataclasses.field(init=False)  # config fields besides sampler, grid, N, seed
+    requires: Tuple[str, ...] = dataclasses.field(init=False)  # those the theorem requires
 
     def __post_init__(self):
         feeds = {name: _CONFIG_FIELD.get(name, name) for name in _THEOREMS[self.theorem].reads}
         object.__setattr__(self, "bound_fields", {name: c for name, c in feeds.items() if c is not None})
         object.__setattr__(self, "reads", ("i1", "i2") * self.row_pair + tuple(self.bound_fields.values()))
+        object.__setattr__(self, "requires", tuple(feeds[t] for t in _THEOREMS[self.theorem].requires if feeds[t]))
 
     def bound_spec(self, cfg: ExperimentConfig, grid_value: float) -> TailBoundSpec:
         """The theorem's inputs at one grid value, from the config fields it reads."""

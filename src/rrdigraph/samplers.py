@@ -20,6 +20,9 @@ Four sampler kinds, and an exhaustive generator of tiny classes:
 * ``enumerate_all``: exhaustive generation of tiny classes, the exact
   oracle for distribution tests.
 
+``_KINDS`` is the one place that holds each kind's facts: its packed
+kernel, the optional spec fields it reads and requires, and its objects.
+
 There are two ways to draw: ``draw(spec, count)`` returns one array and
 the attempts made, and ``sample_many(spec, count)`` returns objects.  Both
 read the spec's stream through the same kernel, so a single draw is
@@ -39,8 +42,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
-from typing import Iterator, Optional, Tuple
+from contextlib import contextmanager
+from dataclasses import dataclass, fields
+from typing import Callable, Iterator, Optional, Tuple
 
 import numpy as np
 
@@ -76,19 +80,8 @@ __all__ = [
     "enumeration_size_bound",
 ]
 
-# Kinds whose draws are members of the biregular class.
-CLASS_KINDS = ("rejection", "switch_mcmc")
-
 DEFAULT_MAX_ATTEMPTS = 10**6
 DEFAULT_ENUMERATION_CAP = 10**8
-
-# The optional spec fields each kind reads; setting any other is an error.
-_OPTIONAL_READS = {
-    "rejection": ("m", "dp", "max_attempts"),
-    "switch_mcmc": ("m", "dp", "steps"),
-    "permutation_model": ("m", "dp"),
-    "erdos_renyi": ("p",),
-}
 
 
 class ResourceGuardError(RuntimeError):
@@ -133,6 +126,32 @@ def check_ranges(owner: str, *rows) -> None:
         raise ValueError(f"{owner} field {name!r} must be {want}, got {value}")
 
 
+def check_reads(owner: str, spec, reads, by: str, requires=()) -> None:
+    """Raise ValueError on the first optional field (default None) of the
+    dataclass `spec` set but not in `reads` ("<owner> field 'x' is not read by
+    <by>"), then on the first of `requires` left None ("... is required by <by>")."""
+    for f in fields(spec):
+        if f.default is None and f.name not in reads and getattr(spec, f.name) is not None:
+            raise ValueError(f"{owner} field {f.name!r} is not read by {by}")
+    for name in requires:
+        if getattr(spec, name) is None:
+            raise ValueError(f"{owner} field {name!r} is required by {by}")
+
+
+@contextmanager
+def fields_named(names: dict):
+    """Within the block, a "<owner> field 'x' must ..." ValueError whose
+    "<owner> field 'x'" is a key of `names` is raised again under its value,
+    so a caller can name the field its user typed."""
+    try:
+        yield
+    except ValueError as exc:
+        old = next((old for old in names if str(exc).startswith(f"{old} must")), None)
+        if old is None:
+            raise
+        raise ValueError(names[old] + str(exc)[len(old):]) from None
+
+
 @dataclass(frozen=True)
 class SamplerSpec:
     """Fully-resolved sampler configuration.
@@ -153,30 +172,20 @@ class SamplerSpec:
     stream: int = 0
 
     def __post_init__(self):
-        if self.kind not in _KERNELS:
+        row = _KINDS.get(self.kind)
+        if row is None:
             raise ValueError(f"unknown sampler kind {self.kind!r}")
-        for name in ("m", "dp", "p", "steps", "max_attempts"):
-            if getattr(self, name) is not None and name not in _OPTIONAL_READS[self.kind]:
-                raise ValueError(f"sampler field {name!r} is not read by kind {self.kind!r}")
-        if self.kind == "erdos_renyi":
-            if self.p is None:
-                raise ValueError("sampler field 'p' is required by kind 'erdos_renyi'")
-            check_ranges("sampler", ("n", self.n, 1), ("p", self.p, 0, 1))
-            return
-        m = self.n if self.m is None else self.m
-        dp = self.d if self.dp is None else self.dp
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "dp", dp)
-        if self.kind == "rejection" and self.max_attempts is None:
-            object.__setattr__(self, "max_attempts", DEFAULT_MAX_ATTEMPTS)
+        check_reads("sampler", self, row.reads, f"kind {self.kind!r}", row.requires)
+        for name, default in (("m", self.n), ("dp", self.d), ("max_attempts", DEFAULT_MAX_ATTEMPTS)):
+            if name in row.reads and getattr(self, name) is None:
+                object.__setattr__(self, name, default)
+        m, dp = self.m, self.dp
         check_ranges("sampler", ("n", self.n, 1), ("m", m, 1), ("d", self.d, 0, self.n), ("dp", dp, 0, m),
-                     ("max_attempts", self.max_attempts, 1), ("steps", self.steps, 0))
-        if m * self.d != self.n * dp:
+                     ("p", self.p, 0, 1), ("max_attempts", self.max_attempts, 1), ("steps", self.steps, 0))
+        if m is not None and m * self.d != self.n * dp:
             raise ValueError(f"edge-count mismatch: m*d = {m * self.d} != n*dp = {self.n * dp}")
         if self.kind == "permutation_model" and m != self.n:
-            raise ValueError(
-                f"sampler field 'm' must equal n = {self.n} for kind 'permutation_model', got {m}"
-            )
+            raise ValueError(f"sampler field 'm' must equal n = {self.n} for kind 'permutation_model', got {m}")
 
     @property
     def resolved_steps(self) -> int:
@@ -623,17 +632,33 @@ def enumerate_all(
 
 # -- the two front doors ----------------------------------------------------------------
 
-# The packed kernel behind each kind, as (samples, attempts).  Each entry
-# looks its kernel up by module-level name when called, so a wrapper
-# installed on that name sees every draw.  Only rejection makes more
-# attempts than samples.
-_KERNELS = {
-    "rejection": lambda spec, count: rejection_words(spec, count),
-    "switch_mcmc": lambda spec, count: (switch_mcmc_words(spec, count), count),
-    "permutation_model": lambda spec, count: (permutation_batch(spec, count), count),
-    "erdos_renyi": lambda spec, count: (er_words(spec, count), count),
+@dataclass(frozen=True)
+class _Kind:
+    """A sampler kind: kernel(spec, count) -> (samples, attempts), the optional
+    spec fields it reads and requires, and objects(spec, samples) -> list.
+    A kernel looks its function up by module-level name when called, so a
+    wrapper installed on that name sees every draw."""
+
+    kernel: Callable
+    reads: Tuple[str, ...]
+    requires: Tuple[str, ...]
+    objects: Callable
+
+
+_KINDS = {
+    "rejection": _Kind(lambda spec, count: rejection_words(spec, count), ("m", "dp", "max_attempts"), (),
+                       _members),
+    "switch_mcmc": _Kind(lambda spec, count: (switch_mcmc_words(spec, count), count), ("m", "dp", "steps"), (),
+                         _members),
+    "permutation_model": _Kind(
+        lambda spec, count: (permutation_batch(spec, count), count), ("m", "dp"), (),
+        lambda spec, batch: [PermutationTuple(tuple(map(tuple, s)), spec.n) for s in batch.tolist()],
+    ),
+    "erdos_renyi": _Kind(lambda spec, count: (er_words(spec, count), count), ("p",), ("p",),
+                         lambda spec, batch: list(words_to_dense(batch, spec.n))),
 }
-SAMPLER_KINDS = tuple(_KERNELS)
+SAMPLER_KINDS = tuple(_KINDS)
+CLASS_KINDS = tuple(kind for kind, row in _KINDS.items() if row.objects is _members)
 
 
 def draw(spec: SamplerSpec, count: int) -> Tuple[np.ndarray, int]:
@@ -644,7 +669,7 @@ def draw(spec: SamplerSpec, count: int) -> Tuple[np.ndarray, int]:
     model.
     """
     check_ranges("draw", ("count", count, 0))
-    return _KERNELS[spec.kind](spec, count)
+    return _KINDS[spec.kind].kernel(spec, count)
 
 
 def sample_many(spec: SamplerSpec, count: int) -> list:
@@ -656,8 +681,4 @@ def sample_many(spec: SamplerSpec, count: int) -> list:
     reproduces them bit for bit.
     """
     batch, _ = draw(spec, count)
-    if spec.kind in CLASS_KINDS:
-        return _members(spec, batch)
-    if spec.kind == "permutation_model":
-        return [PermutationTuple(tuple(map(tuple, sample)), spec.n) for sample in batch.tolist()]
-    return list(words_to_dense(batch, spec.n))
+    return _KINDS[spec.kind].objects(spec, batch)

@@ -158,7 +158,7 @@ class TestEvalBound:
         assert eval_bound(spec).value > 0
 
     def test_missing_parameter_rejected(self):
-        with pytest.raises(ValueError, match="requires parameter"):
+        with pytest.raises(ValueError, match="bound field 'p' is required by theorem 'er_codegree'"):
             eval_bound(TailBoundSpec(theorem="er_codegree", n=10, deviation=1.0))
 
     def test_given_constants_are_labelled_given(self):

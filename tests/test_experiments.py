@@ -229,7 +229,7 @@ class TestConfig:
         sampler = SamplerSpec(kind="rejection", n=8, d=2, seed=0)
         with pytest.raises(ValueError, match="statistic"):
             ExperimentConfig(sampler=sampler, statistic="wat", grid=(0.5,), N=10)
-        with pytest.raises(ValueError, match="requires set sizes"):
+        with pytest.raises(ValueError, match="config field 'a' is required by statistic 'edge_count'"):
             ExperimentConfig(sampler=sampler, statistic="edge_count", grid=(0.5,), N=10)
         with pytest.raises(ValueError, match="sampler kind"):
             ExperimentConfig(

@@ -1,17 +1,23 @@
-"""Golden tail outputs: one small valid config per tail statistic, with the
-CSV and the metadata (less `wall_time_s`) that `rrdigraph tail` must write.
+"""Golden outputs of `rrdigraph tail` and `rrdigraph sample`.
 
-Each case in `tests/golden/` is `<case>.config.json`, `<case>.csv` and
-`<case>.meta.json`.  It runs through `cli.main` at `--threads 1` and `2`;
-N = 5000 makes two shards, so the second run merges shards from two
-workers.
+Tail: one small valid config per tail statistic, with the CSV and the
+metadata (less `wall_time_s`) that `rrdigraph tail` must write.  Each case
+in `tests/golden/` is `tail_<case>.config.json`, `.csv` and `.meta.json`.
+It runs through `cli.main` at `--threads 1` and `2`; N = 5000 makes two
+shards, so the second run merges shards from two workers.
 
-Integers, booleans and strings compare exactly.  Floats compare at 1e-12
-relative, not bit for bit: the confidence limits and the bounds go through
-libm's exp and log and NumPy's reductions, whose last bits may differ
-between platforms and NumPy builds (CI's floor-pin job runs NumPy 2.0), so
-an exact comparison would fail correct builds.  A failure names the first
-differing path.
+Sample: one small draw per sampler kind and one of the 6 x 9 biregular
+class, each `sample_<case>.argv` (the flags after `sample`) with the
+`.stdout` and `.stderr` that `cli.main` must print: the matrix text and
+the config echo for the class kinds, the JSON payload for the others.
+These hold integers and echoed inputs only, so they compare byte for byte.
+
+In the tail outputs, integers, booleans and strings compare exactly.
+Floats compare at 1e-12 relative, not bit for bit: the confidence limits
+and the bounds go through libm's exp and log and NumPy's reductions, whose
+last bits may differ between platforms and NumPy builds (CI's floor-pin
+job runs NumPy 2.0), so an exact comparison would fail correct builds.  A
+failure names the first differing path.
 
 After an intended change, rewrite the expected files with
 
@@ -33,9 +39,11 @@ import pytest
 
 from rrdigraph.cli import main
 from rrdigraph.experiments import _STATISTICS
+from rrdigraph.samplers import SAMPLER_KINDS
 
 GOLDEN = Path(__file__).parent / "golden"
 CASES = sorted(path.name[: -len(".config.json")] for path in GOLDEN.glob("tail_*.config.json"))
+SAMPLE_CASES = sorted(path.name[: -len(".argv")] for path in GOLDEN.glob("sample_*.argv"))
 
 
 def _cell(text: str):
@@ -95,17 +103,43 @@ def test_tail_matches_golden(case, threads, tmp_path):
         assert diff is None, diff
 
 
+def _sample(case: str):
+    """(exit code, stdout, stderr) of one `rrdigraph sample` run."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["sample", *(GOLDEN / f"{case}.argv").read_text().split()])
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_every_sampler_kind_has_a_sample_case():
+    kinds = {(GOLDEN / f"{case}.argv").read_text().split("--kind")[1].split()[0] for case in SAMPLE_CASES}
+    assert kinds == set(SAMPLER_KINDS)
+
+
+@pytest.mark.parametrize("case", SAMPLE_CASES)
+def test_sample_matches_golden(case):
+    code, out, err = _sample(case)
+    assert code == 0
+    assert out == (GOLDEN / f"{case}.stdout").read_text()
+    assert err == (GOLDEN / f"{case}.stderr").read_text()
+
+
+def _write(files: dict, case: str) -> None:
+    """Write each path's text, and print `case` if any of them moved."""
+    if any(not path.exists() or path.read_text() != text for path, text in files.items()):
+        print(f"moved: {case}")
+    for path, text in files.items():
+        path.write_text(text)
+
+
 def _update(scratch: Path) -> None:
     """Rewrite every case's expected files and print the ones that moved."""
     for case in CASES:
         _, text, meta = _run(case, scratch / "tail.csv", 1)
-        meta_text = json.dumps(meta, indent=2) + "\n"
-        csv_path, meta_path = GOLDEN / f"{case}.csv", GOLDEN / f"{case}.meta.json"
-        old = [p.read_text() if p.exists() else None for p in (csv_path, meta_path)]
-        if old != [text, meta_text]:
-            print(f"moved: {case}")
-        csv_path.write_text(text)
-        meta_path.write_text(meta_text)
+        _write({GOLDEN / f"{case}.csv": text, GOLDEN / f"{case}.meta.json": json.dumps(meta, indent=2) + "\n"}, case)
+    for case in SAMPLE_CASES:
+        _, out, err = _sample(case)
+        _write({GOLDEN / f"{case}.stdout": out, GOLDEN / f"{case}.stderr": err}, case)
 
 
 if __name__ == "__main__":

@@ -6,16 +6,18 @@ import csv
 import io
 import json
 import re
+from dataclasses import dataclass
+from typing import Optional
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rrdigraph import experiments
-from rrdigraph.bounds import TailBoundSpec
+from rrdigraph.bounds import TailBoundSpec, eval_bound
 from rrdigraph.cli import main
 from rrdigraph.experiments import _STATISTICS, ExperimentConfig
-from rrdigraph.samplers import Above, SamplerSpec, check_ranges, enumerate_all
+from rrdigraph.samplers import Above, SamplerSpec, check_ranges, check_reads, enumerate_all
 
 NAN, INF = float("nan"), float("inf")
 
@@ -50,6 +52,73 @@ class TestCheckRanges:
         check_ranges("thing", ("a", None, 1), ("b", 0, 0), ("c", 1e308, Above(0)), ("d", 10**400, 1), ("e", 1, 0, 1))
 
 
+@dataclass(frozen=True)
+class _Thing:
+    x: int = 0
+    y: Optional[int] = None
+    z: Optional[int] = None
+
+
+_ER = dict(kind="erdos_renyi", n=10, p=0.3)
+
+
+class TestCheckReads:
+    @pytest.mark.parametrize(
+        "thing, message",
+        [
+            (_Thing(x=1, y=1), "thing field 'y' is not read by row 'r'"),
+            (_Thing(z=1), "thing field 'y' is required by row 'r'"),
+        ],
+    )
+    def test_refuses_with_two_message_shapes(self, thing, message):
+        with pytest.raises(ValueError) as info:
+            check_reads("thing", thing, ("z",), "row 'r'", requires=("y",) if thing.y is None else ())
+        assert str(info.value) == message
+
+    def test_not_read_comes_before_required(self):
+        with pytest.raises(ValueError, match="'z' is not read"):
+            check_reads("thing", _Thing(z=1), ("y",), "row 'r'", requires=("y",))
+        check_reads("thing", _Thing(x=5, y=1), ("y",), "row 'r'", requires=("y",))
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: SamplerSpec(kind="rejection", n=4, d=2, steps=3),
+             "sampler field 'steps' is not read by kind 'rejection'"),
+            (lambda: SamplerSpec(kind="erdos_renyi", n=5), "sampler field 'p' is required by kind 'erdos_renyi'"),
+            (lambda: TailBoundSpec(theorem="codegree_upper", n=10, d=3, c1=5.0),
+             "bound field 'c1' is not read by theorem 'codegree_upper'"),
+            (lambda: TailBoundSpec(theorem="er_edge", n=10, p=0.3, a=2), "bound field 'b' is required by theorem 'er_edge'"),
+            (lambda: ExperimentConfig(sampler=SamplerSpec(**_ER), statistic="er_codegree", grid=(0.5,), N=10, c1=2.0),
+             "config field 'c1' is not read by statistic 'er_codegree'"),
+            (lambda: ExperimentConfig(sampler=SamplerSpec(**_ER), statistic="er_edge", grid=(0.5,), N=10, a=2),
+             "config field 'b' is required by statistic 'er_edge'"),
+        ],
+        ids=["sampler-read", "sampler-required", "bound-read", "bound-required", "config-read", "config-required"],
+    )
+    def test_one_message_per_owner(self, build, message):
+        with pytest.raises(ValueError) as info:
+            build()
+        assert str(info.value) == message
+
+    def test_statistic_requires_what_its_theorem_does(self):
+        # The sampler feeds p, so er_codegree requires nothing of the config.
+        requires = {name: stat.requires for name, stat in _STATISTICS.items()}
+        assert requires == {"codegree": (), "codegree_uniform": (), "edge_count": ("a", "b"),
+                            "perm_edge_count": ("a", "b"), "er_codegree": (), "er_edge": ("a", "b")}
+
+    def test_cli(self, tmp_path, monkeypatch):
+        code, out, err = run("sample", "--kind", "erdos_renyi", "--n", 5)
+        assert code == 1 and not out and "sampler field 'p' is required by kind 'erdos_renyi'" in err
+        monkeypatch.setattr(experiments, "draw", None)  # a draw would fail with a TypeError
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"sampler": {"kind": "rejection", "n": 20, "d": 3}, "statistic": "edge_count",
+                                    "grid": [0.5], "N": 10**7, "b": 5}))
+        code, _, err = run("tail", "--config", path, "--out", tmp_path / "t.csv")
+        assert code == 1 and "config field 'a' is required by statistic 'edge_count'" in err
+        assert not (tmp_path / "t.csv").exists()
+
+
 # The cases below each passed the input boundary before it had a row for
 # their field: a traceback, a NaN bound reported valid, a negative constant
 # or tolerance, or a resource-guard exit for a malformed cap.
@@ -62,6 +131,9 @@ _BOUND_CASES = [
     ("edge_upper --n 10 --d 3 --a 2 --b 2 --tau 1 --c1 -64", "c1"),
     ("edge_upper --n 10 --d 3 --a 2 --b 2 --tau 1 --good-eta -1", "eta"),
 ]
+# The CLI names a refused deviation or tolerance by the flag typed: each
+# deviation case above types --eps.
+_CLI_NAME = {"deviation": "--eps", "eta": "--good-eta"}
 
 
 class TestClosedGaps:
@@ -69,7 +141,7 @@ class TestClosedGaps:
     def test_bound_cli(self, argv, field):
         code, out, err = run("bound", "--theorem", *argv.split())
         assert code == 1 and not out
-        assert f"bound field '{field}' must be" in err
+        assert f"bound field '{_CLI_NAME.get(field, field)}' must be" in err
 
     @pytest.mark.parametrize("argv, field", _BOUND_CASES)
     def test_bound_spec(self, argv, field):
@@ -88,6 +160,9 @@ class TestClosedGaps:
         (dict(statistic="edge_count", a=5, b=5, good_event_eta=NAN), "config field 'good_event_eta' must be finite"),
         (dict(statistic="codegree", grid=[INF]), "config field 'grid' must be finite"),
         (dict(statistic="codegree_uniform", c=-1.0), "bound field 'c' must be > 0"),
+        (dict(statistic="codegree", grid=[1e308]), "config field 'grid' must give theorem 'codegree_upper' a finite"),
+        (dict(statistic="codegree", grid=[10**400]), "config field 'grid' must hold numbers within float range"),
+        (dict(statistic="codegree_uniform", c1=1e308), "bound field 'c1' must give theorem 'codegree_uniform' a finite"),
     ]
 
     @pytest.mark.parametrize("fields, message", _TAIL_CASES)
@@ -104,6 +179,30 @@ class TestClosedGaps:
         assert not (tmp_path / "t.csv").exists()
         with pytest.raises(ValueError, match=re.escape(message)):
             ExperimentConfig.from_dict(payload)
+
+    # A formula that overflows is refused, naming its largest input: at the
+    # CLI the flag typed for a deviation, in the spec its field.
+    @pytest.mark.parametrize(
+        "argv, flag, field",
+        [
+            ("perm_edge --n 10 --d 3 --a 2 --b 3 --tau 1e308", "--tau", "deviation"),
+            ("edge_upper --n 10 --d 3 --a 2 --b 3 --tau 1e308", "--tau", "deviation"),
+            ("codegree_upper --n 10 --d 3 --eta 1e308", "--eta", "deviation"),
+            ("codegree_uniform --n 10 --d 3 --eps 1 --c1 1e308", "c1", "c1"),
+            (f"codegree_upper --n {10**400} --d 3 --eps 1", "n", "n"),
+        ],
+        ids=["perm_edge-tau", "edge_upper-tau", "codegree_upper-eta", "codegree_uniform-c1", "codegree_upper-n"],
+    )
+    def test_bound_must_be_finite(self, argv, flag, field):
+        code, out, err = run("bound", "--theorem", *argv.split())
+        assert code == 1 and not out
+        assert f"bound field '{flag}' must give theorem '{argv.split()[0]}' a finite bound" in err
+        tokens = argv.split()
+        fields = {f[2:]: v for f, v in zip(tokens[1::2], tokens[2::2])}
+        deviation = float(next(fields.pop(k) for k in ("eps", "tau", "eta") if k in fields))
+        fields = {k: (int(v) if k in ("n", "d", "a", "b") else float(v)) for k, v in fields.items()}
+        with pytest.raises(ValueError, match=f"bound field '{field}' must give"):
+            eval_bound(TailBoundSpec(theorem=tokens[0], deviation=deviation, **fields))
 
     def test_max_states_is_a_usage_error(self):
         with pytest.raises(ValueError, match="enumeration field 'max_states' must be >= 1, got -1"):
@@ -171,8 +270,27 @@ def tail_configs(draw):
     )
 
 
+# A value in range for each optional config field, and a sampler of each kind, at n = 8.
+_CONFIG_VALUES = dict(good_event_eta=0.1, i1=0, i2=1, a=2, b=3, c=0.5, c1=1.0, c2=1.0)
+_SAMPLERS = {"rejection": dict(n=8, d=2), "switch_mcmc": dict(n=8, d=2, steps=10),
+             "permutation_model": dict(n=8, d=2), "erdos_renyi": dict(n=8, p=0.3)}
+
+
 class TestBoundaryProperties:
     """Fixed budgets and a fixed seed (derandomize), chosen before the runs."""
+
+    @given(st.sampled_from(sorted(_STATISTICS)), st.sets(st.sampled_from(sorted(_CONFIG_VALUES))))
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_config_accepts_exactly_the_fields_its_statistic_reads(self, statistic, names):
+        stat = _STATISTICS[statistic]
+        accepted = names <= set(stat.reads) and set(stat.requires) <= names
+        try:
+            ExperimentConfig(sampler=SamplerSpec(kind=stat.kinds[0], **_SAMPLERS[stat.kinds[0]]), statistic=statistic,
+                             grid=(0.5,), N=10, **{name: _CONFIG_VALUES[name] for name in names})
+        except ValueError:
+            assert not accepted
+        else:
+            assert accepted
 
     @given(tail_configs())
     @settings(max_examples=200, deadline=None, derandomize=True)

@@ -28,7 +28,7 @@ from rrdigraph.samplers import (
     switch_mcmc_words,
 )
 from rrdigraph.samplers import (
-    _OPTIONAL_READS,
+    _KINDS,
     _members,
     _site_blocks,
     _switch_rows,
@@ -79,7 +79,7 @@ class TestSpec:
         # In range at n = 6, d = 2; erdos_renyi cannot do without p.
         values = dict(m=6, dp=2, p=0.5, steps=10, max_attempts=100)
         required = {"p"} if kind == "erdos_renyi" else set()
-        accepted = names <= set(_OPTIONAL_READS[kind]) and required <= names
+        accepted = names <= set(_KINDS[kind].reads) and required <= names
         try:
             SamplerSpec(kind=kind, n=6, d=2, **{name: values[name] for name in names})
         except ValueError:
