@@ -1,4 +1,5 @@
-"""Golden outputs of `rrdigraph tail` and `rrdigraph sample`.
+"""Golden outputs of `rrdigraph tail`, `sample`, `stats`, `couple`, `bound`,
+`enumerate` and `sigma2`.
 
 Tail: one small valid config per tail statistic, with the CSV and the
 metadata (less `wall_time_s`) that `rrdigraph tail` must write.  Each case
@@ -12,7 +13,15 @@ class, each `sample_<case>.argv` (the flags after `sample`) with the
 the config echo for the class kinds, the JSON payload for the others.
 These hold integers and echoed inputs only, so they compare byte for byte.
 
-In the tail outputs, integers, booleans and strings compare exactly.
+Payload: each `<command>_<case>.argv` of the other commands (the flags
+after the command) with the `.json` that holds the exit code and the one
+JSON payload that `cli.main` must print: `stats` on a square, a 6 x 9 and a
+1 x 5 matrix, `couple` with a switch applied and a reflection that is a
+no-op (exit 4), `bound` once per theorem, `enumerate --count-only`, and
+`sigma2` with and without `--alpha`.  They run in `tests/golden/`, so the
+`matrix_*.txt` inputs are echoed by the name `--in` gives them.
+
+In the tail and payload outputs, integers, booleans and strings compare exactly.
 Floats compare at 1e-12 relative, not bit for bit: the confidence limits
 and the bounds go through libm's exp and log and NumPy's reductions, whose
 last bits may differ between platforms and NumPy builds (CI's floor-pin
@@ -32,18 +41,22 @@ import csv
 import io
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
 import pytest
 
+from rrdigraph.bounds import THEOREMS
 from rrdigraph.cli import main
 from rrdigraph.experiments import _STATISTICS
 from rrdigraph.samplers import SAMPLER_KINDS
 
-GOLDEN = Path(__file__).parent / "golden"
+GOLDEN = Path(__file__).resolve().parent / "golden"
 CASES = sorted(path.name[: -len(".config.json")] for path in GOLDEN.glob("tail_*.config.json"))
 SAMPLE_CASES = sorted(path.name[: -len(".argv")] for path in GOLDEN.glob("sample_*.argv"))
+PAYLOAD_CASES = sorted(path.name[: -len(".argv")] for path in GOLDEN.glob("*.argv")
+                       if not path.name.startswith("sample_"))
 
 
 def _cell(text: str):
@@ -124,6 +137,35 @@ def test_sample_matches_golden(case):
     assert err == (GOLDEN / f"{case}.stderr").read_text()
 
 
+def _payload(case: str):
+    """(exit code, stdout payload, stderr) of one run of the case's command,
+    made in tests/golden/."""
+    argv = [case.split("_")[0], *(GOLDEN / f"{case}.argv").read_text().split()]
+    out, err = io.StringIO(), io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(GOLDEN)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    finally:
+        os.chdir(cwd)
+    return code, json.loads(out.getvalue()), err.getvalue()
+
+
+def test_one_bound_case_per_theorem():
+    theorems = [(GOLDEN / f"{case}.argv").read_text().split()[1] for case in PAYLOAD_CASES
+                if case.startswith("bound_")]
+    assert sorted(theorems) == sorted(THEOREMS)
+
+
+@pytest.mark.parametrize("case", PAYLOAD_CASES)
+def test_payload_matches_golden(case):
+    code, payload, err = _payload(case)
+    assert err == ""
+    diff = _diff({"exit": code, "stdout": payload}, json.loads((GOLDEN / f"{case}.json").read_text()))
+    assert diff is None, diff
+
+
 def _write(files: dict, case: str) -> None:
     """Write each path's text, and print `case` if any of them moved."""
     if any(not path.exists() or path.read_text() != text for path, text in files.items()):
@@ -140,6 +182,9 @@ def _update(scratch: Path) -> None:
     for case in SAMPLE_CASES:
         _, out, err = _sample(case)
         _write({GOLDEN / f"{case}.stdout": out, GOLDEN / f"{case}.stderr": err}, case)
+    for case in PAYLOAD_CASES:
+        code, payload, _ = _payload(case)
+        _write({GOLDEN / f"{case}.json": json.dumps({"exit": code, "stdout": payload}, indent=2) + "\n"}, case)
 
 
 if __name__ == "__main__":
