@@ -25,7 +25,7 @@ from .exchangeable import (
     _switching_vf_step,
     permutation_diagnostics,
 )
-from .matrices import VertexSetPair, codegree, complement
+from .matrices import InvalidMatrixError, VertexSetPair, codegree, complement
 from .samplers import PermutationTuple, SamplerSpec, check_ranges, sample_many, stream_generator
 
 __all__ = ["VerifyRecord", "SuiteResult", "run_suite", "SUITES"]
@@ -41,11 +41,35 @@ SCHEMA_VERSION = 4
 
 @dataclass
 class VerifyRecord:
+    """One invariant's count: vacuous until checked, then pass until a check
+    fails.  It keeps the smallest margin and the first failure's detail."""
+
     invariant: str
-    status: str  # "pass" | "fail" | "vacuous" (no instance checked)
-    checked: int
+    status: str = "vacuous"  # "pass" | "fail" | "vacuous" (no instance checked)
+    checked: int = 0
     worst_margin: Optional[float] = None  # slack of the tightest instance
     detail: str = ""
+
+    def check(self, ok: bool, margin: Optional[float] = None, detail: str = "") -> None:
+        self.checked += 1
+        if margin is not None and (self.worst_margin is None or margin < self.worst_margin):
+            self.worst_margin = margin
+        if not ok:
+            self.detail = self.detail or detail
+        self.status = "pass" if ok and self.status != "fail" else "fail"
+
+    def attempt(self, step, *args, margin=None):
+        """Run step(*args) as one check and return its result.  A step that
+        raises InvariantViolation or InvalidMatrixError fails the check with
+        its message and gives None; otherwise the check passes, with slack
+        margin(result) when a margin is given."""
+        try:
+            result = step(*args)
+        except (InvariantViolation, InvalidMatrixError) as exc:
+            self.check(False, detail=str(exc))
+            return None
+        self.check(True, margin=None if margin is None else margin(result))
+        return result
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -71,33 +95,20 @@ class SuiteResult:
         }
 
 
-class _Tracker:
-    """Counts checks, remembers the smallest slack and first failure."""
+def _slack(diag):
+    """How far v_f stays below its self-bound."""
+    return float(diag.bound - diag.v_f)
 
-    def __init__(self, invariant: str):
-        self.invariant = invariant
-        self.checked = 0
-        self.failures = 0
-        self.worst: Optional[float] = None
-        self.detail = ""
 
-    def check(self, ok: bool, margin: Optional[float] = None, detail: str = ""):
-        self.checked += 1
-        if margin is not None and (self.worst is None or margin < self.worst):
-            self.worst = margin
-        if not ok:
-            self.failures += 1
-            if not self.detail:
-                self.detail = detail
-
-    def record(self) -> VerifyRecord:
-        return VerifyRecord(
-            invariant=self.invariant,
-            status="fail" if self.failures else "pass" if self.checked else "vacuous",
-            checked=self.checked,
-            worst_margin=self.worst,
-            detail=self.detail,
-        )
+def _random_pair(rng, m, n, max_b):
+    """A random (A, B): |A| in [1, m), |B| in [1, max_b], then A from the m
+    rows and B from the n columns."""
+    a = int(rng.integers(1, m))
+    b = int(rng.integers(1, max_b + 1))
+    return VertexSetPair.of(
+        (int(x) for x in rng.choice(m, a, replace=False)),
+        (int(x) for x in rng.choice(n, b, replace=False)),
+    )
 
 
 def _by_rejection(n, d):
@@ -124,12 +135,12 @@ def _sample_matrices(n, d, count, seed, m=None, dp=None, steps=None):
 
 def _reflection_suite(mats, seed):
     rng = stream_generator(seed, 10_000)
-    t_invol = _Tracker("reflect twice is the identity")
-    t_member = _Tracker("reflection outputs stay in the class")
-    t_ident = _Tracker("scale-n identity: n*f = n*co - d^2 + b")
-    t_step = _Tracker("co(M) - co(M~) at the site: +1 on K, -1 on a reflecting I, else 0")
-    t_walk = _Tracker("walk returns to 0 with at most min(dp, m-dp) up-steps")
-    t_vf = _Tracker("reflection self-bound v_f <= K2*f + K1 (SELF_BOUND)")
+    t_invol = VerifyRecord("reflect twice is the identity")
+    t_member = VerifyRecord("reflection outputs stay in the class")
+    t_ident = VerifyRecord("scale-n identity: n*f = n*co - d^2 + b")
+    t_step = VerifyRecord("co(M) - co(M~) at the site: +1 on K, -1 on a reflecting I, else 0")
+    t_walk = VerifyRecord("walk returns to 0 with at most min(dp, m-dp) up-steps")
+    t_vf = VerifyRecord("reflection self-bound v_f <= K2*f + K1 (SELF_BOUND)")
     for mat in mats:
         mm = mat.m
         i1, i2 = 0, 1
@@ -141,18 +152,11 @@ def _reflection_suite(mats, seed):
 
         image = reflect(mat, j1, j2, order)
         t_invol.check(reflect(image, j1, j2, order) == mat)
-        try:
-            image.validate()
-            t_member.check(True)
-        except Exception as exc:  # pragma: no cover - indicates a defect
-            t_member.check(False, detail=str(exc))
-
-        try:
-            diag, scan = _reflection_parts(mat, i1, i2)
-            t_ident.check(True)
-        except InvariantViolation as exc:
-            t_ident.check(False, detail=str(exc))
+        t_member.attempt(image.validate)
+        parts = t_ident.attempt(_reflection_parts, mat, i1, i2)
+        if parts is None:
             continue
+        diag, scan = parts
 
         # A K minor [[1,0],[1,0]] always reflects and loses a common column;
         # an I minor [[1,0],[0,1]] that the scan marks as not bad gains one.
@@ -169,22 +173,17 @@ def _reflection_suite(mats, seed):
             walk.positions[-1] == 0 and walk.r <= cap,
             margin=float(cap - walk.r),
         )
-
-        try:
-            diag = _reflection_vf_step(mat, i1, i2, diag, scan)
-            t_vf.check(True, margin=float(diag.bound - diag.v_f))
-        except InvariantViolation as exc:
-            t_vf.check(False, detail=str(exc))
-    return [t.record() for t in (t_invol, t_member, t_ident, t_step, t_walk, t_vf)]
+        t_vf.attempt(_reflection_vf_step, mat, i1, i2, diag, scan, margin=_slack)
+    return [t_invol, t_member, t_ident, t_step, t_walk, t_vf]
 
 
 def _switching_suite(mats, seed):
     rng = stream_generator(seed, 20_000)
-    t_invol = _Tracker("switch twice is the identity")
-    t_member = _Tracker("switching outputs stay in the class")
-    t_ident = _Tracker("minor-count form equals neighbourhood form; f = f1 + f2")
-    t_f2 = _Tracker("error term: |f2| <= eta*(f1 + 2p(1-p)n*m*mu) at minimal eta")
-    t_vf = _Tracker("switching self-bound v_f <= K2*f + K1 (SELF_BOUND)")
+    t_invol = VerifyRecord("switch twice is the identity")
+    t_member = VerifyRecord("switching outputs stay in the class")
+    t_ident = VerifyRecord("minor-count form equals neighbourhood form; f = f1 + f2")
+    t_f2 = VerifyRecord("error term: |f2| <= eta*(f1 + 2p(1-p)n*m*mu) at minimal eta")
+    t_vf = VerifyRecord("switching self-bound v_f <= K2*f + K1 (SELF_BOUND)")
     for mat in mats:
         mm, nn = mat.m, mat.n
         site = SwitchSite(
@@ -194,34 +193,18 @@ def _switching_suite(mats, seed):
         image = simple_switch(mat, site)
         t_invol.check(simple_switch(image, site) == mat)
         if image is not mat:
-            try:
-                image.validate()
-                t_member.check(True)
-            except Exception as exc:  # pragma: no cover
-                t_member.check(False, detail=str(exc))
+            t_member.attempt(image.validate)
 
-        a = int(rng.integers(1, mm))
-        b = int(rng.integers(1, nn))
-        pair = VertexSetPair.of(
-            (int(x) for x in rng.choice(mm, a, replace=False)),
-            (int(x) for x in rng.choice(nn, b, replace=False)),
-        )
-        try:
-            diag, stats = _switching_parts(mat, pair)
-            t_ident.check(True)
-        except InvariantViolation as exc:
-            t_ident.check(False, detail=str(exc))
+        pair = _random_pair(rng, mm, nn, nn - 1)
+        parts = t_ident.attempt(_switching_parts, mat, pair)
+        if parts is None:
             continue
+        diag, stats = parts
 
         ok, margin = _f2_good_event_check(mat, pair, diag, stats[-1])
         t_f2.check(ok, margin=margin)
-
-        try:
-            diag = _switching_vf_step(mat, pair, diag, stats)
-            t_vf.check(True, margin=float(diag.bound - diag.v_f))
-        except InvariantViolation as exc:
-            t_vf.check(False, detail=str(exc))
-    return [t.record() for t in (t_invol, t_member, t_ident, t_f2, t_vf)]
+        t_vf.attempt(_switching_vf_step, mat, pair, diag, stats, margin=_slack)
+    return [t_invol, t_member, t_ident, t_f2, t_vf]
 
 
 def _f2_good_event_check(mat, pair, diag, ex):
@@ -257,10 +240,10 @@ def _permutation_suite(n, d, samples, seed):
     spec = SamplerSpec(kind="permutation_model", n=n, d=d, seed=seed)
     tuples = sample_many(spec, samples)
     rng = stream_generator(seed, 30_000)
-    t_mult = _Tracker("multiplicity matrix has all margins equal to d")
-    t_invol = _Tracker("transposing one factor twice is the identity")
-    t_ident = _Tracker("scale-n identity: n*f = n*e_pi - d*a*b")
-    t_vf = _Tracker("permutation self-bound v_f <= K2*f + K1 (SELF_BOUND)")
+    t_mult = VerifyRecord("multiplicity matrix has all margins equal to d")
+    t_invol = VerifyRecord("transposing one factor twice is the identity")
+    t_ident = VerifyRecord("scale-n identity: n*f = n*e_pi - d*a*b")
+    t_vf = VerifyRecord("permutation self-bound v_f <= K2*f + K1 (SELF_BOUND)")
     for pi in tuples:
         mult = pi.multiplicity()
         t_mult.check(
@@ -272,12 +255,7 @@ def _permutation_suite(n, d, samples, seed):
             swapped = _transpose_factor(pi, j, u, v)
             t_invol.check(_transpose_factor(swapped, j, u, v) == pi)
 
-        a = int(rng.integers(1, n))
-        b = int(rng.integers(1, n + 1))
-        pair = VertexSetPair.of(
-            (int(x) for x in rng.choice(n, a, replace=False)),
-            (int(x) for x in rng.choice(n, b, replace=False)),
-        )
+        pair = _random_pair(rng, n, n, n)
         try:
             diag = permutation_diagnostics(pi, pair)
         except SelfBoundViolation as exc:
@@ -288,8 +266,8 @@ def _permutation_suite(n, d, samples, seed):
             t_ident.check(False, detail=str(exc))
             continue
         t_ident.check(True)
-        t_vf.check(True, margin=float(diag.bound - diag.v_f))
-    return [t.record() for t in (t_mult, t_invol, t_ident, t_vf)]
+        t_vf.check(True, margin=_slack(diag))
+    return [t_mult, t_invol, t_ident, t_vf]
 
 
 def _transpose_factor(pi, j, u, v):
