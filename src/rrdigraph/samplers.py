@@ -21,7 +21,7 @@ Four sampler kinds, and an exhaustive generator of tiny classes:
   oracle for distribution tests.
 
 ``_KINDS`` is the one place that holds each kind's facts: its packed
-kernel, the optional spec fields it reads and requires, and its objects.
+kernel, the spec fields it reads and requires, and its objects.
 
 There are two ways to draw: ``draw(spec, count)`` returns one array and
 the attempts made, and ``sample_many(spec, count)`` returns objects.  Both
@@ -176,6 +176,8 @@ class SamplerSpec:
         if row is None:
             raise ValueError(f"unknown sampler kind {self.kind!r}")
         check_reads("sampler", self, row.reads, f"kind {self.kind!r}", row.requires)
+        if self.d and "d" not in row.reads:  # d defaults to 0, not None, so check_reads cannot see it
+            raise ValueError(f"sampler field 'd' is not read by kind {self.kind!r}")
         for name, default in (("m", self.n), ("dp", self.d), ("max_attempts", DEFAULT_MAX_ATTEMPTS)):
             if name in row.reads and getattr(self, name) is None:
                 object.__setattr__(self, name, default)
@@ -634,8 +636,9 @@ def enumerate_all(
 
 @dataclass(frozen=True)
 class _Kind:
-    """A sampler kind: kernel(spec, count) -> (samples, attempts), the optional
-    spec fields it reads and requires, and objects(spec, samples) -> list.
+    """A sampler kind: kernel(spec, count) -> (samples, attempts), the spec
+    fields it reads besides kind, n, seed and stream, the optional ones it
+    requires, and objects(spec, samples) -> list.
     A kernel looks its function up by module-level name when called, so a
     wrapper installed on that name sees every draw."""
 
@@ -646,12 +649,12 @@ class _Kind:
 
 
 _KINDS = {
-    "rejection": _Kind(lambda spec, count: rejection_words(spec, count), ("m", "dp", "max_attempts"), (),
+    "rejection": _Kind(lambda spec, count: rejection_words(spec, count), ("d", "m", "dp", "max_attempts"), (),
                        _members),
-    "switch_mcmc": _Kind(lambda spec, count: (switch_mcmc_words(spec, count), count), ("m", "dp", "steps"), (),
+    "switch_mcmc": _Kind(lambda spec, count: (switch_mcmc_words(spec, count), count), ("d", "m", "dp", "steps"), (),
                          _members),
     "permutation_model": _Kind(
-        lambda spec, count: (permutation_batch(spec, count), count), ("m", "dp"), (),
+        lambda spec, count: (permutation_batch(spec, count), count), ("d", "m", "dp"), (),
         lambda spec, batch: [PermutationTuple(tuple(map(tuple, s)), spec.n) for s in batch.tolist()],
     ),
     "erdos_renyi": _Kind(lambda spec, count: (er_words(spec, count), count), ("p",), ("p",),

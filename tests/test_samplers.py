@@ -53,7 +53,7 @@ class TestSpec:
         with pytest.raises(ValueError):
             SamplerSpec(kind="erdos_renyi", n=5, p=1.5)
 
-    @pytest.mark.parametrize("field", ["m", "dp", "steps"])
+    @pytest.mark.parametrize("field", ["m", "dp", "steps", "d"])
     def test_er_rejects_fields_it_does_not_read(self, field):
         with pytest.raises(ValueError, match=f"'{field}' is not read by kind 'erdos_renyi'"):
             SamplerSpec(kind="erdos_renyi", n=3, p=0.5, **{field: 2})
@@ -76,12 +76,14 @@ class TestSpec:
     @settings(max_examples=200, deadline=None)
     @given(st.sampled_from(SAMPLER_KINDS), st.sets(st.sampled_from(["m", "dp", "p", "steps", "max_attempts"])))
     def test_accepts_exactly_the_fields_its_kind_reads(self, kind, names):
-        # In range at n = 6, d = 2; erdos_renyi cannot do without p.
+        # In range at n = 6, d = 2; erdos_renyi cannot do without p, and
+        # reads no d.
         values = dict(m=6, dp=2, p=0.5, steps=10, max_attempts=100)
         required = {"p"} if kind == "erdos_renyi" else set()
         accepted = names <= set(_KINDS[kind].reads) and required <= names
+        d = 2 if "d" in _KINDS[kind].reads else 0
         try:
-            SamplerSpec(kind=kind, n=6, d=2, **{name: values[name] for name in names})
+            SamplerSpec(kind=kind, n=6, d=d, **{name: values[name] for name in names})
         except ValueError:
             assert not accepted
         else:
