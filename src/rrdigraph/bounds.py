@@ -342,6 +342,10 @@ def corollary_good_event(
     this routine samples from it and reports the violation frequency and
     the worst normalised discrepancy.  Probabilistic statement: reported,
     never asserted.
+
+    A library-only helper: no CLI command or tail run calls it.  Its
+    default stream is `np.random.default_rng(0)`, not a (seed, stream)
+    Philox key like the samplers'; pass `rng` to sample another stream.
     """
     if not 0 < eps < 1:
         raise ValueError("eps must lie in (0, 1)")

@@ -12,6 +12,7 @@ import pytest
 from rrdigraph import exchangeable, verify
 from rrdigraph.bounds import TailBoundSpec, eval_bound
 from rrdigraph.exchangeable import InvariantViolation, good_event_co
+from rrdigraph.matrices import BiregularBitMatrix, InvalidMatrixError
 from rrdigraph.verify import run_suite
 
 from conftest import reflection_vf_oracle, switching_vf_oracle
@@ -311,6 +312,47 @@ class TestAttribution:
 
         monkeypatch.setattr(exchangeable, "_bad_mask", inverted)
         self._site_step_only_fails()
+
+
+class TestMembershipCheck:
+    """The membership record books an InvalidMatrixError from `validate` as a
+    failure; any other exception there is a bug in the check, so it
+    propagates out of the suite."""
+
+    n, d, samples = 12, 3, 20
+    _MEMBER = "switching outputs stay in the class"
+
+    def _plant(self, monkeypatch, exc):
+        # Planted once the class is drawn, so only the suite's own calls raise.
+        def planted(mat):
+            raise exc
+
+        original = verify._sample_matrices
+
+        def sample_then_plant(*args):
+            mats = original(*args)
+            monkeypatch.setattr(BiregularBitMatrix, "validate", planted)
+            return mats
+
+        monkeypatch.setattr(verify, "_sample_matrices", sample_then_plant)
+
+    def test_other_exceptions_propagate(self, monkeypatch):
+        self._plant(monkeypatch, TypeError("planted bug in validate"))
+        with pytest.raises(TypeError, match="planted bug in validate"):
+            run_suite("switching", self.n, self.d, self.samples, seed=4)
+
+    def test_invalid_matrix_fails_only_the_membership_record(self, monkeypatch):
+        (clean,) = run_suite("switching", self.n, self.d, self.samples, seed=4)
+        self._plant(monkeypatch, InvalidMatrixError("planted non-member"))
+        (result,) = run_suite("switching", self.n, self.d, self.samples, seed=4)
+        for before, after in zip(clean.records, result.records):
+            if after.invariant == self._MEMBER:
+                assert before.status == "pass" and before.checked > 0
+                assert (after.status, after.checked, after.detail) == (
+                    "fail", before.checked, "planted non-member",
+                )
+            else:
+                assert after == before
 
 
 class TestOneSelfBoundTable:
