@@ -21,12 +21,12 @@ no-op (exit 4), `bound` once per theorem, `enumerate --count-only`, and
 `sigma2` with and without `--alpha`.  They run in `tests/golden/`, so the
 `matrix_*.txt` inputs are echoed by the name `--in` gives them.
 
-In the tail and payload outputs, integers, booleans and strings compare exactly.
-Floats compare at 1e-12 relative, not bit for bit: the confidence limits
-and the bounds go through libm's exp and log and NumPy's reductions, whose
-last bits may differ between platforms and NumPy builds (CI's floor-pin
-job runs NumPy 2.0), so an exact comparison would fail correct builds.  A
-failure names the first differing path.
+In the tail and payload outputs, integers, booleans and strings compare
+exactly.  Floats compare at 1e-12 relative, not bit for bit: the
+confidence limits and the bounds go through libm's exp and log and NumPy's
+reductions, whose last bits may differ between platforms and NumPy builds
+(CI's floor-pin job runs NumPy 2.0), so an exact comparison would fail
+correct builds.  A failure names the first differing path.
 
 After an intended change, rewrite the expected files with
 
