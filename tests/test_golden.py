@@ -1,5 +1,5 @@
 """Golden outputs of `rrdigraph tail`, `sample`, `stats`, `couple`, `bound`,
-`enumerate` and `sigma2`.
+`enumerate`, `sigma2` and `verify`.
 
 Tail: one small valid config per tail statistic, with the CSV and the
 metadata (less `wall_time_s`) that `rrdigraph tail` must write.  Each case
@@ -17,8 +17,10 @@ Payload: each `<command>_<case>.argv` of the other commands (the flags
 after the command) with the `.json` that holds the exit code and the one
 JSON payload that `cli.main` must print: `stats` on a square, a 6 x 9 and a
 1 x 5 matrix, `couple` with a switch applied and a reflection that is a
-no-op (exit 4), `bound` once per theorem, `enumerate --count-only`, and
-`sigma2` with and without `--alpha`.  They run in `tests/golden/`, so the
+no-op (exit 4), `bound` once per theorem, `enumerate --count-only`,
+`sigma2` with and without `--alpha`, and `verify --suite all` on the four
+configs whose records `tests/test_verify.py::TestPinnedPayload` also pins
+by digest.  They run in `tests/golden/`, so the
 `matrix_*.txt` inputs are echoed by the name `--in` gives them.
 
 In the tail and payload outputs, integers, booleans and strings compare
