@@ -4,7 +4,7 @@ The package is organised around the adjacency-matrix view of a d-regular
 digraph (an n x n 0/1 matrix with all line sums d, self-loops allowed)
 and its biregular m x n generalisation:
 
-* ``matrices``      core types, codegrees, edge counts, discrepancy
+* ``matrices``      core types, codegrees, edge counts, the text format
 * ``samplers``      rejection / switch-chain / permutation-model / ER
                     draws behind ``draw`` and ``sample_many``, and
                     exhaustive enumeration
@@ -14,8 +14,7 @@ and its biregular m x n generalisation:
 * ``bounds``        closed-form tail bound evaluators, deterministic
                     pseudorandomness implication checks
 * ``spectral``      second singular value and exact jumbledness
-* ``experiments``   Monte Carlo tail harness, uniformity tests, the
-                    non-crossing walk fraction
+* ``experiments``   Monte Carlo tail harness
 * ``verify``        sampled invariant suites behind `rrdigraph verify`
 """
 
@@ -24,12 +23,10 @@ __version__ = "0.1.0"
 from .matrices import (
     BiregularBitMatrix,
     CodegreeRecord,
-    DiscrepancyResult,
     InvalidMatrixError,
     VertexSetPair,
     codegree,
     complement,
-    discrepancy,
     edge_count,
     format_matrices,
     format_matrix,
@@ -53,10 +50,8 @@ from .couplings import (
     MinorClassCounts,
     RowOrder,
     SwitchSite,
-    bad_pair_count,
     classify_site,
     column_walk,
-    count_minor_classes,
     reflect,
     simple_switch,
 )
@@ -68,7 +63,6 @@ from .exchangeable import (
     chatterjee_tail,
     good_event_co,
     permutation_diagnostics,
-    permutation_f,
     reflection_f,
     reflection_vf,
     switching_f,
@@ -78,7 +72,6 @@ from .bounds import (
     BoundValue,
     TailBoundSpec,
     check_pseudorandom_implication,
-    corollary_good_event,
     eval_bound,
 )
 from .spectral import SpectralReport, alpha_exact, sigma2
@@ -86,8 +79,6 @@ from .experiments import (
     ExperimentConfig,
     TailExperimentResult,
     binomial_ci,
-    catalan_walk_check,
     run_tail_experiment,
-    uniformity_test,
 )
 from .verify import run_suite

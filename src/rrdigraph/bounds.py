@@ -27,11 +27,9 @@ __all__ = [
     "TailBoundSpec",
     "BoundValue",
     "PseudorandomReport",
-    "DiscrepancyFamilyReport",
     "THEOREMS",
     "eval_bound",
     "check_pseudorandom_implication",
-    "corollary_good_event",
 ]
 
 # Chosen defaults for constants the statements leave unspecified.
@@ -318,61 +316,3 @@ def check_pseudorandom_implication(
         eps, True, n * worst, threshold, checked, tuple(violations)
     )
 
-
-@dataclass(frozen=True)
-class DiscrepancyFamilyReport:
-    eps: float
-    size_threshold: float
-    vacuous: bool  # threshold exceeds n: empty family
-    checked: int
-    violations: int
-    max_normalized: float  # max disc/mu_hat seen over the family
-
-
-def corollary_good_event(
-    matrix: BiregularBitMatrix,
-    eps: float,
-    c0: float = 4.0,
-    samples: int = 1000,
-    rng: Optional[np.random.Generator] = None,
-) -> DiscrepancyFamilyReport:
-    """Empirical sweep of disc(A,B) <= eps*mu_hat over large random sets.
-
-    The family is all (A, B) with both sizes at least c0*log(n)/(eps^2 p);
-    this routine samples from it and reports the violation frequency and
-    the worst normalised discrepancy.  Probabilistic statement: reported,
-    never asserted.
-
-    A library-only helper: no CLI command or tail run calls it.  Its
-    default stream is `np.random.default_rng(0)`, not a (seed, stream)
-    Philox key like the samplers'; pass `rng` to sample another stream.
-    """
-    if not 0 < eps < 1:
-        raise ValueError("eps must lie in (0, 1)")
-    n, d = matrix.n, matrix.d
-    if d == 0:
-        return DiscrepancyFamilyReport(eps, float("inf"), True, 0, 0, 0.0)
-    p = d / n
-    threshold = c0 * math.log(n) / (eps * eps * p) if n > 1 else 0.0
-    lo = max(1, math.ceil(threshold))
-    if lo > n:
-        return DiscrepancyFamilyReport(eps, threshold, True, 0, 0, 0.0)
-    rng = np.random.default_rng(0) if rng is None else rng
-    checked = 0
-    violations = 0
-    max_norm = 0.0
-    for _ in range(samples):
-        a = int(rng.integers(lo, n + 1))
-        b = int(rng.integers(lo, n + 1))
-        A = rng.choice(n, size=a, replace=False)
-        B = rng.choice(n, size=b, replace=False)
-        pair = VertexSetPair.of((int(x) for x in A), (int(x) for x in B))
-        mu_hat = pair.mu_hat(matrix)
-        e = edge_count(matrix, pair)
-        disc = abs(Fraction(e) - pair.mu(matrix))
-        checked += 1
-        if mu_hat > 0:
-            max_norm = max(max_norm, float(disc / mu_hat))
-        if disc > Fraction(eps) * mu_hat:
-            violations += 1
-    return DiscrepancyFamilyReport(eps, threshold, False, checked, violations, max_norm)

@@ -37,8 +37,6 @@ __all__ = [
     "simple_switch",
     "column_walk",
     "reflect",
-    "bad_pair_count",
-    "count_minor_classes",
 ]
 
 # Cells per block of the vectorised walk scans here and in the exact v_f
@@ -208,35 +206,19 @@ def _bad_mask(matrix: BiregularBitMatrix, i1: int, i2: int) -> tuple:
     return ex1, ex2, bad, walk_rows
 
 
-def bad_pair_count(matrix: BiregularBitMatrix, i1: int, i2: int) -> int:
-    """Number of non-reflecting pairs in Ex(i1,i2) x Ex(i2,i1).
-
-    Bounded by ex^2 <= min(d, n-d)^2; each candidate walk is O(m) with the
-    scan vectorised over all candidate pairs at once.
-    """
-    return int(_bad_mask(matrix, i1, i2)[2].sum())
-
-
 class MinorClassCounts(NamedTuple):
     nK: int  # ordered column pairs whose (i1,i2) minor is K = [[1,0],[1,0]]
     nI_reflecting: int
     nI_bad: int
 
 
-def count_minor_classes(matrix: BiregularBitMatrix, i1: int, i2: int) -> MinorClassCounts:
-    """Counts of K minors and of reflecting/bad I minors over all column pairs.
-
-    nK = co * (n - 2d + co) and nI_reflecting + nI_bad = ex^2; the direct
-    O(n^2) scan is kept to the test oracle.
-    """
-    return _minor_class_counts(matrix, i1, i2, bad_pair_count(matrix, i1, i2))
-
-
 def _minor_class_counts(
     matrix: BiregularBitMatrix, i1: int, i2: int, b: int
 ) -> MinorClassCounts:
-    """count_minor_classes given the bad-pair count b."""
-    rec = codegree(matrix, i1, i2, "out")
+    """Counts of K minors and of reflecting/bad I minors over all column pairs,
+    given the bad-pair count b: nK = co * (n - 2d + co) and nI_reflecting +
+    nI_bad = ex^2."""
+    rec = codegree(matrix, i1, i2)
     zero_zero = matrix.n - 2 * matrix.d + rec.co
     return MinorClassCounts(
         nK=rec.co * zero_zero,

@@ -49,7 +49,6 @@ __all__ = [
     "reflection_vf",
     "switching_f",
     "switching_vf",
-    "permutation_f",
     "permutation_diagnostics",
     "chatterjee_tail",
     "good_event_co",
@@ -156,7 +155,7 @@ def _reflection_f(
     """f at scale n from the bad-pair count b: #K - #reflecting I minors,
     cross-checked against n*co - d^2 + b."""
     counts = _minor_class_counts(matrix, i1, i2, b)
-    rec = codegree(matrix, i1, i2, "out")
+    rec = codegree(matrix, i1, i2)
     f_scaled = counts.nK - counts.nI_reflecting
     shifted = matrix.n * rec.co - matrix.d**2 + counts.nI_bad
     if f_scaled != shifted:
@@ -484,11 +483,6 @@ def permutation_diagnostics(
     constants = SELF_BOUND["permutation"](n, n, d, a, b)
     v_f = Fraction(s_total, 2 * n) + Fraction(t_total, n)
     return _check_self_bound(CouplingDiagnostics("permutation", s_total, n, *constants, v_f=v_f))
-
-
-def permutation_f(pi: PermutationTuple, pair: VertexSetPair) -> Fraction:
-    """f(pi) = e_pi(A, B) - d*a*b/n as an exact rational."""
-    return permutation_diagnostics(pi, pair).f
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Monte Carlo tail experiments and standalone combinatorial checks.
+"""Monte Carlo tail experiments.
 
 The harness estimates, for a grid of deviation values, the empirical
 probability of a deviation event (optionally intersected with the
@@ -25,17 +25,14 @@ from typing import Callable, List, Optional, Tuple, Union, get_args, get_origin,
 import numpy as np
 
 from .bounds import _THEOREMS, BoundValue, TailBoundSpec, eval_bound
-from .matrices import codegree_extremes, rows_to_words, words_to_rows
-from .samplers import CLASS_KINDS, SamplerSpec, check_ranges, check_reads, draw, enumerate_all, fields_named
+from .matrices import codegree_extremes, rows_to_words
+from .samplers import CLASS_KINDS, SamplerSpec, check_ranges, check_reads, draw, fields_named
 
 __all__ = [
     "ExperimentConfig",
     "TailRow",
     "TailExperimentResult",
-    "UniformityResult",
     "run_tail_experiment",
-    "catalan_walk_check",
-    "uniformity_test",
     "binomial_ci",
     "result_to_csv",
     "CSV_HEADER",
@@ -216,8 +213,8 @@ def binomial_ci(k: int, n: int, confidence: float = 0.95) -> Tuple[float, float]
     # 1.2e-14 at n = 100000, where each O(n)-sized term of the log tail
     # carries an ulp, and 3.3e-14 for betaincinv itself at n = 4881.  Cost:
     # 0.16-0.6 ms per call at n = 4096 and 0.17-1.9 ms at n = 20000 on a
-    # 2-core Xeon, mostly the tail sums of 5-13 Newton steps.  No SciPy: the
-    # package imports it only in uniformity_test.
+    # 2-core Xeon, mostly the tail sums of 5-13 Newton steps.  No SciPy: NumPy
+    # is the package's only runtime dependency.
     check_ranges("binomial_ci", ("k", k, 0, n))
     if not 0.0 < confidence < 1.0:
         raise ValueError("need 0 < confidence < 1")
@@ -354,17 +351,21 @@ def _perm_edge_events(cfg: ExperimentConfig, perms: np.ndarray) -> List[np.ndarr
     return [dev >= t for t in _ceil_scaled(cfg.grid, d * a * b)]
 
 
-# Erdos-Renyi baselines; p is a float so events compare in floats here.
+# Erdos-Renyi baselines: |X - c| >= eps * c about the mean c, exactly.
+def _two_sided_events(x: np.ndarray, center: Fraction, grid) -> List[np.ndarray]:
+    """Per grid value eps, X >= ceil((1 + eps) c) or X <= floor((1 - eps) c)."""
+    return [(x >= math.ceil((1 + eps) * center)) | (x <= math.floor((1 - eps) * center))
+            for eps in map(Fraction, grid)]
+
+
 def _er_codegree_events(cfg: ExperimentConfig, words: np.ndarray) -> List[np.ndarray]:
-    center = cfg.sampler.p * cfg.sampler.p * cfg.sampler.n
-    dev = np.abs(_row_codegree(cfg, words) - center)
-    return [dev >= eps * center for eps in cfg.grid]
+    center = Fraction(cfg.sampler.p) ** 2 * cfg.sampler.n
+    return _two_sided_events(_row_codegree(cfg, words), center, cfg.grid)
 
 
 def _er_edge_events(cfg: ExperimentConfig, words: np.ndarray) -> List[np.ndarray]:
-    center = cfg.sampler.p * cfg.a * cfg.b
-    dev = np.abs(_box_edges(cfg, words) - center)
-    return [dev >= eps * center for eps in cfg.grid]
+    center = Fraction(cfg.sampler.p) * cfg.a * cfg.b
+    return _two_sided_events(_box_edges(cfg, words), center, cfg.grid)
 
 
 # The config field that feeds each theorem field; the sampler feeds m and p.
@@ -499,99 +500,3 @@ def result_to_csv(result: TailExperimentResult) -> str:
         )
     return "\n".join(lines) + "\n"
 
-
-# ---------------------------------------------------------------------------
-# Standalone combinatorial checks
-# ---------------------------------------------------------------------------
-
-
-def catalan_walk_check(r: int) -> Fraction:
-    """Exact fraction of (r-1, r-1) step orderings that never reach +1.
-
-    Enumerates all C(2(r-1), r-1) placements of the +1 steps; a walk from
-    0 that never hits +1 is counted.  The count is the Catalan number
-    C_{r-1}, so the returned fraction is exactly 1/r.
-    """
-    check_ranges("catalan_walk_check", ("r", r, 1, 10))
-    import itertools
-
-    steps = 2 * (r - 1)
-    total = math.comb(steps, r - 1)
-    non_crossing = 0
-    for ups in itertools.combinations(range(steps), r - 1):
-        up_set = set(ups)
-        pos = 0
-        ok = True
-        for t in range(steps):
-            pos += 1 if t in up_set else -1
-            if pos == 1:
-                ok = False
-                break
-        non_crossing += ok
-    return Fraction(non_crossing, total)
-
-
-@dataclass(frozen=True)
-class UniformityResult:
-    tv_distance: float
-    chi_sq_p: Optional[float]  # None on a one-member class, where no test is possible
-    class_size: int
-    samples: int
-    min_count: int
-    max_count: int
-
-    @property
-    def vacuous(self) -> bool:
-        """True on a one-member class (d = 0 or d = n): every sampler is
-        uniform there, so the result is no evidence either way."""
-        return self.class_size == 1
-
-
-def uniformity_test(sampler: SamplerSpec, N: int) -> UniformityResult:
-    """Empirical distribution over the sampler's enumerated class vs uniform.
-
-    Requires enumerate_all to be feasible for the sampler's (m, n, d, dp).
-    Returns the total-variation distance and the chi-square p-value against
-    the uniform distribution; sampling is sharded exactly like the tail
-    harness, so the result is reproducible per (sampler, N).  On a one-member
-    class the chi-square test has no degrees of freedom: `chi_sq_p` is None
-    and `vacuous` is true.
-    """
-    if sampler.kind not in CLASS_KINDS:
-        raise ValueError("uniformity_test needs a class-valued sampler")
-    index = {}
-    for i, mat in enumerate(enumerate_all(sampler.m, sampler.n, sampler.d, sampler.dp)):
-        index[mat.rows] = i
-    size = len(index)
-    counts = np.zeros(size, dtype=np.int64)
-
-    produced = 0
-    shard = 0
-    while produced < N:
-        take = min(SHARD_SIZE, N - produced)
-        words, _ = draw(dataclasses.replace(sampler, stream=sampler.stream + shard), take)
-        for row_key in words_to_rows(words):
-            counts[index[row_key]] += 1
-        produced += take
-        shard += 1
-
-    emp = counts / N
-    tv = 0.5 * float(np.abs(emp - 1.0 / size).sum())
-    chi_sq_p = None
-    if size > 1:
-        # The only SciPy import in the package, kept inside the function.
-        from scipy.special import chdtrc
-
-        # Pearson's statistic against equal expected counts, and its upper
-        # tail on size - 1 degrees of freedom.
-        expected = N / size
-        chi_sq = float(((counts - expected) ** 2 / expected).sum())
-        chi_sq_p = float(chdtrc(size - 1, chi_sq))
-    return UniformityResult(
-        tv_distance=tv,
-        chi_sq_p=chi_sq_p,
-        class_size=size,
-        samples=N,
-        min_count=int(counts.min()),
-        max_count=int(counts.max()),
-    )

@@ -27,10 +27,8 @@ __all__ = [
     "VertexSetPair",
     "CodegreeRecord",
     "InvalidMatrixError",
-    "DiscrepancyResult",
     "codegree",
     "edge_count",
-    "discrepancy",
     "complement",
     "parse_matrix",
     "parse_matrices",
@@ -211,18 +209,9 @@ class BiregularBitMatrix:
         return Fraction(self.d, self.n)
 
     @property
-    def theta(self) -> Fraction:
-        """Aspect ratio m/n = dp/d."""
-        return Fraction(self.m, self.n)
-
-    @property
     def d_hat(self) -> int:
         """min(d, n - d): row degree of the sparser of M and its complement."""
         return min(self.d, self.n - self.d)
-
-    @property
-    def p_hat(self) -> Fraction:
-        return Fraction(self.d_hat, self.n)
 
     # -- views ------------------------------------------------------------------
 
@@ -311,7 +300,7 @@ class VertexSetPair:
 
 @dataclass(frozen=True)
 class CodegreeRecord:
-    """Common/exclusive neighbour counts of one ordered vertex pair.
+    """Common/exclusive out-neighbour counts of one ordered row pair.
 
     co + ex = d and the count of columns where both rows vanish equals
     n - 2d + co; both identities are exact integers.
@@ -319,31 +308,17 @@ class CodegreeRecord:
 
     co: int
     ex: int
-    direction: str  # "out" | "in"
-
-    def zero_zero(self, matrix: BiregularBitMatrix) -> int:
-        n = matrix.n if self.direction == "out" else matrix.m
-        d = matrix.d if self.direction == "out" else matrix.dp
-        return n - 2 * d + self.co
 
 
-def codegree(
-    matrix: BiregularBitMatrix, i1: int, i2: int, direction: str = "out"
-) -> CodegreeRecord:
-    """Number of common (out- or in-) neighbours of vertices i1, i2."""
-    if direction not in ("out", "in"):
-        raise ValueError(f"direction must be 'out' or 'in', got {direction!r}")
+def codegree(matrix: BiregularBitMatrix, i1: int, i2: int) -> CodegreeRecord:
+    """Number of common out-neighbours of rows i1, i2 (the in-codegree of two
+    columns is the out-codegree of `matrix.transpose()`)."""
     if i1 == i2:
         raise ValueError("codegree requires two distinct indices")
-    limit, deg = (matrix.m, matrix.d) if direction == "out" else (matrix.n, matrix.dp)
-    if not (0 <= i1 < limit and 0 <= i2 < limit):
-        raise IndexError(f"indices ({i1}, {i2}) out of range [0, {limit})")
-    if direction == "out":
-        co = (matrix.rows[i1] & matrix.rows[i2]).bit_count()
-    else:  # the rows that hold both columns
-        both = (1 << int(i1)) | (1 << int(i2))
-        co = sum(r & both == both for r in matrix.rows)
-    return CodegreeRecord(co=co, ex=deg - co, direction=direction)
+    if not (0 <= i1 < matrix.m and 0 <= i2 < matrix.m):
+        raise IndexError(f"indices ({i1}, {i2}) out of range [0, {matrix.m})")
+    co = (matrix.rows[i1] & matrix.rows[i2]).bit_count()
+    return CodegreeRecord(co=co, ex=matrix.d - co)
 
 
 def edge_count(matrix: BiregularBitMatrix, pair: VertexSetPair) -> int:
@@ -351,28 +326,6 @@ def edge_count(matrix: BiregularBitMatrix, pair: VertexSetPair) -> int:
     pair.validate(matrix)
     bmask = pair.col_mask()
     return sum((matrix.rows[i] & bmask).bit_count() for i in pair.rows)
-
-
-@dataclass(frozen=True)
-class DiscrepancyResult:
-    disc: float
-    normalized: float  # disc / mu_hat; NaN when degenerate
-    degenerate: bool
-
-
-def discrepancy(matrix: BiregularBitMatrix, pair: VertexSetPair) -> DiscrepancyResult:
-    """|e(A,B) - mu(A,B)| and its mu_hat-normalised value.
-
-    mu_hat = 0 (empty/full sets with d in {0, n}) is reported as degenerate
-    rather than dividing.
-    """
-    e = edge_count(matrix, pair)
-    mu = pair.mu(matrix)
-    mu_hat = pair.mu_hat(matrix)
-    disc = abs(Fraction(e) - mu)
-    if mu_hat == 0:
-        return DiscrepancyResult(float(disc), float("nan"), True)
-    return DiscrepancyResult(float(disc), float(disc / mu_hat), False)
 
 
 def complement(matrix: BiregularBitMatrix) -> BiregularBitMatrix:

@@ -308,7 +308,7 @@ def run_suite(
     # Every suite draws two distinct columns (or points), and the class
     # suites two distinct rows.
     check_ranges("verify", ("n", n, 2), ("m", config["m"] if class_suites else None, 2),
-                 ("samples", samples, 0))
+                 ("samples", samples, 1))
     unread = [name for name, value in (("m", m), ("dp", dp)) if value is not None]
     if unread and not class_suites:
         raise ValueError(f"verify field {unread[0]!r} is not read: only the class suites draw matrices")

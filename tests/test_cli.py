@@ -839,7 +839,7 @@ class TestFieldNamedInMessages:
         "argv, message",
         [
             (["verify", "--suite", "all", "--n", "8", "--d", "3", "--samples", "-3"],
-             "verify field 'samples' must be >= 0, got -3"),
+             "verify field 'samples' must be >= 1, got -3"),
             (["sample", "--kind", "rejection", "--n", "0", "--d", "0"],
              "sampler field 'n' must be >= 1, got 0"),
             (["sample", "--kind", "switch_mcmc", "--n", "3", "--m", "0", "--d", "0", "--dp", "0"],

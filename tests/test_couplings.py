@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 from rrdigraph.couplings import (
     RowOrder,
     SwitchSite,
-    bad_pair_count,
+    _bad_mask,
+    _minor_class_counts,
     classify_site,
     column_walk,
-    count_minor_classes,
     reflect,
     simple_switch,
 )
@@ -27,6 +27,15 @@ from conftest import (
 
 PARALLEL = matrix_from_strings(["1100", "1100", "0011", "0011"])
 CROSSED = matrix_from_strings(["1100", "0011", "1010", "0101"])
+
+
+def _bad_pairs(mat, i1, i2):
+    """The non-reflecting pairs in Ex(i1,i2) x Ex(i2,i1)."""
+    return int(_bad_mask(mat, i1, i2)[2].sum())
+
+
+def _minor_classes(mat, i1, i2):
+    return _minor_class_counts(mat, i1, i2, _bad_pairs(mat, i1, i2))
 
 
 def _random_instances(n, d, count, seed, steps=400):
@@ -171,23 +180,23 @@ class TestReflect:
 
 class TestBadPairs:
     def test_identical_rows_have_no_candidates(self):
-        assert bad_pair_count(PARALLEL, 0, 1) == 0
+        assert _bad_pairs(PARALLEL, 0, 1) == 0
 
     def test_crossed_example_matches_naive(self):
         n_k, n_i, n_i_refl = naive_minor_scan(CROSSED, 0, 1)
-        assert bad_pair_count(CROSSED, 0, 1) == n_i - n_i_refl
+        assert _bad_pairs(CROSSED, 0, 1) == n_i - n_i_refl
 
     def test_matches_naive_everywhere_on_class(self, class_4_2):
         for mat in class_4_2[::5]:
             for i1, i2 in itertools.permutations(range(4), 2):
                 n_k, n_i, n_i_refl = naive_minor_scan(mat, i1, i2)
-                assert bad_pair_count(mat, i1, i2) == n_i - n_i_refl
+                assert _bad_pairs(mat, i1, i2) == n_i - n_i_refl
 
     def test_matches_naive_sampled(self, pool_8_3):
         for mat in pool_8_3[:12]:
             for i1, i2 in ((0, 1), (2, 6), (7, 3)):
                 n_k, n_i, n_i_refl = naive_minor_scan(mat, i1, i2)
-                counts = count_minor_classes(mat, i1, i2)
+                counts = _minor_classes(mat, i1, i2)
                 assert counts.nK == n_k
                 assert counts.nI_bad == n_i - n_i_refl
                 assert counts.nI_reflecting == n_i_refl
@@ -215,7 +224,7 @@ class TestBadPairs:
         assert hits_plus_one(up_first) and not hits_plus_one(down_first)
         # The library's count is pinned to the canonical order and is
         # reproducible.
-        assert bad_pair_count(mat, 0, 2) == bad_pair_count(mat, 0, 2)
+        assert _bad_pairs(mat, 0, 2) == _bad_pairs(mat, 0, 2)
         assert naive_reflecting(mat, 0, 2, RowOrder(0, 2)) == (
             column_walk(mat, 0, 2, RowOrder(0, 2)).reflecting
         )
@@ -223,22 +232,22 @@ class TestBadPairs:
     def test_bounded_by_ex_squared(self, pool_8_3):
         for mat in pool_8_3:
             rec = codegree(mat, 0, 1)
-            assert 0 <= bad_pair_count(mat, 0, 1) <= rec.ex**2 <= mat.d_hat**2
+            assert 0 <= _bad_pairs(mat, 0, 1) <= rec.ex**2 <= mat.d_hat**2
 
     def test_errors(self):
         with pytest.raises(ValueError):
-            bad_pair_count(PARALLEL, 2, 2)
+            _bad_pairs(PARALLEL, 2, 2)
 
 
 class TestMinorClassCounts:
     def test_identical_rows(self):
-        counts = count_minor_classes(PARALLEL, 0, 1)
+        counts = _minor_classes(PARALLEL, 0, 1)
         d, n = 2, 4
         assert counts.nK == d * (n - d)
         assert counts.nI_reflecting == 0 and counts.nI_bad == 0
 
     def test_disjoint_rows_have_no_K(self):
-        counts = count_minor_classes(CROSSED, 0, 1)
+        counts = _minor_classes(CROSSED, 0, 1)
         assert counts.nK == 0
 
     def test_formula_vs_direct_scan_sampled(self):
@@ -246,7 +255,7 @@ class TestMinorClassCounts:
         for mat in mats:
             for i1, i2 in ((0, 1), (4, 2)):
                 n_k, n_i, n_i_refl = naive_minor_scan(mat, i1, i2)
-                counts = count_minor_classes(mat, i1, i2)
+                counts = _minor_classes(mat, i1, i2)
                 assert counts == (n_k, n_i_refl, n_i - n_i_refl)
                 rec = codegree(mat, i1, i2)
                 assert counts.nK == rec.co * (mat.n - 2 * mat.d + rec.co)

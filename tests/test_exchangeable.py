@@ -13,7 +13,6 @@ from rrdigraph.exchangeable import (
     chatterjee_tail,
     good_event_co,
     permutation_diagnostics,
-    permutation_f,
     reflection_f,
     reflection_vf,
     switching_f,
@@ -330,12 +329,12 @@ class TestExactVfKernels:
 class TestPermutationCoupling:
     def test_tiny_example(self):
         pt = PermutationTuple(((0, 1),), 2)
-        assert permutation_f(pt, VertexSetPair.of([0], [0])) == Fraction(1, 2)
+        assert permutation_diagnostics(pt, VertexSetPair.of([0], [0])).f == Fraction(1, 2)
 
     def test_full_B_gives_zero(self):
         spec = SamplerSpec(kind="permutation_model", n=6, d=2, seed=6)
         pt = sample_many(spec, 1)[0]
-        assert permutation_f(pt, VertexSetPair.of([0, 3], range(6))) == 0
+        assert permutation_diagnostics(pt, VertexSetPair.of([0, 3], range(6))).f == 0
 
     def test_identity_and_bound_random(self):
         spec = SamplerSpec(kind="permutation_model", n=40, d=3, seed=40)
@@ -389,9 +388,9 @@ class TestPermutationCoupling:
     def test_rejects_improper_A(self):
         pt = PermutationTuple(((0, 1, 2),), 3)
         with pytest.raises(ValueError):
-            permutation_f(pt, VertexSetPair.of(range(3), [0]))
+            permutation_diagnostics(pt, VertexSetPair.of(range(3), [0]))
         with pytest.raises(ValueError):
-            permutation_f(pt, VertexSetPair.of([], [0]))
+            permutation_diagnostics(pt, VertexSetPair.of([], [0]))
 
 
 class TestChatterjeeTail:

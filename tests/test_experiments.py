@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import itertools
 import json
@@ -21,13 +22,13 @@ from rrdigraph.experiments import (
     CSV_HEADER,
     ExperimentConfig,
     binomial_ci,
-    catalan_walk_check,
     result_to_csv,
     run_tail_experiment,
-    uniformity_test,
 )
-from rrdigraph.matrices import words_to_dense, words_to_rows
+from rrdigraph.matrices import rows_to_words, words_to_dense, words_to_rows
 from rrdigraph.samplers import SamplerSpec, draw, enumerate_all, switch_mcmc_dense
+
+from oracles import catalan_walk_check, uniformity_test
 
 
 class TestCatalanWalk:
@@ -316,10 +317,12 @@ def _recount(cfg, batch):
             hits = [abs(e - mu) >= Fraction(tau) * mu for tau in cfg.grid]
         elif cfg.statistic == "er_codegree":
             co = sum(u * v for u, v in zip(x[cfg.i1], x[cfg.i2]))
-            hits = [abs(co - p * p * n) >= eps * (p * p * n) for eps in cfg.grid]
+            center = Fraction(p) ** 2 * n
+            hits = [abs(co - center) >= Fraction(eps) * center for eps in cfg.grid]
         else:  # er_edge
             e = sum(x[i][j] for i in range(a) for j in range(b))
-            hits = [abs(e - p * a * b) >= eps * (p * a * b) for eps in cfg.grid]
+            center = Fraction(p) * a * b
+            hits = [abs(e - center) >= Fraction(eps) * center for eps in cfg.grid]
         counts = [c + h for c, h in zip(counts, hits)]
     return counts
 
@@ -353,6 +356,35 @@ class TestRecount:
         # The sizes keep d_hat != d, mu_hat != d*a*b/n and eta*d*(n-d) at
         # an attainable deviation, so those formulas are tested too.
         assert any(0 < k < cfg.N for k in expected)
+
+
+class TestErEventsAreExact:
+    """|X - c| >= eps * c in exact rationals, with c from the float p as the
+    exact rational it is: a float comparison of the same doubles gets each
+    of these cases wrong."""
+
+    @pytest.mark.parametrize(
+        "n, p, eps, co, event",
+        [(50, 0.6, 0.5, 9, False), (110, 0.6, 1.5, 99, True)],
+    )
+    def test_codegree_threshold(self, n, p, eps, co, event):
+        cfg = ExperimentConfig(sampler=SamplerSpec(kind="erdos_renyi", n=n, p=p), statistic="er_codegree",
+                               grid=(eps,), N=1)
+        words = rows_to_words([(1 << co) - 1] * 2 + [0] * (n - 2), n)[None]
+        (mask,) = experiments._STATISTICS["er_codegree"].events(cfg, words)
+        assert mask.tolist() == [event]
+
+    @pytest.mark.parametrize(
+        "n, p, a, b, eps, e, event",
+        [(10, 0.1, 2, 10, 0.5, 3, False), (8, 0.6, 4, 7, 0.25, 21, True)],
+    )
+    def test_edge_threshold(self, n, p, a, b, eps, e, event):
+        cfg = ExperimentConfig(sampler=SamplerSpec(kind="erdos_renyi", n=n, p=p), statistic="er_edge",
+                               grid=(eps,), N=1, a=a, b=b)
+        full, rest = divmod(e, b)  # e ones in the first b columns of the first a rows
+        words = rows_to_words([(1 << b) - 1] * full + [(1 << rest) - 1] + [0] * (n - 1 - full), n)[None]
+        (mask,) = experiments._STATISTICS["er_edge"].events(cfg, words)
+        assert mask.tolist() == [event]
 
 
 class TestTailHarness:
@@ -603,41 +635,43 @@ def test_perm_edge_count_with_b_equal_to_256_labels():
     assert [row.empirical for row in run_tail_experiment(cfg).rows] == [1.0, 0.0]
 
 
-def test_package_import_leaves_scipy_stats_unloaded():
-    # Importing scipy.stats takes a process to about 100 MB of peak RSS and
-    # 1.5 s.  The chi-square p-value comes from scipy.special, so neither
-    # `import rrdigraph` nor a tail run nor a uniformity test may load it.
-    stdout = _run_fresh([
-        "import sys, rrdigraph",
-        "from rrdigraph.experiments import ExperimentConfig, run_tail_experiment, uniformity_test",
-        "from rrdigraph.samplers import SamplerSpec",
-        "print('scipy.stats' in sys.modules)",
-        "cfg = ExperimentConfig(sampler=SamplerSpec(kind='rejection', n=8, d=2), statistic='codegree',",
-        "                       grid=(0.0, 0.5), N=20)",
-        "assert all(0.0 <= row.ci_lo <= row.ci_hi <= 1.0 for row in run_tail_experiment(cfg).rows)",
-        "assert 0.0 <= uniformity_test(SamplerSpec(kind='rejection', n=3, d=1), 60).chi_sq_p <= 1.0",
-        "print('scipy.special' in sys.modules, 'scipy.stats' in sys.modules)",
-    ])
-    assert stdout.split() == ["False", "True", "False"]
-
-
-def test_tail_run_loads_no_scipy():
-    # binomial_ci solves its tail equations itself and a one-member class has
-    # no chi-square test, so neither loads any part of SciPy (scipy.special
+def test_tail_run_loads_no_scipy(tmp_path):
+    # NumPy is the package's only runtime dependency: `import rrdigraph`, a
+    # tail run, `verify` and `sigma2` load no part of SciPy (scipy.special
     # alone takes a process from about 27 to 52 MB of peak RSS).
+    config = tmp_path / "tail.json"
+    config.write_text(json.dumps({"sampler": {"kind": "rejection", "n": 8, "d": 2},
+                                  "statistic": "codegree", "grid": [0.0, 0.5], "N": 20}))
     stdout = _run_fresh([
-        "import sys",
-        "from rrdigraph.experiments import ExperimentConfig, run_tail_experiment, uniformity_test",
-        "from rrdigraph.samplers import SamplerSpec",
-        "cfg = ExperimentConfig(sampler=SamplerSpec(kind='rejection', n=8, d=2), statistic='codegree',",
-        "                       grid=(0.0, 0.5), N=20)",
+        "import contextlib, io, sys",
+        "import rrdigraph",
+        "from rrdigraph.cli import main",
         "scipy = lambda: sorted(name for name in sys.modules if name.split('.')[0] == 'scipy')",
-        "assert all(0.0 <= row.ci_lo < row.ci_hi <= 1.0 for row in run_tail_experiment(cfg).rows)",
         "print(scipy())",
-        "uniformity_test(SamplerSpec(kind='rejection', n=3, d=0), 10)",
-        "print(scipy())",
+        "with contextlib.redirect_stdout(io.StringIO()):",
+        f"    codes = [main(['tail', '--config', {str(config)!r}, '--out', {str(tmp_path / 'tail.csv')!r}]),",
+        "             main(['verify', '--suite', 'all', '--n', '8', '--d', '3', '--samples', '5']),",
+        "             main(['sigma2', '--kind', 'rejection', '--n', '12', '--d', '3'])]",
+        "print(codes, scipy())",
     ])
-    assert stdout.split("\n") == ["[]", "[]", ""]
+    assert stdout.split("\n") == ["[]", "[0, 0, 0] []", ""]
+
+
+def test_no_module_imports_scipy():
+    # SciPy is a test dependency: no module of the package may import it,
+    # at the top or inside a function.
+    package = Path(rrdigraph.__file__).resolve().parent
+    found = []
+    for path in sorted(package.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {name}" for name in names if name.split(".")[0] == "scipy"]
+    assert found == []
 
 
 def _run_fresh(lines):

@@ -210,6 +210,13 @@ class TestClosedGaps:
         code, _, err = run("enumerate", "--n", 3, "--d", 1, "--max-states", -1)
         assert code == 1 and "'max_states'" in err
 
+    @pytest.mark.parametrize("samples", [0, -1])
+    def test_verify_needs_a_sample(self, samples):
+        # With no sample every record would be vacuous and the run "ok".
+        code, out, err = run("verify", "--suite", "all", "--n", 8, "--d", 3, "--samples", samples)
+        assert (code, out) == (1, "")
+        assert f"verify field 'samples' must be >= 1, got {samples}" in err
+
 
 class TestVerifyCsv:
     @pytest.mark.parametrize("suite, n, d", [("reflection", 8, 3), ("all", 8, 3)])

@@ -428,5 +428,5 @@ class TestNegativeSamples:
     @pytest.mark.parametrize("suite", ["all", "reflection", "permutation"])
     def test_refused_before_any_draw(self, monkeypatch, suite):
         monkeypatch.setattr(verify, "sample_many", None)  # any draw would raise TypeError
-        with pytest.raises(ValueError, match=r"verify field 'samples' must be >= 0, got -3"):
+        with pytest.raises(ValueError, match=r"verify field 'samples' must be >= 1, got -3"):
             run_suite(suite, 8, 3, -3)
