@@ -34,7 +34,6 @@ from .matrices import (
     parse_matrix,
 )
 from .samplers import (
-    PermutationTuple,
     RejectionBudgetExhausted,
     ResourceGuardError,
     SamplerSpec,
@@ -50,7 +49,6 @@ from .couplings import (
     MinorClassCounts,
     RowOrder,
     SwitchSite,
-    classify_site,
     column_walk,
     reflect,
     simple_switch,

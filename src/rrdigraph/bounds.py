@@ -14,12 +14,12 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Optional, Sequence, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
 from .exchangeable import SELF_BOUND, chatterjee_tail
-from .matrices import BiregularBitMatrix, VertexSetPair, codegree_extremes, edge_count, rows_to_words
+from .matrices import BiregularBitMatrix, codegree_extremes, rows_to_words
 from .samplers import Above, check_ranges, check_reads
 from .spectral import row_set_extremes
 
@@ -209,11 +209,10 @@ def eval_bound(spec: TailBoundSpec) -> BoundValue:
 
 @dataclass(frozen=True)
 class PseudorandomReport:
-    """With an explicit family, `pairs_checked` counts its qualifying (A, B)
-    and `violations` lists those that break the conclusion.  Without one the
-    unit is a qualifying (A, b), |B| = b: `violations` holds one witness
-    (A, B) per violating (A, b), B the b columns of largest or of smallest
-    column sum over A, as ascending index tuples."""
+    """`pairs_checked` counts the qualifying (A, b), |B| = b, and
+    `violations` holds one witness (A, B) per violating (A, b), B the b
+    columns of largest or of smallest column sum over A, as ascending index
+    tuples."""
 
     eps: float
     hypothesis_holds: bool
@@ -261,11 +260,7 @@ def _extreme_violations(matrix: BiregularBitMatrix, eps: Fraction, lo: int) -> t
     return checked, tuple(violations)
 
 
-def check_pseudorandom_implication(
-    matrix: BiregularBitMatrix,
-    eps: float,
-    pairs: Optional[Iterable[Tuple[Sequence[int], Sequence[int]]]] = None,
-) -> PseudorandomReport:
+def check_pseudorandom_implication(matrix: BiregularBitMatrix, eps: float) -> PseudorandomReport:
     """Check the codegree-to-discrepancy implication on one matrix.
 
     Hypothesis: every distinct row pair has both out- and in-codegree at
@@ -274,10 +269,10 @@ def check_pseudorandom_implication(
 
         |e(A,B)/(p|A||B|) - 1| <= sqrt(2 eps n / max(|A|, |B|)).
 
-    Both sides are compared squared in exact integer arithmetic.  With no
-    explicit family each qualifying (A, b) is checked at its extreme B, for
-    n <= ALPHA_EXACT_CAP; a conclusion violation is a defect, since the
-    implication is deterministic.
+    Both sides are compared squared in exact integer arithmetic.  Each
+    qualifying (A, b) is checked at its extreme B, for n <= ALPHA_EXACT_CAP;
+    a conclusion violation is a defect, since the implication is
+    deterministic.
     """
     check_ranges("implication", ("eps", eps, Above(0)))
     n, d = matrix.n, matrix.d
@@ -297,22 +292,5 @@ def check_pseudorandom_implication(
         return PseudorandomReport(eps, False, n * worst, threshold, 0, ())
 
     lo = max(1, math.ceil(threshold)) if d > 0 else n + 1
-    if pairs is None:
-        checked, violations = _extreme_violations(matrix, eps_frac, lo) if lo <= n else (0, ())
-        return PseudorandomReport(eps, True, n * worst, threshold, checked, violations)
-
-    candidates = [(tuple(A), tuple(B)) for A, B in pairs]
-    violations = []
-    checked = 0
-    for A, B in candidates:
-        a, b = len(A), len(B)
-        if a == 0 or b == 0 or lo > min(a, b):
-            continue
-        checked += 1
-        e = edge_count(matrix, VertexSetPair.of(A, B))
-        if abs(n * e - d * a * b) > _allowed_deviation(n, d, eps_frac, a, b):
-            violations.append((A, B))
-    return PseudorandomReport(
-        eps, True, n * worst, threshold, checked, tuple(violations)
-    )
-
+    checked, violations = _extreme_violations(matrix, eps_frac, lo) if lo <= n else (0, ())
+    return PseudorandomReport(eps, True, n * worst, threshold, checked, violations)

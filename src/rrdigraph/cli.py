@@ -40,7 +40,7 @@ from .matrices import (
     codegree_extremes,
     format_matrix,
     format_matrices,
-    parse_matrices,
+    parse_matrix,
     rows_to_words,
     words_to_dense,
 )
@@ -50,6 +50,7 @@ from .samplers import (
     SAMPLER_KINDS,
     ResourceGuardError,
     SamplerSpec,
+    check_ranges,
     draw,
     enumerate_all,
     fields_named,
@@ -95,11 +96,7 @@ def _resolved_config(args, keys) -> dict:
 
 
 def _read_matrix(path: str) -> BiregularBitMatrix:
-    text = Path(path).read_text()
-    mats = parse_matrices(text)
-    if len(mats) != 1:
-        raise InvalidMatrixError(f"{path} holds {len(mats)} matrices, expected 1")
-    return mats[0]
+    return parse_matrix(Path(path).read_text())
 
 
 # The flags of _add_sampler_flags, by their SamplerSpec field names.
@@ -262,6 +259,7 @@ def _cmd_bound(args) -> int:
 
 
 def _cmd_tail(args) -> int:
+    check_ranges("tail", ("threads", args.threads, 1))
     payload = json.loads(Path(args.config).read_text())
     cfg = ExperimentConfig.from_dict(payload)
     result = run_tail_experiment(cfg, max_workers=args.threads)

@@ -21,7 +21,7 @@ pair's own order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -33,7 +33,6 @@ __all__ = [
     "RowOrder",
     "ColumnWalk",
     "MinorClassCounts",
-    "classify_site",
     "simple_switch",
     "column_walk",
     "reflect",
@@ -44,49 +43,33 @@ __all__ = [
 # does not grow with the class.
 _BLOCK_CELLS = 1 << 18
 
-MINOR_I = ((1, 0), (0, 1))
-MINOR_J = ((0, 1), (1, 0))
-
 
 @dataclass(frozen=True)
 class SwitchSite:
-    """Four indices naming a 2x2 minor; minor_class is filled on classify."""
+    """Four indices naming a 2x2 minor: rows (i1, i2), columns (j1, j2)."""
 
     i1: int
     i2: int
     j1: int
     j2: int
-    minor_class: Optional[str] = None  # "I" | "J" | "other"
 
     def __post_init__(self):
         if self.i1 == self.i2 or self.j1 == self.j2:
             raise ValueError("switch site needs distinct rows and distinct columns")
 
 
-def classify_site(matrix: BiregularBitMatrix, site: SwitchSite) -> SwitchSite:
-    minor = (
-        (matrix.entry(site.i1, site.j1), matrix.entry(site.i1, site.j2)),
-        (matrix.entry(site.i2, site.j1), matrix.entry(site.i2, site.j2)),
-    )
-    if minor == MINOR_I:
-        label = "I"
-    elif minor == MINOR_J:
-        label = "J"
-    else:
-        label = "other"
-    return replace(site, minor_class=label)
-
-
 def simple_switch(matrix: BiregularBitMatrix, site: SwitchSite) -> BiregularBitMatrix:
     """Exchange I <-> J at the site; identity when the minor is not switchable.
 
+    The minor is I or J iff the two rows differ on both columns and each
+    holds exactly one of them, the rule of `samplers._switch_rows`.
     Applying the map twice at the same site returns the input bit-exactly.
     A no-op returns the input object itself.
     """
-    site = classify_site(matrix, site)
-    if site.minor_class == "other":
-        return matrix
     flip = (1 << site.j1) | (1 << site.j2)
+    x, y = matrix.rows[site.i1] & flip, matrix.rows[site.i2] & flip
+    if not (x ^ y == flip and x and y):
+        return matrix
     rows = list(matrix.rows)
     rows[site.i1] ^= flip
     rows[site.i2] ^= flip

@@ -31,10 +31,10 @@ from typing import Iterator, Optional, Tuple, Union
 
 import numpy as np
 
-from .matrices import BiregularBitMatrix, VertexSetPair, _bits, codegree, codegree_extremes
+from .matrices import BiregularBitMatrix, VertexSetPair, _bits, codegree, codegree_deviation
 from .matrices import edge_count, rows_to_words
 from .couplings import _BLOCK_CELLS, _bad_mask, _minor_class_counts
-from .samplers import PermutationTuple, ResourceGuardError, check_ranges
+from .samplers import ResourceGuardError, check_ranges
 
 __all__ = [
     "CouplingDiagnostics",
@@ -444,10 +444,9 @@ def _switching_vf_step(
 # ---------------------------------------------------------------------------
 
 
-def permutation_diagnostics(
-    pi: PermutationTuple, pair: VertexSetPair
-) -> CouplingDiagnostics:
-    """f and exact v_f for the permutation-model pair at (A, B).
+def permutation_diagnostics(perms: np.ndarray, pair: VertexSetPair) -> CouplingDiagnostics:
+    """f and exact v_f for the permutation-model pair at (A, B), from a
+    (d, n) draw whose row k is the k-th permutation.
 
     f is the full (J, I1, I2) enumeration at scale n and must equal
     e_pi(A, B) - d*a*b/n exactly; v_f = f/2 + T/n, where T counts the
@@ -457,8 +456,7 @@ def permutation_diagnostics(
     |A hits| * |A^c misses| pairs raise f and |A misses| * |A^c hits|
     lower it and make up T.
     """
-    n = pi.n
-    d = pi.d
+    d, n = perms.shape
     a, b = pair.a, pair.b
     check_ranges("permutation coupling", ("a", a, 1, n - 1), ("b", b, 1))
     in_a = np.zeros(n, dtype=bool)
@@ -466,7 +464,7 @@ def permutation_diagnostics(
     in_b = np.zeros(n, dtype=bool)
     in_b[sorted(pair.cols)] = True
 
-    hits = in_b[pi.as_array()]  # hits[k, i] = 1(perm_k(i) in B)
+    hits = in_b[perms]  # hits[k, i] = 1(perm_k(i) in B)
     hits_a = np.count_nonzero(hits & in_a, axis=1)
     hits_c = np.count_nonzero(hits, axis=1) - hits_a
     plus = hits_a * (n - a - hits_c)
@@ -515,15 +513,12 @@ def good_event_co(
     """Scan all row pairs for |co - p^2 n| <= eta p(1-p) n, exactly.
 
     The comparison is |n*co - d^2| <= eta * d * (n-d) over the integers
-    (eta exact as a Fraction), so no float tolerance enters.  The max is
-    at the least or greatest codegree, from the tail harness's packed-word
-    kernel `matrices.codegree_extremes`; with no row pair the event holds.
+    (eta exact as a Fraction), so no float tolerance enters.  The max comes
+    from the tail harness's packed-word kernel `matrices.codegree_deviation`;
+    with no row pair the event holds.
     """
     check_ranges("good_event_co", ("eta", eta, 0))
     eta = Fraction(eta)
     n, d = matrix.n, matrix.d
-    worst = 0
-    if matrix.m >= 2:
-        lo, hi = codegree_extremes(rows_to_words(matrix.rows, n)[None])
-        worst = max(abs(n * int(lo[0]) - d * d), abs(n * int(hi[0]) - d * d))
+    worst = int(codegree_deviation(rows_to_words(matrix.rows, n)[None], n, d)[0])
     return GoodEventCo(eta, worst <= eta * d * (n - d), worst, eta * d * (n - d))

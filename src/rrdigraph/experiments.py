@@ -25,7 +25,7 @@ from typing import Callable, List, Optional, Tuple, Union, get_args, get_origin,
 import numpy as np
 
 from .bounds import _THEOREMS, BoundValue, TailBoundSpec, eval_bound
-from .matrices import codegree_extremes, rows_to_words
+from .matrices import codegree_deviation, rows_to_words
 from .samplers import CLASS_KINDS, SamplerSpec, check_ranges, check_reads, draw, fields_named
 
 __all__ = [
@@ -73,6 +73,8 @@ class ExperimentConfig:
         stat = _STATISTICS.get(self.statistic)
         if stat is None:
             raise ValueError(f"unknown statistic {self.statistic!r}")
+        if not self.grid:
+            raise ValueError("config field 'grid' must hold at least one value")
         check_ranges("config", ("N", self.N, 1), *(("grid", g, 0) for g in self.grid),
                      ("good_event_eta", self.good_event_eta, 0))
         if self.sampler.seed:
@@ -102,10 +104,10 @@ class ExperimentConfig:
                     raise ValueError(f"config field {name!r} must be a row in [0, {n}), got {value}")
             if self.i1 == self.i2:
                 raise ValueError(f"config fields 'i1' and 'i2' must differ, both are {self.i1}")
-        # The theorem checks a, b, the constants and each grid value (an empty
-        # grid's constants too), and that its bound is finite there.
+        # The theorem checks a, b, the constants and each grid value, and that
+        # its bound is finite there.
         with fields_named({"bound field 'deviation'": "config field 'grid'"}):
-            for g in self.grid or (0.0,):
+            for g in self.grid:
                 eval_bound(stat.bound_spec(self, g))
 
     @classmethod
@@ -292,15 +294,6 @@ def _tail_root(k: int, n: int, target: float, upper: bool) -> float:
     raise ArithmeticError(f"no Clopper-Pearson limit found for k={k}, n={n}")
 
 
-def _all_pair_codegree_dev(words: np.ndarray, n: int, d: int) -> np.ndarray:
-    """max over row pairs of |n*co - d^2| per sample, from (count, m, L) words:
-    convex in co, so it sits at the least or greatest codegree; 0 with no pair."""
-    if words.shape[1] < 2:
-        return np.zeros(len(words), dtype=np.int64)
-    lo, hi = codegree_extremes(words)
-    return np.maximum(np.abs(n * lo - d * d), np.abs(n * hi - d * d))
-
-
 def _row_codegree(cfg: ExperimentConfig, words: np.ndarray) -> np.ndarray:
     """Codegree of rows i1 and i2 per sample: the popcount of their AND."""
     return np.bitwise_count(words[:, cfg.i1] & words[:, cfg.i2]).sum(axis=-1, dtype=np.int64)
@@ -327,7 +320,7 @@ def _codegree_events(cfg: ExperimentConfig, words: np.ndarray) -> List[np.ndarra
 
 def _codegree_uniform_events(cfg: ExperimentConfig, words: np.ndarray) -> List[np.ndarray]:
     n, d = cfg.sampler.n, cfg.sampler.d
-    dev = _all_pair_codegree_dev(words, n, d)
+    dev = codegree_deviation(words, n, d)
     return [dev >= t for t in _ceil_scaled(cfg.grid, min(d, n - d) ** 2)]
 
 
@@ -339,7 +332,7 @@ def _edge_events(cfg: ExperimentConfig, words: np.ndarray) -> List[np.ndarray]:
     thresholds = _ceil_scaled(cfg.grid, d * min(a * b, (n - a) * (n - b)))  # n * mu_hat
     if cfg.good_event_eta is None:
         return [scaled >= t for t in thresholds]
-    dev = _all_pair_codegree_dev(words, n, d)
+    dev = codegree_deviation(words, n, d)
     good = dev <= math.floor(Fraction(cfg.good_event_eta) * d * (n - d))
     return [(scaled >= t) & good for t in thresholds]
 

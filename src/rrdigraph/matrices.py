@@ -39,6 +39,7 @@ __all__ = [
     "words_to_dense",
     "dense_to_words",
     "codegree_extremes",
+    "codegree_deviation",
 ]
 
 
@@ -109,6 +110,15 @@ def codegree_extremes(words: np.ndarray) -> tuple:
     return lo, hi
 
 
+def codegree_deviation(words: np.ndarray, n: int, d: int) -> np.ndarray:
+    """max over row pairs of |n*co - d^2| per sample, from (count, m, L) words:
+    convex in co, so it sits at the least or greatest codegree; 0 with no pair."""
+    if words.shape[1] < 2:
+        return np.zeros(len(words), dtype=np.int64)
+    lo, hi = codegree_extremes(words)
+    return np.maximum(np.abs(n * lo - d * d), np.abs(n * hi - d * d))
+
+
 def _check_column_sums(dense: np.ndarray, dp: int) -> None:
     """Raise InvalidMatrixError naming the first column of `dense` whose sum
     is not dp."""
@@ -175,19 +185,6 @@ class BiregularBitMatrix:
             raise InvalidMatrixError("dense input must be 0/1 valued")
         words = dense_to_words(arr.astype(np.uint8))
         return cls(words_to_rows(words[None])[0], arr.shape[1])
-
-    @classmethod
-    def from_supports(cls, supports: Iterable[Iterable[int]], n: int) -> "BiregularBitMatrix":
-        """Build from per-row column-index sets."""
-        rows = []
-        for cols in supports:
-            r = 0
-            for j in cols:
-                if not 0 <= j < n:
-                    raise InvalidMatrixError(f"column index {j} out of range [0, {n})")
-                r |= 1 << j
-            rows.append(r)
-        return cls(rows, n)
 
     def validate(self) -> None:
         """Check membership in the biregular class; raise InvalidMatrixError."""

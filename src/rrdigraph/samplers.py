@@ -60,7 +60,6 @@ from .matrices import (
 
 __all__ = [
     "SamplerSpec",
-    "PermutationTuple",
     "ResourceGuardError",
     "RejectionBudgetExhausted",
     "SearchSpaceTooLarge",
@@ -506,30 +505,6 @@ def switch_mcmc_dense(spec: SamplerSpec, count: int) -> np.ndarray:
 # -- permutation model ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PermutationTuple:
-    """d permutations of [n]; their matrix sum is a d-regular multigraph.
-    n is stored, since a tuple of d = 0 permutations has none to read it
-    from."""
-
-    perms: tuple  # tuple of d tuples, each a permutation of range(n)
-    n: int
-
-    @property
-    def d(self) -> int:
-        return len(self.perms)
-
-    def as_array(self) -> np.ndarray:
-        """The permutations as one (d, n) array; row k is perms[k]."""
-        return np.asarray(self.perms, dtype=np.intp).reshape(self.d, self.n)
-
-    def multiplicity(self) -> np.ndarray:
-        """Entrywise sum of the d permutation matrices (values in [0, d])."""
-        n = self.n
-        cells = np.arange(0, n * n, n) + self.as_array()  # cell i*n + perm(i) of each factor
-        return np.bincount(cells.reshape(-1), minlength=n * n).reshape(n, n)
-
-
 def permutation_batch(spec: SamplerSpec, count: int) -> np.ndarray:
     """(count, d, n) array of iid uniform permutations, in the narrowest of
     uint8, uint16 and int32 that holds the labels; `Generator.permuted`
@@ -653,10 +628,8 @@ _KINDS = {
                        _members),
     "switch_mcmc": _Kind(lambda spec, count: (switch_mcmc_words(spec, count), count), ("d", "m", "dp", "steps"), (),
                          _members),
-    "permutation_model": _Kind(
-        lambda spec, count: (permutation_batch(spec, count), count), ("d", "m", "dp"), (),
-        lambda spec, batch: [PermutationTuple(tuple(map(tuple, s)), spec.n) for s in batch.tolist()],
-    ),
+    "permutation_model": _Kind(lambda spec, count: (permutation_batch(spec, count), count), ("d", "m", "dp"), (),
+                               lambda spec, batch: list(batch)),
     "erdos_renyi": _Kind(lambda spec, count: (er_words(spec, count), count), ("p",), ("p",),
                          lambda spec, batch: list(words_to_dense(batch, spec.n))),
 }
@@ -677,8 +650,8 @@ def draw(spec: SamplerSpec, count: int) -> Tuple[np.ndarray, int]:
 
 def sample_many(spec: SamplerSpec, count: int) -> list:
     """`count` samples of the spec's kind as objects: class members as
-    BiregularBitMatrix, permutation draws as PermutationTuple and Bernoulli
-    draws as (n, n) uint8 arrays.
+    BiregularBitMatrix, permutation draws as (d, n) arrays (row k is the
+    k-th permutation) and Bernoulli draws as (n, n) uint8 arrays.
 
     The objects are those of draw(spec, count), so identical (spec, count)
     reproduces them bit for bit.

@@ -225,9 +225,7 @@ def all_set_pairs(m, n, nonempty=True):
 
 
 def matrix_from_strings(rows):
-    return BiregularBitMatrix.from_supports(
-        [[j for j, ch in enumerate(r) if ch == "1"] for r in rows], len(rows[0])
-    )
+    return BiregularBitMatrix([int(r[::-1], 2) for r in rows], len(rows[0]))
 
 
 def reflection_vf_oracle(matrix, i1, i2):

@@ -231,7 +231,7 @@ def test_criterion_05_permutation_identity():
         )
         diag = permutation_diagnostics(pi, pair)  # identity asserted inside
         e_pi = sum(
-            1 for perm in pi.perms for i in pair.rows if perm[i] in pair.cols
+            1 for perm in pi for i in pair.rows if perm[i] in pair.cols
         )
         ok &= diag.f == Fraction(40 * e_pi - 3 * a * b, 40)
         ok &= diag.v_f <= diag.f / 2 + Fraction(3 * a * b, 40)

@@ -10,13 +10,12 @@ from rrdigraph.couplings import (
     SwitchSite,
     _bad_mask,
     _minor_class_counts,
-    classify_site,
     column_walk,
     reflect,
     simple_switch,
 )
 from rrdigraph.matrices import codegree
-from rrdigraph.samplers import SamplerSpec, sample_many
+from rrdigraph.samplers import SamplerSpec, _switch_rows, sample_many
 
 from conftest import (
     matrix_from_strings,
@@ -38,6 +37,13 @@ def _minor_classes(mat, i1, i2):
     return _minor_class_counts(mat, i1, i2, _bad_pairs(mat, i1, i2))
 
 
+def _minor(mat, site):
+    return (
+        (mat.entry(site.i1, site.j1), mat.entry(site.i1, site.j2)),
+        (mat.entry(site.i2, site.j1), mat.entry(site.i2, site.j2)),
+    )
+
+
 def _random_instances(n, d, count, seed, steps=400):
     spec = SamplerSpec(kind="switch_mcmc", n=n, d=d, steps=steps, seed=seed)
     return sample_many(spec, count)
@@ -46,19 +52,19 @@ def _random_instances(n, d, count, seed, steps=400):
 class TestSimpleSwitch:
     def test_switch_exchanges_I_and_J(self):
         site = SwitchSite(0, 2, 0, 2)
-        assert classify_site(PARALLEL, site).minor_class == "I"
+        assert _minor(PARALLEL, site) == ((1, 0), (0, 1))
         switched = simple_switch(PARALLEL, site)
         # minor I -> J at the site, everything else untouched
         assert switched.entry(0, 0) == 0 and switched.entry(0, 2) == 1
         assert switched.entry(2, 0) == 1 and switched.entry(2, 2) == 0
         for i in (1, 3):
             assert switched.rows[i] == PARALLEL.rows[i]
-        assert classify_site(switched, site).minor_class == "J"
+        assert _minor(switched, site) == ((0, 1), (1, 0))
 
     def test_not_switchable_is_identity(self):
         # minor [[1,1],[0,1]]-shaped sites stay put and return the input object
         site = SwitchSite(0, 2, 0, 1)
-        assert classify_site(PARALLEL, site).minor_class == "other"
+        assert _minor(PARALLEL, site) == ((1, 1), (0, 0))
         assert simple_switch(PARALLEL, site) is PARALLEL
 
     def test_degenerate_site_rejected(self):
@@ -78,6 +84,20 @@ class TestSimpleSwitch:
                 out = simple_switch(mat, site)
                 out.validate()
                 assert simple_switch(out, site) == mat
+
+    def test_same_rule_as_the_chain_kernel(self, class_4_2, pool_bipartite):
+        # Every ordered site of every (4,2) member and of a few 6 x 9 draws:
+        # the object map gives the rows the chain step gives for the site's
+        # code, and returns the input object exactly when they are unchanged.
+        for mat in class_4_2 + pool_bipartite[:4]:
+            m, n = mat.m, mat.n
+            for i1, i2 in itertools.permutations(range(m), 2):
+                for j1, j2 in itertools.permutations(range(n), 2):
+                    rows = list(mat.rows)
+                    _switch_rows(rows, m, n, np.array([((i1 * m + i2) * n + j1) * n + j2]))
+                    out = simple_switch(mat, SwitchSite(i1, i2, j1, j2))
+                    assert out.rows == tuple(rows)
+                    assert (out is mat) == (out.rows == mat.rows)
 
 
 class TestColumnWalk:

@@ -20,11 +20,11 @@ from rrdigraph.exchangeable import (
 )
 from rrdigraph.matrices import VertexSetPair, codegree, edge_count
 from rrdigraph.samplers import (
-    PermutationTuple,
     SamplerSpec,
     sample_many,
     stream_generator,
 )
+from rrdigraph.verify import _multiplicity
 
 from conftest import (
     gram_codegrees,
@@ -328,29 +328,29 @@ class TestExactVfKernels:
 
 class TestPermutationCoupling:
     def test_tiny_example(self):
-        pt = PermutationTuple(((0, 1),), 2)
-        assert permutation_diagnostics(pt, VertexSetPair.of([0], [0])).f == Fraction(1, 2)
+        perms = np.array([[0, 1]])
+        assert permutation_diagnostics(perms, VertexSetPair.of([0], [0])).f == Fraction(1, 2)
 
     def test_full_B_gives_zero(self):
         spec = SamplerSpec(kind="permutation_model", n=6, d=2, seed=6)
-        pt = sample_many(spec, 1)[0]
-        assert permutation_diagnostics(pt, VertexSetPair.of([0, 3], range(6))).f == 0
+        perms = sample_many(spec, 1)[0]
+        assert permutation_diagnostics(perms, VertexSetPair.of([0, 3], range(6))).f == 0
 
     def test_identity_and_bound_random(self):
         spec = SamplerSpec(kind="permutation_model", n=40, d=3, seed=40)
-        tuples = sample_many(spec, 60)
+        draws = sample_many(spec, 60)
         rng = stream_generator(41, 0)
-        for pt in tuples:
+        for perms in draws:
             a = int(rng.integers(1, 40))
             b = int(rng.integers(1, 41))
             pair = VertexSetPair.of(
                 (int(x) for x in rng.choice(40, a, replace=False)),
                 (int(x) for x in rng.choice(40, b, replace=False)),
             )
-            diag = permutation_diagnostics(pt, pair)
+            diag = permutation_diagnostics(perms, pair)
             e_pi = sum(
                 1
-                for perm in pt.perms
+                for perm in perms
                 for i in pair.rows
                 if perm[i] in pair.cols
             )
@@ -364,33 +364,33 @@ class TestPermutationCoupling:
         # I1 hits B and I2 misses it raises f, the reverse lowers f and adds
         # to T.  The counts are products of hit counts; this is their sum.
         n = 9
-        tuples = sample_many(SamplerSpec(kind="permutation_model", n=n, d=d, seed=42), 20)
+        draws = sample_many(SamplerSpec(kind="permutation_model", n=n, d=d, seed=42), 20)
         rng = stream_generator(43, 0)
-        for pt in tuples:
+        for perms in draws:
             pair = VertexSetPair.of(
                 (int(x) for x in rng.choice(n, int(rng.integers(1, n)), replace=False)),
                 (int(x) for x in rng.choice(n, int(rng.integers(1, n + 1)), replace=False)),
             )
             plus = minus = 0
-            for perm in pt.perms:
+            for perm in perms:
                 for i1 in pair.rows:
                     for i2 in set(range(n)) - pair.rows:
                         hit1, hit2 = perm[i1] in pair.cols, perm[i2] in pair.cols
                         plus += hit1 and not hit2
                         minus += hit2 and not hit1
-            diag = permutation_diagnostics(pt, pair)
+            diag = permutation_diagnostics(perms, pair)
             assert (diag.f_scaled, diag.v_f) == (
                 plus - minus, Fraction(plus - minus, 2 * n) + Fraction(minus, n)
             )
-            mult = [[sum(perm[i] == j for perm in pt.perms) for j in range(n)] for i in range(n)]
-            assert pt.multiplicity().tolist() == mult
+            mult = [[sum(perm[i] == j for perm in perms) for j in range(n)] for i in range(n)]
+            assert _multiplicity(perms).tolist() == mult
 
     def test_rejects_improper_A(self):
-        pt = PermutationTuple(((0, 1, 2),), 3)
+        perms = np.array([[0, 1, 2]])
         with pytest.raises(ValueError):
-            permutation_diagnostics(pt, VertexSetPair.of(range(3), [0]))
+            permutation_diagnostics(perms, VertexSetPair.of(range(3), [0]))
         with pytest.raises(ValueError):
-            permutation_diagnostics(pt, VertexSetPair.of([], [0]))
+            permutation_diagnostics(perms, VertexSetPair.of([], [0]))
 
 
 class TestChatterjeeTail:

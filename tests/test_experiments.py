@@ -25,7 +25,7 @@ from rrdigraph.experiments import (
     result_to_csv,
     run_tail_experiment,
 )
-from rrdigraph.matrices import rows_to_words, words_to_dense, words_to_rows
+from rrdigraph.matrices import codegree_deviation, rows_to_words, words_to_dense, words_to_rows
 from rrdigraph.samplers import SamplerSpec, draw, enumerate_all, switch_mcmc_dense
 
 from oracles import catalan_walk_check, uniformity_test
@@ -550,10 +550,10 @@ class TestWordStatistics:
         assert np.array_equal(experiments._box_edges(cfg, words), dense[:, :a, :b].sum(axis=(1, 2)))
         upper = np.triu_indices(n, k=1)
         oracle = np.abs(n * gram[:, upper[0], upper[1]] - d * d).max(axis=1)
-        assert np.array_equal(experiments._all_pair_codegree_dev(words, n, d), oracle)
+        assert np.array_equal(codegree_deviation(words, n, d), oracle)
         # Blocks of 8 samples, the last one partial, give the same answer.
         monkeypatch.setattr("rrdigraph.matrices._PAIR_BLOCK_BYTES", 8 * words[0].nbytes)
-        assert np.array_equal(experiments._all_pair_codegree_dev(words, n, d), oracle)
+        assert np.array_equal(codegree_deviation(words, n, d), oracle)
 
     def test_codegree_spread_reaches_both_ends(self):
         # Bernoulli rows have codegrees on both sides of d^2/n, so a kernel
@@ -565,13 +565,13 @@ class TestWordStatistics:
         upper = np.triu_indices(n, k=1)
         scaled = n * gram[:, upper[0], upper[1]] - d * d
         assert (scaled.min(axis=1) < 0).all() and (scaled.max(axis=1) > 0).all()
-        assert np.array_equal(experiments._all_pair_codegree_dev(words, n, d), np.abs(scaled).max(axis=1))
+        assert np.array_equal(codegree_deviation(words, n, d), np.abs(scaled).max(axis=1))
 
     def test_one_row_has_no_pair(self):
         # With no row pair the uniform-codegree event holds, as good_event_co
         # says: W = 0, whatever n and d.
         words = np.ones((3, 1, 1), dtype=np.uint64)
-        assert np.array_equal(experiments._all_pair_codegree_dev(words, 1, 1), [0, 0, 0])
+        assert np.array_equal(codegree_deviation(words, 1, 1), [0, 0, 0])
 
     @pytest.mark.parametrize("kind", ["rejection", "switch_mcmc"])
     def test_joint_edge_count_at_one_vertex(self, kind):

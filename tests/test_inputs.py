@@ -163,6 +163,7 @@ class TestClosedGaps:
         (dict(statistic="codegree", grid=[1e308]), "config field 'grid' must give theorem 'codegree_upper' a finite"),
         (dict(statistic="codegree", grid=[10**400]), "config field 'grid' must hold numbers within float range"),
         (dict(statistic="codegree_uniform", c1=1e308), "bound field 'c1' must give theorem 'codegree_uniform' a finite"),
+        (dict(statistic="codegree", grid=[]), "config field 'grid' must hold at least one value"),
     ]
 
     @pytest.mark.parametrize("fields, message", _TAIL_CASES)
@@ -179,6 +180,20 @@ class TestClosedGaps:
         assert not (tmp_path / "t.csv").exists()
         with pytest.raises(ValueError, match=re.escape(message)):
             ExperimentConfig.from_dict(payload)
+
+    @pytest.mark.parametrize("threads", [0, -5])
+    def test_tail_needs_a_thread(self, tmp_path, monkeypatch, threads):
+        def no_draw(*args):
+            raise AssertionError("draw called on a run that should be refused")
+
+        monkeypatch.setattr(experiments, "draw", no_draw)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"sampler": {"kind": "rejection", "n": 20, "d": 3}, "statistic": "codegree",
+                                    "grid": [0.5], "N": 10}))
+        code, out, err = run("tail", "--config", path, "--out", tmp_path / "t.csv", "--threads", threads)
+        assert (code, out) == (1, "")
+        assert f"tail field 'threads' must be >= 1, got {threads}" in err
+        assert not (tmp_path / "t.csv").exists()
 
     # A formula that overflows is refused, naming its largest input: at the
     # CLI the flag typed for a deviation, in the spec its field.
@@ -270,7 +285,7 @@ def tail_configs(draw):
     return ExperimentConfig(
         sampler=SamplerSpec(**sampler),
         statistic=statistic,
-        grid=tuple(draw(st.lists(st.floats(0, 1e6), max_size=4))),
+        grid=tuple(draw(st.lists(st.floats(0, 1e6), min_size=1, max_size=4))),
         N=draw(st.integers(1, 10**9)),
         seed=draw(st.integers(0, 2**63)),
         **fields,

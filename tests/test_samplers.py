@@ -34,6 +34,7 @@ from rrdigraph.samplers import (
     _switch_rows,
     _switch_words,
 )
+from rrdigraph.verify import _multiplicity
 
 from conftest import brute_force_class_4_2
 
@@ -411,16 +412,15 @@ class TestSwitchKernel:
 class TestPermutationModel:
     def test_single_factor_is_permutation_matrix(self):
         spec = SamplerSpec(kind="permutation_model", n=6, d=1, seed=9)
-        pt = sample_many(spec, 1)[0]
-        mult = pt.multiplicity()
+        mult = _multiplicity(sample_many(spec, 1)[0])
         assert set(np.unique(mult)) <= {0, 1}
         assert (mult.sum(axis=0) == 1).all() and (mult.sum(axis=1) == 1).all()
 
     def test_margins_equal_d(self):
         spec = SamplerSpec(kind="permutation_model", n=7, d=4, seed=9)
-        for pt in sample_many(spec, 10):
-            assert all(sorted(perm) == list(range(7)) for perm in pt.perms)
-            mult = pt.multiplicity()
+        for perms in sample_many(spec, 10):
+            assert all(sorted(perm) == list(range(7)) for perm in perms)
+            mult = _multiplicity(perms)
             assert (mult.sum(axis=0) == 4).all() and (mult.sum(axis=1) == 4).all()
 
     def test_double_entry_probability_quarter(self):
@@ -440,6 +440,16 @@ class TestPermutationModel:
         wide = spec.rng().permuted(np.tile(np.arange(n, dtype=np.int64), (7 * 3, 1)), axis=1)
         assert perms.dtype == dtype
         assert np.array_equal(perms.reshape(7 * 3, n), wide)
+
+    @pytest.mark.parametrize("d", [0, 1, 4])
+    def test_objects_are_the_rows_of_draw(self, d):
+        spec = SamplerSpec(kind="permutation_model", n=9, d=d, seed=8)
+        batch, _ = draw(spec, 5)
+        objects = sample_many(spec, 5)
+        assert len(objects) == 5
+        for k, perms in enumerate(objects):
+            assert perms.shape == (d, 9) and perms.dtype == batch.dtype
+            assert perms.tobytes() == batch[k].tobytes()
 
 
 class TestPackedMembers:
@@ -508,7 +518,7 @@ class TestDeterminism:
     def test_identical_spec_identical_sequence(self, spec):
         first = sample_many(spec, 6)
         second = sample_many(spec, 6)
-        if spec.kind == "erdos_renyi":
+        if spec.kind in ("erdos_renyi", "permutation_model"):
             assert all((a == b).all() for a, b in zip(first, second))
         else:
             assert first == second
