@@ -46,7 +46,6 @@ from .samplers import (
 )
 from .couplings import (
     ColumnWalk,
-    MinorClassCounts,
     RowOrder,
     SwitchSite,
     column_walk,

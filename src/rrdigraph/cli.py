@@ -42,7 +42,6 @@ from .matrices import (
     format_matrices,
     parse_matrix,
     rows_to_words,
-    words_to_dense,
 )
 from .samplers import (
     CLASS_KINDS,
@@ -51,7 +50,6 @@ from .samplers import (
     ResourceGuardError,
     SamplerSpec,
     check_ranges,
-    draw,
     enumerate_all,
     fields_named,
     sample_many,
@@ -116,16 +114,14 @@ def _cmd_sample(args) -> int:
     spec = _spec_from_args(args)
     config = dict(dataclasses.asdict(spec), count=args.count)
     head = {"schema_version": SAMPLE_SCHEMA_VERSION, "config": config}
+    samples = sample_many(spec, args.count)
     if spec.kind in CLASS_KINDS:
-        text = format_matrices(sample_many(spec, args.count))
+        text = format_matrices(samples)
         payload = dict(head, count=args.count)
     else:
         # Multigraph / Bernoulli outputs are not class members, so the
         # bit-exact matrix text format does not apply; emit JSON instead.
-        batch, _ = draw(spec, args.count)
-        if spec.kind == "erdos_renyi":
-            batch = words_to_dense(batch, spec.n)
-        payload = dict(head, samples=batch.tolist())
+        payload = dict(head, samples=[x.tolist() for x in samples])
         text = json.dumps(payload)
     if args.out:
         Path(args.out).write_text(text)

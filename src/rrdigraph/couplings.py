@@ -22,17 +22,16 @@ pair's own order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 
-from .matrices import BiregularBitMatrix, _bits, codegree
+from .matrices import BiregularBitMatrix, _bits
 
 __all__ = [
     "SwitchSite",
     "RowOrder",
     "ColumnWalk",
-    "MinorClassCounts",
     "simple_switch",
     "column_walk",
     "reflect",
@@ -188,23 +187,3 @@ def _bad_mask(matrix: BiregularBitMatrix, i1: int, i2: int) -> tuple:
         bad[start : start + block] = ~(walks[2:] == 1).any(axis=0)
     return ex1, ex2, bad, walk_rows
 
-
-class MinorClassCounts(NamedTuple):
-    nK: int  # ordered column pairs whose (i1,i2) minor is K = [[1,0],[1,0]]
-    nI_reflecting: int
-    nI_bad: int
-
-
-def _minor_class_counts(
-    matrix: BiregularBitMatrix, i1: int, i2: int, b: int
-) -> MinorClassCounts:
-    """Counts of K minors and of reflecting/bad I minors over all column pairs,
-    given the bad-pair count b: nK = co * (n - 2d + co) and nI_reflecting +
-    nI_bad = ex^2."""
-    rec = codegree(matrix, i1, i2)
-    zero_zero = matrix.n - 2 * matrix.d + rec.co
-    return MinorClassCounts(
-        nK=rec.co * zero_zero,
-        nI_reflecting=rec.ex * rec.ex - b,
-        nI_bad=b,
-    )

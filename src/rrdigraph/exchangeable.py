@@ -14,6 +14,10 @@ This module computes f and v_f exactly (integer-scaled / rational) for
 * the permutation model        (statistic: e_pi(A, B)),
 
 and evaluates the tail bound that a self-bounding pair (K1, K2) yields.
+Each coupling has one f and one v_f function.  The f functions return the
+arrays their kernel built in `CouplingDiagnostics.scan`, and the v_f
+functions take that f and read them, so a caller that wants both pays
+for the scan once; without an f, a v_f function computes it.
 Each coupling's constants in v_f <= K2*f + K1 have one source,
 `SELF_BOUND`: the diagnostics' self-bound check and the `codegree_upper`
 and `perm_edge` rows of `bounds` all read it.
@@ -25,7 +29,7 @@ declared integer scale; floats appear only in the final bound values.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, Optional, Tuple, Union
 
@@ -33,7 +37,7 @@ import numpy as np
 
 from .matrices import BiregularBitMatrix, VertexSetPair, _bits, codegree, codegree_deviation
 from .matrices import edge_count, rows_to_words
-from .couplings import _BLOCK_CELLS, _bad_mask, _minor_class_counts
+from .couplings import _BLOCK_CELLS, _bad_mask
 from .samplers import ResourceGuardError, check_ranges
 
 __all__ = [
@@ -95,6 +99,8 @@ class CouplingDiagnostics:
 
     f equals f_scaled / scale; v_f, set by the functions that compute it,
     and the constants K1, K2 of SELF_BOUND[coupling] are exact Fractions.
+    `scan` holds the arrays an f function built, which its v_f function
+    reads instead of building them again.
     """
 
     coupling: str  # "reflection" | "switching" | "permutation"
@@ -107,6 +113,7 @@ class CouplingDiagnostics:
     f1_scaled: Optional[int] = None
     f2_scaled: Optional[int] = None
     max_step: Optional[int] = None  # worst |f - f~| over the active sites
+    scan: Optional[tuple] = field(default=None, repr=False, compare=False)
 
     @property
     def f(self) -> Fraction:
@@ -149,37 +156,19 @@ class GoodEventCo:
 # ---------------------------------------------------------------------------
 
 
-def _reflection_f(
-    matrix: BiregularBitMatrix, i1: int, i2: int, b: int
-) -> CouplingDiagnostics:
-    """f at scale n from the bad-pair count b: #K - #reflecting I minors,
-    cross-checked against n*co - d^2 + b."""
-    counts = _minor_class_counts(matrix, i1, i2, b)
-    rec = codegree(matrix, i1, i2)
-    f_scaled = counts.nK - counts.nI_reflecting
-    shifted = matrix.n * rec.co - matrix.d**2 + counts.nI_bad
-    if f_scaled != shifted:
-        raise InvariantViolation(
-            f"reflection identity broke: {f_scaled} != n*co - d^2 + b = {shifted}"
-        )
-    constants = SELF_BOUND["reflection"](matrix.m, matrix.n, matrix.d, None, None)
-    return CouplingDiagnostics("reflection", f_scaled, matrix.n, *constants, b=b)
-
-
 def reflection_f(matrix: BiregularBitMatrix, i1: int, i2: int) -> CouplingDiagnostics:
     """Conditional mean f of the reflection pair at rows (i1, i2), scale n.
 
     f_scaled = #K-minors - #reflecting-I-minors = n*co - d^2 + b as exact
-    integers (b = bad-pair count).
+    integers, b the bad-pair count: the K minors number co*(n - 2d + co)
+    and the I minors ex^2, b of them bad.  `scan` holds the (ex1, ex2,
+    bad, walk rows) of couplings._bad_mask, which reflection_vf reads.
     """
-    return _reflection_parts(matrix, i1, i2)[0]
-
-
-def _reflection_parts(matrix: BiregularBitMatrix, i1: int, i2: int):
-    """The f part of reflection_vf: (f, scan), scan the (ex1, ex2, bad, walk
-    rows) of couplings._bad_mask, kept for the v_f step."""
     scan = _bad_mask(matrix, i1, i2)
-    return _reflection_f(matrix, i1, i2, int(scan[2].sum())), scan
+    b = int(scan[2].sum())
+    f_scaled = matrix.n * codegree(matrix, i1, i2).co - matrix.d**2 + b
+    constants = SELF_BOUND["reflection"](matrix.m, matrix.n, matrix.d, None, None)
+    return CouplingDiagnostics("reflection", f_scaled, matrix.n, *constants, b=b, scan=scan)
 
 
 def _k_site_steps(walk_rows, j1s, j2s, ex1, ex2) -> np.ndarray:
@@ -215,7 +204,9 @@ def _k_site_steps(walk_rows, j1s, j2s, ex1, ex2) -> np.ndarray:
     return np.abs(n - bad.sum(axis=1))
 
 
-def reflection_vf(matrix: BiregularBitMatrix, i1: int, i2: int) -> CouplingDiagnostics:
+def reflection_vf(
+    matrix: BiregularBitMatrix, i1: int, i2: int, f: Optional[CouplingDiagnostics] = None
+) -> CouplingDiagnostics:
     """Exact v_f of the reflection pair, checked against its self-bound.
 
     v_f = sum / (2 n^2), the sum of |f - f~| (scale n) over the active
@@ -224,15 +215,11 @@ def reflection_vf(matrix: BiregularBitMatrix, i1: int, i2: int) -> CouplingDiagn
     reflecting I site (c1, c2) moves f by R[c1] + C[c2] - n; a K site by
     n - b_new (see _k_site_steps).  Guarded by
     m*d*(n-d)*d_hat <= REFLECTION_EXACT_CAP.
+
+    f, when given, is reflection_f(matrix, i1, i2): its v_f and max_step
+    are set and its scan is read, so the bad-pair mask is built once.
     """
-    return _reflection_vf_step(matrix, i1, i2, *_reflection_parts(matrix, i1, i2))
-
-
-def _reflection_vf_step(
-    matrix: BiregularBitMatrix, i1: int, i2: int, diag: CouplingDiagnostics, scan
-) -> CouplingDiagnostics:
-    """The v_f step of reflection_vf: sets v_f and max_step of its f part
-    `diag` from the bad-pair mask and walk rows that part scanned."""
+    diag = reflection_f(matrix, i1, i2) if f is None else f
     cost = matrix.m * matrix.d * (matrix.n - matrix.d) * matrix.d_hat
     if cost > REFLECTION_EXACT_CAP:
         raise ExactCapExceeded(
@@ -240,7 +227,7 @@ def _reflection_vf_step(
             f"above the cap of {REFLECTION_EXACT_CAP}"
         )
     n = matrix.n
-    ex1, ex2, bad, walk_rows = scan
+    ex1, ex2, bad, walk_rows = diag.scan
 
     i_steps = np.abs(bad.sum(axis=1)[:, None] + bad.sum(axis=0)[None, :] - n)[~bad]
     total = int(i_steps.sum())
@@ -300,21 +287,16 @@ def switching_f(matrix: BiregularBitMatrix, pair: VertexSetPair) -> CouplingDiag
     A x A^c and the exclusive-neighbourhood form) and asserted equal as
     integers.  The main term is the edge-count recentering
     f1 = p(1-p) n m (e(A,B) - mu); scale n in the square case, n^2 for
-    rectangular classes, keeps every term integral.
+    rectangular classes, keeps every term integral.  `scan` holds the
+    (dense, A, A^c, B, B^c, nb, ex) of _switch_stats at the reduced (A, B),
+    which switching_vf reads.
     """
-    return _switching_parts(matrix, pair)[0]
-
-
-def _switching_parts(matrix: BiregularBitMatrix, pair: VertexSetPair):
-    """The f part of switching_vf: (f, stats), stats the (dense, A, A^c, B,
-    B^c, nb, ex) of _switch_stats at the reduced (A, B), kept for the v_f
-    step."""
     pair.validate(matrix)
     check_ranges("switching_f", ("a", pair.a, 1, matrix.m - 1))  # A proper and nonempty
     pair = _reduce_pair(matrix, pair)
     m, n, d = matrix.m, matrix.n, matrix.d
-    stats = _switch_stats(matrix, pair)
-    dense, rows_a, rows_c, cols_b, cols_c, nb, ex = stats
+    scan = _switch_stats(matrix, pair)
+    dense, rows_a, rows_c, cols_b, cols_c, nb, ex = scan
 
     # Form 1: minor-count double sum.
     sub = dense[:, cols_b] if cols_b else np.zeros((m, 0), dtype=np.int64)
@@ -351,10 +333,10 @@ def _switching_parts(matrix: BiregularBitMatrix, pair: VertexSetPair):
         )
 
     constants = SELF_BOUND["switching"](m, n, d, a, b)
-    diag = CouplingDiagnostics(
-        "switching", f_scaled, scale, *constants, f1_scaled=f1_scaled, f2_scaled=f2_scaled
+    return CouplingDiagnostics(
+        "switching", f_scaled, scale, *constants,
+        f1_scaled=f1_scaled, f2_scaled=f2_scaled, scan=scan,
     )
-    return diag, stats
 
 
 def _switching_steps(d, dense, rows_a, rows_c, cols_b, cols_c, nb) -> Iterator[np.ndarray]:
@@ -396,7 +378,9 @@ def _switching_steps(d, dense, rows_a, rows_c, cols_b, cols_c, nb) -> Iterator[n
             yield np.abs(delta[sites])
 
 
-def switching_vf(matrix: BiregularBitMatrix, pair: VertexSetPair) -> CouplingDiagnostics:
+def switching_vf(
+    matrix: BiregularBitMatrix, pair: VertexSetPair, f: Optional[CouplingDiagnostics] = None
+) -> CouplingDiagnostics:
     """Exact v_f of the switching pair, checked against its self-bound.
 
     v_f = (1/2) * sum over switchable sites of |f - f~| (the K_ab
@@ -404,17 +388,13 @@ def switching_vf(matrix: BiregularBitMatrix, pair: VertexSetPair) -> CouplingDia
     (see _switching_steps); guarded by K_ab = a(m-a)b(n-b) <=
     SWITCHING_EXACT_CAP for the reduced (A, B).  Also asserts the per-site
     step bound |f - f~| <= 2 m d_hat.
+
+    f, when given, is switching_f(matrix, pair): its v_f and max_step are
+    set and its scan is read, so the switch statistics are built once.
     """
     pair.validate(matrix)
     check_ranges("switching_vf", ("a", pair.a, 1, matrix.m - 1), ("b", pair.b, 1, matrix.n - 1))
-    return _switching_vf_step(matrix, pair, *_switching_parts(matrix, pair))
-
-
-def _switching_vf_step(
-    matrix: BiregularBitMatrix, pair: VertexSetPair, diag: CouplingDiagnostics, stats
-) -> CouplingDiagnostics:
-    """The v_f step of switching_vf: sets v_f and max_step of its f part
-    `diag` from the switch sets `stats` that part built (_switching_parts)."""
+    diag = switching_f(matrix, pair) if f is None else f
     pair = _reduce_pair(matrix, pair)
     m = matrix.m
     k_ab = pair.a * (m - pair.a) * pair.b * (matrix.n - pair.b)
@@ -427,7 +407,7 @@ def _switching_vf_step(
 
     total = 0
     worst = 0
-    for steps in _switching_steps(matrix.d, *stats[:-1]):
+    for steps in _switching_steps(matrix.d, *diag.scan[:-1]):
         total += int(steps.sum())
         worst = max(worst, int(steps.max(initial=0)))
     if worst > step_cap:

@@ -427,8 +427,10 @@ def run_tail_experiment(
 
     Shards of SHARD_SIZE samples run on streams (seed, stream + k); the
     merge is an order-independent sum, so the payload depends only on the
-    config, never on worker count or scheduling.
+    config, never on worker count or scheduling.  max_workers below 1 is
+    refused before any draw.
     """
+    check_ranges("run_tail_experiment", ("max_workers", max_workers, 1))
     started = time.time()
     shards = []
     remaining = cfg.N
@@ -439,7 +441,7 @@ def run_tail_experiment(
         remaining -= take
         index += 1
 
-    if max_workers is None or max_workers <= 1 or len(shards) == 1:
+    if max_workers in (None, 1) or len(shards) == 1:
         parts = [_shard_counts(cfg, i, c) for i, c in shards]
     else:
         with ThreadPoolExecutor(max_workers=max_workers) as pool:

@@ -4,7 +4,8 @@ Each suite draws matrices (or permutation draws), checks every exact
 identity and proven inequality of its coupling on each draw, and emits
 one record per invariant with a status, the number of instances checked,
 and the worst margin seen.  A failed record means a defect somewhere:
-all of these are theorems.
+all of these are theorems.  The class suites call exchangeable's public
+f functions and hand each f to the v_f function of its coupling.
 """
 
 from __future__ import annotations
@@ -19,11 +20,11 @@ from .couplings import RowOrder, SwitchSite, column_walk, reflect, simple_switch
 from .exchangeable import (
     InvariantViolation,
     SelfBoundViolation,
-    _reflection_parts,
-    _reflection_vf_step,
-    _switching_parts,
-    _switching_vf_step,
     permutation_diagnostics,
+    reflection_f,
+    reflection_vf,
+    switching_f,
+    switching_vf,
 )
 from .matrices import InvalidMatrixError, VertexSetPair, codegree, complement
 from .samplers import SamplerSpec, check_ranges, sample_many, stream_generator
@@ -153,14 +154,13 @@ def _reflection_suite(mats, seed):
         image = reflect(mat, j1, j2, order)
         t_invol.check(reflect(image, j1, j2, order) == mat)
         t_member.attempt(image.validate)
-        parts = t_ident.attempt(_reflection_parts, mat, i1, i2)
-        if parts is None:
+        diag = t_ident.attempt(reflection_f, mat, i1, i2)
+        if diag is None:
             continue
-        diag, scan = parts
 
         # A K minor [[1,0],[1,0]] always reflects and loses a common column;
         # an I minor [[1,0],[0,1]] that the scan marks as not bad gains one.
-        ex1, ex2, bad, _ = scan
+        ex1, ex2, bad, _ = diag.scan
         minor = (mat.entry(i1, j1), mat.entry(i1, j2), mat.entry(i2, j1), mat.entry(i2, j2))
         reflecting_i = minor == (1, 0, 0, 1) and not bad[ex1.index(j1), ex2.index(j2)]
         want = 1 if minor == (1, 0, 1, 0) else -1 if reflecting_i else 0
@@ -173,7 +173,7 @@ def _reflection_suite(mats, seed):
             walk.positions[-1] == 0 and walk.r <= cap,
             margin=float(cap - walk.r),
         )
-        t_vf.attempt(_reflection_vf_step, mat, i1, i2, diag, scan, margin=_slack)
+        t_vf.attempt(reflection_vf, mat, i1, i2, diag, margin=_slack)
     return [t_invol, t_member, t_ident, t_step, t_walk, t_vf]
 
 
@@ -196,14 +196,13 @@ def _switching_suite(mats, seed):
             t_member.attempt(image.validate)
 
         pair = _random_pair(rng, mm, nn, nn - 1)
-        parts = t_ident.attempt(_switching_parts, mat, pair)
-        if parts is None:
+        diag = t_ident.attempt(switching_f, mat, pair)
+        if diag is None:
             continue
-        diag, stats = parts
 
-        ok, margin = _f2_good_event_check(mat, pair, diag, stats[-1])
+        ok, margin = _f2_good_event_check(mat, pair, diag, diag.scan[-1])
         t_f2.check(ok, margin=margin)
-        t_vf.attempt(_switching_vf_step, mat, pair, diag, stats, margin=_slack)
+        t_vf.attempt(switching_vf, mat, pair, diag, margin=_slack)
     return [t_invol, t_member, t_ident, t_f2, t_vf]
 
 
@@ -215,7 +214,8 @@ def _f2_good_event_check(mat, pair, diag, ex):
     where R = m for the n^2 scale and 1 for the square scale n, and (a, b)
     are the sizes of the pair switching_f reduces to, a*b = min(ab,
     (m-a)(n-b)), so d a b = n*mu_hat of the pair as given.  W comes from
-    the f part's exclusive counts `ex` (see _worst_codegree_deviation).
+    switching_f's exclusive counts `ex`, the last array of its scan (see
+    _worst_codegree_deviation).
     """
     n, d, mm = mat.n, mat.d, mat.m
     if d in (0, n):

@@ -121,7 +121,7 @@ def test_criterion_02_reflection_identity(class_4_2):
         pairs.append((int(pick[0]), int(pick[1])))
         for i1, i2 in pairs:
             rec = codegree(mat, i1, i2)
-            diag = reflection_f(mat, i1, i2)  # internal dual-path assert
+            diag = reflection_f(mat, i1, i2)
             ok &= diag.f_scaled == 30 * rec.co - 36 + diag.b
             checked += 1
         if idx % 25 == 0:  # plain-Python oracle on a subsample

@@ -9,11 +9,11 @@ from rrdigraph.couplings import (
     RowOrder,
     SwitchSite,
     _bad_mask,
-    _minor_class_counts,
     column_walk,
     reflect,
     simple_switch,
 )
+from rrdigraph.exchangeable import reflection_f
 from rrdigraph.matrices import codegree
 from rrdigraph.samplers import SamplerSpec, _switch_rows, sample_many
 
@@ -31,10 +31,6 @@ CROSSED = matrix_from_strings(["1100", "0011", "1010", "0101"])
 def _bad_pairs(mat, i1, i2):
     """The non-reflecting pairs in Ex(i1,i2) x Ex(i2,i1)."""
     return int(_bad_mask(mat, i1, i2)[2].sum())
-
-
-def _minor_classes(mat, i1, i2):
-    return _minor_class_counts(mat, i1, i2, _bad_pairs(mat, i1, i2))
 
 
 def _minor(mat, site):
@@ -216,10 +212,9 @@ class TestBadPairs:
         for mat in pool_8_3[:12]:
             for i1, i2 in ((0, 1), (2, 6), (7, 3)):
                 n_k, n_i, n_i_refl = naive_minor_scan(mat, i1, i2)
-                counts = _minor_classes(mat, i1, i2)
-                assert counts.nK == n_k
-                assert counts.nI_bad == n_i - n_i_refl
-                assert counts.nI_reflecting == n_i_refl
+                diag = reflection_f(mat, i1, i2)
+                assert diag.b == n_i - n_i_refl
+                assert diag.f_scaled == n_k - n_i_refl
 
     def test_reflecting_verdict_depends_on_trailing_order(self):
         # The "returns to +1" condition is NOT invariant under permuting
@@ -260,26 +255,31 @@ class TestBadPairs:
 
 
 class TestMinorClassCounts:
+    """reflection_f's f = #K - #reflecting I and its bad-pair count b,
+    against the naive O(n^2) minor scan."""
+
     def test_identical_rows(self):
-        counts = _minor_classes(PARALLEL, 0, 1)
+        diag = reflection_f(PARALLEL, 0, 1)
         d, n = 2, 4
-        assert counts.nK == d * (n - d)
-        assert counts.nI_reflecting == 0 and counts.nI_bad == 0
+        assert naive_minor_scan(PARALLEL, 0, 1) == (d * (n - d), 0, 0)
+        assert (diag.f_scaled, diag.b) == (d * (n - d), 0)
 
     def test_disjoint_rows_have_no_K(self):
-        counts = _minor_classes(CROSSED, 0, 1)
-        assert counts.nK == 0
+        n_k, n_i, n_i_refl = naive_minor_scan(CROSSED, 0, 1)
+        diag = reflection_f(CROSSED, 0, 1)
+        assert n_k == 0
+        assert (diag.f_scaled, diag.b) == (-n_i_refl, n_i - n_i_refl)
 
     def test_formula_vs_direct_scan_sampled(self):
         mats = _random_instances(8, 3, 60, seed=23)
         for mat in mats:
             for i1, i2 in ((0, 1), (4, 2)):
                 n_k, n_i, n_i_refl = naive_minor_scan(mat, i1, i2)
-                counts = _minor_classes(mat, i1, i2)
-                assert counts == (n_k, n_i_refl, n_i - n_i_refl)
+                diag = reflection_f(mat, i1, i2)
+                assert (diag.f_scaled, diag.b) == (n_k - n_i_refl, n_i - n_i_refl)
                 rec = codegree(mat, i1, i2)
-                assert counts.nK == rec.co * (mat.n - 2 * mat.d + rec.co)
-                assert counts.nI_reflecting + counts.nI_bad == rec.ex**2
+                assert n_k == rec.co * (mat.n - 2 * mat.d + rec.co)
+                assert n_i == rec.ex**2
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 from fractions import Fraction
@@ -6,10 +7,10 @@ from itertools import permutations
 import numpy as np
 import pytest
 from rrdigraph import exchangeable
-from rrdigraph.couplings import _BLOCK_CELLS, MinorClassCounts, RowOrder, reflect
+from rrdigraph.couplings import _BLOCK_CELLS, RowOrder, reflect
 from rrdigraph.exchangeable import (
     ExactCapExceeded,
-    InvariantViolation,
+    _reduce_pair,
     chatterjee_tail,
     good_event_co,
     permutation_diagnostics,
@@ -79,12 +80,11 @@ class TestReflectionF:
 
 
 def _reflection_f_definition(mats):
-    """(cases, mismatches, raised) of f = E[F | M] checked from its
-    definition on every matrix and ordered row pair (i1, i2): with F at
-    scale n, n*f sums co(M) - co(reflect(M)) over the ordered column pairs,
-    using only reflect and codegree.  A case whose reflection_f raises
-    InvariantViolation counts as a mismatch and as raised."""
-    cases = mismatches = raised = 0
+    """(cases, mismatches) of f = E[F | M] checked from its definition on
+    every matrix and ordered row pair (i1, i2): with F at scale n, n*f sums
+    co(M) - co(reflect(M)) over the ordered column pairs, using only
+    reflect and codegree."""
+    cases = mismatches = 0
     for mat in mats:
         for i1, i2 in permutations(range(mat.m), 2):
             order = RowOrder(i1, i2)
@@ -94,25 +94,19 @@ def _reflection_f_definition(mats):
                 for j1, j2 in permutations(range(mat.n), 2)
             )
             cases += 1
-            try:
-                got = reflection_f(mat, i1, i2).f_scaled
-            except InvariantViolation:
-                mismatches += 1
-                raised += 1
-                continue
-            mismatches += got != want
-    return cases, mismatches, raised
+            mismatches += reflection_f(mat, i1, i2).f_scaled != want
+    return cases, mismatches
 
 
 class TestReflectionFDefinition:
     """f from its definition on all of (4,2), and two planted defects in
-    the closed form: the definition sees both, the cross-check inside
-    _reflection_f (#K - #reflecting I against n*co - d^2 + b) only one."""
+    reflection_f's closed form n*co - d^2 + b, one in b and one in co: the
+    definition sees both."""
 
     def test_definition_holds_on_class_4_2(self, class_4_2):
-        assert _reflection_f_definition(class_4_2) == (1080, 0, 0)
+        assert _reflection_f_definition(class_4_2) == (1080, 0)
 
-    def test_inverted_bad_mask_fails_it_not_the_cross_check(self, class_4_2, monkeypatch):
+    def test_inverted_bad_mask_fails_it(self, class_4_2, monkeypatch):
         original = exchangeable._bad_mask
 
         def inverted(*args):
@@ -120,17 +114,17 @@ class TestReflectionFDefinition:
             return ex1, ex2, ~bad, walk_rows
 
         monkeypatch.setattr(exchangeable, "_bad_mask", inverted)
-        assert _reflection_f_definition(class_4_2) == (1080, 1008, 0)
+        assert _reflection_f_definition(class_4_2) == (1080, 1008)
 
-    def test_i_minor_sign_flip_fails_it_and_the_cross_check(self, class_4_2, monkeypatch):
-        original = exchangeable._minor_class_counts
+    def test_shifted_codegree_fails_it(self, class_4_2, monkeypatch):
+        original = exchangeable.codegree
 
-        def flipped(*args):
-            counts = original(*args)
-            return MinorClassCounts(counts.nK, -counts.nI_reflecting, counts.nI_bad)
+        def shifted(*args):
+            rec = original(*args)
+            return dataclasses.replace(rec, co=rec.co + 1)
 
-        monkeypatch.setattr(exchangeable, "_minor_class_counts", flipped)
-        assert _reflection_f_definition(class_4_2) == (1080, 648, 648)
+        monkeypatch.setattr(exchangeable, "codegree", shifted)
+        assert _reflection_f_definition(class_4_2) == (1080, 1080)
 
 
 class TestReflectionVf:
@@ -225,7 +219,7 @@ class TestSwitchingVf:
         # Oracle: f(M) - f(M~) for every switchable site, where f(M~) is
         # recomputed from scratch on the switched matrix.
         from rrdigraph.couplings import SwitchSite, simple_switch
-        from rrdigraph.exchangeable import _reduce_pair, _switch_stats
+        from rrdigraph.exchangeable import _switch_stats
 
         from conftest import switch_delta_f, switchable_sites
 
@@ -254,6 +248,45 @@ class TestSwitchingVf:
     def test_requires_proper_sets(self):
         with pytest.raises(ValueError):
             switching_vf(PARALLEL, VertexSetPair.of([0, 1], []))
+
+
+def _reflection_view(diag):
+    return diag.f_scaled, diag.b, diag.v_f, diag.max_step
+
+
+def _switching_view(diag):
+    return diag.f_scaled, diag.f1_scaled, diag.f2_scaled, diag.v_f, diag.max_step
+
+
+class TestHandOff:
+    """v_f from a given f equals v_f computed from scratch, and a given f
+    is not computed again."""
+
+    def _check(self, mats, i1, i2, pair):
+        for mat in mats:
+            given = reflection_vf(mat, i1, i2, reflection_f(mat, i1, i2))
+            assert _reflection_view(given) == _reflection_view(reflection_vf(mat, i1, i2))
+            given = switching_vf(mat, pair, switching_f(mat, pair))
+            assert _switching_view(given) == _switching_view(switching_vf(mat, pair))
+
+    def test_square_pool(self, pool_8_3):
+        self._check(pool_8_3[:15], 5, 2, VertexSetPair.of([0, 3], [1, 4, 6]))
+
+    def test_biregular_6x9(self, pool_bipartite):
+        self._check(pool_bipartite[:15], 4, 1, VertexSetPair.of([0, 2, 5], [1, 3, 7, 8]))
+
+    def test_complemented_pair(self, pool_8_3):
+        pair = VertexSetPair.of(range(6), range(6))
+        assert _reduce_pair(pool_8_3[0], pair) == pair.complement(pool_8_3[0])
+        self._check(pool_8_3[:15], 0, 1, pair)
+
+    def test_given_f_is_not_computed_again(self, pool_8_3, monkeypatch):
+        mat, pair = pool_8_3[0], VertexSetPair.of([0, 3], [1, 4, 6])
+        f_r, f_s = reflection_f(mat, 0, 1), switching_f(mat, pair)
+        monkeypatch.setattr(exchangeable, "reflection_f", None)
+        monkeypatch.setattr(exchangeable, "switching_f", None)
+        assert reflection_vf(mat, 0, 1, f_r) is f_r
+        assert switching_vf(mat, pair, f_s) is f_s
 
 
 # (m, n, d, dp): square and biregular, both sides of half density and both

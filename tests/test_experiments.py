@@ -488,6 +488,19 @@ class TestTailHarness:
         meta2.pop("wall_time_s")
         assert meta1 == meta2
 
+    @pytest.mark.parametrize("max_workers", [0, -3])
+    def test_workers_below_one_refused_before_any_draw(self, monkeypatch, max_workers):
+        cfg = ExperimentConfig(
+            sampler=SamplerSpec(kind="rejection", n=20, d=3),
+            statistic="codegree",
+            grid=(0.5,),
+            N=100,
+            seed=1,
+        )
+        monkeypatch.setattr(experiments, "draw", None)  # any draw would raise TypeError
+        with pytest.raises(ValueError, match="run_tail_experiment field 'max_workers' must be >= 1"):
+            run_tail_experiment(cfg, max_workers=max_workers)
+
     def test_rejection_counters_in_metadata(self):
         cfg = ExperimentConfig(
             sampler=SamplerSpec(kind="rejection", n=60, d=4),

@@ -1,6 +1,6 @@
 """The verify suites: one class draw shared by the class suites, one f per
-draw reused by its v_f step, and failures attributed to the record whose
-check broke."""
+draw handed to its v_f, and failures attributed to the record whose check
+broke."""
 
 import hashlib
 import json
@@ -101,33 +101,29 @@ class TestSharedDraw:
 
 
 class TestReusedF:
-    """The v_f that each suite computes from its own f part equals the
+    """The v_f that each suite computes from the f it hands over equals the
     site-by-site oracles."""
 
     @pytest.mark.parametrize("n,d,samples", [(30, 10, 3), (60, 4, 2)])
     def test_suite_vf_equals_the_oracles(self, monkeypatch, n, d, samples):
         seen = {"reflection": [], "switching": []}
 
-        def recording(name, step):
+        def recording(name, vf):
             def wrapper(mat, *args):
-                diag = step(mat, *args)
+                diag = vf(mat, *args)
                 seen[name].append((mat, args, diag.v_f, diag.max_step))
                 return diag
             return wrapper
 
-        monkeypatch.setattr(
-            verify, "_reflection_vf_step", recording("reflection", verify._reflection_vf_step)
-        )
-        monkeypatch.setattr(
-            verify, "_switching_vf_step", recording("switching", verify._switching_vf_step)
-        )
+        monkeypatch.setattr(verify, "reflection_vf", recording("reflection", verify.reflection_vf))
+        monkeypatch.setattr(verify, "switching_vf", recording("switching", verify.switching_vf))
         results = run_suite("all", n, d, samples, seed=7)
         assert all(r.ok for r in results)
         assert [len(seen[name]) for name in seen] == [samples, samples]
-        for mat, (i1, i2, _, _), v_f, worst in seen["reflection"]:
+        for mat, (i1, i2, _), v_f, worst in seen["reflection"]:
             total, oracle_worst = reflection_vf_oracle(mat, i1, i2)
             assert (v_f, worst) == (Fraction(total, 2 * n * n), oracle_worst)
-        for mat, (pair, _, _), v_f, worst in seen["switching"]:
+        for mat, (pair, _), v_f, worst in seen["switching"]:
             total, oracle_worst = switching_vf_oracle(mat, pair)
             assert (v_f, worst) == (Fraction(total, 2), oracle_worst)
 
@@ -163,19 +159,19 @@ _ERROR_TERM = "error term: |f2| <= eta*(f1 + 2p(1-p)n*m*mu) at minimal eta"
 
 class TestGoodEventFromTheFPart:
     """The error-term record takes W = max |n*co - d^2| over row pairs from
-    the exclusive counts of the switching f part, not from good_event_co."""
+    the exclusive counts in switching_f's scan, not from good_event_co."""
 
     @pytest.mark.parametrize("n, d, samples, seed", [(16, 4, 200, 3), (60, 30, 5, 0)])
     def test_w_equals_good_event_co(self, monkeypatch, n, d, samples, seed):
         seen = []
-        parts = verify._switching_parts
+        switching_f = verify.switching_f
 
         def recording(mat, pair):
-            diag, stats = parts(mat, pair)
-            seen.append((mat, stats[-1]))
-            return diag, stats
+            diag = switching_f(mat, pair)
+            seen.append((mat, diag.scan[-1]))
+            return diag
 
-        monkeypatch.setattr(verify, "_switching_parts", recording)
+        monkeypatch.setattr(verify, "switching_f", recording)
         run_suite("switching", n, d, samples, seed=seed)
         assert len(seen) == samples
         for mat, ex in seen:
@@ -236,7 +232,7 @@ class TestAttribution:
         assert (vf_status, vf_checked) == ("fail", self.samples)
 
     def test_switching_f_part_fails(self, monkeypatch):
-        self._fail_on_call(monkeypatch, verify, "_switching_parts", 3)
+        self._fail_on_call(monkeypatch, verify, "switching_f", 3)
         result = self._run("switching")
         status = _status(result)
         assert status["minor-count form equals neighbourhood form; f = f1 + f2"] == (
@@ -261,7 +257,7 @@ class TestAttribution:
         assert status["reflection self-bound v_f <= K2*f + K1 (SELF_BOUND)"] == ("fail", self.samples)
 
     def test_reflection_f_part_fails(self, monkeypatch):
-        self._fail_on_call(monkeypatch, exchangeable, "_reflection_f", 3)
+        self._fail_on_call(monkeypatch, verify, "reflection_f", 3)
         result = self._run("reflection")
         status = _status(result)
         assert status["scale-n identity: n*f = n*co - d^2 + b"] == ("fail", self.samples)
