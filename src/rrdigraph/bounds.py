@@ -4,9 +4,11 @@ Each theorem is one row of `_THEOREMS`: the optional inputs it reads, its
 constants, its note and its displayed expression.  An evaluation returns
 the expression together with a validity flag for its side conditions and
 a record of where each constant comes from: pinned by the source result
-("paper": C1 = 64, C2 = 8 for the edge-count bounds), a chosen default
+("paper": C1 = 64, C2 = 8 for the edge-count bounds) or a chosen default
 for a genuinely unspecified absolute constant ("chosen", so plots cannot
-pass it off as a claim), or set by the caller ("given").
+pass it off as a claim).  `codegree_upper` and `perm_edge` are Chatterjee
+tails (PTRF 138, 2007, Thm 1.5) at their pairs' `SELF_BOUND` constants.
+No caller sets a constant, so every value is the bound its theorem states.
 """
 
 from __future__ import annotations
@@ -44,8 +46,7 @@ class TailBoundSpec:
     `deviation` is the theorem's deviation parameter (epsilon, tau or eta
     depending on the statement); `eta` is the codegree-event tolerance a
     joint edge-count bound is conditioned on.  The optional fields a
-    theorem does not read must stay None; unset constants pick up the
-    theorem's defaults at evaluation time.
+    theorem does not read must stay None.
     """
 
     theorem: str
@@ -57,21 +58,17 @@ class TailBoundSpec:
     b: Optional[int] = None
     eta: Optional[float] = None
     p: Optional[float] = None
-    c1: Optional[float] = None
-    c2: Optional[float] = None
-    c: Optional[float] = None
 
     def __post_init__(self):
         row = _THEOREMS.get(self.theorem)
         if row is None:
             raise ValueError(f"unknown theorem {self.theorem!r}")
         # Every theorem divides by n, and the bipartite ones by m; d and b count
-        # columns of the m x n class and a counts rows; c, c1, c2 are constants.
+        # columns of the m x n class and a counts rows.
         m = self.n if self.m is None else self.m
         check_ranges("bound", ("deviation", self.deviation, 0), ("n", self.n, 1), ("m", self.m, 1),
                      ("d", self.d, 0, self.n), ("a", self.a, 1, m), ("b", self.b, 1, self.n),
-                     ("p", self.p, 0, 1), ("eta", self.eta, 0),
-                     ("c1", self.c1, Above(0)), ("c2", self.c2, Above(0)), ("c", self.c, Above(0)))
+                     ("p", self.p, 0, 1), ("eta", self.eta, 0))
         check_reads("bound", self, row.reads, f"theorem {self.theorem!r}", row.requires)
 
 
@@ -79,7 +76,7 @@ class TailBoundSpec:
 class BoundValue:
     value: float
     valid: bool
-    constants: dict = field(default_factory=dict)  # name -> (value, "paper"|"chosen"|"given")
+    constants: dict = field(default_factory=dict)  # name -> (value, "paper"|"chosen")
     note: str = ""
 
 
@@ -103,7 +100,7 @@ def _self_bounding_upper(coupling: str, s: TailBoundSpec, t: float) -> float:
 @dataclass(frozen=True)
 class _Theorem:
     """One theorem: the optional spec fields it reads, those of them it
-    requires, its constants as name -> (default, "paper" | "chosen"), its
+    requires, its constants as name -> (value, "paper" | "chosen"), its
     displayed bound as formula(spec, deviation, **constants) and its note."""
 
     reads: Tuple[str, ...]
@@ -119,7 +116,7 @@ class _Theorem:
 _CHOSEN_C = {"c": (DEFAULT_SMALL_C, "chosen")}
 _UNPINNED = {"c1": (DEFAULT_POLY_C, "chosen"), "c2": (DEFAULT_POLY_C, "chosen"), **_CHOSEN_C}
 _UNPINNED_NOTE = "absolute constants are not pinned by the statement"
-_EDGE_READS = ("m", "a", "b", "eta", "c1", "c2")
+_EDGE_READS = ("m", "a", "b", "eta")
 _EDGE_CONSTANTS = {"c1": (64.0, "paper"), "c2": (8.0, "paper")}
 
 _THEOREMS = {
@@ -129,7 +126,7 @@ _THEOREMS = {
         (), (), {}, lambda s, t: _self_bounding_upper("reflection", s, t * _d_hat(s) ** 2 / s.n),
     ),
     "codegree_uniform": _Theorem(
-        ("c1", "c2", "c"), (), _UNPINNED,
+        (), (), _UNPINNED,
         lambda s, t, c1, c2, c: c1 * s.n**2 * _d_hat(s) ** 2 * math.exp(-c * t * _d_hat(s))
         + c2 * s.n**2 * math.exp(-c * t * t / (1.0 + t) * _d_hat(s) ** 2 / s.n),
         _UNPINNED_NOTE,
@@ -142,7 +139,7 @@ _THEOREMS = {
     ),
     # exp(-tau^2 mu_hat / C1): the lower tail has no C2 term.
     "edge_lower": _Theorem(
-        ("m", "a", "b", "eta", "c1"), ("a", "b"), {"c1": _EDGE_CONSTANTS["c1"]},
+        _EDGE_READS, ("a", "b"), {"c1": _EDGE_CONSTANTS["c1"]},
         lambda s, t, c1: math.exp(-(t * t) * _mu_hat(s) / c1),
         eta_limit=lambda t: t / 4.0,
     ),
@@ -158,15 +155,15 @@ _THEOREMS = {
         lambda s, t: 2.0 * _self_bounding_upper("permutation", s, t * s.d * s.a * s.b / s.n),
     ),
     "er_codegree": _Theorem(
-        ("p", "c"), ("p",), _CHOSEN_C,
+        ("p",), ("p",), _CHOSEN_C,
         lambda s, t, c: 2.0 * math.exp(-c * t * t / (1.0 + t) * s.p**2 * s.n),
     ),
     "er_edge": _Theorem(
-        ("p", "a", "b", "c"), ("p", "a", "b"), _CHOSEN_C,
+        ("p", "a", "b"), ("p", "a", "b"), _CHOSEN_C,
         lambda s, t, c: 2.0 * math.exp(-c * t * t / (1.0 + t) * s.p * s.a * s.b),
     ),
     "bipartite_codegree_uniform": _Theorem(
-        ("m", "c1", "c2", "c"), ("m",), _UNPINNED,
+        ("m",), ("m",), _UNPINNED,
         lambda s, t, c1, c2, c: c1 * s.m**2 * _d_hat(s) ** 2 * math.exp(-c * t * s.n**2 / s.m)
         + c2 * s.m**2 * math.exp(-c * t * min(_d_hat(s), t * s.n)),
         _UNPINNED_NOTE,
@@ -183,11 +180,7 @@ THEOREMS = tuple(_THEOREMS)
 def eval_bound(spec: TailBoundSpec) -> BoundValue:
     """Evaluate the displayed bound of `spec.theorem` at its parameters."""
     row = _THEOREMS[spec.theorem]
-    constants = {
-        name: default if getattr(spec, name) is None else (getattr(spec, name), "given")
-        for name, default in row.constants.items()
-    }
-    inputs = {name: v for name, (v, _) in constants.items()}
+    inputs = {name: v for name, (v, _) in row.constants.items()}
     try:
         value = row.formula(spec, spec.deviation, **inputs)
     except OverflowError:
@@ -199,7 +192,7 @@ def eval_bound(spec: TailBoundSpec) -> BoundValue:
         raise ValueError(f"bound field {name!r} must give theorem {spec.theorem!r} a finite bound, "
                          f"got {inputs[name]} (bound {value})")
     valid = spec.eta is None or spec.eta <= row.eta_limit(spec.deviation)
-    return BoundValue(value, valid, constants, row.note)
+    return BoundValue(value, valid, dict(row.constants), row.note)
 
 
 # ---------------------------------------------------------------------------

@@ -60,16 +60,17 @@ from .verify import SCHEMA_VERSION as VERIFY_SCHEMA_VERSION, SUITES, run_suite
 SCHEMA_VERSION = 1
 # Version 2 of the stats payload has no `format`.  The sample (2) and sigma2
 # (3; 2 dropped `tol` and `max_iters`) payloads echo `max_attempts` as null
-# for the kinds other than rejection.  The bound payload (5) evaluates
+# for the kinds other than rejection.  The bound payload (6) echoes no
+# theorem constants, which a caller no longer sets; 5 evaluates
 # `codegree_upper` and `perm_edge` as Chatterjee tails at the SELF_BOUND
-# constants, which moves some values in their last bits; 4 dropped `c2` for
-# `edge_lower`, 3 labelled a constant the caller sets "given", 2 dropped
-# `dp`.  The verify and tail payloads report their module's version; the
-# other payloads keep version 1.
+# constants, which moves some values in their last bits; 4 dropped C2 for
+# `edge_lower`, 3 labelled a caller-set constant, 2 dropped `dp`.  The
+# verify and tail payloads report their module's version; the other
+# payloads keep version 1.
 SAMPLE_SCHEMA_VERSION = 2
 SIGMA2_SCHEMA_VERSION = 3
 STATS_SCHEMA_VERSION = 2
-BOUND_SCHEMA_VERSION = 5
+BOUND_SCHEMA_VERSION = 6
 
 
 class _UsageError(Exception):
@@ -232,7 +233,7 @@ def _cmd_bound(args) -> int:
     if len(given) > 1:
         flags = " ".join(f"--{name}" for name in given)
         raise _UsageError(f"give at most one of --eps --tau --eta, got {flags}")
-    names = ("theorem", "n", "d", "m", "a", "b", "p", "c1", "c2", "c")
+    names = ("theorem", "n", "d", "m", "a", "b", "p")
     # A refused deviation or tolerance is named by the flag typed, not by its spec field.
     typed = {"bound field 'eta'": "bound field '--good-eta'"}
     if given:
@@ -423,9 +424,6 @@ def build_parser() -> _Parser:
     bound.add_argument("--a", type=int, default=None)
     bound.add_argument("--b", type=int, default=None)
     bound.add_argument("--p", type=float, default=None)
-    bound.add_argument("--c1", type=float, default=None)
-    bound.add_argument("--c2", type=float, default=None)
-    bound.add_argument("--c", type=float, default=None)
     bound.set_defaults(func=_cmd_bound)
 
     tail = subs.add_parser("tail", help="run a Monte Carlo tail experiment")

@@ -40,10 +40,11 @@ __all__ = [
 
 SHARD_SIZE = 4096
 CSV_HEADER = "grid_value,empirical,ci_lo,ci_hi,bound,valid,verdict"
-# Version 3 of the tail metadata has no `sampler.seed` (always 0, never
-# read); version 2 echoes `sampler.max_attempts` as null for the kinds
-# other than rejection, which alone reads it.
-SCHEMA_VERSION = 3
+# Version 4 of the tail metadata echoes no theorem constants (none is set);
+# version 3 has no `sampler.seed` (always 0, never read); version 2 echoes
+# `sampler.max_attempts` as null for the kinds other than rejection, which
+# alone reads it.
+SCHEMA_VERSION = 4
 
 
 @dataclass(frozen=True)
@@ -65,9 +66,6 @@ class ExperimentConfig:
     i2: Optional[int] = None  # 1 for the statistics that read it
     a: Optional[int] = None
     b: Optional[int] = None
-    c: Optional[float] = None
-    c1: Optional[float] = None
-    c2: Optional[float] = None
 
     def __post_init__(self):
         stat = _STATISTICS.get(self.statistic)
@@ -104,8 +102,7 @@ class ExperimentConfig:
                     raise ValueError(f"config field {name!r} must be a row in [0, {n}), got {value}")
             if self.i1 == self.i2:
                 raise ValueError(f"config fields 'i1' and 'i2' must differ, both are {self.i1}")
-        # The theorem checks a, b, the constants and each grid value, and that
-        # its bound is finite there.
+        # The theorem checks a, b and each grid value, and that its bound is finite there.
         with fields_named({"bound field 'deviation'": "config field 'grid'"}):
             for g in self.grid:
                 eval_bound(stat.bound_spec(self, g))

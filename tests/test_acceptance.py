@@ -11,6 +11,9 @@ import math
 import time
 from fractions import Fraction
 
+import numpy as np
+
+from rrdigraph import exchangeable
 from rrdigraph.bounds import check_pseudorandom_implication
 from rrdigraph.couplings import (
     RowOrder,
@@ -97,6 +100,31 @@ def test_criterion_01_involution_and_membership():
     )
 
 
+def _walk_bad_pairs(mat, i1, i2):
+    """b from its definition: the (c1, c2) in Ex(i1,i2) x Ex(i2,i1) whose
+    column walk in row order (i1, i2, rest) is not reflecting."""
+    rows = mat.dense()
+    ex1, ex2 = (np.flatnonzero(rows[r] > rows[s]) for r, s in ((i1, i2), (i2, i1)))
+    order = RowOrder(i1, i2)
+    return sum(not column_walk(mat, int(c1), int(c2), order).reflecting for c1 in ex1 for c2 in ex2)
+
+
+def _sampled_identity_mismatches(mats):
+    """(cases, mismatches) of reflection_f's b and n*f = 30 co - 36 + b at
+    n = 30, d = 6, b from `_walk_bad_pairs`, on the row pair (0, 1) and one
+    drawn pair of each matrix."""
+    rng = stream_generator(231, 0)
+    cases = mismatches = 0
+    for mat in mats:
+        pick = rng.choice(30, 2, replace=False)
+        for i1, i2 in ((0, 1), (int(pick[0]), int(pick[1]))):
+            b = _walk_bad_pairs(mat, i1, i2)
+            diag = reflection_f(mat, i1, i2)
+            mismatches += diag.b != b or diag.f_scaled != 30 * codegree(mat, i1, i2).co - 36 + b
+            cases += 1
+    return cases, mismatches
+
+
 def test_criterion_02_reflection_identity(class_4_2):
     started = time.time()
     ok = True
@@ -112,18 +140,12 @@ def test_criterion_02_reflection_identity(class_4_2):
             ok &= n_k - n_i_refl == 4 * rec.co - 4 + b
             ok &= reflection_f(mat, i1, i2).f_scaled == n_k - n_i_refl
             checked += 1
-    # 10^3 sampled matrices at n = 30, d = 6.
+    # 10^3 sampled matrices at n = 30, d = 6, b counted by plain walks.
     mats = _mats(30, 6, 1000, seed=230, steps=1500)
-    rng = stream_generator(231, 0)
+    cases, mismatches = _sampled_identity_mismatches(mats)
+    ok &= mismatches == 0
+    checked += cases
     for idx, mat in enumerate(mats):
-        pairs = [(0, 1)]
-        pick = rng.choice(30, 2, replace=False)
-        pairs.append((int(pick[0]), int(pick[1])))
-        for i1, i2 in pairs:
-            rec = codegree(mat, i1, i2)
-            diag = reflection_f(mat, i1, i2)
-            ok &= diag.f_scaled == 30 * rec.co - 36 + diag.b
-            checked += 1
         if idx % 25 == 0:  # plain-Python oracle on a subsample
             n_k, n_i, n_i_refl = naive_minor_scan(mat, 0, 1)
             diag = reflection_f(mat, 0, 1)
@@ -135,6 +157,17 @@ def test_criterion_02_reflection_identity(class_4_2):
         ok and elapsed < 60,
         f"{checked} instances in {elapsed:.1f}s",
     )
+
+
+def test_criterion_02_sampled_check_fails_on_an_inverted_bad_mask(monkeypatch):
+    original = exchangeable._bad_mask
+
+    def inverted(*args):
+        ex1, ex2, bad, walk_rows = original(*args)
+        return ex1, ex2, ~bad, walk_rows
+
+    monkeypatch.setattr(exchangeable, "_bad_mask", inverted)
+    assert _sampled_identity_mismatches(_mats(30, 6, 2, seed=230, steps=1500)) == (4, 4)
 
 
 def test_criterion_03_reflection_self_bounding(class_4_2):

@@ -161,15 +161,9 @@ class TestEvalBound:
         with pytest.raises(ValueError, match="bound field 'p' is required by theorem 'er_codegree'"):
             eval_bound(TailBoundSpec(theorem="er_codegree", n=10, deviation=1.0))
 
-    def test_given_constants_are_labelled_given(self):
-        bv = eval_bound(TailBoundSpec(theorem="edge_upper", n=8, d=3, a=2, b=2, deviation=0.5, c1=3))
-        assert bv.constants == {"c1": (3, "given"), "c2": (8.0, "paper")}
-        bv = eval_bound(TailBoundSpec(theorem="er_edge", n=8, p=0.5, a=2, b=2, deviation=0.5, c=0.25))
-        assert bv.constants == {"c": (0.25, "given")}
-
     def test_unread_field_rejected(self):
-        with pytest.raises(ValueError, match="bound field 'c1' is not read by theorem 'codegree_upper'"):
-            TailBoundSpec(theorem="codegree_upper", n=10, d=3, deviation=1.0, c1=5.0)
+        with pytest.raises(ValueError, match="bound field 'p' is not read by theorem 'codegree_upper'"):
+            TailBoundSpec(theorem="codegree_upper", n=10, d=3, deviation=1.0, p=0.5)
 
     @pytest.mark.parametrize("p", [2.0, -0.5, float("nan")])
     def test_p_outside_the_unit_interval_rejected(self, p):
@@ -320,22 +314,24 @@ class TestCorollarySweep:
 
 # eval_bound at fixed inputs, one or more per theorem, as (theorem, fields,
 # value, valid): values recorded from the if-chain that the theorem table
-# replaced.
+# replaced, or, for rows without a caller-set constant there, from
+# eval_bound at the theorem's own constants.
 _PINNED = [
     ("codegree_upper", dict(n=40, d=7, deviation=0.75), 0.8822462288460213, True),
     ("codegree_uniform", dict(n=40, d=7, deviation=3.0), 58001.95807790781, True),
-    ("codegree_uniform", dict(n=40, d=33, deviation=3.0, c1=2.0, c2=0.5, c=0.1), 19808.44598124434, True),
+    # d_hat = min(d, n - d): d = 33 gives the value of d = 7.
+    ("codegree_uniform", dict(n=40, d=33, deviation=3.0), 58001.95807790781, True),
     ("edge_upper", dict(n=40, d=7, a=9, b=13, deviation=0.5, eta=0.05), 0.9274877099703895, True),
     ("edge_upper", dict(n=40, d=7, a=9, b=13, deviation=0.5, eta=0.07), 0.9274877099703895, False),
     ("edge_lower", dict(n=40, d=7, a=9, b=13, deviation=0.5, eta=0.125), 0.9231343761788477, True),
-    ("edge_lower", dict(n=40, d=7, a=9, b=13, deviation=0.5, eta=0.13, c1=16.0), 0.726205769683301, False),
+    ("edge_lower", dict(n=40, d=7, a=9, b=13, deviation=0.5, eta=0.13), 0.9231343761788477, False),
     ("edge_twosided", dict(n=40, d=7, a=35, b=30, deviation=1.5), 1.54357495876165, True),
     ("perm_edge", dict(n=40, d=3, a=12, b=12, deviation=0.5), 0.6791910512898782, True),
     ("er_codegree", dict(n=40, p=0.3, deviation=2.0), 1.8554869726571057, True),
-    ("er_edge", dict(n=40, p=0.3, a=10, b=20, deviation=2.0, c=0.05), 0.03663127777746836, True),
+    ("er_edge", dict(n=40, p=0.3, a=10, b=20, deviation=2.0), 0.5730095937203803, True),
     ("bipartite_codegree_uniform", dict(n=9, m=6, d=3, deviation=0.5), 326.73450147196206, True),
     ("bipartite_edge", dict(n=9, m=6, d=3, a=5, b=5, deviation=1.0, eta=0.125), 1.9633037913693197, True),
-    ("bipartite_edge", dict(n=9, m=6, d=3, a=5, b=5, deviation=3.0, c2=4.0), 1.7078793312470704, True),
+    ("bipartite_edge", dict(n=9, m=6, d=3, a=5, b=5, deviation=3.0), 1.7450505857388476, True),
     # K1 = 0 at d_hat = 0 or d = 0, where t = 0 too: the trivial bound.
     ("codegree_upper", dict(n=10, d=0, deviation=1.0), 1.0, True),
     ("codegree_upper", dict(n=10, d=10, deviation=1.0), 1.0, True),
@@ -355,7 +351,7 @@ class TestPinnedBounds:
 
 
 # A value in range for each optional field at n = 24, d = 6.
-_BOUND_VALUES = dict(m=24, a=6, b=8, eta=0.1, p=0.25, c1=2.0, c2=3.0, c=0.5)
+_BOUND_VALUES = dict(m=24, a=6, b=8, eta=0.1, p=0.25)
 
 
 class TestOptionalFields:

@@ -319,21 +319,23 @@ class TestVerifyCli:
 # The optional bound fields each theorem reads, and those of them it requires.
 _BOUND_READS = {
     "codegree_upper": ("", ""),
-    "codegree_uniform": ("c1 c2 c", ""),
-    "edge_upper": ("m a b eta c1 c2", "a b"),
-    "edge_lower": ("m a b eta c1", "a b"),
-    "edge_twosided": ("m a b eta c1 c2", "a b"),
+    "codegree_uniform": ("", ""),
+    "edge_upper": ("m a b eta", "a b"),
+    "edge_lower": ("m a b eta", "a b"),
+    "edge_twosided": ("m a b eta", "a b"),
     "perm_edge": ("a b", "a b"),
-    "er_codegree": ("p c", "p"),
-    "er_edge": ("p a b c", "p a b"),
-    "bipartite_codegree_uniform": ("m c1 c2 c", "m"),
-    "bipartite_edge": ("m a b eta c1 c2", "a b"),
+    "er_codegree": ("p", "p"),
+    "er_edge": ("p a b", "p a b"),
+    "bipartite_codegree_uniform": ("m", "m"),
+    "bipartite_edge": ("m a b eta", "a b"),
 }
 # A `bound` flag and value in range at n = 24, d = 6 for each optional field.
 _BOUND_FLAGS = {
     "m": ["--m", "24"], "a": ["--a", "6"], "b": ["--b", "8"], "eta": ["--good-eta", "0.1"],
-    "p": ["--p", "0.25"], "c1": ["--c1", "2"], "c2": ["--c2", "3"], "c": ["--c", "0.5"],
+    "p": ["--p", "0.25"],
 }
+# The theorem constants, which are no flags: every theorem refuses them.
+_CONSTANT_FLAGS = {"c1": ["--c1", "2"], "c2": ["--c2", "3"], "c": ["--c", "0.5"]}
 
 
 class TestBoundCli:
@@ -360,27 +362,31 @@ class TestBoundCli:
         code, stdout, _ = run(capsys, "bound", "--theorem", "codegree_upper", "--tau", "1", "--n", "10", "--d", "3")
         assert code == 0
         payload = json.loads(stdout)
-        assert payload["schema_version"] == 5
+        assert payload["schema_version"] == 6
         assert "dp" not in payload["config"] and payload["config"]["deviation"] == 1.0
 
-    def test_given_constant_is_labelled_given(self, capsys):
-        code, stdout, _ = run(
+    def test_constants_are_the_theorems_own(self, tmp_path, capsys):
+        code, stdout, err = run(
             capsys, "bound", "--theorem", "edge_upper", "--tau", "0.5", "--n", "8", "--d", "3",
-            "--a", "2", "--b", "2", "--c1", "3",
+            "--a", "2", "--b", "2", "--c1", "5",
         )
-        assert code == 0
-        assert json.loads(stdout)["constants"] == {
-            "c1": {"value": 3.0, "source": "given"}, "c2": {"value": 8.0, "source": "paper"},
-        }
+        assert (code, stdout) == (1, "") and "unrecognized arguments: --c1 5" in err
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"sampler": {"kind": "erdos_renyi", "n": 20, "p": 0.3},
+                                    "statistic": "er_codegree", "grid": [0.5], "N": 100, "c": 0.5}))
+        code, stdout, err = run(capsys, "tail", "--config", str(path), "--out", str(tmp_path / "t.csv"))
+        assert (code, stdout) == (1, "") and "unknown config field(s): c" in err
+        assert list(tmp_path.iterdir()) == [path]
 
     @pytest.mark.parametrize(
-        "theorem, name", [(theorem, name) for theorem in _BOUND_READS for name in _BOUND_FLAGS]
+        "theorem, name",
+        [(theorem, name) for theorem in _BOUND_READS for name in (*_BOUND_FLAGS, *_CONSTANT_FLAGS)],
     )
     def test_each_theorem_takes_only_the_fields_it_reads(self, capsys, theorem, name):
         reads, requires = (set(names.split()) for names in _BOUND_READS[theorem])
         argv = ["bound", "--theorem", theorem, "--n", "24", "--d", "6", "--eps", "1"]
         for field in sorted(requires | {name}):
-            argv += _BOUND_FLAGS[field]
+            argv += {**_BOUND_FLAGS, **_CONSTANT_FLAGS}[field]
         code, stdout, err = run(capsys, *argv)
         if name in reads:
             assert code == 0
@@ -388,11 +394,13 @@ class TestBoundCli:
         else:
             assert code == 1
             assert stdout == ""
-            assert f"bound field '{name}' is not read by theorem '{theorem}'" in err
+            refusal = (f"unrecognized arguments: --{name}" if name in _CONSTANT_FLAGS
+                       else f"bound field '{name}' is not read by theorem '{theorem}'")
+            assert refusal in err
 
     def test_the_read_pairs(self):
         assert set(_BOUND_READS) == set(THEOREMS)
-        assert sum(len(reads.split()) for reads, _ in _BOUND_READS.values()) == 38
+        assert sum(len(reads.split()) for reads, _ in _BOUND_READS.values()) == 23
 
     @pytest.mark.parametrize("p", ["2", "-0.5", "nan"])
     def test_p_outside_the_unit_interval_exit_1(self, capsys, p):
@@ -433,7 +441,7 @@ class TestTailCli:
         sidecar = tmp_path / "tail.csv.meta.json"
         meta = json.loads(sidecar.read_text())
         assert meta["config"]["N"] == 3000
-        assert meta["schema_version"] == 3
+        assert meta["schema_version"] == 4
 
     def test_byte_identical_reruns(self, tmp_path, capsys):
         cfg = self._config(tmp_path)
@@ -731,7 +739,9 @@ class TestFlagMatrix:
              "--eps --tau"),
             (["enumerate", "--n", "3", "--d", "1", "--count-only", "--out", "{out}"], "--out"),
             (["bound", "--theorem", "codegree_upper", "--eps", "1", "--n", "10", "--d", "3", "--c1", "5"],
-             "'c1' is not read by theorem 'codegree_upper'"),
+             "--c1"),
+            (["bound", "--theorem", "codegree_upper", "--eps", "1", "--n", "10", "--d", "3", "--p", "0.5"],
+             "'p' is not read by theorem 'codegree_upper'"),
             (["sigma2", "--in", "{in}", "--out", "{out}", "--kind", "rejection"], "--kind"),
             (["sample", "--kind", "switch_mcmc", "--n", "4", "--d", "2", "--steps", "3", "--max-attempts", "5",
               "--out", "{out}"], "'max_attempts'"),
@@ -741,13 +751,16 @@ class TestFlagMatrix:
             (["sample", "--kind", "rejection", "--n", "6", "--d", "2", "--max-attempts", "0", "--out", "{out}"],
              "'max_attempts'"),
             (["bound", "--theorem", "edge_lower", "--tau", "0.5", "--n", "10", "--d", "3", "--a", "2", "--b", "2",
-              "--c2", "8"], "'c2' is not read by theorem 'edge_lower'"),
+              "--c2", "8"], "--c2"),
+            (["bound", "--theorem", "perm_edge", "--tau", "0.5", "--n", "10", "--d", "3", "--a", "2", "--b", "2",
+              "--good-eta", "0.1"], "'eta' is not read by theorem 'perm_edge'"),
         ],
         ids=["sample-rejection-steps", "sample-rejection-p", "sample-permutation-m", "sigma2-switch-p",
              "sigma2-sample", "sigma2-format", "verify-steps-d2", "verify-steps-n-d2",
              "verify-steps-permutation", "bound-dp", "bound-two-deviations", "enumerate-count-only-out",
-             "bound-codegree-c1", "sigma2-in-kind", "sample-switch-max-attempts", "tail-sampler-seed",
-             "verify-permutation-m", "sample-max-attempts-0", "bound-edge-lower-c2"],
+             "bound-codegree-c1", "bound-codegree-p", "sigma2-in-kind", "sample-switch-max-attempts",
+             "tail-sampler-seed", "verify-permutation-m", "sample-max-attempts-0", "bound-edge-lower-c2",
+             "bound-perm-good-eta"],
     )
     def test_unread_input_is_rejected(self, tmp_path, capsys, argv, name):
         # Flags and sampler fields nothing reads; the message names each one.

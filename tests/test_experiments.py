@@ -260,15 +260,16 @@ class TestConfig:
             (dict(kind="erdos_renyi", n=10, p=0.3), dict(statistic="er_edge", a=11, b=4), "'a' must be in"),
             (dict(kind="rejection", n=20, d=3), dict(statistic="codegree", a=3), "'a' is not read"),
             (dict(kind="switch_mcmc", n=10, d=3), dict(statistic="codegree_uniform", good_event_eta=0.1), "good_event_eta"),
-            (dict(kind="erdos_renyi", n=10, p=0.3), dict(statistic="er_codegree", c1=2.0), "'c1' is not read"),
-            (dict(kind="permutation_model", n=10, d=3), dict(statistic="perm_edge_count", a=2, b=2, c=0.5), "'c' is not read"),
+            (dict(kind="erdos_renyi", n=10, p=0.3), dict(statistic="er_codegree", a=2), "'a' is not read"),
+            (dict(kind="permutation_model", n=10, d=3), dict(statistic="perm_edge_count", a=2, b=2, good_event_eta=0.5),
+             "'good_event_eta' is not read"),
             (dict(kind="switch_mcmc", n=10, d=3), dict(statistic="codegree_uniform", i1=5, i2=6), "'i1' is not read"),
             (dict(kind="rejection", m=3, n=6, d=2, dp=1), dict(statistic="edge_count", a=2, b=5), "sampler.m"),
             (dict(kind="switch_mcmc", m=6, n=9, d=3, dp=2), dict(statistic="codegree"), "sampler.m"),
         ],
         ids=["i2-out-of-range", "i1-negative", "i1-equals-i2", "er-i1-out-of-range", "b-above-n",
-             "a-zero", "er-a-above-n", "unread-a", "unread-eta", "unread-c1", "unread-c",
-             "unread-i1", "biregular-edge", "biregular-codegree"],
+             "a-zero", "er-a-above-n", "unread-a", "unread-eta", "er-unread-a",
+             "perm-unread-eta", "unread-i1", "biregular-edge", "biregular-codegree"],
     )
     def test_fields_checked_per_statistic(self, sampler, fields, match):
         with pytest.raises(ValueError, match=match):

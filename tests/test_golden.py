@@ -34,7 +34,8 @@ After an intended change, rewrite the expected files with
 
     PYTHONPATH=src python tests/test_golden.py --update
 
-which prints the cases that moved.  Never regenerate a case to hide a
+which prints the cases that moved, and stops, naming the case, at a tail
+or sample run that exits non-zero.  Never regenerate a case to hide a
 change nobody intended.
 """
 
@@ -92,10 +93,13 @@ def _diff(got, want, path="$"):
 
 
 def _run(case: str, out: Path, threads: int):
-    """(exit code, CSV text, metadata less wall_time_s) of one tail run."""
+    """(exit code, CSV text, metadata less wall_time_s) of one tail run; a
+    refused run writes no file, so it gives (code, None, None)."""
     with contextlib.redirect_stdout(io.StringIO()):
         code = main(["tail", "--config", str(GOLDEN / f"{case}.config.json"), "--out", str(out),
                      "--threads", str(threads)])
+    if code:
+        return code, None, None
     meta = json.loads(Path(f"{out}.meta.json").read_text())
     meta.pop("wall_time_s")
     return code, out.read_text(), meta
@@ -176,17 +180,57 @@ def _write(files: dict, case: str) -> None:
         path.write_text(text)
 
 
+def _refused(case: str, code: int) -> None:
+    """Stop the update at a tail or sample case that exits non-zero."""
+    if code:
+        sys.exit(f"golden case {case} exited {code}; its files and the later cases' are left as they are")
+
+
 def _update(scratch: Path) -> None:
-    """Rewrite every case's expected files and print the ones that moved."""
+    """Rewrite every case's expected files and print the ones that moved;
+    stop at the first tail or sample case that exits non-zero."""
     for case in CASES:
-        _, text, meta = _run(case, scratch / "tail.csv", 1)
+        code, text, meta = _run(case, scratch / f"{case}.csv", 1)
+        _refused(case, code)
         _write({GOLDEN / f"{case}.csv": text, GOLDEN / f"{case}.meta.json": json.dumps(meta, indent=2) + "\n"}, case)
     for case in SAMPLE_CASES:
-        _, out, err = _sample(case)
+        code, out, err = _sample(case)
+        _refused(case, code)
         _write({GOLDEN / f"{case}.stdout": out, GOLDEN / f"{case}.stderr": err}, case)
     for case in PAYLOAD_CASES:
         code, payload, _ = _payload(case)
         _write({GOLDEN / f"{case}.json": json.dumps({"exit": code, "stdout": payload}, indent=2) + "\n"}, case)
+
+
+# A refused case of each kind and the files an update would rewrite.
+_REFUSED = {"tail": ("tail_refused", (".csv", ".meta.json")), "sample": ("sample_refused", (".stdout", ".stderr"))}
+
+
+@pytest.mark.parametrize("kind", sorted(_REFUSED))
+def test_update_stops_at_a_refused_case(kind, tmp_path, monkeypatch, capsys):
+    """`--update` writes the cases before a refused one and stops there,
+    leaving the refused case's files as they were, not holding the output
+    of the case before it."""
+    golden = tmp_path / "golden"
+    golden.mkdir()
+    (golden / "tail_good.config.json").write_text((GOLDEN / "tail_codegree.config.json").read_text())
+    config = json.loads((GOLDEN / "tail_er_codegree.config.json").read_text())
+    (golden / "tail_refused.config.json").write_text(json.dumps({**config, "c": 0.5}))
+    (golden / "sample_refused.argv").write_text("--kind rejection --n 3 --d 5\n")
+    case, outputs = _REFUSED[kind]
+    old = {golden / f"{case}{ext}": f"old {ext}\n" for ext in outputs}
+    for path, text in old.items():
+        path.write_text(text)
+    want = (GOLDEN / "tail_codegree.csv").read_text()
+    cases = ["tail_good"] + ["tail_refused"] * (kind == "tail")
+    for name, value in (("GOLDEN", golden), ("CASES", cases), ("SAMPLE_CASES", ["sample_refused"] * (kind == "sample")),
+                        ("PAYLOAD_CASES", [])):
+        monkeypatch.setitem(globals(), name, value)
+    with pytest.raises(SystemExit, match=f"golden case {case} exited 1"):
+        _update(tmp_path)
+    assert {path: path.read_text() for path in old} == old
+    assert capsys.readouterr().out == "moved: tail_good\n"
+    assert (golden / "tail_good.csv").read_text() == want
 
 
 if __name__ == "__main__":

@@ -86,11 +86,11 @@ class TestCheckReads:
             (lambda: SamplerSpec(kind="rejection", n=4, d=2, steps=3),
              "sampler field 'steps' is not read by kind 'rejection'"),
             (lambda: SamplerSpec(kind="erdos_renyi", n=5), "sampler field 'p' is required by kind 'erdos_renyi'"),
-            (lambda: TailBoundSpec(theorem="codegree_upper", n=10, d=3, c1=5.0),
-             "bound field 'c1' is not read by theorem 'codegree_upper'"),
+            (lambda: TailBoundSpec(theorem="codegree_upper", n=10, d=3, p=0.5),
+             "bound field 'p' is not read by theorem 'codegree_upper'"),
             (lambda: TailBoundSpec(theorem="er_edge", n=10, p=0.3, a=2), "bound field 'b' is required by theorem 'er_edge'"),
-            (lambda: ExperimentConfig(sampler=SamplerSpec(**_ER), statistic="er_codegree", grid=(0.5,), N=10, c1=2.0),
-             "config field 'c1' is not read by statistic 'er_codegree'"),
+            (lambda: ExperimentConfig(sampler=SamplerSpec(**_ER), statistic="er_codegree", grid=(0.5,), N=10, a=2),
+             "config field 'a' is not read by statistic 'er_codegree'"),
             (lambda: ExperimentConfig(sampler=SamplerSpec(**_ER), statistic="er_edge", grid=(0.5,), N=10, a=2),
              "config field 'b' is required by statistic 'er_edge'"),
         ],
@@ -120,15 +120,16 @@ class TestCheckReads:
 
 
 # The cases below each passed the input boundary before it had a row for
-# their field: a traceback, a NaN bound reported valid, a negative constant
-# or tolerance, or a resource-guard exit for a malformed cap.
+# their field: a traceback, a NaN bound reported valid, a set size outside
+# the class, a p outside [0, 1], a negative tolerance, or a resource-guard
+# exit for a malformed cap.
 _BOUND_CASES = [
-    ("edge_upper --n 10 --d 3 --a 2 --b 2 --tau 1 --c1 0 --c2 0", "c1"),
+    ("edge_upper --n 10 --d 3 --a 0 --b 2 --tau 1", "a"),
     ("codegree_upper --n 10 --d 3 --eps nan", "deviation"),
     ("codegree_upper --n 10 --d 3 --eps inf", "deviation"),
-    ("er_edge --n 10 --p 0.3 --a 2 --b 2 --tau 1 --c nan", "c"),
-    ("codegree_uniform --n 10 --d 3 --eps 1 --c -1", "c"),
-    ("edge_upper --n 10 --d 3 --a 2 --b 2 --tau 1 --c1 -64", "c1"),
+    ("er_edge --n 10 --p nan --a 2 --b 2 --tau 1", "p"),
+    ("er_codegree --n 10 --p -0.5 --eps 1", "p"),
+    ("edge_upper --n 10 --d 3 --a 2 --b 11 --tau 1", "b"),
     ("edge_upper --n 10 --d 3 --a 2 --b 2 --tau 1 --good-eta -1", "eta"),
 ]
 # The CLI names a refused deviation or tolerance by the flag typed: each
@@ -155,14 +156,14 @@ class TestClosedGaps:
             TailBoundSpec(theorem=tokens[0], deviation=deviation, **fields)
 
     _TAIL_CASES = [
-        (dict(statistic="edge_count", a=5, b=5, c1=0, c2=0), "bound field 'c1' must be > 0"),
+        (dict(statistic="edge_count", a=0, b=5), "bound field 'a' must be in [1, 20]"),
         (dict(statistic="edge_count", a=5, b=5, good_event_eta=-1), "config field 'good_event_eta' must be >= 0"),
         (dict(statistic="edge_count", a=5, b=5, good_event_eta=NAN), "config field 'good_event_eta' must be finite"),
         (dict(statistic="codegree", grid=[INF]), "config field 'grid' must be finite"),
-        (dict(statistic="codegree_uniform", c=-1.0), "bound field 'c' must be > 0"),
+        (dict(statistic="edge_count", a=5, b=21), "bound field 'b' must be in [1, 20]"),
         (dict(statistic="codegree", grid=[1e308]), "config field 'grid' must give theorem 'codegree_upper' a finite"),
         (dict(statistic="codegree", grid=[10**400]), "config field 'grid' must hold numbers within float range"),
-        (dict(statistic="codegree_uniform", c1=1e308), "bound field 'c1' must give theorem 'codegree_uniform' a finite"),
+        (dict(statistic="edge_count", a=5, b=5, grid=[1e308]), "config field 'grid' must give theorem 'edge_upper' a finite"),
         (dict(statistic="codegree", grid=[]), "config field 'grid' must hold at least one value"),
     ]
 
@@ -203,10 +204,9 @@ class TestClosedGaps:
             ("perm_edge --n 10 --d 3 --a 2 --b 3 --tau 1e308", "--tau", "deviation"),
             ("edge_upper --n 10 --d 3 --a 2 --b 3 --tau 1e308", "--tau", "deviation"),
             ("codegree_upper --n 10 --d 3 --eta 1e308", "--eta", "deviation"),
-            ("codegree_uniform --n 10 --d 3 --eps 1 --c1 1e308", "c1", "c1"),
             (f"codegree_upper --n {10**400} --d 3 --eps 1", "n", "n"),
         ],
-        ids=["perm_edge-tau", "edge_upper-tau", "codegree_upper-eta", "codegree_uniform-c1", "codegree_upper-n"],
+        ids=["perm_edge-tau", "edge_upper-tau", "codegree_upper-eta", "codegree_upper-n"],
     )
     def test_bound_must_be_finite(self, argv, flag, field):
         code, out, err = run("bound", "--theorem", *argv.split())
@@ -279,9 +279,6 @@ def tail_configs(draw):
         fields["a"], fields["b"] = draw(st.integers(1, n)), draw(st.integers(1, n))
     if "good_event_eta" in stat.reads:
         fields["good_event_eta"] = draw(st.none() | st.floats(0, 10))
-    for name in ("c", "c1", "c2"):
-        if name in stat.reads:
-            fields[name] = draw(st.none() | st.floats(0, 1e6, exclude_min=True))
     return ExperimentConfig(
         sampler=SamplerSpec(**sampler),
         statistic=statistic,
@@ -293,7 +290,7 @@ def tail_configs(draw):
 
 
 # A value in range for each optional config field, and a sampler of each kind, at n = 8.
-_CONFIG_VALUES = dict(good_event_eta=0.1, i1=0, i2=1, a=2, b=3, c=0.5, c1=1.0, c2=1.0)
+_CONFIG_VALUES = dict(good_event_eta=0.1, i1=0, i2=1, a=2, b=3)
 _SAMPLERS = {"rejection": dict(n=8, d=2), "switch_mcmc": dict(n=8, d=2, steps=10),
              "permutation_model": dict(n=8, d=2), "erdos_renyi": dict(n=8, p=0.3)}
 
@@ -324,13 +321,11 @@ class TestBoundaryProperties:
     # One small valid config per statistic, N <= 50, every numeric field set.
     _TAIL_BASE = {
         "codegree": {"sampler": {"kind": "rejection", "n": 8, "d": 2, "max_attempts": 1000}, "i1": 0, "i2": 1},
-        "codegree_uniform": {"sampler": {"kind": "switch_mcmc", "n": 8, "d": 2, "steps": 20},
-                             "c": 0.5, "c1": 1.0, "c2": 1.0},
-        "edge_count": {"sampler": {"kind": "rejection", "n": 8, "d": 2}, "a": 2, "b": 3,
-                       "good_event_eta": 0.25, "c1": 64.0, "c2": 8.0},
+        "codegree_uniform": {"sampler": {"kind": "switch_mcmc", "n": 8, "d": 2, "steps": 20}},
+        "edge_count": {"sampler": {"kind": "rejection", "n": 8, "d": 2}, "a": 2, "b": 3, "good_event_eta": 0.25},
         "perm_edge_count": {"sampler": {"kind": "permutation_model", "n": 8, "d": 2}, "a": 2, "b": 3},
-        "er_codegree": {"sampler": {"kind": "erdos_renyi", "n": 8, "p": 0.3}, "i1": 0, "i2": 1, "c": 0.5},
-        "er_edge": {"sampler": {"kind": "erdos_renyi", "n": 8, "p": 0.3}, "a": 2, "b": 3, "c": 0.5},
+        "er_codegree": {"sampler": {"kind": "erdos_renyi", "n": 8, "p": 0.3}, "i1": 0, "i2": 1},
+        "er_edge": {"sampler": {"kind": "erdos_renyi", "n": 8, "p": 0.3}, "a": 2, "b": 3},
     }
 
     @given(st.data())
@@ -349,8 +344,8 @@ class TestBoundaryProperties:
         folder = tmp_path_factory.mktemp("tail")
         (folder / "cfg.json").write_text(json.dumps(cfg))
         code, _, err = run("tail", "--config", folder / "cfg.json", "--out", folder / "t.csv")
-        # 2 is the verdict of a run whose bound fails, as a given constant
-        # can make it; 3 the rejection budget's guard.
+        # 2 is the verdict of a run whose bound fails, which only a defect
+        # can make now that no constant is set; 3 the rejection budget's guard.
         assert code in (0, 1, 2) or (code == 3 and cfg["sampler"]["kind"] == "rejection"), (code, err)
         if code == 1:
             named = re.findall(r"'([\w.]+)'", err)
@@ -362,15 +357,15 @@ class TestBoundaryProperties:
 
     _BOUND_BASE = {
         "codegree_upper": "--n 10 --d 3 --eps 1",
-        "codegree_uniform": "--n 10 --d 3 --eps 1 --c1 1 --c2 1 --c 0.5",
-        "edge_upper": "--n 10 --d 3 --a 2 --b 3 --tau 1 --good-eta 0.1 --c1 64 --c2 8",
-        "edge_lower": "--n 10 --d 3 --a 2 --b 3 --tau 1 --good-eta 0.1 --c1 64",
-        "edge_twosided": "--n 10 --d 3 --a 2 --b 3 --tau 1 --good-eta 0.1 --c1 64 --c2 8",
+        "codegree_uniform": "--n 10 --d 3 --eps 1",
+        "edge_upper": "--n 10 --d 3 --a 2 --b 3 --tau 1 --good-eta 0.1",
+        "edge_lower": "--n 10 --d 3 --a 2 --b 3 --tau 1 --good-eta 0.1",
+        "edge_twosided": "--n 10 --d 3 --a 2 --b 3 --tau 1 --good-eta 0.1",
         "perm_edge": "--n 10 --d 3 --a 2 --b 3 --tau 1",
-        "er_codegree": "--n 10 --p 0.3 --eps 1 --c 0.5",
-        "er_edge": "--n 10 --p 0.3 --a 2 --b 3 --tau 1 --c 0.5",
-        "bipartite_codegree_uniform": "--n 10 --m 5 --d 3 --eps 1 --c1 1 --c2 1 --c 0.5",
-        "bipartite_edge": "--n 10 --m 5 --d 3 --a 2 --b 3 --tau 1 --good-eta 0.1 --c1 64 --c2 8",
+        "er_codegree": "--n 10 --p 0.3 --eps 1",
+        "er_edge": "--n 10 --p 0.3 --a 2 --b 3 --tau 1",
+        "bipartite_codegree_uniform": "--n 10 --m 5 --d 3 --eps 1",
+        "bipartite_edge": "--n 10 --m 5 --d 3 --a 2 --b 3 --tau 1 --good-eta 0.1",
     }
     # The spec field each flag feeds, where the names differ.
     _BOUND_FIELD = {"eps": "deviation", "tau": "deviation", "good-eta": "eta"}
