@@ -139,13 +139,14 @@ def check_reads(owner: str, spec, reads, by: str, requires=()) -> None:
 
 @contextmanager
 def fields_named(names: dict):
-    """Within the block, a "<owner> field 'x' must ..." ValueError whose
-    "<owner> field 'x'" is a key of `names` is raised again under its value,
-    so a caller can name the field its user typed."""
+    """Within the block, a "<owner> field 'x' ..." ValueError (out of
+    range, not read, required) whose "<owner> field 'x'" is a key of `names`
+    is raised again under its value, so a caller can name the field its
+    user typed."""
     try:
         yield
     except ValueError as exc:
-        old = next((old for old in names if str(exc).startswith(f"{old} must")), None)
+        old = next((old for old in names if str(exc).startswith(f"{old} ")), None)
         if old is None:
             raise
         raise ValueError(names[old] + str(exc)[len(old):]) from None

@@ -55,13 +55,26 @@ def sigma2(matrix: BiregularBitMatrix) -> SpectralReport:
     """The two largest singular values of a square digraph's matrix."""
     check_sigma2_shape(matrix.m, matrix.n)
     n, d = matrix.n, matrix.d
-    dense = matrix.dense().astype(np.float64)
-    gram = dense.T @ dense
-    del dense  # at most two n x n float64 arrays alive at once
+    gram = _gram(matrix)
     gram *= n
     gram -= d * d
     top = np.linalg.eigvalsh(gram)[-1]
     return SpectralReport(float(d), float(np.sqrt(max(top, 0.0) / n)), 0, 0.0, True)
+
+
+def _gram(matrix: BiregularBitMatrix) -> np.ndarray:
+    """M^T M as float64, whose integer entries G[j, k] count the rows that
+    hold both columns j and k.  Where d^2 <= n they are counted from the d^2
+    column pairs of each row, at most n^2 codes j*n + k in all; elsewhere by
+    a dense product.  Either way the temporaries end here, so at most two
+    n x n arrays are alive at once."""
+    n, d = matrix.n, matrix.d
+    if d * d <= n:
+        cols = np.nonzero(matrix.dense())[1].reshape(n, d)
+        counts = np.bincount((cols[:, :, None] * n + cols[:, None, :]).reshape(-1), minlength=n * n)
+        return counts.reshape(n, n).astype(np.float64)
+    dense = matrix.dense().astype(np.float64)
+    return dense.T @ dense
 
 
 def check_sigma2_shape(m: int, n: int) -> None:

@@ -112,23 +112,49 @@ def _random_pair(rng, m, n, max_b):
     )
 
 
-def _by_rejection(n, d):
-    """Whether the class suites draw by rejection, which accepts often
-    enough when d or n - d is at most 2, rather than by the switch chain.
-    Where 2d > n, rejection draws the complement class, whose row degree
-    is n - d."""
-    return d <= 2 or n - d <= 2
+# The class suites draw by rejection from the side (the class or its
+# complement) whose k = (d - 1)(dp - 1) is smaller, when that k is at most
+# _REJECTION_MAX_K.  A configuration-model draw is simple with probability
+# tending to exp(-k/2) (McKay 1984), so that is at most e^4.5, about 90,
+# expected attempts per sample.  Elsewhere they run the switch chain.
+_REJECTION_MAX_K = 9
+# Failures in a row before rejection gives up: over 30 mean waits at
+# k = _REJECTION_MAX_K.  Fixed, not a user knob: it also bounds rejection's
+# block of attempts, which the default budget would grow far past the
+# attempts a verify sample needs.
+_REJECTION_ATTEMPTS = 4096
+
+
+def _rejection_side(n, d, m, dp):
+    """The side of the m x n class with row degree d and column degree dp
+    that the class suites draw by rejection, "class" or "complement" (row
+    degree n - d, column degree m - dp), or None where they run the switch
+    chain.  A tie draws the class itself."""
+    k = (d - 1) * (dp - 1)
+    k_complement = (n - d - 1) * (m - dp - 1)
+    if min(k, k_complement) > _REJECTION_MAX_K:
+        return None
+    return "complement" if k_complement < k else "class"
+
+
+_STEPS_UNREAD = (
+    "verify field 'steps' is not read: only the reflection and switching suites run the switch "
+    f"chain, and only where (d - 1)(dp - 1) and (n - d - 1)(m - dp - 1) both exceed {_REJECTION_MAX_K}"
+)
 
 
 def _sample_matrices(n, d, count, seed, m=None, dp=None, steps=None):
-    if _by_rejection(n, d):
-        spec = SamplerSpec(kind="rejection", n=n, d=d, m=m, dp=dp, seed=seed)
-        if 2 * d > n:
-            # Complementing is a bijection onto the class, so its draws stay
-            # exactly uniform.
-            spec = dataclasses.replace(spec, d=n - d, dp=spec.m - spec.dp)
-            return [complement(mat) for mat in sample_many(spec, count)]
-    else:
+    # The spec checks the asked class before the rule reads its margins.
+    spec = SamplerSpec(kind="rejection", n=n, d=d, m=m, dp=dp, seed=seed, max_attempts=_REJECTION_ATTEMPTS)
+    side = _rejection_side(n, d, spec.m, spec.dp)
+    if side is not None and steps is not None:
+        raise ValueError(_STEPS_UNREAD)
+    if side == "complement":
+        # Complementing is a bijection onto the class, so its draws stay
+        # exactly uniform.
+        spec = dataclasses.replace(spec, d=n - d, dp=spec.m - spec.dp)
+        return [complement(mat) for mat in sample_many(spec, count)]
+    if side is None:
         steps = min(100 * n * d, 4000) if steps is None else steps
         spec = SamplerSpec(kind="switch_mcmc", n=n, d=d, m=m, dp=dp, steps=steps, seed=seed)
     return sample_many(spec, count)
@@ -321,11 +347,8 @@ def run_suite(
     unread = [name for name, value in (("m", m), ("dp", dp)) if value is not None]
     if unread and not class_suites:
         raise ValueError(f"verify field {unread[0]!r} is not read: only the class suites draw matrices")
-    if steps is not None and (not class_suites or _by_rejection(n, d)):
-        raise ValueError(
-            "verify field 'steps' is not read: only the reflection and switching "
-            "suites run the switch chain, and only when 2 < d < n - 2"
-        )
+    if steps is not None and not class_suites:
+        raise ValueError(_STEPS_UNREAD)
     mats = _sample_matrices(n, d, samples, seed, m, dp, steps) if class_suites else None
     runners = {
         "reflection": lambda: _reflection_suite(mats, seed),

@@ -394,9 +394,25 @@ class TestBoundCli:
         else:
             assert code == 1
             assert stdout == ""
+            # A refused field is named by the flag typed: --good-eta for eta.
+            typed = _BOUND_FLAGS[name][0] if name == "eta" else name
             refusal = (f"unrecognized arguments: --{name}" if name in _CONSTANT_FLAGS
-                       else f"bound field '{name}' is not read by theorem '{theorem}'")
+                       else f"bound field '{typed}' is not read by theorem '{theorem}'")
             assert refusal in err
+
+    @pytest.mark.parametrize(
+        "theorem, eta, message",
+        [("perm_edge", "0.1", "bound field '--good-eta' is not read by theorem 'perm_edge'"),
+         ("edge_upper", "-1", "bound field '--good-eta' must be >= 0, got -1.0")],
+        ids=["not-read", "out-of-range"],
+    )
+    def test_good_eta_named_by_its_flag(self, capsys, theorem, eta, message):
+        code, stdout, err = run(
+            capsys, "bound", "--theorem", theorem, "--n", "10", "--d", "3", "--a", "2", "--b", "2",
+            "--tau", "0.5", "--good-eta", eta,
+        )
+        assert (code, stdout) == (1, "")
+        assert message in err and "'eta'" not in err
 
     def test_the_read_pairs(self):
         assert set(_BOUND_READS) == set(THEOREMS)
@@ -753,7 +769,7 @@ class TestFlagMatrix:
             (["bound", "--theorem", "edge_lower", "--tau", "0.5", "--n", "10", "--d", "3", "--a", "2", "--b", "2",
               "--c2", "8"], "--c2"),
             (["bound", "--theorem", "perm_edge", "--tau", "0.5", "--n", "10", "--d", "3", "--a", "2", "--b", "2",
-              "--good-eta", "0.1"], "'eta' is not read by theorem 'perm_edge'"),
+              "--good-eta", "0.1"], "'--good-eta' is not read by theorem 'perm_edge'"),
         ],
         ids=["sample-rejection-steps", "sample-rejection-p", "sample-permutation-m", "sigma2-switch-p",
              "sigma2-sample", "sigma2-format", "verify-steps-d2", "verify-steps-n-d2",

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from rrdigraph import spectral
 from rrdigraph.matrices import BiregularBitMatrix, VertexSetPair, complement, edge_count
 from rrdigraph.samplers import (
     SamplerSpec,
@@ -177,6 +178,28 @@ class TestSigma2DeflatedGram:
             tracemalloc.stop()
         assert peak <= 2 * n * n * 8 + 2**20
         assert report.sigma2 == pytest.approx(circulant_sigma2(n, n // 2), rel=1e-12)
+
+    @pytest.mark.parametrize("n, d", [(9, 3), (300, 3), (300, 17), (1000, 31)])
+    def test_counted_gram_equals_the_dense_product(self, n, d):
+        # d^2 <= n: the Gram is counted from each row's column pairs, and is
+        # the dense product entry for entry.
+        mat = sample_many(SamplerSpec(kind="switch_mcmc", n=n, d=d, steps=2000, seed=n + d), 1)[0]
+        dense = mat.dense().astype(np.float64)
+        assert d * d <= n
+        assert np.array_equal(spectral._gram(mat), dense.T @ dense)
+        assert_matches_svd(mat)
+
+    def test_peak_memory_of_the_counted_gram_at_n_1000(self):
+        n, d = 1000, 31
+        mat = circulant(n, d)
+        mat.dense()  # the matrix's own cached uint8 view, built before the measurement
+        tracemalloc.start()
+        try:
+            sigma2(mat)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * n * n * 8 + 2**20
 
 
 class TestAlphaExact:

@@ -49,9 +49,9 @@ class TestSharedDraw:
     @pytest.mark.parametrize(
         "suite,kinds",
         [
-            ("all", ["switch_mcmc", "permutation_model"]),
-            ("reflection", ["switch_mcmc"]),
-            ("switching", ["switch_mcmc"]),
+            ("all", ["rejection", "permutation_model"]),
+            ("reflection", ["rejection"]),
+            ("switching", ["rejection"]),
             ("permutation", ["permutation_model"]),
         ],
     )
@@ -76,13 +76,14 @@ class TestSharedDraw:
             return sample_many(spec, count)
 
         monkeypatch.setattr(verify, "sample_many", recording)
-        (result,) = run_suite("switching", 10, 3, 2, seed=1, steps=7)
+        (result,) = run_suite("switching", 10, 5, 2, seed=1, steps=7)
         assert [(spec.kind, spec.steps) for spec in specs] == [("switch_mcmc", 7)]
         assert result.config["steps"] == 7
 
     @pytest.mark.parametrize(
         "suite,n,d",
-        [("permutation", 10, 3), ("all", 10, 2), ("reflection", 10, 8), ("switching", 10, 1)],
+        [("permutation", 10, 3), ("all", 10, 2), ("reflection", 10, 8), ("switching", 10, 1),
+         ("all", 10, 3), ("reflection", 16, 4)],
     )
     def test_steps_rejected_where_no_chain_runs(self, monkeypatch, suite, n, d):
         monkeypatch.setattr(verify, "sample_many", None)  # any draw would raise TypeError
@@ -98,6 +99,66 @@ class TestSharedDraw:
         monkeypatch.setattr(verify, "sample_many", None)  # any draw would raise TypeError
         with pytest.raises(ValueError, match="verify field '[nm]' must be >= 2"):
             run_suite(suite, n, d, samples, m=m, dp=None if m is None else 4)
+
+
+class TestDrawRule:
+    """The class suites draw by rejection from the side, the class or its
+    complement, with the smaller k = (d - 1)(dp - 1) when that k is at most
+    9, and run the switch chain elsewhere."""
+
+    # (n, d, m, dp) -> the kind drawn and the (d, dp) it draws; the comment
+    # gives k for the class and for its complement.
+    _CASES = [
+        ((16, 4, None, None), "rejection", (4, 4)),  # 9 and 121
+        ((16, 5, None, None), "switch_mcmc", (5, 5)),  # 16 and 100
+        ((16, 12, None, None), "rejection", (4, 4)),  # 121 and 9: the complement
+        ((9, 3, 6, 2), "rejection", (3, 2)),  # 2 and 15
+        ((10, 5, None, None), "switch_mcmc", (5, 5)),  # 16 and 16
+        ((4, 2, 22, 11), "switch_mcmc", (2, 11)),  # 10 and 10
+        ((4, 2, 40, 20), "switch_mcmc", (2, 20)),  # 19 and 19: acceptance near e^-9.5
+        ((8, 0, None, None), "rejection", (0, 0)),  # 1 and 36
+    ]
+    _IDS = ["n16-d4", "n16-d5", "n16-d12", "6x9-d3", "n10-d5", "22x4-d2", "40x4-d2", "n8-d0"]
+
+    @staticmethod
+    def _recorded(monkeypatch):
+        specs = []
+        monkeypatch.setattr(verify, "sample_many", lambda spec, count: specs.append(spec) or [])
+        return specs
+
+    @pytest.mark.parametrize("shape, kind, drawn", _CASES, ids=_IDS)
+    def test_kind_and_side(self, monkeypatch, shape, kind, drawn):
+        specs = self._recorded(monkeypatch)
+        n, d, m, dp = shape
+        verify._sample_matrices(n, d, 3, 1, m=m, dp=dp)
+        (spec,) = specs
+        assert (spec.kind, (spec.d, spec.dp)) == (kind, drawn)
+        if kind == "rejection":
+            assert spec.max_attempts == verify._REJECTION_ATTEMPTS == 4096
+        else:
+            assert spec.steps == min(100 * n * d, 4000)
+
+    @pytest.mark.parametrize("shape, kind, drawn", _CASES, ids=_IDS)
+    def test_steps_read_exactly_where_the_chain_runs(self, monkeypatch, shape, kind, drawn):
+        specs = self._recorded(monkeypatch)
+        n, d, m, dp = shape
+        if kind == "switch_mcmc":
+            run_suite("switching", n, d, 3, m=m, dp=dp, steps=5)
+            assert [(spec.kind, spec.steps) for spec in specs] == [("switch_mcmc", 5)]
+        else:
+            with pytest.raises(ValueError, match="verify field 'steps' is not read"):
+                run_suite("switching", n, d, 3, m=m, dp=dp, steps=5)
+            assert specs == []
+
+    @pytest.mark.parametrize(
+        "d, m, dp, message",
+        [(18, None, None, "sampler field 'd' must be in"), (4, 10, 3, "edge-count mismatch")],
+    )
+    def test_the_class_is_checked_before_steps(self, monkeypatch, d, m, dp, message):
+        specs = self._recorded(monkeypatch)
+        with pytest.raises(ValueError, match=message):
+            run_suite("all", 16, d, 3, m=m, dp=dp, steps=5)
+        assert specs == []
 
 
 class TestReusedF:
@@ -130,17 +191,18 @@ class TestReusedF:
 
 class TestPinnedPayload:
     """SHA-256 of run_suite("all")'s records, worst margins and details
-    included: the one-word batch chain, the biregular class, n = 60 and wide
-    rows.  Like TestPinnedStreams, the digests assume NumPy's Philox and
-    bounded-integer streams stay as they are."""
+    included: rejection at n = 16 and on the biregular class, the one-word
+    batch chain at n = 60 and wide rows at n = 130.  Like TestPinnedStreams,
+    the digests assume NumPy's Philox and bounded-integer streams stay as
+    they are."""
 
     @pytest.mark.parametrize(
         "n, d, samples, kwargs, digest",
         [
             (16, 4, 200, dict(seed=3),
-             "45cd6436d9ff9b944f18696b50d595d3246229968d8a82cb40dbaab02ff065b1"),
+             "51377cda90a016d61b9dc57cf569af0518c9cff30fc0bdd8e1f746816c43f73f"),
             (9, 3, 200, dict(m=6, dp=2, seed=3),
-             "b3e039ca29005f85b9b850a6ddb0bae7c7e48641133c64be0fa32cbd9c66fc27"),
+             "c2a1316b87b31301a85d231d405b2451c68fd591035838d55f76c9c90b14f49f"),
             (60, 30, 5, dict(seed=0),
              "02de75e79d643048c9157e293fdf2d1f06d5067915ab60313b0d9cdbb2888c58"),
             (130, 5, 3, dict(seed=1),
@@ -286,8 +348,8 @@ class TestAttribution:
         assert records[-1].detail.startswith(f"{suite} self-bound failed: v_f = ")
 
     # The site-step record sees a defect only on draws whose sampled columns
-    # form a K or an I minor: 20 of these 200 draws (4 K, 16 I), and none of
-    # the 20 draws at n = 12, d = 3 that the tests above use.
+    # form a K or an I minor: 19 of these 200 draws (12 K, 7 I), and 3 of
+    # the 20 draws at n = 12, d = 3 that the tests above use (2 K, 1 I).
     def _site_step_only_fails(self):
         (result,) = run_suite("reflection", 16, 4, 200, seed=3)
         for rec in result.records:
@@ -377,8 +439,8 @@ class TestOneSelfBoundTable:
 
 
 class TestNearCompleteClasses:
-    """Where d > 2 >= n - d, rejection draws the complement class, whose row
-    degree is n - d, and complements each draw back."""
+    """Where the complement class has the smaller (d - 1)(dp - 1), rejection
+    draws it, with row degree n - d, and complements each draw back."""
 
     @pytest.mark.parametrize("n, d, m, dp", [(16, 14, None, None), (8, 6, None, None), (6, 4, 3, 2)])
     def test_every_record_passes(self, monkeypatch, n, d, m, dp):
