@@ -5,7 +5,10 @@ identity and proven inequality of its coupling on each draw, and emits
 one record per invariant with a status, the number of instances checked,
 and the worst margin seen.  A failed record means a defect somewhere:
 all of these are theorems.  The class suites call exchangeable's public
-f functions and hand each f to the v_f function of its coupling.
+f functions and hand each f to the v_f function of its coupling.  Each
+suite draws the random choices of every draw (rows, columns, sites and
+(A, B) sets) before its loop, in a number of Generator calls that does
+not grow with the sample, so the loop only checks.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from .exchangeable import (
     switching_vf,
 )
 from .matrices import InvalidMatrixError, VertexSetPair, codegree, complement
-from .samplers import SamplerSpec, check_ranges, sample_many, stream_generator
+from .samplers import SamplerSpec, check_ranges, fields_named, sample_many, stream_generator
 
 __all__ = ["VerifyRecord", "SuiteResult", "run_suite", "SUITES"]
 
@@ -101,15 +104,28 @@ def _slack(diag):
     return float(diag.bound - diag.v_f)
 
 
-def _random_pair(rng, m, n, max_b):
-    """A random (A, B): |A| in [1, m), |B| in [1, max_b], then A from the m
-    rows and B from the n columns."""
-    a = int(rng.integers(1, m))
-    b = int(rng.integers(1, max_b + 1))
-    return VertexSetPair.of(
-        (int(x) for x in rng.choice(m, a, replace=False)),
-        (int(x) for x in rng.choice(n, b, replace=False)),
-    )
+def _ordered_pairs(rng, k, count):
+    """`count` ordered pairs of distinct members of range(k), as two int
+    arrays, from one draw: code c in [0, k(k - 1)) is the pair (c // (k - 1),
+    c % (k - 1)) with the second raised by one where it is not below the
+    first.  That is a bijection onto the ordered distinct pairs, so each pair
+    has the law of rng.choice(k, 2, replace=False)."""
+    first, second = np.divmod(rng.integers(0, k * (k - 1), size=count), k - 1)
+    second += second >= first
+    return first, second
+
+
+def _set_pairs(rng, m, n, max_b, count):
+    """`count` random (A, B), drawn up front in four calls: |A| in [1, m),
+    |B| in [1, max_b], then A the first |A| entries of a uniform permutation
+    of the m rows and B the first |B| of one of the n columns, so given its
+    size each set is uniform.  Each VertexSetPair is built only as the
+    iterator reaches it."""
+    a = rng.integers(1, m, size=count)
+    b = rng.integers(1, max_b + 1, size=count)
+    rows = rng.permuted(np.tile(np.arange(m), (count, 1)), axis=1)
+    cols = rng.permuted(np.tile(np.arange(n), (count, 1)), axis=1)
+    return (VertexSetPair.of(r[:x].tolist(), c[:y].tolist()) for r, c, x, y in zip(rows, cols, a, b))
 
 
 # The class suites draw by rejection from the side (the class or its
@@ -143,9 +159,14 @@ _STEPS_UNREAD = (
 )
 
 
+# A class the sampler refuses is named by verify's own fields.
+_TYPED = {f"sampler field {name!r}": f"verify field {name!r}" for name in ("d", "dp")}
+
+
 def _sample_matrices(n, d, count, seed, m=None, dp=None, steps=None):
     # The spec checks the asked class before the rule reads its margins.
-    spec = SamplerSpec(kind="rejection", n=n, d=d, m=m, dp=dp, seed=seed, max_attempts=_REJECTION_ATTEMPTS)
+    with fields_named(_TYPED):
+        spec = SamplerSpec(kind="rejection", n=n, d=d, m=m, dp=dp, seed=seed, max_attempts=_REJECTION_ATTEMPTS)
     side = _rejection_side(n, d, spec.m, spec.dp)
     if side is not None and steps is not None:
         raise ValueError(_STEPS_UNREAD)
@@ -160,23 +181,25 @@ def _sample_matrices(n, d, count, seed, m=None, dp=None, steps=None):
     return sample_many(spec, count)
 
 
-def _reflection_suite(mats, seed):
+def _reflection_suite(mats, m, n, samples, seed):
+    # Rows (0, 1), or with probability 1/2 (where m > 2) two random rows,
+    # and two random columns per draw.
     rng = stream_generator(seed, 10_000)
+    rows1, rows2 = np.zeros(samples, dtype=np.int64), np.ones(samples, dtype=np.int64)
+    if m > 2:
+        coin = rng.random(samples) < 0.5
+        pick1, pick2 = _ordered_pairs(rng, m, samples)
+        rows1, rows2 = np.where(coin, pick1, rows1), np.where(coin, pick2, rows2)
+    cols1, cols2 = _ordered_pairs(rng, n, samples)
+
     t_invol = VerifyRecord("reflect twice is the identity")
     t_member = VerifyRecord("reflection outputs stay in the class")
     t_ident = VerifyRecord("scale-n identity: n*f = n*co - d^2 + b")
     t_step = VerifyRecord("co(M) - co(M~) at the site: +1 on K, -1 on a reflecting I, else 0")
     t_walk = VerifyRecord("walk returns to 0 with at most min(dp, m-dp) up-steps")
     t_vf = VerifyRecord("reflection self-bound v_f <= K2*f + K1 (SELF_BOUND)")
-    for mat in mats:
-        mm = mat.m
-        i1, i2 = 0, 1
-        if mm > 2 and rng.random() < 0.5:
-            pick = rng.choice(mm, 2, replace=False)
-            i1, i2 = int(pick[0]), int(pick[1])
+    for mat, i1, i2, j1, j2 in zip(mats, rows1.tolist(), rows2.tolist(), cols1.tolist(), cols2.tolist()):
         order = RowOrder(i1, i2)
-        j1, j2 = (int(x) for x in rng.choice(mat.n, 2, replace=False))
-
         image = reflect(mat, j1, j2, order)
         t_invol.check(reflect(image, j1, j2, order) == mat)
         t_member.attempt(image.validate)
@@ -203,25 +226,25 @@ def _reflection_suite(mats, seed):
     return [t_invol, t_member, t_ident, t_step, t_walk, t_vf]
 
 
-def _switching_suite(mats, seed):
+def _switching_suite(mats, m, n, samples, seed):
+    # A random site and a random (A, B) with |B| < n per draw.
     rng = stream_generator(seed, 20_000)
+    rows = _ordered_pairs(rng, m, samples)
+    cols = _ordered_pairs(rng, n, samples)
+    sites = map(SwitchSite, *(x.tolist() for x in rows + cols))
+    pairs = _set_pairs(rng, m, n, n - 1, samples)
+
     t_invol = VerifyRecord("switch twice is the identity")
     t_member = VerifyRecord("switching outputs stay in the class")
     t_ident = VerifyRecord("minor-count form equals neighbourhood form; f = f1 + f2")
     t_f2 = VerifyRecord("error term: |f2| <= eta*(f1 + 2p(1-p)n*m*mu) at minimal eta")
     t_vf = VerifyRecord("switching self-bound v_f <= K2*f + K1 (SELF_BOUND)")
-    for mat in mats:
-        mm, nn = mat.m, mat.n
-        site = SwitchSite(
-            *(int(x) for x in rng.choice(mm, 2, replace=False)),
-            *(int(x) for x in rng.choice(nn, 2, replace=False)),
-        )
+    for mat, site, pair in zip(mats, sites, pairs):
         image = simple_switch(mat, site)
         t_invol.check(simple_switch(image, site) == mat)
         if image is not mat:
             t_member.attempt(image.validate)
 
-        pair = _random_pair(rng, mm, nn, nn - 1)
         diag = t_ident.attempt(switching_f, mat, pair)
         if diag is None:
             continue
@@ -263,25 +286,30 @@ def _worst_codegree_deviation(n, d, ex):
 
 
 def _permutation_suite(n, d, samples, seed):
-    spec = SamplerSpec(kind="permutation_model", n=n, d=d, seed=seed)
-    draws = sample_many(spec, samples)
+    with fields_named(_TYPED):
+        spec = SamplerSpec(kind="permutation_model", n=n, d=d, seed=seed)
+    draws = np.stack(sample_many(spec, samples))
+    rows, cols = _margins(draws)
+    margins_ok = ((rows == d) & (cols == d)).all(axis=1).tolist()
+    # One factor index and two points per draw; at d = 0 there is no factor
+    # to transpose.
     rng = stream_generator(seed, 30_000)
+    twice_ok = []
+    if d:
+        swap = (rng.integers(0, d, size=samples), *_ordered_pairs(rng, n, samples))
+        twice = _transpose_factors(_transpose_factors(draws, *swap), *swap)
+        twice_ok = (twice == draws).all(axis=(1, 2)).tolist()
+    pairs = _set_pairs(rng, n, n, n, samples)
+
     t_mult = VerifyRecord("multiplicity matrix has all margins equal to d")
     t_invol = VerifyRecord("transposing one factor twice is the identity")
     t_ident = VerifyRecord("scale-n identity: n*f = n*e_pi - d*a*b")
     t_vf = VerifyRecord("permutation self-bound v_f <= K2*f + K1 (SELF_BOUND)")
-    for perms in draws:
-        mult = _multiplicity(perms)
-        t_mult.check(
-            bool((mult.sum(axis=0) == d).all() and (mult.sum(axis=1) == d).all())
-        )
-        if d:  # at d = 0 there is no factor to transpose
-            j = int(rng.integers(0, d))
-            u, v = (int(x) for x in rng.choice(n, 2, replace=False))
-            swapped = _transpose_factor(perms, j, u, v)
-            t_invol.check(np.array_equal(_transpose_factor(swapped, j, u, v), perms))
-
-        pair = _random_pair(rng, n, n, n)
+    for ok in margins_ok:
+        t_mult.check(ok)
+    for ok in twice_ok:
+        t_invol.check(ok)
+    for perms, pair in zip(draws, pairs):
         try:
             diag = permutation_diagnostics(perms, pair)
         except SelfBoundViolation as exc:
@@ -296,18 +324,26 @@ def _permutation_suite(n, d, samples, seed):
     return [t_mult, t_invol, t_ident, t_vf]
 
 
-def _multiplicity(perms):
-    """Entrywise sum of the permutation matrices of a (d, n) draw: cell
-    i*n + perm(i) of each factor, counted."""
-    n = perms.shape[1]
-    cells = np.arange(0, n * n, n) + perms
-    return np.bincount(cells.reshape(-1), minlength=n * n).reshape(n, n)
+def _margins(draws):
+    """Row and column sums of each draw's multiplicity matrix (the entrywise
+    sum of its permutation matrices), as two (samples, n) arrays, from two
+    bincounts of length samples * n: every factor puts one in each row, and
+    one in column c of each row it maps to c."""
+    samples, _, n = draws.shape
+    base = np.arange(0, samples * n, n)[:, None, None]
+    rows = np.broadcast_to(base + np.arange(n), draws.shape)
+    return tuple(
+        np.bincount(cells.reshape(-1), minlength=samples * n).reshape(samples, n)
+        for cells in (rows, base + draws)
+    )
 
 
-def _transpose_factor(perms, j, u, v):
-    """The draw with entries u and v of factor j swapped."""
-    out = perms.copy()
-    out[j, [u, v]] = out[j, [v, u]]
+def _transpose_factors(draws, j, u, v):
+    """The (samples, d, n) draws with entries u[s] and v[s] of factor j[s]
+    of each draw s swapped."""
+    out = draws.copy()
+    s = np.arange(len(out))
+    out[s, j, u], out[s, j, v] = out[s, j, v], out[s, j, u]
     return out
 
 
@@ -351,8 +387,8 @@ def run_suite(
         raise ValueError(_STEPS_UNREAD)
     mats = _sample_matrices(n, d, samples, seed, m, dp, steps) if class_suites else None
     runners = {
-        "reflection": lambda: _reflection_suite(mats, seed),
-        "switching": lambda: _switching_suite(mats, seed),
+        "reflection": lambda: _reflection_suite(mats, config["m"], n, samples, seed),
+        "switching": lambda: _switching_suite(mats, config["m"], n, samples, seed),
         "permutation": lambda: _permutation_suite(n, d, samples, seed),
     }
     return [SuiteResult(name, runners[name](), dict(config)) for name in chosen]

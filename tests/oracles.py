@@ -2,8 +2,8 @@
 
 Each is a check the acceptance criteria and their tests take as a
 reference: the sampler uniformity test (criterion 7), the non-crossing
-walk fraction (criterion 6) and the sampled discrepancy sweep over large
-vertex sets.  They live here, not in the package, so the package ships
+walk fraction (criterion 6), the sampled discrepancy sweep over large
+vertex sets and the dense multiplicity matrix of a permutation draw.  They live here, not in the package, so the package ships
 only what a command reaches and SciPy stays a test dependency.
 """
 
@@ -43,6 +43,14 @@ def catalan_walk_check(r: int) -> Fraction:
                 break
         non_crossing += ok
     return Fraction(non_crossing, total)
+
+
+def multiplicity(perms: np.ndarray) -> np.ndarray:
+    """Entrywise sum of the permutation matrices of a (d, n) draw: cell
+    i*n + perm(i) of each factor, counted."""
+    n = perms.shape[1]
+    cells = np.arange(0, n * n, n) + perms
+    return np.bincount(cells.reshape(-1), minlength=n * n).reshape(n, n)
 
 
 @dataclass(frozen=True)

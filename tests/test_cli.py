@@ -873,8 +873,15 @@ class TestFieldNamedInMessages:
              "sampler field 'n' must be >= 1, got 0"),
             (["sample", "--kind", "switch_mcmc", "--n", "3", "--m", "0", "--d", "0", "--dp", "0"],
              "sampler field 'm' must be >= 1, got 0"),
+            (["verify", "--suite", "all", "--n", "16", "--d", "18", "--samples", "2"],
+             "verify field 'd' must be in [0, 16], got 18"),
+            (["verify", "--suite", "permutation", "--n", "16", "--d", "18", "--samples", "2"],
+             "verify field 'd' must be in [0, 16], got 18"),
+            (["verify", "--suite", "switching", "--n", "9", "--m", "6", "--d", "3", "--dp", "7"],
+             "verify field 'dp' must be in [0, 6], got 7"),
         ],
-        ids=["verify-samples-negative", "sample-n0", "sample-m0"],
+        ids=["verify-samples-negative", "sample-n0", "sample-m0", "verify-d-above-n",
+             "verify-permutation-d-above-n", "verify-dp-above-m"],
     )
     def test_exit_1_naming_the_field(self, capsys, argv, message):
         code, stdout, err = run(capsys, *argv)

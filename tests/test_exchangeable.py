@@ -25,7 +25,6 @@ from rrdigraph.samplers import (
     sample_many,
     stream_generator,
 )
-from rrdigraph.verify import _multiplicity
 
 from conftest import (
     gram_codegrees,
@@ -34,6 +33,7 @@ from conftest import (
     reflection_vf_oracle,
     switching_vf_oracle,
 )
+from oracles import multiplicity
 
 PARALLEL = matrix_from_strings(["1100", "1100", "0011", "0011"])
 CROSSED = matrix_from_strings(["1100", "0011", "1010", "0101"])
@@ -416,7 +416,7 @@ class TestPermutationCoupling:
                 plus - minus, Fraction(plus - minus, 2 * n) + Fraction(minus, n)
             )
             mult = [[sum(perm[i] == j for perm in perms) for j in range(n)] for i in range(n)]
-            assert _multiplicity(perms).tolist() == mult
+            assert multiplicity(perms).tolist() == mult
 
     def test_rejects_improper_A(self):
         perms = np.array([[0, 1, 2]])

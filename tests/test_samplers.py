@@ -34,9 +34,9 @@ from rrdigraph.samplers import (
     _switch_rows,
     _switch_words,
 )
-from rrdigraph.verify import _multiplicity
 
 from conftest import brute_force_class_4_2
+from oracles import multiplicity
 
 
 class TestSpec:
@@ -412,7 +412,7 @@ class TestSwitchKernel:
 class TestPermutationModel:
     def test_single_factor_is_permutation_matrix(self):
         spec = SamplerSpec(kind="permutation_model", n=6, d=1, seed=9)
-        mult = _multiplicity(sample_many(spec, 1)[0])
+        mult = multiplicity(sample_many(spec, 1)[0])
         assert set(np.unique(mult)) <= {0, 1}
         assert (mult.sum(axis=0) == 1).all() and (mult.sum(axis=1) == 1).all()
 
@@ -420,7 +420,7 @@ class TestPermutationModel:
         spec = SamplerSpec(kind="permutation_model", n=7, d=4, seed=9)
         for perms in sample_many(spec, 10):
             assert all(sorted(perm) == list(range(7)) for perm in perms)
-            mult = _multiplicity(perms)
+            mult = multiplicity(perms)
             assert (mult.sum(axis=0) == 4).all() and (mult.sum(axis=1) == 4).all()
 
     def test_double_entry_probability_quarter(self):

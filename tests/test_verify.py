@@ -3,7 +3,9 @@ draw handed to its v_f, and failures attributed to the record whose check
 broke."""
 
 import hashlib
+import itertools
 import json
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -13,9 +15,11 @@ from rrdigraph import exchangeable, verify
 from rrdigraph.bounds import TailBoundSpec, eval_bound
 from rrdigraph.exchangeable import InvariantViolation, good_event_co
 from rrdigraph.matrices import BiregularBitMatrix, InvalidMatrixError
+from rrdigraph.samplers import SamplerSpec, sample_many, stream_generator
 from rrdigraph.verify import run_suite
 
 from conftest import reflection_vf_oracle, switching_vf_oracle
+from oracles import multiplicity
 
 # (n, d, samples, m, dp); the biregular class has m = 6 rows of degree 3
 # over n = 9 columns of degree 2.
@@ -152,7 +156,7 @@ class TestDrawRule:
 
     @pytest.mark.parametrize(
         "d, m, dp, message",
-        [(18, None, None, "sampler field 'd' must be in"), (4, 10, 3, "edge-count mismatch")],
+        [(18, None, None, "verify field 'd' must be in"), (4, 10, 3, "edge-count mismatch")],
     )
     def test_the_class_is_checked_before_steps(self, monkeypatch, d, m, dp, message):
         specs = self._recorded(monkeypatch)
@@ -200,13 +204,13 @@ class TestPinnedPayload:
         "n, d, samples, kwargs, digest",
         [
             (16, 4, 200, dict(seed=3),
-             "51377cda90a016d61b9dc57cf569af0518c9cff30fc0bdd8e1f746816c43f73f"),
+             "f13f6f613a1f0336e01a59bff4f37eec6b91ad6cc9cd1a1e3b7cf8f484649d3a"),
             (9, 3, 200, dict(m=6, dp=2, seed=3),
-             "c2a1316b87b31301a85d231d405b2451c68fd591035838d55f76c9c90b14f49f"),
+             "fc1ccaa773de0586867cf5acb10454bbf9bc1ea131224f88bf21020cff96d6c5"),
             (60, 30, 5, dict(seed=0),
-             "02de75e79d643048c9157e293fdf2d1f06d5067915ab60313b0d9cdbb2888c58"),
+             "ad9b52b4d64f2bb80ec98fea6741c34d109409e453f0b2a436f8e0e43e1ae65b"),
             (130, 5, 3, dict(seed=1),
-             "f0ddd6c211a2025df7ffb13c8b43c10235333cbddb9211ac10b63fd8b4e16c15"),
+             "03a18c2d154534526d2748b904f6f91d1ec4361a1f224ca221edf4cfe2643fe4"),
         ],
         ids=["n16-d4", "biregular-6x9", "n60-d30", "n130-d5"],
     )
@@ -214,6 +218,82 @@ class TestPinnedPayload:
         results = run_suite("all", n, d, samples, **kwargs)
         payload = json.dumps([r.to_dict() for r in results], sort_keys=True)
         assert hashlib.sha256(payload.encode()).hexdigest() == digest
+
+
+class _CountingGenerator:
+    """A Generator that appends the name of each method called on it."""
+
+    def __init__(self, rng, calls):
+        self._rng, self._calls = rng, calls
+
+    def __getattr__(self, name):
+        method = getattr(self._rng, name)
+
+        def counted(*args, **kwargs):
+            self._calls.append(name)
+            return method(*args, **kwargs)
+
+        return counted
+
+
+class TestUpFrontChoices:
+    """Each suite draws its per-draw choices before its loop, in a number of
+    Generator calls that does not grow with the sample."""
+
+    @pytest.mark.parametrize("k", [2, 3, 16])
+    def test_pair_decode_is_a_bijection(self, k):
+        class EveryCode:
+            def integers(self, low, high, size):
+                assert (low, high, size) == (0, k * (k - 1), k * (k - 1))
+                return np.arange(low, high)
+
+        first, second = verify._ordered_pairs(EveryCode(), k, k * (k - 1))
+        pairs = list(zip(first.tolist(), second.tolist()))
+        assert sorted(pairs) == list(itertools.permutations(range(k), 2))
+
+    @pytest.mark.parametrize("m, n, max_b", [(2, 2, 1), (6, 9, 8), (16, 16, 16)])
+    def test_set_pairs_stay_in_range(self, m, n, max_b):
+        pairs = list(verify._set_pairs(stream_generator(0, 1), m, n, max_b, 600))
+        assert len(pairs) == 600
+        # Every size is drawn, the smallest and the largest included.
+        assert {pair.a for pair in pairs} == set(range(1, m))
+        assert {pair.b for pair in pairs} == set(range(1, max_b + 1))
+        for pair in pairs:
+            assert pair.rows <= set(range(m)) and pair.cols <= set(range(n))
+
+    def test_generator_calls_do_not_grow_with_the_sample(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(
+            verify, "stream_generator", lambda *key: _CountingGenerator(stream_generator(*key), calls)
+        )
+        counts = []
+        for samples in (20, 200):
+            calls.clear()
+            run_suite("all", 16, 4, samples, seed=3)
+            counts.append(list(calls))
+        assert counts[0] == counts[1]
+
+    def test_batched_margins_equal_the_dense_multiplicity(self):
+        spec = SamplerSpec(kind="permutation_model", n=7, d=4, seed=9)
+        draws = np.stack(sample_many(spec, 30))
+        draws[3, 1, 2] = draws[3, 1, 0]  # no longer a permutation: one margin moves
+        rows, cols = verify._margins(draws)
+        for s, perms in enumerate(draws):
+            dense = multiplicity(perms)
+            assert rows[s].tolist() == dense.sum(axis=1).tolist()
+            assert cols[s].tolist() == dense.sum(axis=0).tolist()
+        assert [s for s in range(30) if (cols[s] != 4).any()] == [3]
+
+    def test_permutation_suite_memory_grows_with_samples_times_n(self):
+        # A (samples, n, n) multiplicity cube would take 32 MB here.
+        run_suite("permutation", 100, 1, 400, seed=1)
+        tracemalloc.start()
+        try:
+            run_suite("permutation", 100, 1, 400, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 << 20
 
 
 _ERROR_TERM = "error term: |f2| <= eta*(f1 + 2p(1-p)n*m*mu) at minimal eta"
@@ -348,8 +428,8 @@ class TestAttribution:
         assert records[-1].detail.startswith(f"{suite} self-bound failed: v_f = ")
 
     # The site-step record sees a defect only on draws whose sampled columns
-    # form a K or an I minor: 19 of these 200 draws (12 K, 7 I), and 3 of
-    # the 20 draws at n = 12, d = 3 that the tests above use (2 K, 1 I).
+    # form a K or an I minor: 12 of these 200 draws (5 K, 7 I), and none of
+    # the 20 draws at n = 12, d = 3 that the tests above use.
     def _site_step_only_fails(self):
         (result,) = run_suite("reflection", 16, 4, 200, seed=3)
         for rec in result.records:
