@@ -43,7 +43,9 @@ CSV_HEADER = "grid_value,empirical,ci_lo,ci_hi,bound,valid,verdict"
 # Version 4 of the tail metadata echoes no theorem constants (none is set);
 # version 3 has no `sampler.seed` (always 0, never read); version 2 echoes
 # `sampler.max_attempts` as null for the kinds other than rejection, which
-# alone reads it.
+# alone reads it.  For the rejection sampler, `rejection_attempts` counts
+# the attempts on the side that rejection_words draws, the class or its
+# complement, and `acceptance_rate` is that side's.
 SCHEMA_VERSION = 4
 
 

@@ -9,8 +9,9 @@ Four sampler kinds, and an exhaustive generator of tiny classes:
   repeats a column, so a rejection costs only the rows up to it (about
   13 of 60 at n=60, d=4).  Conditioned on simplicity the output is
   exactly uniform on the biregular class.  Acceptance decays like
-  exp(-Theta(d^2)), so a budget guard signals when to fall back to the
-  switch chain.
+  exp(-(d-1)(dp-1)/2), so the kernel draws the complement class where its
+  (n-d-1)(m-dp-1) is smaller and complements each draw back; a budget
+  guard signals when to fall back to the switch chain.
 * ``switch_mcmc``: start from a deterministic circulant matrix and apply
   uniformly random simple switchings; stays inside the class at every
   step, approximately uniform after enough steps.
@@ -43,7 +44,7 @@ from __future__ import annotations
 import itertools
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from typing import Callable, Iterator, Optional, Tuple
 
 import numpy as np
@@ -215,14 +216,18 @@ def circulant(n: int, d: int, m: Optional[int] = None) -> BiregularBitMatrix:
     Biregular case: row i covers the block i*d, ..., i*d+d-1 (mod n); the
     blocks tile Z_n so every column is hit exactly m*d/n times.
     """
-    m = n if m is None else m
+    return BiregularBitMatrix(_circulant_rows(n, d, n if m is None else m), n)
+
+
+def _circulant_rows(n: int, d: int, m: int) -> list:
+    """The packed rows of circulant(n, d, m), not validated."""
     block, full = (1 << d) - 1, (1 << n) - 1
     rows = []
     for i in range(m):
         # The d-bit block shifted to its start, its bits past n wrapped round.
         shifted = block << ((i if m == n else i * d) % n)
         rows.append((shifted | shifted >> n) & full)
-    return BiregularBitMatrix(rows, n)
+    return rows
 
 
 # -- packed row words ----------------------------------------------------------------
@@ -263,17 +268,28 @@ def rejection_words(spec: SamplerSpec, count: int) -> Tuple[np.ndarray, int]:
     matching conditioned on a simple collapse.  Attempts run in blocks whose
     sizes depend on the spec alone, and the samples are the first accepted
     attempts in attempt order.
+
+    A simple collapse has probability near exp(-k/2), k = (d-1)(dp-1)
+    (McKay 1984).  Where the complement class, row degree n - d and column
+    degree m - dp, has the smaller k, its draws are made from the spec's
+    own stream and each row is complemented: a bijection onto the class,
+    so the samples stay exactly uniform, and the attempts counted are
+    those on the complement.
     """
     if spec.kind != "rejection":
         raise ValueError("spec.kind must be 'rejection'")
     m, n, d, dp = spec.m, spec.n, spec.d, spec.dp
-    rng = spec.rng()
+    if (n - d - 1) * (m - dp - 1) < (d - 1) * (dp - 1):
+        out, attempts = rejection_words(replace(spec, d=n - d, dp=m - dp), count)
+        out ^= rows_to_words([(1 << n) - 1], n)  # every row's n bits, no pad bit
+        return out, attempts
     width = (n + 63) // 64
     out = np.zeros((count, m, width), dtype=np.uint64)
     if d == 0 or d == n:
         # Degenerate class with a single element; nothing to sample.
         out[:] = rows_to_words([(1 << n) - 1 if d else 0] * m, n)
         return out, count
+    rng = spec.rng()
     md = m * d
     largest = max(1, min(spec.max_attempts, _REJECTION_POOL_ENTRIES // md))
     block = max(1, min(largest, _REJECTION_FIRST_ENTRIES // md))
@@ -367,11 +383,10 @@ def _switch_rows(rows: list, m: int, n: int, codes: np.ndarray) -> None:
     for i1, i2, j1, j2 in zip(*(a.tolist() for a in _split_sites(codes, m, n))):
         mask = bit[j1] | bit[j2]
         x = rows[i1] & mask
-        y = rows[i2] & mask
-        # Switchable iff the minor is an I or a J: the two rows differ on both
-        # columns and each row holds exactly one of them.  A repeated index
-        # never qualifies.
-        if x ^ y == mask and x and y:
+        # Switchable iff the minor is an I or a J: row i1 holds exactly one of
+        # the two columns and row i2 exactly the other, so row i2 is read only
+        # when row i1 qualifies.  A repeated index never qualifies.
+        if x and x != mask and (rows[i2] & mask) == x ^ mask:
             rows[i1] ^= mask
             rows[i2] ^= mask
 
@@ -483,10 +498,11 @@ def switch_mcmc_words(spec: SamplerSpec, count: int) -> np.ndarray:
     if spec.kind != "switch_mcmc":
         raise ValueError("spec.kind must be 'switch_mcmc'")
     m, n = spec.m, spec.n
-    start = circulant(n, spec.d, m).rows
+    # The spec has checked the class, so the circulant start needs no check.
+    start = _circulant_rows(n, spec.d, m)
     blocks = _site_blocks(spec.rng(), m, n, spec.resolved_steps, count)
     if count == 1:
-        rows = list(start)
+        rows = start
         for sites in blocks:
             _switch_rows(rows, m, n, sites[:, 0])
         return rows_to_words(rows, n)[None]

@@ -11,6 +11,13 @@ bidiagonalisation an SVD makes.  lambda_max(G') = n sigma_2^2 is the norm
 of G', so its relative error, and that of sigma_2, stays near machine
 epsilon; for d in {0, n}, G' is exactly zero and so is sigma_2.
 
+The complement C = J - M has (J - M)^T (J - M) = (n - 2d) J + M^T M, so
+n C^T C - (n - d)^2 J is the same G'.  Where d_hat = min(d, n - d) has
+d_hat^2 <= n, G' is written straight into one float64 buffer: -d_hat^2
+everywhere, plus n at the d_hat^2 codes j*n + k of each row of the
+sparser side, at most n^2 scattered adds in all.  Elsewhere it is the
+dense product, scaled in place.
+
 A digraph with second singular value sigma_2 is sigma_2-jumbled, so on
 tiny instances the exhaustive discrepancy maximum alpha can be checked
 against sigma_2 directly.  For a row set A and a size b the largest
@@ -55,26 +62,31 @@ def sigma2(matrix: BiregularBitMatrix) -> SpectralReport:
     """The two largest singular values of a square digraph's matrix."""
     check_sigma2_shape(matrix.m, matrix.n)
     n, d = matrix.n, matrix.d
-    gram = _gram(matrix)
-    gram *= n
-    gram -= d * d
-    top = np.linalg.eigvalsh(gram)[-1]
+    top = np.linalg.eigvalsh(_deflated_gram(matrix))[-1]
     return SpectralReport(float(d), float(np.sqrt(max(top, 0.0) / n)), 0, 0.0, True)
 
 
-def _gram(matrix: BiregularBitMatrix) -> np.ndarray:
-    """M^T M as float64, whose integer entries G[j, k] count the rows that
-    hold both columns j and k.  Where d^2 <= n they are counted from the d^2
-    column pairs of each row, at most n^2 codes j*n + k in all; elsewhere by
-    a dense product.  Either way the temporaries end here, so at most two
-    n x n arrays are alive at once."""
+def _deflated_gram(matrix: BiregularBitMatrix) -> np.ndarray:
+    """G' = n M^T M - d^2 J as one float64 n x n array of exact integers.
+    Where d_hat^2 <= n it is scattered from the columns of the sparser side
+    (the matrix or its complement, see the module docstring), read by one
+    flat scan; elsewhere it is the dense product.  At most two n x n
+    arrays are alive at once."""
     n, d = matrix.n, matrix.d
-    if d * d <= n:
-        cols = np.nonzero(matrix.dense())[1].reshape(n, d)
-        counts = np.bincount((cols[:, :, None] * n + cols[:, None, :]).reshape(-1), minlength=n * n)
-        return counts.reshape(n, n).astype(np.float64)
-    dense = matrix.dense().astype(np.float64)
-    return dense.T @ dense
+    d_hat = min(d, n - d)
+    present = matrix.dense().view(bool)  # 0/1 entries, so the bool view is exact
+    if d_hat * d_hat <= n:
+        gram = np.full((n, n), -(d_hat * d_hat), dtype=np.float64)
+        side = present if d_hat == d else ~present
+        cols = (np.flatnonzero(side) % n).reshape(n, d_hat)  # each row's columns, ascending
+        # A float increment keeps np.add.at on its fast same-type loop.
+        np.add.at(gram.reshape(-1), (cols[:, :, None] * n + cols[:, None, :]).reshape(-1), float(n))
+        return gram
+    dense = present.astype(np.float64)
+    gram = dense.T @ dense
+    gram *= n
+    gram -= d * d
+    return gram
 
 
 def check_sigma2_shape(m: int, n: int) -> None:

@@ -29,7 +29,7 @@ from .exchangeable import (
     switching_f,
     switching_vf,
 )
-from .matrices import InvalidMatrixError, VertexSetPair, codegree, complement
+from .matrices import InvalidMatrixError, VertexSetPair, codegree
 from .samplers import SamplerSpec, check_ranges, fields_named, sample_many, stream_generator
 
 __all__ = ["VerifyRecord", "SuiteResult", "run_suite", "SUITES"]
@@ -128,11 +128,12 @@ def _set_pairs(rng, m, n, max_b, count):
     return (VertexSetPair.of(r[:x].tolist(), c[:y].tolist()) for r, c, x, y in zip(rows, cols, a, b))
 
 
-# The class suites draw by rejection from the side (the class or its
-# complement) whose k = (d - 1)(dp - 1) is smaller, when that k is at most
-# _REJECTION_MAX_K.  A configuration-model draw is simple with probability
-# tending to exp(-k/2) (McKay 1984), so that is at most e^4.5, about 90,
-# expected attempts per sample.  Elsewhere they run the switch chain.
+# The class suites draw by rejection where the class or its complement has
+# k = (d - 1)(dp - 1) at most _REJECTION_MAX_K; rejection_words draws the
+# side with the smaller k.  A configuration-model draw is simple with
+# probability tending to exp(-k/2) (McKay 1984), so that is at most e^4.5,
+# about 90, expected attempts per sample.  Elsewhere they run the switch
+# chain.
 _REJECTION_MAX_K = 9
 # Failures in a row before rejection gives up: over 30 mean waits at
 # k = _REJECTION_MAX_K.  Fixed, not a user knob: it also bounds rejection's
@@ -141,16 +142,11 @@ _REJECTION_MAX_K = 9
 _REJECTION_ATTEMPTS = 4096
 
 
-def _rejection_side(n, d, m, dp):
-    """The side of the m x n class with row degree d and column degree dp
-    that the class suites draw by rejection, "class" or "complement" (row
-    degree n - d, column degree m - dp), or None where they run the switch
-    chain.  A tie draws the class itself."""
-    k = (d - 1) * (dp - 1)
-    k_complement = (n - d - 1) * (m - dp - 1)
-    if min(k, k_complement) > _REJECTION_MAX_K:
-        return None
-    return "complement" if k_complement < k else "class"
+def _by_rejection(n, d, m, dp):
+    """Whether the class suites draw the m x n class with row degree d and
+    column degree dp by rejection: where the class or its complement (row
+    degree n - d, column degree m - dp) has k at most _REJECTION_MAX_K."""
+    return min((d - 1) * (dp - 1), (n - d - 1) * (m - dp - 1)) <= _REJECTION_MAX_K
 
 
 _STEPS_UNREAD = (
@@ -167,15 +163,10 @@ def _sample_matrices(n, d, count, seed, m=None, dp=None, steps=None):
     # The spec checks the asked class before the rule reads its margins.
     with fields_named(_TYPED):
         spec = SamplerSpec(kind="rejection", n=n, d=d, m=m, dp=dp, seed=seed, max_attempts=_REJECTION_ATTEMPTS)
-    side = _rejection_side(n, d, spec.m, spec.dp)
-    if side is not None and steps is not None:
-        raise ValueError(_STEPS_UNREAD)
-    if side == "complement":
-        # Complementing is a bijection onto the class, so its draws stay
-        # exactly uniform.
-        spec = dataclasses.replace(spec, d=n - d, dp=spec.m - spec.dp)
-        return [complement(mat) for mat in sample_many(spec, count)]
-    if side is None:
+    if _by_rejection(n, d, spec.m, spec.dp):
+        if steps is not None:
+            raise ValueError(_STEPS_UNREAD)
+    else:
         steps = min(100 * n * d, 4000) if steps is None else steps
         spec = SamplerSpec(kind="switch_mcmc", n=n, d=d, m=m, dp=dp, steps=steps, seed=seed)
     return sample_many(spec, count)
@@ -289,8 +280,9 @@ def _permutation_suite(n, d, samples, seed):
     with fields_named(_TYPED):
         spec = SamplerSpec(kind="permutation_model", n=n, d=d, seed=seed)
     draws = np.stack(sample_many(spec, samples))
-    rows, cols = _margins(draws)
-    margins_ok = ((rows == d) & (cols == d)).all(axis=1).tolist()
+    # Every factor puts one entry in each row, so the row sums are d by
+    # construction; only the column sums can miss.
+    margins_ok = (_column_sums(draws) == d).all(axis=1).tolist()
     # One factor index and two points per draw; at d = 0 there is no factor
     # to transpose.
     rng = stream_generator(seed, 30_000)
@@ -324,18 +316,14 @@ def _permutation_suite(n, d, samples, seed):
     return [t_mult, t_invol, t_ident, t_vf]
 
 
-def _margins(draws):
-    """Row and column sums of each draw's multiplicity matrix (the entrywise
-    sum of its permutation matrices), as two (samples, n) arrays, from two
-    bincounts of length samples * n: every factor puts one in each row, and
-    one in column c of each row it maps to c."""
+def _column_sums(draws):
+    """Column sums of each draw's multiplicity matrix (the entrywise sum of
+    its permutation matrices), as a (samples, n) array, from one bincount
+    of length samples * n: every factor puts one in column c of each row it
+    maps to c."""
     samples, _, n = draws.shape
     base = np.arange(0, samples * n, n)[:, None, None]
-    rows = np.broadcast_to(base + np.arange(n), draws.shape)
-    return tuple(
-        np.bincount(cells.reshape(-1), minlength=samples * n).reshape(samples, n)
-        for cells in (rows, base + draws)
-    )
+    return np.bincount((base + draws).reshape(-1), minlength=samples * n).reshape(samples, n)
 
 
 def _transpose_factors(draws, j, u, v):

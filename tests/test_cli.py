@@ -62,6 +62,18 @@ class TestSample:
         assert code == 3
         assert "resource guard" in err
 
+    def test_rejection_on_a_near_complete_class(self, capsys):
+        # The (16, 12) class keeps about e^-60 of its attempts; rejection
+        # draws its complement, the (16, 4) class, which keeps about 0.8%.
+        code, stdout, _ = run(capsys, "sample", "--kind", "rejection", "--n", "16", "--d", "12",
+                              "--count", "2", "--seed", "1")
+        assert code == 0
+        mats = parse_matrices(stdout)
+        assert len(mats) == 2
+        for mat in mats:
+            mat.validate()
+            assert (mat.m, mat.n, mat.d, mat.dp) == (16, 16, 12, 12)
+
     def test_permutation_model_json(self, capsys):
         code, stdout, _ = run(
             capsys, "sample", "--kind", "permutation_model", "--n", "5", "--d", "2",

@@ -198,11 +198,19 @@ class TestRejectionKernel:
         assert tv <= 0.05
         assert stats.chisquare(counts).pvalue > 1e-3
 
+    @staticmethod
+    def _drawn_side(m, n, d, dp):
+        """(m, n, d, dp) of the side the kernel draws: the complement where
+        its (n-d-1)(m-dp-1) is below (d-1)(dp-1)."""
+        return (m, n, n - d, m - dp) if (n - d - 1) * (m - dp - 1) < (d - 1) * (dp - 1) else (m, n, d, dp)
+
     @pytest.mark.parametrize(
         "m, n, d, dp", [(4, 4, 2, 2), (4, 4, 3, 3), (3, 6, 2, 1)], ids=lambda v: str(v)
     )
     def test_attempt_count_matches_the_exact_acceptance(self, m, n, d, dp):
-        p = self._acceptance(m, n, d, dp)
+        # The attempts are those on the side drawn: at (4, 4, 3, 3) the
+        # complement, permutation matrices, which every attempt collapses to.
+        p = self._acceptance(*self._drawn_side(m, n, d, dp))
         spec = SamplerSpec(kind="rejection", n=n, d=d, m=m, dp=dp, seed=23)
         count = 20_000
         out, attempts = draw(spec, count)
@@ -223,6 +231,21 @@ class TestRejectionKernel:
         assert out.shape == (12, m, n) and out.dtype == np.uint8
         for sample in out:
             BiregularBitMatrix.from_dense(sample).validate()
+
+    @pytest.mark.parametrize(
+        "m, n, d, dp", [(16, 16, 12, 12), (3, 6, 4, 2), (8, 8, 6, 6), (9, 6, 4, 6)], ids=lambda v: str(v)
+    )
+    def test_the_complement_side_is_drawn_where_it_accepts_more_often(self, m, n, d, dp):
+        # Each draw is the complement of the complement class's draw from the
+        # same stream, with the same attempts, and a member of the class.
+        assert self._drawn_side(m, n, d, dp) == (m, n, n - d, m - dp)
+        spec = SamplerSpec(kind="rejection", n=n, d=d, m=m, dp=dp, seed=5)
+        words, attempts = draw(spec, 40)
+        other, other_attempts = draw(dataclasses.replace(spec, d=n - d, dp=m - dp), 40)
+        assert attempts == other_attempts
+        assert np.array_equal(words_to_dense(words, n), 1 - words_to_dense(other, n))
+        for mat in sample_many(spec, 40):  # the margin check counts the pad bits too
+            assert (mat.m, mat.n, mat.d, mat.dp) == (m, n, d, dp)
 
     def test_budget_guard_reports_the_failed_attempts(self):
         spec = SamplerSpec(kind="rejection", n=50, d=20, max_attempts=1500, seed=1)
@@ -278,6 +301,22 @@ class TestSwitchChain:
             for m in range(1, 2 * n + 1):
                 if m != n and m * d % n == 0:
                     assert list(circulant(n, d, m).rows) == self.circulant_bit_loop(n, d, m)
+
+    @pytest.mark.parametrize(
+        "m, n, d",
+        [(6, 9, 3), (9, 6, 4), (7, 7, 0), (7, 7, 7), (9, 6, 0), (9, 6, 6), (8, 8, 3), (130, 130, 5), (1, 1, 1)],
+        ids=lambda v: str(v),
+    )
+    def test_chain_starts_at_the_circulant(self, m, n, d):
+        # The chain reads its start rows from the circulant formula, without
+        # building a matrix; a chain of no steps, lone or batched, returns them.
+        rows = list(circulant(n, d, m).rows)
+        assert samplers._circulant_rows(n, d, m) == rows
+        spec = SamplerSpec(kind="switch_mcmc", n=n, d=d, m=m, dp=m * d // n, steps=0, seed=1)
+        for count in (1, 3):
+            words = switch_mcmc_words(spec, count)
+            assert words.shape == (count, m, (n + 63) // 64)
+            assert (words == rows_to_words(rows, n)).all()
 
     def test_every_state_is_a_member(self):
         spec = SamplerSpec(kind="switch_mcmc", n=9, d=4, steps=350, seed=2)

@@ -179,15 +179,31 @@ class TestSigma2DeflatedGram:
         assert peak <= 2 * n * n * 8 + 2**20
         assert report.sigma2 == pytest.approx(circulant_sigma2(n, n // 2), rel=1e-12)
 
-    @pytest.mark.parametrize("n, d", [(9, 3), (300, 3), (300, 17), (1000, 31)])
-    def test_counted_gram_equals_the_dense_product(self, n, d):
-        # d^2 <= n: the Gram is counted from each row's column pairs, and is
-        # the dense product entry for entry.
-        mat = sample_many(SamplerSpec(kind="switch_mcmc", n=n, d=d, steps=2000, seed=n + d), 1)[0]
+    @staticmethod
+    def _reference(mat):
+        """n (D^T D) - d^2 J from the dense float64 product."""
         dense = mat.dense().astype(np.float64)
-        assert d * d <= n
-        assert np.array_equal(spectral._gram(mat), dense.T @ dense)
+        return mat.n * (dense.T @ dense) - float(mat.d * mat.d)
+
+    @pytest.mark.parametrize(
+        "n, d", [(9, 3), (300, 3), (300, 17), (1000, 31), (300, 297), (12, 0), (12, 12), (300, 150)]
+    )
+    def test_counted_gram_equals_the_dense_product(self, n, d):
+        # min(d, n - d)^2 <= n: G' is scattered from the sparser side's
+        # column pairs (the complement's at d = 297 and d = n), and is the
+        # dense product entry for entry; at (300, 150) it is that product.
+        mat = sample_many(SamplerSpec(kind="switch_mcmc", n=n, d=d, steps=2000, seed=n + d), 1)[0]
+        gram = spectral._deflated_gram(mat)
+        assert gram.dtype == np.float64 and gram.shape == (n, n)
+        assert np.array_equal(gram, self._reference(mat))
         assert_matches_svd(mat)
+
+    @pytest.mark.parametrize("d", [3, 17, 297])
+    def test_sigma2_is_the_eigensolve_of_the_reference_bit_for_bit(self, d):
+        n = 300
+        mat = sample_many(SamplerSpec(kind="switch_mcmc", n=n, d=d, steps=3000, seed=d), 1)[0]
+        top = np.linalg.eigvalsh(self._reference(mat))[-1]
+        assert sigma2(mat).sigma2 == float(np.sqrt(max(top, 0.0) / n))
 
     def test_peak_memory_of_the_counted_gram_at_n_1000(self):
         n, d = 1000, 31

@@ -106,16 +106,17 @@ class TestSharedDraw:
 
 
 class TestDrawRule:
-    """The class suites draw by rejection from the side, the class or its
-    complement, with the smaller k = (d - 1)(dp - 1) when that k is at most
-    9, and run the switch chain elsewhere."""
+    """The class suites draw by rejection where the class or its complement
+    has k = (d - 1)(dp - 1) at most 9, and run the switch chain elsewhere.
+    The spec is the asked class's either way; rejection_words draws the side
+    with the smaller k."""
 
-    # (n, d, m, dp) -> the kind drawn and the (d, dp) it draws; the comment
+    # (n, d, m, dp) -> the kind drawn and the (d, dp) of its spec; the comment
     # gives k for the class and for its complement.
     _CASES = [
         ((16, 4, None, None), "rejection", (4, 4)),  # 9 and 121
         ((16, 5, None, None), "switch_mcmc", (5, 5)),  # 16 and 100
-        ((16, 12, None, None), "rejection", (4, 4)),  # 121 and 9: the complement
+        ((16, 12, None, None), "rejection", (12, 12)),  # 121 and 9: the kernel draws the complement
         ((9, 3, 6, 2), "rejection", (3, 2)),  # 2 and 15
         ((10, 5, None, None), "switch_mcmc", (5, 5)),  # 16 and 16
         ((4, 2, 22, 11), "switch_mcmc", (2, 11)),  # 10 and 10
@@ -277,10 +278,11 @@ class TestUpFrontChoices:
         spec = SamplerSpec(kind="permutation_model", n=7, d=4, seed=9)
         draws = np.stack(sample_many(spec, 30))
         draws[3, 1, 2] = draws[3, 1, 0]  # no longer a permutation: one margin moves
-        rows, cols = verify._margins(draws)
+        cols = verify._column_sums(draws)
         for s, perms in enumerate(draws):
             dense = multiplicity(perms)
-            assert rows[s].tolist() == dense.sum(axis=1).tolist()
+            # The row sums are d whatever the draw holds, so only the columns are counted.
+            assert (dense.sum(axis=1) == 4).all()
             assert cols[s].tolist() == dense.sum(axis=0).tolist()
         assert [s for s in range(30) if (cols[s] != 4).any()] == [3]
 
@@ -519,8 +521,9 @@ class TestOneSelfBoundTable:
 
 
 class TestNearCompleteClasses:
-    """Where the complement class has the smaller (d - 1)(dp - 1), rejection
-    draws it, with row degree n - d, and complements each draw back."""
+    """Where the complement class has the smaller (d - 1)(dp - 1), the class
+    suites ask rejection for the class itself, and rejection_words draws the
+    complement, with row degree n - d, and complements each draw back."""
 
     @pytest.mark.parametrize("n, d, m, dp", [(16, 14, None, None), (8, 6, None, None), (6, 4, 3, 2)])
     def test_every_record_passes(self, monkeypatch, n, d, m, dp):
@@ -535,7 +538,7 @@ class TestNearCompleteClasses:
         results = run_suite("all", n, d, 20, seed=1, m=m, dp=dp)
         rows = n if m is None else m
         assert [(s.kind, s.n, s.d, s.m, s.dp) for s in specs][0] == (
-            "rejection", n, n - d, rows, rows - (d if dp is None else dp)
+            "rejection", n, d, rows, d if dp is None else dp
         )
         assert all(result.ok for result in results)
         assert all(rec.status != "fail" for result in results for rec in result.records)
