@@ -115,7 +115,8 @@ def _cmd_sample(args) -> int:
     spec = _spec_from_args(args)
     config = dict(dataclasses.asdict(spec), count=args.count)
     head = {"schema_version": SAMPLE_SCHEMA_VERSION, "config": config}
-    samples = sample_many(spec, args.count)
+    with fields_named({"draw field 'count'": "sample field 'count'"}):
+        samples = sample_many(spec, args.count)
     if spec.kind in CLASS_KINDS:
         text = format_matrices(samples)
         payload = dict(head, count=args.count)

@@ -26,7 +26,7 @@ import numpy as np
 
 from .bounds import _THEOREMS, BoundValue, TailBoundSpec, eval_bound
 from .matrices import codegree_deviation, rows_to_words
-from .samplers import CLASS_KINDS, SamplerSpec, check_ranges, check_reads, draw, fields_named
+from .samplers import CLASS_KINDS, SamplerSpec, check_ranges, check_reads, draw, fields_named, rejection_side
 
 __all__ = [
     "ExperimentConfig",
@@ -43,9 +43,9 @@ CSV_HEADER = "grid_value,empirical,ci_lo,ci_hi,bound,valid,verdict"
 # Version 4 of the tail metadata echoes no theorem constants (none is set);
 # version 3 has no `sampler.seed` (always 0, never read); version 2 echoes
 # `sampler.max_attempts` as null for the kinds other than rejection, which
-# alone reads it.  For the rejection sampler, `rejection_attempts` counts
-# the attempts on the side that rejection_words draws, the class or its
-# complement, and `acceptance_rate` is that side's.
+# alone reads it.  For the rejection sampler, `rejection_side` names the
+# side that rejection_words draws, "class" or "complement", and
+# `rejection_attempts` and `acceptance_rate` are that side's.
 SCHEMA_VERSION = 4
 
 
@@ -480,6 +480,8 @@ def run_tail_experiment(
     if cfg.sampler.kind == "rejection":
         # Summed over shards, so the counters depend on the config alone.
         attempts = sum(a for _, a in parts)
+        spec = cfg.sampler
+        metadata["rejection_side"] = rejection_side(spec.n, spec.d, spec.m, spec.dp)[0]
         metadata["rejection_attempts"] = attempts
         metadata["acceptance_rate"] = cfg.N / attempts
     return TailExperimentResult(tuple(rows), metadata)

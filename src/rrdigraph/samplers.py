@@ -70,6 +70,7 @@ __all__ = [
     "draw",
     "SAMPLER_KINDS",
     "CLASS_KINDS",
+    "rejection_side",
     "rejection_words",
     "rejection_dense",
     "switch_mcmc_words",
@@ -256,6 +257,16 @@ _REJECTION_FIRST_ENTRIES = 1 << 12
 _REJECTION_POOL_ENTRIES = 1 << 21
 
 
+def rejection_side(n: int, d: int, m: int, dp: int) -> Tuple[str, int]:
+    """(side, k): the side of the m x n class with row degree d and column
+    degree dp that rejection_words draws, "class" or "complement" (row
+    degree n - d, column degree m - dp), and that side's k = (d-1)(dp-1).
+    A simple collapse has probability near exp(-k/2) (McKay 1984), so the
+    side with the smaller k is drawn; a tie draws the class."""
+    k, k_complement = (d - 1) * (dp - 1), (n - d - 1) * (m - dp - 1)
+    return ("complement", k_complement) if k_complement < k else ("class", k)
+
+
 def rejection_words(spec: SamplerSpec, count: int) -> Tuple[np.ndarray, int]:
     """(words, attempts): `count` exactly-uniform class members as (count, m, L)
     row words, and the number of attempts up to and including the last one
@@ -269,17 +280,15 @@ def rejection_words(spec: SamplerSpec, count: int) -> Tuple[np.ndarray, int]:
     sizes depend on the spec alone, and the samples are the first accepted
     attempts in attempt order.
 
-    A simple collapse has probability near exp(-k/2), k = (d-1)(dp-1)
-    (McKay 1984).  Where the complement class, row degree n - d and column
-    degree m - dp, has the smaller k, its draws are made from the spec's
-    own stream and each row is complemented: a bijection onto the class,
-    so the samples stay exactly uniform, and the attempts counted are
-    those on the complement.
+    Where rejection_side picks the complement class, its draws are made
+    from the spec's own stream and each row is complemented: a bijection
+    onto the class, so the samples stay exactly uniform, and the attempts
+    counted are those on the complement.
     """
     if spec.kind != "rejection":
         raise ValueError("spec.kind must be 'rejection'")
     m, n, d, dp = spec.m, spec.n, spec.d, spec.dp
-    if (n - d - 1) * (m - dp - 1) < (d - 1) * (dp - 1):
+    if rejection_side(n, d, m, dp)[0] == "complement":
         out, attempts = rejection_words(replace(spec, d=n - d, dp=m - dp), count)
         out ^= rows_to_words([(1 << n) - 1], n)  # every row's n bits, no pad bit
         return out, attempts

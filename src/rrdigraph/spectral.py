@@ -11,12 +11,10 @@ bidiagonalisation an SVD makes.  lambda_max(G') = n sigma_2^2 is the norm
 of G', so its relative error, and that of sigma_2, stays near machine
 epsilon; for d in {0, n}, G' is exactly zero and so is sigma_2.
 
-The complement C = J - M has (J - M)^T (J - M) = (n - 2d) J + M^T M, so
-n C^T C - (n - d)^2 J is the same G'.  Where d_hat = min(d, n - d) has
-d_hat^2 <= n, G' is written straight into one float64 buffer: -d_hat^2
-everywhere, plus n at the d_hat^2 codes j*n + k of each row of the
-sparser side, at most n^2 scattered adds in all.  Elsewhere it is the
-dense product, scaled in place.
+Where d^2 <= n, G' is written straight into one float64 buffer: -d^2
+everywhere, plus n at the d^2 codes j*n + k of each row's columns, at
+most n^2 scattered adds in all.  Elsewhere it is the dense product,
+scaled in place.
 
 A digraph with second singular value sigma_2 is sigma_2-jumbled, so on
 tiny instances the exhaustive discrepancy maximum alpha can be checked
@@ -68,17 +66,14 @@ def sigma2(matrix: BiregularBitMatrix) -> SpectralReport:
 
 def _deflated_gram(matrix: BiregularBitMatrix) -> np.ndarray:
     """G' = n M^T M - d^2 J as one float64 n x n array of exact integers.
-    Where d_hat^2 <= n it is scattered from the columns of the sparser side
-    (the matrix or its complement, see the module docstring), read by one
+    Where d^2 <= n it is scattered from each row's columns, read by one
     flat scan; elsewhere it is the dense product.  At most two n x n
     arrays are alive at once."""
     n, d = matrix.n, matrix.d
-    d_hat = min(d, n - d)
     present = matrix.dense().view(bool)  # 0/1 entries, so the bool view is exact
-    if d_hat * d_hat <= n:
-        gram = np.full((n, n), -(d_hat * d_hat), dtype=np.float64)
-        side = present if d_hat == d else ~present
-        cols = (np.flatnonzero(side) % n).reshape(n, d_hat)  # each row's columns, ascending
+    if d * d <= n:
+        gram = np.full((n, n), -(d * d), dtype=np.float64)
+        cols = (np.flatnonzero(present) % n).reshape(n, d)  # each row's columns, ascending
         # A float increment keeps np.add.at on its fast same-type loop.
         np.add.at(gram.reshape(-1), (cols[:, :, None] * n + cols[:, None, :]).reshape(-1), float(n))
         return gram

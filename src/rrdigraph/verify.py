@@ -30,7 +30,7 @@ from .exchangeable import (
     switching_vf,
 )
 from .matrices import InvalidMatrixError, VertexSetPair, codegree
-from .samplers import SamplerSpec, check_ranges, fields_named, sample_many, stream_generator
+from .samplers import SamplerSpec, check_ranges, fields_named, rejection_side, sample_many, stream_generator
 
 __all__ = ["VerifyRecord", "SuiteResult", "run_suite", "SUITES"]
 
@@ -144,9 +144,9 @@ _REJECTION_ATTEMPTS = 4096
 
 def _by_rejection(n, d, m, dp):
     """Whether the class suites draw the m x n class with row degree d and
-    column degree dp by rejection: where the class or its complement (row
-    degree n - d, column degree m - dp) has k at most _REJECTION_MAX_K."""
-    return min((d - 1) * (dp - 1), (n - d - 1) * (m - dp - 1)) <= _REJECTION_MAX_K
+    column degree dp by rejection: where the side rejection draws has k at
+    most _REJECTION_MAX_K."""
+    return rejection_side(n, d, m, dp)[1] <= _REJECTION_MAX_K
 
 
 _STEPS_UNREAD = (

@@ -876,6 +876,12 @@ class TestUsageErrors:
 
 
 class TestFieldNamedInMessages:
+    """Malformed input to the subcommands (non-numbers, negative sizes,
+    d > n, missing required flags) exits 1 with empty stdout and a message
+    that names the field or flag at fault, never with a traceback.  "{in}"
+    is a valid 4 x 4 matrix file and "{missing}" a path that does not
+    exist.  Sizes stay at n <= 64 and no case passes --threads."""
+
     @pytest.mark.parametrize(
         "argv, message",
         [
@@ -891,15 +897,113 @@ class TestFieldNamedInMessages:
              "verify field 'd' must be in [0, 16], got 18"),
             (["verify", "--suite", "switching", "--n", "9", "--m", "6", "--d", "3", "--dp", "7"],
              "verify field 'dp' must be in [0, 6], got 7"),
+            (["sample", "--kind", "switch_mcmc", "--n", "abc", "--d", "3"],
+             "argument --n: invalid int value: 'abc'"),
+            (["sample", "--kind", "rejection", "--n", "8", "--d", "2.5"],
+             "argument --d: invalid int value: '2.5'"),
+            (["sample", "--kind", "erdos_renyi", "--n", "8", "--p", "half"],
+             "argument --p: invalid float value: 'half'"),
+            (["sample", "--kind", "rejection", "--n", "-4", "--d", "2"],
+             "sampler field 'n' must be >= 1, got -4"),
+            (["sample", "--kind", "switch_mcmc", "--n", "8", "--d", "3", "--steps", "-1"],
+             "sampler field 'steps' must be >= 0, got -1"),
+            (["sample", "--kind", "rejection", "--n", "8", "--d", "2", "--count", "-1"],
+             "sample field 'count' must be >= 0, got -1"),
+            (["sample", "--kind", "rejection", "--n", "8", "--d", "9"],
+             "sampler field 'd' must be in [0, 8], got 9"),
+            (["sample", "--kind", "permutation_model", "--n", "64", "--d", "65"],
+             "sampler field 'd' must be in [0, 64], got 65"),
+            (["sample", "--n", "8", "--d", "2"],
+             "the following arguments are required: --kind"),
+            (["sample", "--kind", "erdos_renyi", "--n", "8"],
+             "sampler field 'p' is required"),
+            (["verify", "--suite", "all", "--n", "x", "--d", "3"],
+             "argument --n: invalid int value: 'x'"),
+            (["verify", "--suite", "all", "--n", "8", "--d", "3", "--samples", "1e3"],
+             "argument --samples: invalid int value: '1e3'"),
+            (["verify", "--suite", "all", "--n", "-8", "--d", "3"],
+             "verify field 'n' must be >= 2, got -8"),
+            (["verify", "--suite", "permutation", "--n", "8", "--d", "-1"],
+             "verify field 'd' must be in [0, 8], got -1"),
+            (["verify", "--suite", "switching", "--n", "9", "--m", "-6", "--d", "3", "--dp", "2"],
+             "verify field 'm' must be >= 2, got -6"),
+            (["verify", "--n", "8", "--d", "3"],
+             "the following arguments are required: --suite"),
+            (["verify", "--suite", "all", "--n", "8"],
+             "the following arguments are required: --d"),
+            (["verify", "--suite", "all", "--d", "3"],
+             "the following arguments are required: --n"),
+            (["enumerate", "--n", "four", "--d", "2"],
+             "argument --n: invalid int value: 'four'"),
+            (["enumerate", "--n", "4", "--d", "2", "--max-states", "1.5"],
+             "argument --max-states: invalid int value: '1.5'"),
+            (["enumerate", "--n", "-4", "--d", "2"],
+             "enumeration field 'n' must be >= 1, got -4"),
+            (["enumerate", "--n", "4", "--m", "-2", "--d", "2"],
+             "enumeration field 'm' must be >= 1, got -2"),
+            (["enumerate", "--n", "4", "--d", "5"],
+             "enumeration field 'd' must be in [0, 4], got 5"),
+            (["enumerate", "--n", "4", "--d", "2", "--dp", "5"],
+             "enumeration field 'dp' must be in [0, 4], got 5"),
+            (["enumerate", "--d", "2"],
+             "the following arguments are required: --n"),
+            (["enumerate", "--n", "4"],
+             "the following arguments are required: --d"),
+            (["sigma2", "--kind", "switch_mcmc", "--n", "abc", "--d", "3"],
+             "argument --n: invalid int value: 'abc'"),
+            (["sigma2", "--kind", "switch_mcmc", "--n", "8", "--d", "3", "--steps", "many"],
+             "argument --steps: invalid int value: 'many'"),
+            (["sigma2", "--kind", "switch_mcmc", "--n", "-8", "--d", "3"],
+             "sampler field 'n' must be >= 1, got -8"),
+            (["sigma2", "--kind", "rejection", "--n", "8", "--d", "-2"],
+             "sampler field 'd' must be in [0, 8], got -2"),
+            (["sigma2", "--kind", "switch_mcmc", "--n", "64", "--d", "65"],
+             "sampler field 'd' must be in [0, 64], got 65"),
+            (["sigma2"],
+             "sigma2 needs --in or sampler flags"),
+            (["sigma2", "--kind", "switch_mcmc", "--d", "3"],
+             "sigma2 needs --in or sampler flags"),
+            (["sigma2", "--n", "8", "--d", "3"],
+             "sigma2 needs --in or sampler flags"),
+            (["sigma2", "--in", "{missing}"],
+             "No such file or directory"),
+            (["couple", "--op", "switch", "--in", "{in}", "--j1", "one", "--j2", "2"],
+             "argument --j1: invalid int value: 'one'"),
+            (["couple", "--op", "switch", "--in", "{in}", "--j1", "0", "--j2", "1", "--i1", "-1"],
+             "--i1 must be in [0, 4), got -1"),
+            (["couple", "--op", "reflect", "--in", "{in}", "--j1", "0", "--j2", "9"],
+             "--j2 must be in [0, 4), got 9"),
+            (["couple", "--in", "{in}", "--j1", "0", "--j2", "1"],
+             "the following arguments are required: --op"),
+            (["couple", "--op", "switch", "--j1", "0", "--j2", "1"],
+             "the following arguments are required: --in"),
+            (["couple", "--op", "switch", "--in", "{in}", "--j1", "0"],
+             "the following arguments are required: --j2"),
+            (["couple", "--op", "switch", "--in", "{missing}", "--j1", "0", "--j2", "1"],
+             "No such file or directory"),
         ],
         ids=["verify-samples-negative", "sample-n0", "sample-m0", "verify-d-above-n",
-             "verify-permutation-d-above-n", "verify-dp-above-m"],
+             "verify-permutation-d-above-n", "verify-dp-above-m", "sample-n-not-a-number",
+             "sample-d-fraction", "sample-p-not-a-number", "sample-n-negative", "sample-steps-negative",
+             "sample-count-negative", "sample-d-above-n", "sample-permutation-d-above-n", "sample-no-kind",
+             "sample-no-p", "verify-n-not-a-number", "verify-samples-float", "verify-n-negative",
+             "verify-d-negative", "verify-m-negative", "verify-no-suite", "verify-no-d", "verify-no-n",
+             "enumerate-n-not-a-number", "enumerate-cap-fraction", "enumerate-n-negative",
+             "enumerate-m-negative", "enumerate-d-above-n", "enumerate-dp-above-m", "enumerate-no-n",
+             "enumerate-no-d", "sigma2-n-not-a-number", "sigma2-steps-not-a-number", "sigma2-n-negative",
+             "sigma2-d-negative", "sigma2-d-above-n", "sigma2-nothing", "sigma2-no-n", "sigma2-no-kind",
+             "sigma2-missing-file", "couple-j1-not-a-number", "couple-i1-negative", "couple-j2-above-n",
+             "couple-no-op", "couple-no-in", "couple-no-j2", "couple-missing-file"],
     )
-    def test_exit_1_naming_the_field(self, capsys, argv, message):
-        code, stdout, err = run(capsys, *argv)
+    def test_exit_1_naming_the_field(self, tmp_path, capsys, argv, message):
+        matrix = tmp_path / "m.txt"
+        matrix.write_text("4 4 2 2\n1100\n0110\n0011\n1001\n")
+        paths = {"{in}": str(matrix), "{missing}": str(tmp_path / "missing.txt")}
+        code, stdout, err = run(capsys, *(paths.get(a, a) for a in argv))
         assert code == 1
         assert stdout == ""
-        assert message in err and "Traceback" not in err
+        assert err.startswith(("usage error: ", "error: ")) and "Traceback" not in err
+        assert message in err
 
 
 class TestVerifyNearCompleteCli:

@@ -521,6 +521,17 @@ class TestTailHarness:
         assert meta1["acceptance_rate"] == cfg.N / meta1["rejection_attempts"]
         # The limit is exp(-(d-1)(dp-1)/2) = exp(-4.5), about 0.011.
         assert 0.008 <= meta1["acceptance_rate"] <= 0.015
+        assert meta1["rejection_side"] == "class"
+
+    def test_rejection_side_in_metadata_on_a_near_complete_class(self):
+        # The (16, 13) class is drawn as its complement, the (16, 3) class,
+        # whose attempts are the ones counted.
+        spec = SamplerSpec(kind="rejection", n=16, d=13)
+        cfg = ExperimentConfig(sampler=spec, statistic="codegree", grid=(0.5,), N=200, seed=2)
+        meta = run_tail_experiment(cfg).metadata
+        assert meta["rejection_side"] == "complement"
+        complement = dataclasses.replace(cfg, sampler=dataclasses.replace(spec, d=3, dp=3))
+        assert meta["rejection_attempts"] == run_tail_experiment(complement).metadata["rejection_attempts"]
 
     def test_csv_shape(self):
         cfg = ExperimentConfig(

@@ -388,97 +388,3 @@ class TestBoundaryProperties:
             # An out-of-range n or m can push d, a or b out of range first.
             assert f"--{flag}" in err or f"'{field}'" in err or (flag in ("n", "m") and "field '" in err), err
 
-
-# Malformed input to the subcommands that draw, check or rewrite matrices:
-# (argv, message).  "{in}" is a valid 4 x 4 matrix file and "{missing}" a
-# path that does not exist.  Every case is a usage error, exit 1.
-_MALFORMED = {
-    "sample-n-not-a-number": (["sample", "--kind", "switch_mcmc", "--n", "abc", "--d", "3"],
-                              "argument --n: invalid int value: 'abc'"),
-    "sample-d-fraction": (["sample", "--kind", "rejection", "--n", "8", "--d", "2.5"],
-                          "argument --d: invalid int value: '2.5'"),
-    "sample-p-not-a-number": (["sample", "--kind", "erdos_renyi", "--n", "8", "--p", "half"],
-                              "argument --p: invalid float value: 'half'"),
-    "sample-n-negative": (["sample", "--kind", "rejection", "--n", "-4", "--d", "2"],
-                          "sampler field 'n' must be >= 1, got -4"),
-    "sample-steps-negative": (["sample", "--kind", "switch_mcmc", "--n", "8", "--d", "3", "--steps", "-1"],
-                              "sampler field 'steps' must be >= 0, got -1"),
-    "sample-count-negative": (["sample", "--kind", "rejection", "--n", "8", "--d", "2", "--count", "-1"],
-                              "field 'count' must be >= 0, got -1"),
-    "sample-d-above-n": (["sample", "--kind", "rejection", "--n", "8", "--d", "9"],
-                         "sampler field 'd' must be in [0, 8], got 9"),
-    "sample-permutation-d-above-n": (["sample", "--kind", "permutation_model", "--n", "64", "--d", "65"],
-                                     "sampler field 'd' must be in [0, 64], got 65"),
-    "sample-no-kind": (["sample", "--n", "8", "--d", "2"], "the following arguments are required: --kind"),
-    "sample-no-p": (["sample", "--kind", "erdos_renyi", "--n", "8"], "sampler field 'p' is required"),
-    "verify-n-not-a-number": (["verify", "--suite", "all", "--n", "x", "--d", "3"],
-                              "argument --n: invalid int value: 'x'"),
-    "verify-samples-float": (["verify", "--suite", "all", "--n", "8", "--d", "3", "--samples", "1e3"],
-                             "argument --samples: invalid int value: '1e3'"),
-    "verify-n-negative": (["verify", "--suite", "all", "--n", "-8", "--d", "3"], "verify field 'n' must be >= 2, got -8"),
-    "verify-d-negative": (["verify", "--suite", "permutation", "--n", "8", "--d", "-1"],
-                          "verify field 'd' must be in [0, 8], got -1"),
-    "verify-m-negative": (["verify", "--suite", "switching", "--n", "9", "--m", "-6", "--d", "3", "--dp", "2"],
-                          "verify field 'm' must be >= 2, got -6"),
-    "verify-d-above-n": (["verify", "--suite", "reflection", "--n", "64", "--d", "65", "--samples", "2"],
-                         "verify field 'd' must be in [0, 64], got 65"),
-    "verify-no-suite": (["verify", "--n", "8", "--d", "3"], "the following arguments are required: --suite"),
-    "verify-no-d": (["verify", "--suite", "all", "--n", "8"], "the following arguments are required: --d"),
-    "verify-no-n": (["verify", "--suite", "all", "--d", "3"], "the following arguments are required: --n"),
-    "enumerate-n-not-a-number": (["enumerate", "--n", "four", "--d", "2"], "argument --n: invalid int value: 'four'"),
-    "enumerate-cap-fraction": (["enumerate", "--n", "4", "--d", "2", "--max-states", "1.5"],
-                               "argument --max-states: invalid int value: '1.5'"),
-    "enumerate-n-negative": (["enumerate", "--n", "-4", "--d", "2"], "enumeration field 'n' must be >= 1, got -4"),
-    "enumerate-m-negative": (["enumerate", "--n", "4", "--m", "-2", "--d", "2"],
-                             "enumeration field 'm' must be >= 1, got -2"),
-    "enumerate-d-above-n": (["enumerate", "--n", "4", "--d", "5"], "enumeration field 'd' must be in [0, 4], got 5"),
-    "enumerate-dp-above-m": (["enumerate", "--n", "4", "--d", "2", "--dp", "5"],
-                             "enumeration field 'dp' must be in [0, 4], got 5"),
-    "enumerate-no-n": (["enumerate", "--d", "2"], "the following arguments are required: --n"),
-    "enumerate-no-d": (["enumerate", "--n", "4"], "the following arguments are required: --d"),
-    "sigma2-n-not-a-number": (["sigma2", "--kind", "switch_mcmc", "--n", "abc", "--d", "3"],
-                              "argument --n: invalid int value: 'abc'"),
-    "sigma2-steps-not-a-number": (["sigma2", "--kind", "switch_mcmc", "--n", "8", "--d", "3", "--steps", "many"],
-                                  "argument --steps: invalid int value: 'many'"),
-    "sigma2-n-negative": (["sigma2", "--kind", "switch_mcmc", "--n", "-8", "--d", "3"],
-                          "sampler field 'n' must be >= 1, got -8"),
-    "sigma2-d-negative": (["sigma2", "--kind", "rejection", "--n", "8", "--d", "-2"],
-                          "sampler field 'd' must be in [0, 8], got -2"),
-    "sigma2-d-above-n": (["sigma2", "--kind", "switch_mcmc", "--n", "64", "--d", "65"],
-                         "sampler field 'd' must be in [0, 64], got 65"),
-    "sigma2-nothing": (["sigma2"], "sigma2 needs --in or sampler flags"),
-    "sigma2-no-n": (["sigma2", "--kind", "switch_mcmc", "--d", "3"], "sigma2 needs --in or sampler flags"),
-    "sigma2-no-kind": (["sigma2", "--n", "8", "--d", "3"], "sigma2 needs --in or sampler flags"),
-    "sigma2-missing-file": (["sigma2", "--in", "{missing}"], "No such file or directory"),
-    "couple-j1-not-a-number": (["couple", "--op", "switch", "--in", "{in}", "--j1", "one", "--j2", "2"],
-                               "argument --j1: invalid int value: 'one'"),
-    "couple-i1-negative": (["couple", "--op", "switch", "--in", "{in}", "--j1", "0", "--j2", "1", "--i1", "-1"],
-                           "--i1 must be in [0, 4), got -1"),
-    "couple-j2-above-n": (["couple", "--op", "reflect", "--in", "{in}", "--j1", "0", "--j2", "9"],
-                          "--j2 must be in [0, 4), got 9"),
-    "couple-no-op": (["couple", "--in", "{in}", "--j1", "0", "--j2", "1"],
-                     "the following arguments are required: --op"),
-    "couple-no-in": (["couple", "--op", "switch", "--j1", "0", "--j2", "1"],
-                     "the following arguments are required: --in"),
-    "couple-no-j2": (["couple", "--op", "switch", "--in", "{in}", "--j1", "0"],
-                     "the following arguments are required: --j2"),
-    "couple-missing-file": (["couple", "--op", "switch", "--in", "{missing}", "--j1", "0", "--j2", "1"],
-                            "No such file or directory"),
-}
-
-
-class TestMalformedSubcommandInputs:
-    """Non-numbers, negative sizes, d > n and missing required flags exit 1
-    with a message and empty stdout, never with a traceback.  Sizes stay at
-    n <= 64 and no case passes --threads."""
-
-    @pytest.mark.parametrize("argv, message", list(_MALFORMED.values()), ids=list(_MALFORMED))
-    def test_exit_1_with_a_message(self, tmp_path, argv, message):
-        matrix = tmp_path / "m.txt"
-        matrix.write_text("4 4 2 2\n1100\n0110\n0011\n1001\n")
-        paths = {"{in}": str(matrix), "{missing}": str(tmp_path / "missing.txt")}
-        code, out, err = run(*(paths.get(a, a) for a in argv))
-        assert code == 1
-        assert out == ""
-        assert err.startswith(("usage error: ", "error: ")) and "Traceback" not in err
-        assert message in err

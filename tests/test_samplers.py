@@ -22,6 +22,7 @@ from rrdigraph.samplers import (
     enumerate_all,
     permutation_batch,
     rejection_dense,
+    rejection_side,
     sample_many,
     stream_generator,
     switch_mcmc_dense,
@@ -200,9 +201,24 @@ class TestRejectionKernel:
 
     @staticmethod
     def _drawn_side(m, n, d, dp):
-        """(m, n, d, dp) of the side the kernel draws: the complement where
-        its (n-d-1)(m-dp-1) is below (d-1)(dp-1)."""
-        return (m, n, n - d, m - dp) if (n - d - 1) * (m - dp - 1) < (d - 1) * (dp - 1) else (m, n, d, dp)
+        """(m, n, d, dp) of the side the kernel draws."""
+        return (m, n, n - d, m - dp) if rejection_side(n, d, m, dp)[0] == "complement" else (m, n, d, dp)
+
+    @pytest.mark.parametrize(
+        "n, d, m, dp, side",
+        [
+            (16, 12, 16, 12, ("complement", 9)),
+            (8, 5, 8, 5, ("complement", 4)),
+            (60, 4, 60, 4, ("class", 9)),
+            (4, 2, 4, 2, ("class", 1)),  # a tie draws the class
+            (9, 3, 6, 2, ("class", 2)),
+            (7, 0, 7, 0, ("class", 1)),
+            (7, 7, 7, 7, ("complement", 1)),
+        ],
+        ids=lambda v: str(v),
+    )
+    def test_rejection_side_is_the_side_with_the_smaller_k(self, n, d, m, dp, side):
+        assert rejection_side(n, d, m, dp) == side
 
     @pytest.mark.parametrize(
         "m, n, d, dp", [(4, 4, 2, 2), (4, 4, 3, 3), (3, 6, 2, 1)], ids=lambda v: str(v)

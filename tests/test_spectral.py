@@ -189,9 +189,9 @@ class TestSigma2DeflatedGram:
         "n, d", [(9, 3), (300, 3), (300, 17), (1000, 31), (300, 297), (12, 0), (12, 12), (300, 150)]
     )
     def test_counted_gram_equals_the_dense_product(self, n, d):
-        # min(d, n - d)^2 <= n: G' is scattered from the sparser side's
-        # column pairs (the complement's at d = 297 and d = n), and is the
-        # dense product entry for entry; at (300, 150) it is that product.
+        # d^2 <= n: G' is scattered from each row's column pairs, and is the
+        # dense product entry for entry; elsewhere, near-complete classes and
+        # d = n included, it is that product.
         mat = sample_many(SamplerSpec(kind="switch_mcmc", n=n, d=d, steps=2000, seed=n + d), 1)[0]
         gram = spectral._deflated_gram(mat)
         assert gram.dtype == np.float64 and gram.shape == (n, n)
