@@ -1,12 +1,15 @@
 """Command-line interface.
 
 Subcommands: sample, stats, couple, verify, bound, tail, sigma2,
-enumerate.  Exit codes are fixed so CI scripts can gate on them:
+enumerate.  `sample` is the one that draws a matrix: stats, couple and
+sigma2 read theirs from the file that --in names, such as one that
+`sample --out` wrote.  Exit codes are fixed so CI scripts can gate on them:
 
   0  success (all verdicts pass)
   1  usage error
   2  a verification suite or tail run found a violated identity/bound
-  3  resource guard (enumeration cap, exact v_f cost cap, rejection budget)
+  3  resource guard (enumeration cap, exact v_f cost cap, rejection budget,
+     alpha_exact cap)
   4  couple: the requested operation was a no-op (not switchable /
      not reflecting)
 
@@ -54,20 +57,21 @@ from .samplers import (
     fields_named,
     sample_many,
 )
-from .spectral import alpha_exact, check_alpha_shape, check_sigma2_shape, sigma2
+from .spectral import alpha_exact, sigma2
 from .verify import SCHEMA_VERSION as VERIFY_SCHEMA_VERSION, SUITES, run_suite
 
 SCHEMA_VERSION = 1
-# Version 2 of the stats payload has no `format`.  The sample (2) and sigma2
-# (3; 2 dropped `tol` and `max_iters`) payloads echo `max_attempts` as null
-# for the kinds other than rejection.  The bound payload (6) echoes no
+# Version 2 of the stats payload has no `format`.  The sample payload (3)
+# echoes `d` as null for the Erdos-Renyi kind, which reads none.  The sample
+# (2) and sigma2 (3; 2 dropped `tol` and `max_iters`) payloads echo
+# `max_attempts` as null for the kinds other than rejection.  The bound payload (6) echoes no
 # theorem constants, which a caller no longer sets; 5 evaluates
 # `codegree_upper` and `perm_edge` as Chatterjee tails at the SELF_BOUND
 # constants, which moves some values in their last bits; 4 dropped C2 for
 # `edge_lower`, 3 labelled a caller-set constant, 2 dropped `dp`.  The
 # verify and tail payloads report their module's version; the other
 # payloads keep version 1.
-SAMPLE_SCHEMA_VERSION = 2
+SAMPLE_SCHEMA_VERSION = 3
 SIGMA2_SCHEMA_VERSION = 3
 STATS_SCHEMA_VERSION = 2
 BOUND_SCHEMA_VERSION = 6
@@ -98,13 +102,10 @@ def _read_matrix(path: str) -> BiregularBitMatrix:
     return parse_matrix(Path(path).read_text())
 
 
-# The flags of _add_sampler_flags, by their SamplerSpec field names.
-_SAMPLER_FLAGS = ("kind", "n", "d", "m", "dp", "p", "steps", "stream", "max_attempts")
-
-
 def _spec_from_args(args) -> SamplerSpec:
     """The spec the sampler flags and --seed name; a flag not given keeps its default."""
-    given = {name: getattr(args, name) for name in ("seed",) + _SAMPLER_FLAGS}
+    names = ("seed", "kind", "n", "d", "m", "dp", "p", "steps", "stream", "max_attempts")
+    given = {name: getattr(args, name) for name in names}
     return SamplerSpec(**{name: value for name, value in given.items() if value is not None})
 
 
@@ -278,37 +279,14 @@ def _cmd_tail(args) -> int:
     return 0 if result.all_pass else 2
 
 
-def _check_sigma2_shapes(m: int, n: int, alpha: bool) -> None:
-    """Refuse what sigma2 (and alpha_exact, with --alpha) would refuse,
-    before the draw and the decomposition."""
-    check_sigma2_shape(m, n)
-    if alpha:
-        check_alpha_shape(m, n)
-
-
 def _cmd_sigma2(args) -> int:
-    if getattr(args, "in"):
-        given = [name for name in ("seed",) + _SAMPLER_FLAGS if getattr(args, name) is not None]
-        if given:
-            flags = " ".join("--" + name.replace("_", "-") for name in given)
-            raise _UsageError(f"--in reads the matrix from a file; the sampler flags {flags} do not apply")
-        matrix = _read_matrix(getattr(args, "in"))
-        _check_sigma2_shapes(matrix.m, matrix.n, args.alpha)
-        source = {"in": getattr(args, "in")}
-    else:
-        if args.kind is None or args.n is None:
-            raise _UsageError("sigma2 needs --in or sampler flags (--kind/--n/--d)")
-        spec = _spec_from_args(args)
-        if spec.kind not in CLASS_KINDS:
-            raise _UsageError(f"sigma2 needs a class-valued sampler kind {CLASS_KINDS}, "
-                              f"got {spec.kind!r}")
-        _check_sigma2_shapes(spec.m, spec.n, args.alpha)
-        matrix = sample_many(spec, 1)[0]
-        source = dataclasses.asdict(spec)
+    matrix = _read_matrix(getattr(args, "in"))
+    # alpha_exact refuses a large or rectangular matrix before any decomposition.
+    alpha = alpha_exact(matrix) if args.alpha else None
     report = sigma2(matrix)
     payload = {
         "schema_version": SIGMA2_SCHEMA_VERSION,
-        "config": dict(source, alpha=args.alpha),
+        "config": {"in": getattr(args, "in"), "alpha": args.alpha},
         "sigma1": report.sigma1,
         "sigma2": report.sigma2,
         "iterations": report.iterations,
@@ -316,7 +294,7 @@ def _cmd_sigma2(args) -> int:
         "converged": report.converged,
     }
     if args.alpha:
-        payload["alpha_exact"] = alpha_exact(matrix)
+        payload["alpha_exact"] = alpha
     if args.out:
         Path(args.out).write_text(json.dumps(payload, indent=2, default=str))
     _emit(payload)
@@ -360,19 +338,6 @@ def _cmd_enumerate(args) -> int:
 # -- parser wiring ------------------------------------------------------------------
 
 
-def _add_sampler_flags(sub, kind_required=True):
-    # None stands for a flag not given, which keeps the SamplerSpec default.
-    sub.add_argument("--kind", choices=SAMPLER_KINDS, required=kind_required)
-    sub.add_argument("--n", type=int, default=None)
-    sub.add_argument("--d", type=int, default=None)
-    sub.add_argument("--m", type=int, default=None)
-    sub.add_argument("--dp", type=int, default=None)
-    sub.add_argument("--p", type=float, default=None)
-    sub.add_argument("--steps", type=int, default=None)
-    sub.add_argument("--stream", type=int, default=None)
-    sub.add_argument("--max-attempts", dest="max_attempts", type=int, default=None)
-
-
 def build_parser() -> _Parser:
     parser = _Parser(prog="rrdigraph", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
@@ -381,7 +346,16 @@ def build_parser() -> _Parser:
     sample = subs.add_parser("sample", help="draw matrices from one of the samplers")
     sample.add_argument("--seed", type=int, default=0)
     sample.add_argument("--out", type=str, default=None)
-    _add_sampler_flags(sample)
+    # None stands for a flag not given, which keeps the SamplerSpec default.
+    sample.add_argument("--kind", choices=SAMPLER_KINDS, required=True)
+    sample.add_argument("--n", type=int, default=None)
+    sample.add_argument("--d", type=int, default=None)
+    sample.add_argument("--m", type=int, default=None)
+    sample.add_argument("--dp", type=int, default=None)
+    sample.add_argument("--p", type=float, default=None)
+    sample.add_argument("--steps", type=int, default=None)
+    sample.add_argument("--stream", type=int, default=None)
+    sample.add_argument("--max-attempts", dest="max_attempts", type=int, default=None)
     sample.add_argument("--count", type=int, default=1)
     sample.set_defaults(func=_cmd_sample)
 
@@ -434,12 +408,9 @@ def build_parser() -> _Parser:
     tail.set_defaults(func=_cmd_tail)
 
     sig = subs.add_parser("sigma2", help="second singular value diagnostics")
-    # One JSON payload from one thread, so no --threads and no --format;
-    # --seed seeds only the sampler flags.
-    sig.add_argument("--seed", type=int, default=None)
+    # One JSON payload from one thread, so no --threads and no --format.
     sig.add_argument("--out", type=str, default=None)
-    sig.add_argument("--in", dest="in", default=None)
-    _add_sampler_flags(sig, kind_required=False)
+    sig.add_argument("--in", dest="in", required=True)
     sig.add_argument("--alpha", action="store_true", help="also compute exact jumbledness")
     sig.set_defaults(func=_cmd_sigma2)
 

@@ -40,13 +40,14 @@ __all__ = [
 
 SHARD_SIZE = 4096
 CSV_HEADER = "grid_value,empirical,ci_lo,ci_hi,bound,valid,verdict"
-# Version 4 of the tail metadata echoes no theorem constants (none is set);
-# version 3 has no `sampler.seed` (always 0, never read); version 2 echoes
-# `sampler.max_attempts` as null for the kinds other than rejection, which
-# alone reads it.  For the rejection sampler, `rejection_side` names the
+# Version 5 of the tail metadata echoes `sampler.d` as null for the
+# Erdos-Renyi kind, which reads none.  Version 4 echoes no theorem constants
+# (none is set); version 3 has no `sampler.seed` (always 0, never read);
+# version 2 echoes `sampler.max_attempts` as null for the kinds other than
+# rejection, which alone reads it.  For the rejection sampler, `rejection_side` names the
 # side that rejection_words draws, "class" or "complement", and
 # `rejection_attempts` and `acceptance_rate` are that side's.
-SCHEMA_VERSION = 4
+SCHEMA_VERSION = 5
 
 
 @dataclass(frozen=True)
@@ -198,12 +199,16 @@ class TailExperimentResult:
         return all(row.verdict != "fail" for row in self.rows)
 
 
-def binomial_ci(k: int, n: int, confidence: float = 0.95) -> Tuple[float, float]:
-    """Exact (Clopper-Pearson) binomial confidence interval for k/n.
+# Each tail of the 95% interval: (1 - 0.95) / 2 in floats, 0.025000000000000022.
+_CI_TAIL = (1.0 - 0.95) / 2.0
 
-    With alpha = 1 - confidence and X ~ Bin(n, p), the lower limit solves
-    P(X >= k) = alpha/2 and the upper limit P(X <= k) = alpha/2; they are 0
-    at k = 0 and 1 at k = n.  Both are Python floats.
+
+def binomial_ci(k: int, n: int) -> Tuple[float, float]:
+    """Exact (Clopper-Pearson) 95% binomial confidence interval for k/n.
+
+    With X ~ Bin(n, p), the lower limit solves P(X >= k) = _CI_TAIL and the
+    upper limit P(X <= k) = _CI_TAIL; they are 0 at k = 0 and 1 at k = n.
+    Both are Python floats.
     """
     # Each limit is the root of its own tail equation (_tail_root): taken as 1
     # minus a mirrored lower limit, a small upper limit would lose its
@@ -217,21 +222,18 @@ def binomial_ci(k: int, n: int, confidence: float = 0.95) -> Tuple[float, float]
     # 2-core Xeon, mostly the tail sums of 5-13 Newton steps.  No SciPy: NumPy
     # is the package's only runtime dependency.
     check_ranges("binomial_ci", ("k", k, 0, n))
-    if not 0.0 < confidence < 1.0:
-        raise ValueError("need 0 < confidence < 1")
-    target = (1.0 - confidence) / 2.0
     if k == 0:
         lo = 0.0
     elif k == n:
-        lo = math.exp(math.log(target) / n)
+        lo = math.exp(math.log(_CI_TAIL) / n)
     else:
-        lo = _tail_root(k, n, target, upper=True)
+        lo = _tail_root(k, n, _CI_TAIL, upper=True)
     if k == n:
         hi = 1.0
     elif k == 0:
-        hi = -math.expm1(math.log(target) / n)
+        hi = -math.expm1(math.log(_CI_TAIL) / n)
     else:
-        hi = _tail_root(k, n, target, upper=False)
+        hi = _tail_root(k, n, _CI_TAIL, upper=False)
     return lo, hi
 
 

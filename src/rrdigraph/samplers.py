@@ -164,7 +164,7 @@ class SamplerSpec:
 
     kind: str
     n: int = 0
-    d: int = 0
+    d: Optional[int] = None
     m: Optional[int] = None
     dp: Optional[int] = None
     p: Optional[float] = None
@@ -178,8 +178,6 @@ class SamplerSpec:
         if row is None:
             raise ValueError(f"unknown sampler kind {self.kind!r}")
         check_reads("sampler", self, row.reads, f"kind {self.kind!r}", row.requires)
-        if self.d and "d" not in row.reads:  # d defaults to 0, not None, so check_reads cannot see it
-            raise ValueError(f"sampler field 'd' is not read by kind {self.kind!r}")
         for name, default in (("m", self.n), ("dp", self.d), ("max_attempts", DEFAULT_MAX_ATTEMPTS)):
             if name in row.reads and getattr(self, name) is None:
                 object.__setattr__(self, name, default)
@@ -650,11 +648,11 @@ class _Kind:
 
 
 _KINDS = {
-    "rejection": _Kind(lambda spec, count: rejection_words(spec, count), ("d", "m", "dp", "max_attempts"), (),
+    "rejection": _Kind(lambda spec, count: rejection_words(spec, count), ("d", "m", "dp", "max_attempts"), ("d",),
                        _members),
-    "switch_mcmc": _Kind(lambda spec, count: (switch_mcmc_words(spec, count), count), ("d", "m", "dp", "steps"), (),
+    "switch_mcmc": _Kind(lambda spec, count: (switch_mcmc_words(spec, count), count), ("d", "m", "dp", "steps"), ("d",),
                          _members),
-    "permutation_model": _Kind(lambda spec, count: (permutation_batch(spec, count), count), ("d", "m", "dp"), (),
+    "permutation_model": _Kind(lambda spec, count: (permutation_batch(spec, count), count), ("d", "m", "dp"), ("d",),
                                lambda spec, batch: list(batch)),
     "erdos_renyi": _Kind(lambda spec, count: (er_words(spec, count), count), ("p",), ("p",),
                          lambda spec, batch: list(words_to_dense(batch, spec.n))),

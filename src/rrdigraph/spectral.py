@@ -22,6 +22,11 @@ against sigma_2 directly.  For a row set A and a size b the largest
 |n e(A,B) - d a b| is reached by the b columns with the largest, or the
 smallest, column sums over A: `row_set_extremes` scans that lemma once,
 for alpha_exact and for bounds.check_pseudorandom_implication.
+
+Each function checks its own input first: sigma2 refuses a rectangular
+matrix, and row_set_extremes a rectangular one or one above n =
+ALPHA_EXACT_CAP, before any work, so `rrdigraph sigma2 --alpha` runs
+alpha_exact first and refuses a large file before it is decomposed.
 """
 
 from __future__ import annotations
@@ -34,8 +39,7 @@ from .matrices import BiregularBitMatrix
 from .samplers import SearchSpaceTooLarge
 
 __all__ = [
-    "SpectralReport", "sigma2", "alpha_exact", "row_set_extremes", "check_sigma2_shape", "check_alpha_shape",
-    "ALPHA_EXACT_CAP",
+    "SpectralReport", "sigma2", "alpha_exact", "row_set_extremes", "ALPHA_EXACT_CAP",
 ]
 
 ALPHA_EXACT_CAP = 14
@@ -58,8 +62,9 @@ class SpectralReport:
 
 def sigma2(matrix: BiregularBitMatrix) -> SpectralReport:
     """The two largest singular values of a square digraph's matrix."""
-    check_sigma2_shape(matrix.m, matrix.n)
     n, d = matrix.n, matrix.d
+    if matrix.m != n:
+        raise ValueError("sigma2 is defined here for the square digraph case")
     top = np.linalg.eigvalsh(_deflated_gram(matrix))[-1]
     return SpectralReport(float(d), float(np.sqrt(max(top, 0.0) / n)), 0, 0.0, True)
 
@@ -84,25 +89,6 @@ def _deflated_gram(matrix: BiregularBitMatrix) -> np.ndarray:
     return gram
 
 
-def check_sigma2_shape(m: int, n: int) -> None:
-    """Raise what sigma2 raises for an m x n matrix, so that a caller can
-    refuse before drawing it: ValueError unless square."""
-    if m != n:
-        raise ValueError("sigma2 is defined here for the square digraph case")
-
-
-def check_alpha_shape(m: int, n: int) -> None:
-    """Raise what row_set_extremes, and so alpha_exact, raises for an m x n
-    matrix, so that a caller can refuse before drawing or decomposing it:
-    ValueError unless square, SearchSpaceTooLarge above the cap."""
-    if m != n:
-        raise ValueError("alpha_exact is defined here for the square digraph case")
-    if n > ALPHA_EXACT_CAP:
-        raise SearchSpaceTooLarge(
-            f"alpha_exact enumerates 2^{n} row sets; cap is n <= {ALPHA_EXACT_CAP}"
-        )
-
-
 def row_set_extremes(matrix: BiregularBitMatrix) -> tuple:
     """(sizes, dev) for the nonempty row sets A without row n - 1, row k
     for the rows in the bits of k + 1: sizes[k] = |A| and dev[k, b - 1] =
@@ -111,8 +97,11 @@ def row_set_extremes(matrix: BiregularBitMatrix) -> tuple:
     top[n - b].  A^c has column sums d minus A's, so the same value at every
     b, and the full row set has 0: the table covers every row set.
     Guarded by n <= ALPHA_EXACT_CAP."""
-    check_alpha_shape(matrix.m, matrix.n)
     n, d = matrix.n, matrix.d
+    if matrix.m != n:
+        raise ValueError("alpha_exact is defined here for the square digraph case")
+    if n > ALPHA_EXACT_CAP:
+        raise SearchSpaceTooLarge(f"alpha_exact enumerates 2^{n} row sets; cap is n <= {ALPHA_EXACT_CAP}")
     size = 1 << (n - 1)
     dense = matrix.dense().astype(np.int32)
     # colsums[mask] = column sums of the row set `mask`; popcount[mask] = |mask|.

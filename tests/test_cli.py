@@ -1,5 +1,6 @@
 import json
 import re
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +12,8 @@ from rrdigraph.samplers import SamplerSpec, circulant, sample_many
 from rrdigraph.spectral import ALPHA_EXACT_CAP
 
 from conftest import MALFORMED_TEXT, gram_codegrees
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def run(capsys, *argv):
@@ -29,7 +32,7 @@ class TestSample:
         )
         assert code == 0
         payload = json.loads(stdout)
-        assert payload["schema_version"] == 2
+        assert payload["schema_version"] == 3
         assert payload["config"]["steps"] == 100
         assert payload["config"]["m"] == 6  # defaults filled
         mats = parse_matrices(out.read_text())
@@ -469,7 +472,7 @@ class TestTailCli:
         sidecar = tmp_path / "tail.csv.meta.json"
         meta = json.loads(sidecar.read_text())
         assert meta["config"]["N"] == 3000
-        assert meta["schema_version"] == 4
+        assert meta["schema_version"] == 5
 
     def test_byte_identical_reruns(self, tmp_path, capsys):
         cfg = self._config(tmp_path)
@@ -496,10 +499,12 @@ class TestTailCli:
             (lambda cfg: cfg["sampler"].update(n="40"), "field 'sampler.n' must be int"),
             (lambda cfg: cfg.update(grid=[0.5, None]), "grid"),
             (lambda cfg: cfg.update(b=50), "field 'b' must be in [1, 40]"),
+            (lambda cfg: cfg.update(sampler={"kind": "rejection", "n": 20}),
+             "sampler field 'd' is required by kind 'rejection'"),
         ],
         ids=["unknown-key", "missing-sampler", "missing-grid", "sampler-not-object",
              "unknown-sampler-key", "wrong-type-N", "wrong-type-sampler-n",
-             "non-number-grid", "set-size-above-n"],
+             "non-number-grid", "set-size-above-n", "sampler-no-d"],
     )
     def test_malformed_config_exit_1(self, tmp_path, capsys, edit, field):
         path = self._config(tmp_path)
@@ -526,73 +531,64 @@ class TestSigma2Cli:
         assert payload["sigma2"] == pytest.approx(0.0, abs=1e-9)
         assert payload["alpha_exact"] == pytest.approx(0.0, abs=1e-12)
 
-    def test_from_sampler(self, capsys):
-        code, stdout, _ = run(
-            capsys, "sigma2", "--kind", "switch_mcmc", "--n", "10", "--d", "3",
-            "--steps", "300", "--seed", "9",
-        )
+    def test_from_sampler(self, tmp_path, capsys):
+        # A draw reaches sigma2 as the file `sample --out` writes: here the
+        # committed input of the sigma2_sampled golden, and its sigma2.
+        path = tmp_path / "m.txt"
+        code, _, _ = run(capsys, "sample", "--kind", "switch_mcmc", "--n", "8", "--d", "3", "--seed", "2",
+                         "--out", str(path))
+        assert code == 0
+        assert path.read_text() == (GOLDEN / "matrix_sampled.txt").read_text()
+        code, stdout, _ = run(capsys, "sigma2", "--in", str(path))
         assert code == 0
         payload = json.loads(stdout)
-        assert payload["converged"] is True
+        assert payload["config"] == {"in": str(path), "alpha": False}
+        assert payload["sigma2"] == pytest.approx(2.3920045164004096, rel=1e-12)
 
-    @staticmethod
-    def refuse_work(monkeypatch):
+    @pytest.mark.parametrize("n, d", [(15, 3), (100, 50), (300, 150)])
+    def test_alpha_guard_before_the_decomposition_of_a_file(self, tmp_path, capsys, monkeypatch, n, d):
+        path = tmp_path / "c.txt"
+        path.write_text(format_matrix(circulant(n, d)))
+
         def refuse(*args, **kwargs):
             raise AssertionError("the alpha guard should refuse before this")
 
-        monkeypatch.setattr(cli, "sample_many", refuse)
         monkeypatch.setattr(cli, "sigma2", refuse)
-        monkeypatch.setattr(cli, "alpha_exact", refuse)
-
-    @pytest.mark.parametrize("n, d", [(15, 3), (100, 50), (300, 150)])
-    def test_alpha_guard_before_the_draw(self, capsys, monkeypatch, n, d):
-        self.refuse_work(monkeypatch)
-        code, stdout, err = run(capsys, "sigma2", "--kind", "switch_mcmc", "--n", str(n),
-                                "--d", str(d), "--alpha")
+        code, stdout, err = run(capsys, "sigma2", "--in", str(path), "--alpha")
         assert code == 3 and stdout == ""
         assert err == (f"resource guard: alpha_exact enumerates 2^{n} row sets; "
                        f"cap is n <= {ALPHA_EXACT_CAP}\n")
 
-    def test_alpha_guard_before_the_decomposition_of_a_file(self, tmp_path, capsys, monkeypatch):
-        path = tmp_path / "c15.txt"
-        path.write_text(format_matrix(circulant(15, 3)))
-        self.refuse_work(monkeypatch)
+    def test_alpha_on_a_rectangular_class_is_a_usage_error_first(self, tmp_path, capsys):
+        path = tmp_path / "rect.txt"
+        path.write_text(format_matrix(circulant(20, 2, 10)))
         code, stdout, err = run(capsys, "sigma2", "--in", str(path), "--alpha")
-        assert code == 3 and stdout == ""
-        assert "alpha_exact enumerates 2^15 row sets" in err
+        assert code == 1 and stdout == ""
+        assert err == "error: alpha_exact is defined here for the square digraph case\n"
 
-    def test_alpha_on_a_rectangular_class_is_a_usage_error_first(self, tmp_path, capsys, monkeypatch):
+    def test_rectangular_class_is_refused_before_the_draw(self, tmp_path, capsys):
         path = tmp_path / "rect.txt"
         path.write_text(format_matrix(circulant(20, 2, 10)))
-        self.refuse_work(monkeypatch)
-        for argv in (["--in", str(path)],
-                     ["--kind", "rejection", "--m", "10", "--n", "20", "--d", "2", "--dp", "1"]):
-            code, stdout, err = run(capsys, "sigma2", *argv, "--alpha")
-            assert code == 1 and stdout == ""
-            assert "square" in err
+        code, stdout, err = run(capsys, "sigma2", "--in", str(path))
+        assert code == 1 and stdout == ""
+        assert err == "error: sigma2 is defined here for the square digraph case\n"
 
-    def test_rectangular_class_is_refused_before_the_draw(self, tmp_path, capsys, monkeypatch):
-        path = tmp_path / "rect.txt"
-        path.write_text(format_matrix(circulant(20, 2, 10)))
-        self.refuse_work(monkeypatch)
-        for argv in (["--in", str(path)],
-                     ["--kind", "rejection", "--m", "10", "--n", "20", "--d", "2", "--dp", "1"]):
-            code, stdout, err = run(capsys, "sigma2", *argv)
-            assert code == 1 and stdout == ""
-            assert err == "error: sigma2 is defined here for the square digraph case\n"
-
-    def test_alpha_at_the_cap_runs(self, capsys):
-        code, stdout, _ = run(capsys, "sigma2", "--kind", "switch_mcmc", "--n", str(ALPHA_EXACT_CAP),
-                              "--d", "3", "--steps", "100", "--alpha")
+    def test_alpha_at_the_cap_runs(self, tmp_path, capsys):
+        path = tmp_path / "c14.txt"
+        path.write_text(format_matrix(circulant(ALPHA_EXACT_CAP, 3)))
+        code, stdout, _ = run(capsys, "sigma2", "--in", str(path), "--alpha")
         assert code == 0
         assert json.loads(stdout)["alpha_exact"] > 0.0
 
     def test_needs_source(self, capsys):
-        code, _, err = run(capsys, "sigma2")
-        assert code == 1
+        code, stdout, err = run(capsys, "sigma2")
+        assert code == 1 and stdout == ""
+        assert err == "usage error: the following arguments are required: --in\n"
 
-    def test_exact_payload_has_no_iteration_settings(self, capsys):
-        code, stdout, _ = run(capsys, "sigma2", "--kind", "switch_mcmc", "--n", "8", "--d", "3", "--steps", "50")
+    def test_exact_payload_has_no_iteration_settings(self, tmp_path, capsys):
+        path = tmp_path / "c8.txt"
+        path.write_text(format_matrix(circulant(8, 3)))
+        code, stdout, _ = run(capsys, "sigma2", "--in", str(path))
         assert code == 0
         payload = json.loads(stdout)
         assert payload["schema_version"] == 3
@@ -600,8 +596,10 @@ class TestSigma2Cli:
         assert (payload["iterations"], payload["residual"], payload["converged"]) == (0, 0.0, True)
 
     @pytest.mark.parametrize("flag", ["--tol", "--max-iters"])
-    def test_iteration_flags_removed(self, capsys, flag):
-        code, _, _ = run(capsys, "sigma2", "--kind", "switch_mcmc", "--n", "8", "--d", "3", flag, "5")
+    def test_iteration_flags_removed(self, tmp_path, capsys, flag):
+        path = tmp_path / "c8.txt"
+        path.write_text(format_matrix(circulant(8, 3)))
+        code, _, _ = run(capsys, "sigma2", "--in", str(path), flag, "5")
         assert code == 1
 
 
@@ -648,19 +646,6 @@ class TestSigma2CommonFlags:
         code, _, err = run(capsys, "sigma2", "--in", full_file, "--seed", "5")
         assert code == 1
         assert err.startswith("usage error: ") and "--seed" in err
-
-    def test_seed_seeds_the_sampler_flags(self, capsys):
-        flags = ("sigma2", "--kind", "switch_mcmc", "--n", "10", "--d", "3", "--steps", "300")
-        seeded = []
-        for seed in ("9", "10"):
-            code, stdout, _ = run(capsys, *flags, "--seed", seed)
-            assert code == 0
-            payload = json.loads(stdout)
-            assert payload["config"]["seed"] == int(seed)
-            seeded.append(payload["sigma2"])
-        code, stdout, _ = run(capsys, *flags)
-        assert code == 0 and json.loads(stdout)["config"]["seed"] == 0
-        assert seeded[0] != seeded[1]
 
 
 class TestEnumerateCli:
@@ -753,8 +738,8 @@ class TestFlagMatrix:
             (["sample", "--kind", "rejection", "--n", "4", "--d", "2", "--out", "{out}", "--p", "0.9"], "'p'"),
             (["sample", "--kind", "permutation_model", "--n", "4", "--d", "2", "--m", "2", "--dp", "1",
               "--out", "{out}"], "'m'"),
-            (["sigma2", "--kind", "switch_mcmc", "--n", "8", "--d", "3", "--p", "0.5", "--out", "{out}"], "'p'"),
-            (["sigma2", "--sample", "kind=switch_mcmc,n=8,d=3", "--out", "{out}"], "--sample"),
+            (["sigma2", "--in", "{in}", "--out", "{out}", "--kind", "switch_mcmc", "--n", "8", "--d", "3", "--p",
+              "0.5"], "usage error: unrecognized arguments: --kind switch_mcmc --n 8 --d 3 --p 0.5\n"),
             (["sigma2", "--in", "{in}", "--out", "{out}", "--format", "json"], "--format"),
             (["verify", "--suite", "all", "--n", "8", "--d", "2", "--samples", "5", "--out", "{out}",
               "--steps", "1"], "'steps'"),
@@ -770,7 +755,6 @@ class TestFlagMatrix:
              "--c1"),
             (["bound", "--theorem", "codegree_upper", "--eps", "1", "--n", "10", "--d", "3", "--p", "0.5"],
              "'p' is not read by theorem 'codegree_upper'"),
-            (["sigma2", "--in", "{in}", "--out", "{out}", "--kind", "rejection"], "--kind"),
             (["sample", "--kind", "switch_mcmc", "--n", "4", "--d", "2", "--steps", "3", "--max-attempts", "5",
               "--out", "{out}"], "'max_attempts'"),
             (["tail", "--config", "{cfg-sampler-seed}", "--out", "{out}"], "'sampler.seed'"),
@@ -783,10 +767,10 @@ class TestFlagMatrix:
             (["bound", "--theorem", "perm_edge", "--tau", "0.5", "--n", "10", "--d", "3", "--a", "2", "--b", "2",
               "--good-eta", "0.1"], "'--good-eta' is not read by theorem 'perm_edge'"),
         ],
-        ids=["sample-rejection-steps", "sample-rejection-p", "sample-permutation-m", "sigma2-switch-p",
-             "sigma2-sample", "sigma2-format", "verify-steps-d2", "verify-steps-n-d2",
+        ids=["sample-rejection-steps", "sample-rejection-p", "sample-permutation-m", "sigma2-sampler-flags",
+             "sigma2-format", "verify-steps-d2", "verify-steps-n-d2",
              "verify-steps-permutation", "bound-dp", "bound-two-deviations", "enumerate-count-only-out",
-             "bound-codegree-c1", "bound-codegree-p", "sigma2-in-kind", "sample-switch-max-attempts",
+             "bound-codegree-c1", "bound-codegree-p", "sample-switch-max-attempts",
              "tail-sampler-seed", "verify-permutation-m", "sample-max-attempts-0", "bound-edge-lower-c2",
              "bound-perm-good-eta"],
     )
@@ -817,8 +801,7 @@ class TestMalformedInputs:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["sigma2", "--kind", "permutation_model", "--n", "5", "--d", "2"],
-            ["sigma2", "--kind", "erdos_renyi", "--n", "5", "--p", "0.5"],
+            ["sigma2", "--kind", "switch_mcmc", "--n", "8", "--d", "3"],
             ["bound", "--theorem", "codegree_upper", "--n", "0", "--d", "0", "--eps", "1"],
             ["bound", "--theorem", "perm_edge", "--n", "0", "--d", "1", "--a", "1", "--b", "1", "--tau", "1"],
             ["bound", "--theorem", "er_codegree", "--n", "0", "--p", "0.5", "--eps", "1"],
@@ -832,7 +815,7 @@ class TestMalformedInputs:
             ["bound", "--theorem", "edge_upper", "--n", "5", "--d", "2", "--a", "7", "--b", "1", "--tau", "1"],
             ["bound", "--theorem", "codegree_upper", "--n", "5", "--d", "9", "--eps", "1"],
         ],
-        ids=["sigma2-permutation-model", "sigma2-erdos-renyi",
+        ids=["sigma2-sampler-flags",
              "bound-codegree-n0", "bound-perm-edge-n0", "bound-er-codegree-n0", "bound-m0",
              "enumerate-n0", "enumerate-m0", "sample-kind-enumerate", "verify-n1", "verify-m1",
              "bound-a-above-n", "bound-d-above-n"],
@@ -917,6 +900,8 @@ class TestFieldNamedInMessages:
              "the following arguments are required: --kind"),
             (["sample", "--kind", "erdos_renyi", "--n", "8"],
              "sampler field 'p' is required"),
+            (["sample", "--kind", "switch_mcmc", "--n", "8"],
+             "sampler field 'd' is required by kind 'switch_mcmc'"),
             (["verify", "--suite", "all", "--n", "x", "--d", "3"],
              "argument --n: invalid int value: 'x'"),
             (["verify", "--suite", "all", "--n", "8", "--d", "3", "--samples", "1e3"],
@@ -949,22 +934,10 @@ class TestFieldNamedInMessages:
              "the following arguments are required: --n"),
             (["enumerate", "--n", "4"],
              "the following arguments are required: --d"),
-            (["sigma2", "--kind", "switch_mcmc", "--n", "abc", "--d", "3"],
-             "argument --n: invalid int value: 'abc'"),
-            (["sigma2", "--kind", "switch_mcmc", "--n", "8", "--d", "3", "--steps", "many"],
-             "argument --steps: invalid int value: 'many'"),
-            (["sigma2", "--kind", "switch_mcmc", "--n", "-8", "--d", "3"],
-             "sampler field 'n' must be >= 1, got -8"),
-            (["sigma2", "--kind", "rejection", "--n", "8", "--d", "-2"],
-             "sampler field 'd' must be in [0, 8], got -2"),
-            (["sigma2", "--kind", "switch_mcmc", "--n", "64", "--d", "65"],
-             "sampler field 'd' must be in [0, 64], got 65"),
+            (["sigma2", "--in", "{in}", "--kind", "switch_mcmc", "--n", "8", "--d", "3"],
+             "usage error: unrecognized arguments: --kind switch_mcmc --n 8 --d 3\n"),
             (["sigma2"],
-             "sigma2 needs --in or sampler flags"),
-            (["sigma2", "--kind", "switch_mcmc", "--d", "3"],
-             "sigma2 needs --in or sampler flags"),
-            (["sigma2", "--n", "8", "--d", "3"],
-             "sigma2 needs --in or sampler flags"),
+             "usage error: the following arguments are required: --in\n"),
             (["sigma2", "--in", "{missing}"],
              "No such file or directory"),
             (["couple", "--op", "switch", "--in", "{in}", "--j1", "one", "--j2", "2"],
@@ -986,13 +959,11 @@ class TestFieldNamedInMessages:
              "verify-permutation-d-above-n", "verify-dp-above-m", "sample-n-not-a-number",
              "sample-d-fraction", "sample-p-not-a-number", "sample-n-negative", "sample-steps-negative",
              "sample-count-negative", "sample-d-above-n", "sample-permutation-d-above-n", "sample-no-kind",
-             "sample-no-p", "verify-n-not-a-number", "verify-samples-float", "verify-n-negative",
+             "sample-no-p", "sample-no-d", "verify-n-not-a-number", "verify-samples-float", "verify-n-negative",
              "verify-d-negative", "verify-m-negative", "verify-no-suite", "verify-no-d", "verify-no-n",
              "enumerate-n-not-a-number", "enumerate-cap-fraction", "enumerate-n-negative",
              "enumerate-m-negative", "enumerate-d-above-n", "enumerate-dp-above-m", "enumerate-no-n",
-             "enumerate-no-d", "sigma2-n-not-a-number", "sigma2-steps-not-a-number", "sigma2-n-negative",
-             "sigma2-d-negative", "sigma2-d-above-n", "sigma2-nothing", "sigma2-no-n", "sigma2-no-kind",
-             "sigma2-missing-file", "couple-j1-not-a-number", "couple-i1-negative", "couple-j2-above-n",
+             "enumerate-no-d", "sigma2-sampler-flags", "sigma2-nothing", "sigma2-missing-file", "couple-j1-not-a-number", "couple-i1-negative", "couple-j2-above-n",
              "couple-no-op", "couple-no-in", "couple-no-j2", "couple-missing-file"],
     )
     def test_exit_1_naming_the_field(self, tmp_path, capsys, argv, message):

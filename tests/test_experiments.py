@@ -136,11 +136,6 @@ class TestBinomialCI:
             assert lo <= lo_next and hi <= hi_next
         assert binomial_ci(n - k, n)[1] == pytest.approx(1.0 - lo, rel=1e-12)
 
-    def test_bad_confidence(self):
-        for confidence in (0.0, 1.0, 1.5):
-            with pytest.raises(ValueError):
-                binomial_ci(1, 4, confidence)
-
 
 class TestUniformity:
     def test_rejection_3_1(self):
@@ -662,11 +657,12 @@ def test_perm_edge_count_with_b_equal_to_256_labels():
 
 def test_tail_run_loads_no_scipy(tmp_path):
     # NumPy is the package's only runtime dependency: `import rrdigraph`, a
-    # tail run, `verify` and `sigma2` load no part of SciPy (scipy.special
+    # tail run, `verify`, `sample` and `sigma2` load no part of SciPy (scipy.special
     # alone takes a process from about 27 to 52 MB of peak RSS).
     config = tmp_path / "tail.json"
     config.write_text(json.dumps({"sampler": {"kind": "rejection", "n": 8, "d": 2},
                                   "statistic": "codegree", "grid": [0.0, 0.5], "N": 20}))
+    matrix = str(tmp_path / "m.txt")
     stdout = _run_fresh([
         "import contextlib, io, sys",
         "import rrdigraph",
@@ -676,10 +672,11 @@ def test_tail_run_loads_no_scipy(tmp_path):
         "with contextlib.redirect_stdout(io.StringIO()):",
         f"    codes = [main(['tail', '--config', {str(config)!r}, '--out', {str(tmp_path / 'tail.csv')!r}]),",
         "             main(['verify', '--suite', 'all', '--n', '8', '--d', '3', '--samples', '5']),",
-        "             main(['sigma2', '--kind', 'rejection', '--n', '12', '--d', '3'])]",
+        f"             main(['sample', '--kind', 'rejection', '--n', '12', '--d', '3', '--out', {matrix!r}]),",
+        f"             main(['sigma2', '--in', {matrix!r}])]",
         "print(codes, scipy())",
     ])
-    assert stdout.split("\n") == ["[]", "[0, 0, 0] []", ""]
+    assert stdout.split("\n") == ["[]", "[0, 0, 0, 0] []", ""]
 
 
 def test_no_module_imports_scipy():

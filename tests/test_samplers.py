@@ -60,6 +60,18 @@ class TestSpec:
         with pytest.raises(ValueError, match=f"'{field}' is not read by kind 'erdos_renyi'"):
             SamplerSpec(kind="erdos_renyi", n=3, p=0.5, **{field: 2})
 
+    @pytest.mark.parametrize("kind", ["rejection", "switch_mcmc", "permutation_model"])
+    def test_class_kinds_require_d(self, kind):
+        # No d is refused, not drawn as the empty digraph; d = 0 is a class.
+        with pytest.raises(ValueError, match=f"^sampler field 'd' is required by kind '{kind}'$"):
+            SamplerSpec(kind=kind, n=4)
+        assert SamplerSpec(kind=kind, n=4, d=0).dp == 0
+
+    def test_er_reads_no_d_not_even_0(self):
+        assert SamplerSpec(kind="erdos_renyi", n=3, p=0.5).d is None
+        with pytest.raises(ValueError, match="^sampler field 'd' is not read by kind 'erdos_renyi'$"):
+            SamplerSpec(kind="erdos_renyi", n=3, p=0.5, d=0)
+
     @pytest.mark.parametrize(
         "kind, fields, name",
         [
@@ -76,16 +88,15 @@ class TestSpec:
             SamplerSpec(kind=kind, **fields)
 
     @settings(max_examples=200, deadline=None)
-    @given(st.sampled_from(SAMPLER_KINDS), st.sets(st.sampled_from(["m", "dp", "p", "steps", "max_attempts"])))
+    @given(st.sampled_from(SAMPLER_KINDS), st.sets(st.sampled_from(["d", "m", "dp", "p", "steps", "max_attempts"])))
     def test_accepts_exactly_the_fields_its_kind_reads(self, kind, names):
-        # In range at n = 6, d = 2; erdos_renyi cannot do without p, and
-        # reads no d.
-        values = dict(m=6, dp=2, p=0.5, steps=10, max_attempts=100)
-        required = {"p"} if kind == "erdos_renyi" else set()
+        # In range at n = 6; erdos_renyi cannot do without p and reads no
+        # d, the class kinds cannot do without d.
+        values = dict(d=2, m=6, dp=2, p=0.5, steps=10, max_attempts=100)
+        required = {"p"} if kind == "erdos_renyi" else {"d"}
         accepted = names <= set(_KINDS[kind].reads) and required <= names
-        d = 2 if "d" in _KINDS[kind].reads else 0
         try:
-            SamplerSpec(kind=kind, n=6, d=d, **{name: values[name] for name in names})
+            SamplerSpec(kind=kind, n=6, **{name: values[name] for name in names})
         except ValueError:
             assert not accepted
         else:
