@@ -545,19 +545,30 @@ class TestSigma2Cli:
         assert payload["config"] == {"in": str(path), "alpha": False}
         assert payload["sigma2"] == pytest.approx(2.3920045164004096, rel=1e-12)
 
-    @pytest.mark.parametrize("n, d", [(15, 3), (100, 50), (300, 150)])
-    def test_alpha_guard_before_the_decomposition_of_a_file(self, tmp_path, capsys, monkeypatch, n, d):
-        path = tmp_path / "c.txt"
-        path.write_text(format_matrix(circulant(n, d)))
-
+    @staticmethod
+    def refuse_decomposition(monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("the alpha guard should refuse before this")
 
         monkeypatch.setattr(cli, "sigma2", refuse)
+
+    @pytest.mark.parametrize("n, d", [(15, 3), (100, 50), (300, 150)])
+    def test_alpha_guard_before_the_decomposition_of_a_large_file(self, tmp_path, capsys, monkeypatch, n, d):
+        path = tmp_path / "c.txt"
+        path.write_text(format_matrix(circulant(n, d)))
+        self.refuse_decomposition(monkeypatch)
         code, stdout, err = run(capsys, "sigma2", "--in", str(path), "--alpha")
         assert code == 3 and stdout == ""
         assert err == (f"resource guard: alpha_exact enumerates 2^{n} row sets; "
                        f"cap is n <= {ALPHA_EXACT_CAP}\n")
+
+    def test_alpha_guard_before_the_decomposition_of_a_file(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "c15.txt"
+        path.write_text(format_matrix(circulant(15, 3)))
+        self.refuse_decomposition(monkeypatch)
+        code, stdout, err = run(capsys, "sigma2", "--in", str(path), "--alpha")
+        assert code == 3 and stdout == ""
+        assert "alpha_exact enumerates 2^15 row sets" in err
 
     def test_alpha_on_a_rectangular_class_is_a_usage_error_first(self, tmp_path, capsys):
         path = tmp_path / "rect.txt"
