@@ -46,12 +46,13 @@ class TailBoundSpec:
     `deviation` is the theorem's deviation parameter (epsilon, tau or eta
     depending on the statement); `eta` is the codegree-event tolerance a
     joint edge-count bound is conditioned on.  The optional fields a
-    theorem does not read must stay None.
+    theorem does not read must stay None: every class theorem reads and
+    requires d, and the Erdos-Renyi rows read none.
     """
 
     theorem: str
     n: int = 0
-    d: int = 0
+    d: Optional[int] = None
     m: Optional[int] = None
     deviation: float = 0.0
     a: Optional[int] = None
@@ -116,42 +117,43 @@ class _Theorem:
 _CHOSEN_C = {"c": (DEFAULT_SMALL_C, "chosen")}
 _UNPINNED = {"c1": (DEFAULT_POLY_C, "chosen"), "c2": (DEFAULT_POLY_C, "chosen"), **_CHOSEN_C}
 _UNPINNED_NOTE = "absolute constants are not pinned by the statement"
-_EDGE_READS = ("m", "a", "b", "eta")
+_EDGE_READS = ("d", "m", "a", "b", "eta")
+_EDGE_REQUIRES = ("d", "a", "b")
 _EDGE_CONSTANTS = {"c1": (64.0, "paper"), "c2": (8.0, "paper")}
 
 _THEOREMS = {
     # exp(-eps^2/(4+2eps) * (d_hat/n)^2 * n), one fixed row pair: the
     # reflection pair's tail at t = eps * d_hat^2 / n.
     "codegree_upper": _Theorem(
-        (), (), {}, lambda s, t: _self_bounding_upper("reflection", s, t * _d_hat(s) ** 2 / s.n),
+        ("d",), ("d",), {}, lambda s, t: _self_bounding_upper("reflection", s, t * _d_hat(s) ** 2 / s.n),
     ),
     "codegree_uniform": _Theorem(
-        (), (), _UNPINNED,
+        ("d",), ("d",), _UNPINNED,
         lambda s, t, c1, c2, c: c1 * s.n**2 * _d_hat(s) ** 2 * math.exp(-c * t * _d_hat(s))
         + c2 * s.n**2 * math.exp(-c * t * t / (1.0 + t) * _d_hat(s) ** 2 / s.n),
         _UNPINNED_NOTE,
     ),
     # The edge-count tails in tau, with mu_hat over the m x n class.
     "edge_upper": _Theorem(
-        _EDGE_READS, ("a", "b"), _EDGE_CONSTANTS,
+        _EDGE_READS, _EDGE_REQUIRES, _EDGE_CONSTANTS,
         lambda s, t, c1, c2: math.exp(-(t * t) * _mu_hat(s) / (c1 + c2 * t)),
         eta_limit=lambda t: min(0.25, t / 8.0),
     ),
     # exp(-tau^2 mu_hat / C1): the lower tail has no C2 term.
     "edge_lower": _Theorem(
-        _EDGE_READS, ("a", "b"), {"c1": _EDGE_CONSTANTS["c1"]},
+        _EDGE_READS, _EDGE_REQUIRES, {"c1": _EDGE_CONSTANTS["c1"]},
         lambda s, t, c1: math.exp(-(t * t) * _mu_hat(s) / c1),
         eta_limit=lambda t: t / 4.0,
     ),
     "edge_twosided": _Theorem(
-        _EDGE_READS, ("a", "b"), _EDGE_CONSTANTS,
+        _EDGE_READS, _EDGE_REQUIRES, _EDGE_CONSTANTS,
         lambda s, t, c1, c2: 2.0 * math.exp(-(t * t) * _mu_hat(s) / (c1 + c2 * t)),
         eta_limit=lambda t: min(0.25, t / 8.0),
     ),
     # 2 exp(-tau^2 mu / (2 + tau)), mu = d a b / n: twice the permutation
     # pair's upper tail at t = tau * mu.
     "perm_edge": _Theorem(
-        ("a", "b"), ("a", "b"), {},
+        ("d", "a", "b"), ("d", "a", "b"), {},
         lambda s, t: 2.0 * _self_bounding_upper("permutation", s, t * s.d * s.a * s.b / s.n),
     ),
     "er_codegree": _Theorem(
@@ -163,13 +165,13 @@ _THEOREMS = {
         lambda s, t, c: 2.0 * math.exp(-c * t * t / (1.0 + t) * s.p * s.a * s.b),
     ),
     "bipartite_codegree_uniform": _Theorem(
-        ("m",), ("m",), _UNPINNED,
+        ("d", "m"), ("d", "m"), _UNPINNED,
         lambda s, t, c1, c2, c: c1 * s.m**2 * _d_hat(s) ** 2 * math.exp(-c * t * s.n**2 / s.m)
         + c2 * s.m**2 * math.exp(-c * t * min(_d_hat(s), t * s.n)),
         _UNPINNED_NOTE,
     ),
     "bipartite_edge": _Theorem(
-        _EDGE_READS, ("a", "b"), _EDGE_CONSTANTS,
+        _EDGE_READS, _EDGE_REQUIRES, _EDGE_CONSTANTS,
         lambda s, t, c1, c2: 2.0 * math.exp(-(t * t) * _mu_hat(s) / (c1 + c2 * t)),
         eta_limit=lambda t: min(0.25, t / 8.0),
     ),

@@ -64,7 +64,8 @@ SCHEMA_VERSION = 1
 # Version 2 of the stats payload has no `format`.  The sample payload (3)
 # echoes `d` as null for the Erdos-Renyi kind, which reads none.  The sample
 # (2) and sigma2 (3; 2 dropped `tol` and `max_iters`) payloads echo
-# `max_attempts` as null for the kinds other than rejection.  The bound payload (6) echoes no
+# `max_attempts` as null for the kinds other than rejection.  The bound payload (7)
+# echoes `d` as null for the Erdos-Renyi rows, which read none; 6 echoes no
 # theorem constants, which a caller no longer sets; 5 evaluates
 # `codegree_upper` and `perm_edge` as Chatterjee tails at the SELF_BOUND
 # constants, which moves some values in their last bits; 4 dropped C2 for
@@ -74,7 +75,7 @@ SCHEMA_VERSION = 1
 SAMPLE_SCHEMA_VERSION = 3
 SIGMA2_SCHEMA_VERSION = 3
 STATS_SCHEMA_VERSION = 2
-BOUND_SCHEMA_VERSION = 6
+BOUND_SCHEMA_VERSION = 7
 
 
 class _UsageError(Exception):
@@ -390,7 +391,7 @@ def build_parser() -> _Parser:
     bound = subs.add_parser("bound", help="evaluate one closed-form tail bound")
     bound.add_argument("--theorem", choices=THEOREMS, required=True)
     bound.add_argument("--n", type=int, default=0)
-    bound.add_argument("--d", type=int, default=0)
+    bound.add_argument("--d", type=int, default=None)
     bound.add_argument("--m", type=int, default=None)
     bound.add_argument("--eps", type=float, default=None)
     bound.add_argument("--tau", type=float, default=None)

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterator, Optional, Tuple, Union
 
@@ -61,9 +62,10 @@ __all__ = [
 # Exact v_f cost guards, in units fixed by the class and (A, B) alone, never
 # by the draw: m*d*(n-d)*d_hat walk steps for reflection (K sites times the
 # walks each one re-reads, an upper bound) and K_ab = a(m-a)b(n-b) site cells
-# for switching.  Each cap is about one second of kernel time per call on one
-# core (measured 1.0-1.7 ns per walk step and 11-12 ns per site cell at
-# n = 120 and 240, d = n/2, a = b = n/2).
+# for switching.  Each cap is at most about one second of kernel time per call
+# on one core: measured 1.0-1.7 ns per walk step, and 3-5 ns per site cell,
+# so about half a second at the switching cap, at n = 120 and 240, d = n/2,
+# a = b = n/2 (a shared 2-core box).
 REFLECTION_EXACT_CAP = 10**9
 SWITCHING_EXACT_CAP = 10**8
 
@@ -119,9 +121,9 @@ class CouplingDiagnostics:
     def f(self) -> Fraction:
         return Fraction(self.f_scaled, self.scale)
 
-    @property
+    @cached_property
     def bound(self) -> Fraction:
-        """The self-bound K2*f + K1 on v_f."""
+        """The self-bound K2*f + K1 on v_f, evaluated once."""
         return self.K2 * self.f + self.K1
 
     @property
@@ -268,18 +270,6 @@ def _reduce_pair(matrix: BiregularBitMatrix, pair: VertexSetPair) -> VertexSetPa
     return pair
 
 
-def _switch_stats(matrix: BiregularBitMatrix, pair: VertexSetPair):
-    """(dense, A, A^c, B, B^c, nb, ex): nb[i] the number of row i's columns
-    in B, and ex = d - M M^T the exclusive counts of all row pairs."""
-    dense = matrix.dense().astype(np.int64)
-    rows_a = sorted(pair.rows)
-    rows_c = sorted(set(range(matrix.m)) - pair.rows)
-    cols_b = sorted(pair.cols)
-    cols_c = sorted(set(range(matrix.n)) - pair.cols)
-    nb = dense[:, cols_b].sum(axis=1) if cols_b else np.zeros(matrix.m, dtype=np.int64)
-    return dense, rows_a, rows_c, cols_b, cols_c, nb, matrix.d - dense @ dense.T
-
-
 def switching_f(matrix: BiregularBitMatrix, pair: VertexSetPair) -> CouplingDiagnostics:
     """f of the switching pair at (A, B), with the main/error split.
 
@@ -288,28 +278,34 @@ def switching_f(matrix: BiregularBitMatrix, pair: VertexSetPair) -> CouplingDiag
     integers.  The main term is the edge-count recentering
     f1 = p(1-p) n m (e(A,B) - mu); scale n in the square case, n^2 for
     rectangular classes, keeps every term integral.  `scan` holds the
-    (dense, A, A^c, B, B^c, nb, ex) of _switch_stats at the reduced (A, B),
-    which switching_vf reads.
+    (dense, in_a, in_b, nb, ex) of the reduced (A, B): the int64 draw, the
+    row mask of A, the column mask of B, nb[i] the number of row i's
+    columns in B, and ex = d - M M^T the exclusive counts of all row pairs.
+    switching_vf reads it.
     """
     pair.validate(matrix)
     check_ranges("switching_f", ("a", pair.a, 1, matrix.m - 1))  # A proper and nonempty
     pair = _reduce_pair(matrix, pair)
     m, n, d = matrix.m, matrix.n, matrix.d
-    scan = _switch_stats(matrix, pair)
-    dense, rows_a, rows_c, cols_b, cols_c, nb, ex = scan
+    dense = matrix.dense().astype(np.int64)
+    in_a = np.zeros(m, dtype=bool)
+    in_a[list(pair.rows)] = True
+    in_b = np.zeros(n, dtype=bool)
+    in_b[list(pair.cols)] = True
+    cross = in_a[:, None] & ~in_a  # the row pairs A x A^c
+    sub, sub_c = dense[:, in_b], dense[:, ~in_b]
+    nb = sub.sum(axis=1)
+    ex = d - dense @ dense.T
 
-    # Form 1: minor-count double sum.
-    sub = dense[:, cols_b] if cols_b else np.zeros((m, 0), dtype=np.int64)
-    in_b = sub @ (1 - sub).T  # |Ex(i1,i2) /\ B|
-    sub_c = dense[:, cols_c] if cols_c else np.zeros((m, 0), dtype=np.int64)
-    in_bc = sub_c @ (1 - sub_c).T  # |Ex(i1,i2) /\ B^c|
-    ia = np.ix_(rows_a, rows_c)
-    ic = np.ix_(rows_c, rows_a)
-    f_minor = int((in_b[ia] * in_bc[ic].T).sum() - (in_b[ic].T * in_bc[ia]).sum())
+    # Form 1: minor-count double sum, with
+    # minors[i1, i2] = |Ex(i1,i2) /\ B| * |Ex(i2,i1) /\ B^c|.
+    minors = (sub @ (1 - sub).T) * (sub_c @ (1 - sub_c).T).T
+    f_minor = int((minors - minors.T)[cross].sum())
 
     # Form 2: exclusive-neighbourhood form.
-    diff_nb = nb[rows_a][:, None] - nb[rows_c][None, :]
-    f_ex = int((ex[ia] * diff_nb).sum())
+    ex_cross = ex[cross]
+    diff_nb = (nb[:, None] - nb)[cross]
+    f_ex = int((ex_cross * diff_nb).sum())
 
     if f_minor != f_ex:
         raise InvariantViolation(
@@ -326,7 +322,7 @@ def switching_f(matrix: BiregularBitMatrix, pair: VertexSetPair) -> CouplingDiag
 
     # Independent error-term path: sum (n*ex - d(n-d)) * (nb difference),
     # an integer at scale n; re-scale and compare.
-    f2_direct_n = int(((n * ex[ia] - d * (n - d)) * diff_nb).sum())
+    f2_direct_n = int(((n * ex_cross - d * (n - d)) * diff_nb).sum())
     if f2_direct_n * (scale // n) != f2_scaled:
         raise InvariantViolation(
             f"switching error-term mismatch: {f2_direct_n} vs {f2_scaled} at scale {scale}"
@@ -335,47 +331,48 @@ def switching_f(matrix: BiregularBitMatrix, pair: VertexSetPair) -> CouplingDiag
     constants = SELF_BOUND["switching"](m, n, d, a, b)
     return CouplingDiagnostics(
         "switching", f_scaled, scale, *constants,
-        f1_scaled=f1_scaled, f2_scaled=f2_scaled, scan=scan,
+        f1_scaled=f1_scaled, f2_scaled=f2_scaled, scan=(dense, in_a, in_b, nb, ex),
     )
 
 
-def _switching_steps(d, dense, rows_a, rows_c, cols_b, cols_c, nb) -> Iterator[np.ndarray]:
+def _switching_steps(dense, in_a, in_b, nb, ex) -> Iterator[np.ndarray]:
     """|f - f~| at every switchable site, block by block of row pairs.
 
-    Fix (i1, i2) in A x A^c and the kind s (+1 for I sites, whose entries at
-    (i1, j1) and (i2, j2) drop, -1 for J sites).  The sites have j1 in B and
-    j2 in B^c, and f - f~ = const - g[j1] + g[j2] with
-    const = s*(sum_{u in A^c} ex[i1,u] + sum_{u in A} ex[u,i2]) and
-    g = s*[(nb1 - s)(S_C - r2) - (T_C - nb2 r2)]
-        - s*[(T_A - nb1 r1) - (nb2 + s)(S_A - r1)],
-    where S_X = sum_{u in X} row_u, T_X = sum_{u in X} nb_u row_u, and r1,
-    r2, nb1, nb2 belong to rows i1, i2.  The ex sums come from the same
-    column sums, ex[i, u] = d - row_i . row_u, so no Gram is formed.  Yields
-    one array of steps per block.
+    Fix (i1, i2) in A x A^c.  A site (j1, j2) has j1 in B and j2 in B^c;
+    its kind s is +1 for I sites, whose entries at (i1, j1) and (i2, j2)
+    drop, and -1 for J sites.  With step = row_i1 - row_i2, the site is
+    switchable exactly when step[j1] = s = -step[j2].  Then
+    f - f~ = s*E - g[j1] + g[j2] with g = s*P + Q, where
+    E = sum_{u in A^c} ex[i1,u] + sum_{u in A} ex[u,i2],
+    P = nb1 (S_C + step) + nb2 (S_A - step) - T_A - T_C,
+    Q = S_A - S_C - step,
+    S_X = sum_{u in X} row_u, T_X = sum_{u in X} nb_u row_u, and nb1, nb2
+    belong to rows i1, i2.  So f - f~ = s*U + V with U = E - P[j1] + P[j2]
+    and V = Q[j2] - Q[j1], which splits into a j1 part and a j2 part:
+    (step*(E - P) - Q)[j1] + (Q - step*P)[j2].  One (P, Q) per row pair
+    serves both kinds on one (pairs, |B|, |B^c|) grid of one-byte site
+    flags, with B's columns moved first.  Yields one array of steps per
+    block.
     """
-    rows_a = np.asarray(rows_a)
-    rows_c = np.asarray(rows_c)
-    weighted = nb[:, None] * dense
-    s_a, t_a = dense[rows_a].sum(axis=0), weighted[rows_a].sum(axis=0)
-    s_c, t_c = dense[rows_c].sum(axis=0), weighted[rows_c].sum(axis=0)
-    ex_c = d * rows_c.size - dense @ s_c  # sum_{u in A^c} ex[i, u]
-    ex_a = d * rows_a.size - dense @ s_a  # sum_{u in A} ex[u, i]
-    first = np.repeat(rows_a, rows_c.size)
-    second = np.tile(rows_c, rows_a.size)
-    block = max(1, _BLOCK_CELLS // (len(cols_b) * len(cols_c)))
+    in_c = ~in_a
+    weights = np.array((in_a, nb * in_a, in_c, nb * in_c))
+    dense = dense[:, np.argsort(~in_b, kind="stable")]
+    signed = dense.astype(np.int8)
+    b = int(np.count_nonzero(in_b))
+    s_a, t_a, s_c, t_c = weights @ dense
+    ex_c, ex_a = ex @ weights[2], weights[0] @ ex  # the two sums of E, per row
+    first, second = np.nonzero(in_a[:, None] & in_c)
+    block = max(1, _BLOCK_CELLS // (b * (dense.shape[1] - b)))
     for start in range(0, first.size, block):
         p1, p2 = first[start : start + block], second[start : start + block]
-        r1, r2 = dense[p1], dense[p2]
+        step = signed[p1] - signed[p2]
         nb1, nb2 = nb[p1][:, None], nb[p2][:, None]
-        only1, only2 = r1 > r2, r2 > r1
-        for s, in_b, in_c in ((1, only1, only2), (-1, only2, only1)):
-            g = s * ((nb1 - s) * (s_c - r2) - (t_c - nb2 * r2)) - s * (
-                (t_a - nb1 * r1) - (nb2 + s) * (s_a - r1)
-            )
-            const = s * (ex_c[p1] + ex_a[p2])
-            delta = (const[:, None] - g[:, cols_b])[:, :, None] + g[:, None, cols_c]
-            sites = in_b[:, cols_b, None] & in_c[:, None, cols_c]
-            yield np.abs(delta[sites])
+        p = nb1 * (s_c + step) + nb2 * (s_a - step) - (t_a + t_c)
+        q = (s_a - s_c) - step
+        left = step[:, :b] * ((ex_c[p1] + ex_a[p2])[:, None] - p[:, :b]) - q[:, :b]
+        right = q[:, b:] - step[:, b:] * p[:, b:]
+        sites = step[:, :b, None] * step[:, None, b:] == -1
+        yield np.abs((left[:, :, None] + right[:, None, :])[sites])
 
 
 def switching_vf(
@@ -385,17 +382,16 @@ def switching_vf(
 
     v_f = (1/2) * sum over switchable sites of |f - f~| (the K_ab
     normalisations cancel), with every site's difference in closed form
-    (see _switching_steps); guarded by K_ab = a(m-a)b(n-b) <=
-    SWITCHING_EXACT_CAP for the reduced (A, B).  Also asserts the per-site
-    step bound |f - f~| <= 2 m d_hat.
+    (see _switching_steps); guarded, before any kernel work, by
+    K_ab = a(m-a)b(n-b) <= SWITCHING_EXACT_CAP, which is the same for (A, B)
+    and its complement.  Also asserts the per-site step bound
+    |f - f~| <= 2 m d_hat.
 
     f, when given, is switching_f(matrix, pair): its v_f and max_step are
     set and its scan is read, so the switch statistics are built once.
     """
     pair.validate(matrix)
     check_ranges("switching_vf", ("a", pair.a, 1, matrix.m - 1), ("b", pair.b, 1, matrix.n - 1))
-    diag = switching_f(matrix, pair) if f is None else f
-    pair = _reduce_pair(matrix, pair)
     m = matrix.m
     k_ab = pair.a * (m - pair.a) * pair.b * (matrix.n - pair.b)
     if k_ab > SWITCHING_EXACT_CAP:
@@ -403,11 +399,12 @@ def switching_vf(
             f"exact switching v_f needs K_ab = a(m-a)b(n-b) = {k_ab} site cells, "
             f"above the cap of {SWITCHING_EXACT_CAP}"
         )
+    diag = switching_f(matrix, pair) if f is None else f
     step_cap = 2 * m * matrix.d_hat
 
     total = 0
     worst = 0
-    for steps in _switching_steps(matrix.d, *diag.scan[:-1]):
+    for steps in _switching_steps(*diag.scan):
         total += int(steps.sum())
         worst = max(worst, int(steps.max(initial=0)))
     if worst > step_cap:

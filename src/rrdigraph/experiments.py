@@ -362,8 +362,8 @@ def _er_edge_events(cfg: ExperimentConfig, words: np.ndarray) -> List[np.ndarray
     return _two_sided_events(_box_edges(cfg, words), center, cfg.grid)
 
 
-# The config field that feeds each theorem field; the sampler feeds m and p.
-_CONFIG_FIELD = {"eta": "good_event_eta", "m": None, "p": None}
+# The config field that feeds each theorem field; the sampler feeds d, m and p.
+_CONFIG_FIELD = {"eta": "good_event_eta", "d": None, "m": None, "p": None}
 
 
 @dataclass(frozen=True)

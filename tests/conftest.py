@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from rrdigraph.couplings import RowOrder, reflect
-from rrdigraph.exchangeable import _reduce_pair, _switch_stats, reflection_f
+from rrdigraph.exchangeable import _reduce_pair, reflection_f
 from rrdigraph.matrices import BiregularBitMatrix, InvalidMatrixError
 from rrdigraph.samplers import SamplerSpec, enumerate_all, sample_many
 
@@ -244,6 +244,21 @@ def reflection_vf_oracle(matrix, i1, i2):
     return sum(steps), max(steps, default=0)
 
 
+def switch_stats(matrix, pair):
+    """(dense, A, A^c, B, B^c, nb, ex) of (A, B), from the dense matrix
+    alone: nb[i] the number of row i's columns in B and ex[i1, i2] the
+    number of columns of row i1 missing from row i2."""
+    dense = matrix.dense().astype(np.int64)
+    m, n = dense.shape
+    rows_a = sorted(pair.rows)
+    rows_c = [i for i in range(m) if i not in pair.rows]
+    cols_b = sorted(pair.cols)
+    cols_c = [j for j in range(n) if j not in pair.cols]
+    nb = [int(dense[i, cols_b].sum()) for i in range(m)]
+    ex = np.array([[int((dense[i1] > dense[i2]).sum()) for i2 in range(m)] for i1 in range(m)])
+    return dense, rows_a, rows_c, cols_b, cols_c, nb, ex
+
+
 def switchable_sites(dense, rows_a, rows_c, cols_b, cols_c):
     for i1 in rows_a:
         for i2 in rows_c:
@@ -297,7 +312,7 @@ def switching_vf_oracle(matrix, pair):
     """(sum, max) of |f - f~| over the switchable sites of the reduced pair,
     one site at a time."""
     pair = _reduce_pair(matrix, pair)
-    dense, rows_a, rows_c, cols_b, cols_c, nb, ex = _switch_stats(matrix, pair)
+    dense, rows_a, rows_c, cols_b, cols_c, nb, ex = switch_stats(matrix, pair)
     steps = [
         abs(switch_delta_f(matrix, dense, nb, ex, rows_a, rows_c, set(cols_b), site))
         for site in switchable_sites(dense, rows_a, rows_c, cols_b, cols_c)

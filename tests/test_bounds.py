@@ -117,8 +117,8 @@ class TestEvalBound:
 
     @pytest.mark.parametrize("theorem", [t for t in THEOREMS])
     def test_monotone_in_deviation_and_vanishing(self, theorem):
-        optional = dict(m=24, a=6, b=8, p=0.25, eta=None)
-        kwargs = dict(n=24, d=6, **{k: v for k, v in optional.items() if k in _THEOREMS[theorem].reads})
+        optional = dict(d=6, m=24, a=6, b=8, p=0.25, eta=None)
+        kwargs = dict(n=24, **{k: v for k, v in optional.items() if k in _THEOREMS[theorem].reads})
         grid = [0.0, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0]
         values = [
             eval_bound(TailBoundSpec(theorem=theorem, deviation=g, **kwargs)).value
@@ -351,7 +351,7 @@ class TestPinnedBounds:
 
 
 # A value in range for each optional field at n = 24, d = 6.
-_BOUND_VALUES = dict(m=24, a=6, b=8, eta=0.1, p=0.25)
+_BOUND_VALUES = dict(d=6, m=24, a=6, b=8, eta=0.1, p=0.25)
 
 
 class TestOptionalFields:
@@ -365,7 +365,7 @@ class TestOptionalFields:
         accepted = names <= set(row.reads) and set(row.requires) <= names
         fields = {name: _BOUND_VALUES[name] for name in names}
         try:
-            TailBoundSpec(theorem=theorem, n=24, d=6, deviation=1.0, **fields)
+            TailBoundSpec(theorem=theorem, n=24, deviation=1.0, **fields)
         except ValueError:
             assert not accepted
         else:

@@ -333,21 +333,21 @@ class TestVerifyCli:
 
 # The optional bound fields each theorem reads, and those of them it requires.
 _BOUND_READS = {
-    "codegree_upper": ("", ""),
-    "codegree_uniform": ("", ""),
-    "edge_upper": ("m a b eta", "a b"),
-    "edge_lower": ("m a b eta", "a b"),
-    "edge_twosided": ("m a b eta", "a b"),
-    "perm_edge": ("a b", "a b"),
+    "codegree_upper": ("d", "d"),
+    "codegree_uniform": ("d", "d"),
+    "edge_upper": ("d m a b eta", "d a b"),
+    "edge_lower": ("d m a b eta", "d a b"),
+    "edge_twosided": ("d m a b eta", "d a b"),
+    "perm_edge": ("d a b", "d a b"),
     "er_codegree": ("p", "p"),
     "er_edge": ("p a b", "p a b"),
-    "bipartite_codegree_uniform": ("m", "m"),
-    "bipartite_edge": ("m a b eta", "a b"),
+    "bipartite_codegree_uniform": ("d m", "d m"),
+    "bipartite_edge": ("d m a b eta", "d a b"),
 }
-# A `bound` flag and value in range at n = 24, d = 6 for each optional field.
+# A `bound` flag and value in range at n = 24 for each optional field.
 _BOUND_FLAGS = {
-    "m": ["--m", "24"], "a": ["--a", "6"], "b": ["--b", "8"], "eta": ["--good-eta", "0.1"],
-    "p": ["--p", "0.25"],
+    "d": ["--d", "6"], "m": ["--m", "24"], "a": ["--a", "6"], "b": ["--b", "8"],
+    "eta": ["--good-eta", "0.1"], "p": ["--p", "0.25"],
 }
 # The theorem constants, which are no flags: every theorem refuses them.
 _CONSTANT_FLAGS = {"c1": ["--c1", "2"], "c2": ["--c2", "3"], "c": ["--c", "0.5"]}
@@ -377,7 +377,7 @@ class TestBoundCli:
         code, stdout, _ = run(capsys, "bound", "--theorem", "codegree_upper", "--tau", "1", "--n", "10", "--d", "3")
         assert code == 0
         payload = json.loads(stdout)
-        assert payload["schema_version"] == 6
+        assert payload["schema_version"] == 7
         assert "dp" not in payload["config"] and payload["config"]["deviation"] == 1.0
 
     def test_constants_are_the_theorems_own(self, tmp_path, capsys):
@@ -399,7 +399,7 @@ class TestBoundCli:
     )
     def test_each_theorem_takes_only_the_fields_it_reads(self, capsys, theorem, name):
         reads, requires = (set(names.split()) for names in _BOUND_READS[theorem])
-        argv = ["bound", "--theorem", theorem, "--n", "24", "--d", "6", "--eps", "1"]
+        argv = ["bound", "--theorem", theorem, "--n", "24", "--eps", "1"]
         for field in sorted(requires | {name}):
             argv += {**_BOUND_FLAGS, **_CONSTANT_FLAGS}[field]
         code, stdout, err = run(capsys, *argv)
@@ -431,7 +431,7 @@ class TestBoundCli:
 
     def test_the_read_pairs(self):
         assert set(_BOUND_READS) == set(THEOREMS)
-        assert sum(len(reads.split()) for reads, _ in _BOUND_READS.values()) == 23
+        assert sum(len(reads.split()) for reads, _ in _BOUND_READS.values()) == 31
 
     @pytest.mark.parametrize("p", ["2", "-0.5", "nan"])
     def test_p_outside_the_unit_interval_exit_1(self, capsys, p):
@@ -965,6 +965,10 @@ class TestFieldNamedInMessages:
              "the following arguments are required: --j2"),
             (["couple", "--op", "switch", "--in", "{missing}", "--j1", "0", "--j2", "1"],
              "No such file or directory"),
+            (["bound", "--theorem", "edge_upper", "--n", "10", "--a", "2", "--b", "2", "--tau", "1"],
+             "error: bound field 'd' is required by theorem 'edge_upper'\n"),
+            (["bound", "--theorem", "er_codegree", "--n", "10", "--p", "0.3", "--eps", "1", "--d", "5"],
+             "error: bound field 'd' is not read by theorem 'er_codegree'\n"),
         ],
         ids=["verify-samples-negative", "sample-n0", "sample-m0", "verify-d-above-n",
              "verify-permutation-d-above-n", "verify-dp-above-m", "sample-n-not-a-number",
@@ -975,7 +979,8 @@ class TestFieldNamedInMessages:
              "enumerate-n-not-a-number", "enumerate-cap-fraction", "enumerate-n-negative",
              "enumerate-m-negative", "enumerate-d-above-n", "enumerate-dp-above-m", "enumerate-no-n",
              "enumerate-no-d", "sigma2-sampler-flags", "sigma2-nothing", "sigma2-missing-file", "couple-j1-not-a-number", "couple-i1-negative", "couple-j2-above-n",
-             "couple-no-op", "couple-no-in", "couple-no-j2", "couple-missing-file"],
+             "couple-no-op", "couple-no-in", "couple-no-j2", "couple-missing-file", "bound-no-d",
+             "bound-er-d"],
     )
     def test_exit_1_naming_the_field(self, tmp_path, capsys, argv, message):
         matrix = tmp_path / "m.txt"

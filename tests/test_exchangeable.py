@@ -219,13 +219,12 @@ class TestSwitchingVf:
         # Oracle: f(M) - f(M~) for every switchable site, where f(M~) is
         # recomputed from scratch on the switched matrix.
         from rrdigraph.couplings import SwitchSite, simple_switch
-        from rrdigraph.exchangeable import _switch_stats
 
-        from conftest import switch_delta_f, switchable_sites
+        from conftest import switch_delta_f, switch_stats, switchable_sites
 
         for mat in _mats(8, 3, 10, seed=88):
             pair = _reduce_pair(mat, VertexSetPair.of([0, 1, 2], [1, 2, 3, 4]))
-            dense, rows_a, rows_c, cols_b, cols_c, nb, ex = _switch_stats(mat, pair)
+            dense, rows_a, rows_c, cols_b, cols_c, nb, ex = switch_stats(mat, pair)
             f0 = switching_f(mat, pair).f_scaled
             for site in switchable_sites(dense, rows_a, rows_c, cols_b, cols_c):
                 i1, i2, j1, j2, _ = site
